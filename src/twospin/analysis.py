@@ -23,8 +23,7 @@ from scipy.stats import chi2 as chi2_dist
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
-from .reduction import sample_gadget
-from .spins import SpinParams, log_profile_sum
+from .spins import SpinParams, _integral_fraction, log_profile_sum
 from .uniqueness import HARD_DEGREE_RATIO
 
 DEFAULT_RATE_C = 8000.0
@@ -61,37 +60,44 @@ def _w_entropy(w, num):
     return out
 
 
-def _concave_max(fn, lo: float, hi: float, coarse: int = 1024,
-                 tol: float = 1e-10) -> float:
-    """Maximum of a concave fn over [lo, hi]: coarse grid + golden section."""
-    if hi < lo:
-        raise UsageError(f"empty maximization range [{lo}, {hi}]")
-    if hi == lo:
-        return float(fn(np.array([lo]))[0])
-    ks = np.linspace(lo, hi, coarse)
-    vals = fn(ks)
-    i = int(np.argmax(vals))
-    a, b = float(ks[max(0, i - 1)]), float(ks[min(coarse - 1, i + 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(fn(np.array([c]))[0])
-    fd = float(fn(np.array([d]))[0])
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(fn(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(fn(np.array([d]))[0])
-    return max(fc, fd, float(vals[i]))
+def _max_bracket(a, b, lam):
+    """Maximum over k in [max(0, a+b-1), min(a, b)] of the concave bracket
+
+        k lam + b H(k/b) + (1-b) H((a-k)/(1-b)) - H(a),
+
+    elementwise over broadcast arrays a, b.  The stationary point solves
+    A k^2 + B k + C = 0 with A = 1-r, B = -(a+b+r(1-a-b)), C = ab and
+    r = e^-lam, here scaled by min(1, e^lam) so no coefficient overflows.
+    Its roots are C/q and q/A with q = -(B + sign(B) sqrt(B^2 - 4AC))/2,
+    free of cancellation (at r = 1 only C/q = ab is finite).  One root lies
+    in the interval, so clipping both to it and keeping the larger bracket
+    value gives the maximum, also on a zero-width interval.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    u, v = math.exp(min(lam, 0.0)), math.exp(min(-lam, 0.0))  # v / u = r
+    qa, qb, qc = u - v, -(u * (a + b) + v * (1.0 - a - b)), u * a * b
+    disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
+    q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ks = [np.clip(root, np.maximum(0.0, a + b - 1.0), np.minimum(a, b))
+              for root in (qc / q, q / qa)]
+    vals = [k * lam + _w_entropy(b, k) + _w_entropy(1.0 - b, a - k) for k in ks]
+    # fmax drops a NaN root, which only an underflowed u (q = 0) produces
+    return np.fmax(*vals) - _w_entropy(1.0, a)
 
 
 def _check_fraction(x: float, name: str):
     if not 0.0 <= x <= 1.0:
         raise UsageError(f"{name} must lie in [0, 1], got {x}")
+
+
+def _rate_bound_values(a, b, c: float):
+    """rate_bound elementwise over broadcast arrays a, b in [0, 1]."""
+    if c <= 1:
+        raise UsageError("c must exceed 1")
+    cm1 = c - 1.0
+    return (1.0 / cm1 + (1.0 - a - b) * c / cm1 + _w_entropy(1.0, a)
+            + _w_entropy(1.0, b) + cm1 * _max_bracket(a, b, -1.0))
 
 
 def rate_bound(a: float, b: float, c: float = DEFAULT_RATE_C) -> float:
@@ -102,22 +108,12 @@ def rate_bound(a: float, b: float, c: float = DEFAULT_RATE_C) -> float:
         1/(c-1) + (1-a-b) c/(c-1) + H(a) + H(b)
         + (c-1) (-k + b H(k/b) + (1-b) H((a-k)/(1-b)) - H(a)).
 
-    The inner maximization uses a 1024-point grid plus golden-section
-    refinement to 1e-10 (the bracket function is concave in k).
+    The bracket is concave in k and its maximizer is the root of a
+    quadratic, so the maximum is evaluated in closed form (_max_bracket).
     """
     _check_fraction(a, "a")
     _check_fraction(b, "b")
-    if c <= 1:
-        raise UsageError("c must exceed 1")
-    klo = max(0.0, a + b - 1.0)
-    khi = min(a, b)
-    ha = entropy(a)
-    outer = 1.0 / (c - 1.0) + (1.0 - a - b) * c / (c - 1.0) + ha + entropy(b)
-
-    def bracket(ks):
-        return -ks + _w_entropy(b, ks) + _w_entropy(1.0 - b, a - ks) - ha
-
-    return outer + (c - 1.0) * _concave_max(bracket, klo, khi)
+    return float(_rate_bound_values(a, b, c))
 
 
 def exact_rate(a: float, b: float, delta: int, delta_prime: int,
@@ -136,23 +132,19 @@ def exact_rate(a: float, b: float, delta: int, delta_prime: int,
         raise UsageError("exact rate needs beta, gamma > 0")
     if delta < 0 or delta_prime < 0:
         raise UsageError("degrees must be nonnegative")
-    klo = max(0.0, a + b - 1.0)
-    khi = min(a, b)
     lg = math.log(gamma)
-    lbg = math.log(beta) + lg
-    ha = entropy(a)
     outer = (delta_prime * lg + (1.0 - a - b) * (delta + delta_prime) * lg
-             + ha + entropy(b))
-
-    def bracket(ks):
-        return ks * lbg + _w_entropy(b, ks) + _w_entropy(1.0 - b, a - ks) - ha
-
-    return outer + delta * _concave_max(bracket, klo, khi)
+             + entropy(a) + entropy(b))
+    return outer + delta * float(_max_bracket(a, b, math.log(beta) + lg))
 
 
 @dataclass(frozen=True)
 class RateBoundScan:
-    """Grid maximum of rate_bound over min(a, b) >= min_fraction."""
+    """Grid maximum of rate_bound over min(a, b) >= min_fraction.
+
+    coarse_max is the maximum over the grid cells alone; max_value includes
+    the local refinement and is never below it.
+    """
 
     max_value: float
     arg_a: float
@@ -161,10 +153,14 @@ class RateBoundScan:
     grid_step: float
     min_fraction: float
     c: float
-    refined: bool
 
 
-def _fraction_grid(min_fraction: float, step: float) -> np.ndarray:
+def _scan_grid(min_fraction: float, step: float) -> np.ndarray:
+    """Steps from min_fraction, clipped, closed at 1."""
+    if not 0.0 < min_fraction <= 1.0:
+        raise UsageError(f"min_fraction must lie in (0, 1], got {min_fraction}")
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"step must be positive and finite, got {step}")
     grid = np.arange(min_fraction, 1.0 + 0.5 * step, step)
     grid = np.clip(grid, min_fraction, 1.0)
     if grid[-1] != 1.0:
@@ -172,80 +168,43 @@ def _fraction_grid(min_fraction: float, step: float) -> np.ndarray:
     return grid
 
 
-def _coarse_rate_row(a: float, grid: np.ndarray, c: float, s: np.ndarray,
-                     hb: np.ndarray, ha: float) -> np.ndarray:
-    """Vectorized coarse rate_bound values for one a over all grid b."""
-    cm1 = c - 1.0
-    klo = np.maximum(0.0, a + grid - 1.0)
-    khi = np.minimum(a, grid)
-    k = klo[:, None] + (khi - klo)[:, None] * s[None, :]
-    bracket = (-k + _w_entropy(grid[:, None], k)
-               + _w_entropy(1.0 - grid[:, None], a - k) - ha)
-    return (1.0 / cm1 + (1.0 - a - grid) * c / cm1 + ha + hb
-            + cm1 * bracket.max(axis=1))
-
-
 def rate_bound_grid(c: float = DEFAULT_RATE_C,
                     min_fraction: float = DEFAULT_MINORITY,
-                    step: float = 1e-3, inner_points: int = 96):
-    """Yield (a, b, coarse rate bound) rows over the scan grid, row-major."""
-    grid = _fraction_grid(min_fraction, step)
-    s = np.linspace(0.0, 1.0, inner_points)
-    hb = _w_entropy(1.0, grid)
-    for ia, a in enumerate(grid):
-        vals = _coarse_rate_row(float(a), grid, c, s, hb, float(hb[ia]))
-        for ib, b in enumerate(grid):
-            yield float(a), float(b), float(vals[ib])
+                    step: float = 1e-3):
+    """Yield (a, b, rate_bound(a, b)) rows over the scan grid, row-major."""
+    grid = _scan_grid(min_fraction, step)
+    for a in grid.tolist():
+        yield from zip([a] * len(grid), grid.tolist(),
+                       _rate_bound_values(a, grid, c).tolist())
 
 
 def rate_bound_scan(c: float = DEFAULT_RATE_C,
                     min_fraction: float = DEFAULT_MINORITY,
-                    step: float = 1e-3, refine: bool = True,
-                    inner_points: int = 96, top: int = 40) -> RateBoundScan:
+                    step: float = 1e-3) -> RateBoundScan:
     """Maximize rate_bound over the grid a, b in [min_fraction, 1].
 
-    The coarse pass vectorizes the inner k-maximization on a fractional grid;
-    the best `top` cells are then re-evaluated with the full solver on a
-    local refinement of the (a, b) grid.
+    Every grid cell is evaluated one row at a time.  The best cell of each
+    of the 40 best rows is then re-evaluated on an 11 x 11 local grid
+    spanning one step either side, clipped to [min_fraction, 1].
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
-    grid = _fraction_grid(min_fraction, step)
-    s = np.linspace(0.0, 1.0, inner_points)
-    hb = _w_entropy(1.0, grid)  # H on the grid
-    best = []
-    coarse_best = -np.inf
-    coarse_arg = (float(grid[0]), float(grid[0]))
-    for ia, a in enumerate(grid):
-        vals = _coarse_rate_row(float(a), grid, c, s, hb, float(hb[ia]))
-        ib = int(np.argmax(vals))
-        vmax = float(vals[ib])
-        best.append((vmax, float(a), float(grid[ib])))
-        if vmax > coarse_best:
-            coarse_best = vmax
-            coarse_arg = (float(a), float(grid[ib]))
-    if not refine:
-        return RateBoundScan(coarse_best, coarse_arg[0], coarse_arg[1],
-                             coarse_best, step, min_fraction, c, False)
-    best.sort(reverse=True)
-    seen = set()
-    max_value = coarse_best
-    arg = coarse_arg
-    for _, a0, b0 in best[:top]:
-        for da in np.linspace(-step, step, 11):
-            a = min(1.0, max(min_fraction, a0 + float(da)))
-            for db in np.linspace(-step, step, 11):
-                b = min(1.0, max(min_fraction, b0 + float(db)))
-                key = (round(a, 12), round(b, 12))
-                if key in seen:
-                    continue
-                seen.add(key)
-                v = rate_bound(a, b, c)
-                if v > max_value:
-                    max_value = v
-                    arg = (a, b)
-    return RateBoundScan(max_value, arg[0], arg[1], coarse_best, step,
-                         min_fraction, c, True)
+    grid = _scan_grid(min_fraction, step)
+    row_b, row_max = np.empty_like(grid), np.empty_like(grid)
+    for i, a in enumerate(grid):
+        vals = _rate_bound_values(a, grid, c)
+        j = int(np.argmax(vals))
+        row_b[i], row_max[i] = grid[j], vals[j]
+    rows = np.argsort(-row_max, kind="stable")[:40]
+    offsets = np.linspace(-step, step, 11)
+    la = np.clip(grid[rows, None] + offsets, min_fraction, 1.0)[:, :, None]
+    lb = np.clip(row_b[rows, None] + offsets, min_fraction, 1.0)[:, None, :]
+    local = _rate_bound_values(la, lb, c)
+    t, i, j = np.unravel_index(int(np.argmax(local)), local.shape)
+    coarse_max = float(row_max[rows[0]])
+    if local[t, i, j] > coarse_max:
+        best = (float(local[t, i, j]), float(la[t, i, 0]), float(lb[t, 0, j]))
+    else:
+        best = (coarse_max, float(grid[rows[0]]), float(row_b[rows[0]]))
+    return RateBoundScan(*best, coarse_max, step, min_fraction, c)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +228,8 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
         raise UsageError("profile sums are defined for mu == 1")
     if n_side < 1 or delta < 1 or delta_prime < 0:
         raise UsageError("need N >= 1, delta >= 1, delta_prime >= 0")
-    an = _integral(a, n_side, "a")
-    bn = _integral(b, n_side, "b")
+    an = _integral_fraction(a, n_side, "a")
+    bn = _integral_fraction(b, n_side, "b")
     terms = []
     for kn in range(max(0, an + bn - n_side), min(an, bn) + 1):
         terms.append(scaled_log(p.beta, kn)
@@ -284,16 +243,6 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
     return (scaled_log(p.gamma, delta_prime * (2 * n_side - an - bn))
             + log_binomial(n_side, an) + log_binomial(n_side, bn)
             + delta * inner)
-
-
-def _integral(x: float, n: int, name: str) -> int:
-    if not 0 <= x <= 1:
-        raise UsageError(f"{name} must lie in [0, 1], got {x}")
-    count = x * n
-    rounded = round(count)
-    if abs(count - rounded) > 1e-9:
-        raise UsageError(f"{name} * N = {count} is not an integer")
-    return int(rounded)
 
 
 def gadget_from_matchings(n_side: int, perms: Sequence[Sequence[int]]) -> BipartiteGadget:
@@ -550,10 +499,10 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
         raise UsageError("b must lie in (0, 1]")
     if d < 1 or trials < 1:
         raise UsageError("d and trials must be >= 1")
-    bn = _integral(b, n, "b")
+    bn = _integral_fraction(b, n, "b")
     if bn < 1:
         raise UsageError("b*n must be >= 1")
-    length = _integral(a, n, "a")
+    length = _integral_fraction(a, n, "a")
     if length < 1:
         raise UsageError("a*n must be >= 1")
     if length > 20:
@@ -619,14 +568,3 @@ def polarized_branch_rate_bound(degree_ratio: int = HARD_DEGREE_RATIO) -> float:
     q = math.e / (1.0 + math.e)
     return q * math.log1p(math.e) + (1.0 - q) * (degree_ratio - 1.0) / degree_ratio
 
-
-def sampled_gadget_audit(n_side: int, delta: int, seeds: Sequence[int], *,
-                         eps: float = DEFAULT_BIGNESS,
-                         factor: float = DEFAULT_EXPANSION_FACTOR,
-                         mode: str = "exhaustive", trials: int = 2000):
-    """Expander audits over freshly sampled gadgets, one per seed."""
-    return [
-        expander_audit(sample_gadget(n_side, delta, seed), eps=eps,
-                       factor=factor, mode=mode, trials=trials, seed=seed)
-        for seed in seeds
-    ]

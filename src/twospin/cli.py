@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=analysis.DEFAULT_MINORITY)
     sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--bound", type=float, default=analysis.RATE_BOUND_CEILING)
-    sp.add_argument("--out", help="optional CSV dump of the coarse grid")
+    sp.add_argument("--out", help="optional CSV dump of the exact grid values")
     sp.set_defaults(func=_verify_rate_bound)
 
     sp = vsub.add_parser("expander", help="edge-expansion audit of sampled gadgets")
@@ -595,7 +595,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -255,17 +255,6 @@ def prism_graph() -> MultiGraph:
     return MultiGraph.from_edges(6, edges)
 
 
-def circulant_graph(n: int, offsets: Sequence[int]) -> MultiGraph:
-    edges = []
-    for i in range(n):
-        for off in offsets:
-            j = (i + off) % n
-            if i != j:
-                edges.append((i, j))
-    # each unordered pair appears twice unless off == n/2
-    return MultiGraph.from_edges(n, [(u, v) for u, v in {tuple(sorted(e)) for e in edges}])
-
-
 def scaled_graph(g: MultiGraph, factor: int) -> MultiGraph:
     """Copy of g with every multiplicity multiplied by factor."""
     return MultiGraph(g.num_vertices, tuple((u, v, m * factor) for u, v, m in g.edges))

@@ -3,7 +3,8 @@
 Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
 partition sums, per-equation satisfaction loops, hypergeometric sequential
-laws, and a plain bisection root finder.
+laws, a plain bisection root finder, and a grid-plus-golden-section maximum
+of the rate-bound bracket.
 """
 
 import itertools
@@ -133,3 +134,38 @@ def sequential_indicator_law(n, marked, length):
 
     rec(0, 0, 0, Fraction(1))
     return {k: float(v) for k, v in law.items()}
+
+
+def binary_entropy(x):
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+
+
+def bracket_max(a, b, lam, points=201, iterations=100):
+    """max over k in [max(0, a+b-1), min(a, b)] of
+    k lam + b H(k/b) + (1-b) H((a-k)/(1-b)) - H(a), by a dense grid and
+    golden section on the cells around the best grid point (the bracket is
+    concave in k)."""
+    def weighted(w, num):
+        return w * binary_entropy(min(1.0, max(0.0, num / w))) if w > 0 else 0.0
+
+    def f(k):
+        return (k * lam + weighted(b, k) + weighted(1.0 - b, a - k)
+                - binary_entropy(a))
+
+    lo, hi = max(0.0, a + b - 1.0), min(a, b)
+    if hi <= lo:
+        return f(hi)
+    ks = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    i = max(range(points), key=lambda j: f(ks[j]))
+    left, right = ks[max(0, i - 1)], ks[min(points - 1, i + 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iterations):
+        c = right - shrink * (right - left)
+        d = left + shrink * (right - left)
+        if f(c) >= f(d):
+            right = d
+        else:
+            left = c
+    return max(f(ks[i]), f(0.5 * (left + right)))

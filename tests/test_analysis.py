@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import profile_sum_direct, sequential_indicator_law
+from oracles import (binary_entropy, bracket_max, profile_sum_direct,
+                     sequential_indicator_law)
 from twospin.analysis import (coupling_sim, entropy,
                               enumerate_profile_sum_mean_log, exact_rate,
                               expander_audit, expected_profile_sum_log,
@@ -64,10 +65,50 @@ def test_rate_bound_swap_symmetry():
 
 
 def test_rate_bound_scan_stays_below_ceiling():
-    scan = rate_bound_scan(step=5e-3, top=20)
+    scan = rate_bound_scan(step=5e-3)
     assert scan.max_value < 1.21
     assert scan.max_value > 1.19  # the maximum is genuinely close to the ceiling
     assert min(scan.arg_a, scan.arg_b) == pytest.approx(9e-5, abs=1e-6)
+
+
+def _oracle_points():
+    rng = np.random.default_rng(2024)
+    corners = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    return corners + [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(200)]
+
+
+def test_rate_bound_matches_bracket_oracle():
+    c = 8000.0
+    for a, b in _oracle_points():
+        outer = (1 / (c - 1) + (1 - a - b) * c / (c - 1)
+                 + binary_entropy(a) + binary_entropy(b))
+        expected = outer + (c - 1) * bracket_max(a, b, -1.0)
+        assert rate_bound(a, b, c) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta,gamma", [(0.3, 0.9), (0.5, 2.0), (2.5, 1.3)])
+def test_exact_rate_matches_bracket_oracle(beta, gamma):
+    # (0.5, 2.0) has beta * gamma = 1, where the stationary-point quadratic
+    # degenerates to a linear equation
+    delta, delta_prime = 10, 2
+    lg = math.log(gamma)
+    for a, b in _oracle_points():
+        outer = (delta_prime * lg + (1 - a - b) * (delta + delta_prime) * lg
+                 + binary_entropy(a) + binary_entropy(b))
+        expected = outer + delta * bracket_max(a, b, math.log(beta * gamma))
+        assert exact_rate(a, b, delta, delta_prime, beta, gamma) == \
+            pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{"min_fraction": 0.0}, {"min_fraction": -0.5},
+                                    {"min_fraction": 2.0}, {"step": 0.0},
+                                    {"step": -1e-3}, {"step": math.inf},
+                                    {"c": 1.0}])
+def test_rate_bound_scan_and_grid_reject_bad_parameters(kwargs):
+    with pytest.raises(UsageError):
+        rate_bound_scan(**kwargs)
+    with pytest.raises(UsageError):
+        next(rate_bound_grid(**kwargs))
 
 
 def test_rate_bound_grid_rows():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from twospin.analysis import rate_bound
 from twospin.cli import main
 from twospin.graphs import single_edge, write_graph
 
@@ -118,9 +119,35 @@ def test_exit_codes(capsys, edge_file, tmp_path):
     assert main(["z", "--graph", str(tmp_path / "missing.g"), "--beta", "1",
                  "--gamma", "1"]) == 2
     capsys.readouterr()
+    # any I/O error is a usage error, not a verification failure
+    assert main(["z", "--graph", str(tmp_path), "--beta", "1",
+                 "--gamma", "1"]) == 2
+    capsys.readouterr()
+    # rate-bound scan parameters outside their range
+    for bad in (["--lambda", "2"], ["--lambda", "-0.5"], ["--step", "0"],
+                ["--step", "inf"]):
+        assert main(["verify", "rate-bound", *bad]) == 2
+    capsys.readouterr()
     # verification failure exits 1: an unreachable bound
     assert main(["verify", "coupling", "--trials", "2000", "--alpha", "1.1"]) == 1
     capsys.readouterr()
+
+
+def test_verify_rate_bound_csv(capsys, tmp_path):
+    out = tmp_path / "rate.csv"
+    code, rep = _run(capsys, ["verify", "rate-bound", "--step", "0.05",
+                              "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "a,b,rate_bound"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    side = sorted({a for a, _, _ in rows})
+    assert side == sorted({b for _, b, _ in rows})
+    assert side[0] == 9e-5 and side[-1] == 1.0
+    assert len(rows) == len(side) ** 2
+    for a, b, v in rows:
+        assert v == pytest.approx(rate_bound(a, b), abs=1e-12)
+    assert rep["value"] >= max(v for _, _, v in rows)
 
 
 def test_verify_coupling_and_expander(capsys):
