@@ -5,7 +5,8 @@ byte-identical); grids go to CSV files.  Every randomized command takes an
 explicit --seed and echoes it; there are no environment-variable overrides.
 
 Exit codes: 0 success (and verification passed), 1 verification failure,
-2 usage error, 3 resource-cap refusal.
+2 usage or I/O error, 3 resource-cap refusal, 4 internal error (a bug: the
+traceback goes to standard error).
 """
 
 import argparse
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload) -> None:
@@ -73,7 +76,7 @@ def _cmd_z(args) -> int:
     _emit(_report("z",
                   {"graph": args.graph, "beta": args.beta, "gamma": args.gamma,
                    "mu": args.mu, "num_vertices": g.num_vertices,
-                   "num_edges": g.num_edges, "threads": args.threads},
+                   "num_edges": g.num_edges},
                   {"log_z": _num(value, "log")}))
     return EXIT_OK
 
@@ -598,6 +601,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # exit 1 must keep meaning "verification failed"
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -42,13 +42,20 @@ def log_sum_exp(values) -> float:
 
     Empty input and all -inf input both return -inf (an empty sum is zero).
     """
-    arr = np.asarray(values, dtype=float)
+    return log_sum_exp_inplace(np.array(values, dtype=float))
+
+
+def log_sum_exp_inplace(arr: np.ndarray) -> float:
+    """log_sum_exp of a float array, using the array itself as scratch space
+    (its contents are overwritten), so that no temporary is allocated."""
     if arr.size == 0:
         return LOG_ZERO
     hi = float(np.max(arr))
     if hi == LOG_ZERO:
         return LOG_ZERO
-    return hi + math.log(float(np.sum(np.exp(arr - hi))))
+    arr -= hi
+    np.exp(arr, out=arr)
+    return hi + math.log(float(np.sum(arr)))
 
 
 def log_sum_exp_pairwise(parts) -> float:

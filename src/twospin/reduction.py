@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .e2lin2 import E2Lin2Instance, occurrence_counts, parse_instance, satisfied_count
+from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
 from .logspace import LOG_ZERO, log_sum_exp, scaled_log
@@ -478,38 +478,65 @@ def blocks_to_text(rg: ReductionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens, lineno: int, line: str):
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise UsageError(f"line {lineno}: non-integer field in {line!r}") from None
+
+
 def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
+    """Parse a block-map sidecar against its graph.
+
+    Malformed text and a block map inconsistent with the graph or with its
+    own header raise UsageError.
+    """
     header = None
-    eq_lines = []
+    equations = []
     blocks: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         if parts[0] == "p":
+            if header is not None:
+                raise UsageError(f"line {lineno}: duplicate header")
             if len(parts) != 8 or parts[1] != "blocks":
                 raise UsageError(f"line {lineno}: bad header {line!r}")
-            header = tuple(int(x) for x in parts[2:])
+            header = _ints(parts[2:], lineno, line)
         elif parts[0] == "e":
-            eq_lines.append(line)
+            if len(parts) != 4:
+                raise UsageError(f"line {lineno}: bad equation {line!r}")
+            i, j, b = _ints(parts[1:], lineno, line)
+            equations.append((i - 1, j - 1, b))
         elif parts[0] == "block":
             if len(parts) < 5 or parts[1] not in ("U", "V"):
                 raise UsageError(f"line {lineno}: bad block record {line!r}")
-            side, i, k = parts[1], int(parts[2]), int(parts[3])
-            blocks[(side, i, k)] = tuple(int(x) for x in parts[4:])
+            i, k, *vertices = _ints(parts[2:], lineno, line)
+            if (parts[1], i, k) in blocks:
+                raise UsageError(f"line {lineno}: duplicate block record {line!r}")
+            blocks[(parts[1], i, k)] = tuple(vertices)
         else:
             raise UsageError(f"line {lineno}: unknown record {line!r}")
     if header is None:
         raise UsageError("missing 'p blocks' header")
     n, m, t, delta, delta_prime, seed = header
-    inst = parse_instance(f"p e2lin2 {n} {m}\n" + "\n".join(
-        ln[2:] for ln in eq_lines) + "\n")
+    if len(equations) != m:
+        raise UsageError(f"header declares {m} equations, found {len(equations)}")
+    inst = E2Lin2Instance(n, tuple(equations))
+    if n > 2 * m or not inst.is_normalized():
+        raise UsageError("block map instance has unused variables")
+    params = GadgetParams(delta, delta_prime, t, seed)
     occ = occurrence_counts(inst)
+    if blocks.keys() != {(side, i, k) for side in "UV"
+                         for i in range(n) for k in range(occ[i])}:
+        raise UsageError("block records do not match the variables' occurrences")
+    covered = [v for block in blocks.values() for v in block]
+    if len(covered) != graph.num_vertices or set(covered) != set(range(graph.num_vertices)):
+        raise UsageError("block records do not partition the graph's vertices")
     u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))
     v_blocks = tuple(tuple(blocks[("V", i, k)] for k in range(occ[i])) for i in range(n))
-    rg = ReductionGraph(graph, u_blocks, v_blocks,
-                        GadgetParams(delta, delta_prime, t, seed), inst)
+    rg = ReductionGraph(graph, u_blocks, v_blocks, params, inst)
     if not audit_reduction_graph(rg).passed:
         raise UsageError("graph and block map are inconsistent")
     return rg

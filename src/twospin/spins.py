@@ -27,10 +27,12 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
-from .logspace import LOG_ZERO, log_sum_exp, log_sum_exp_pairwise, scaled_log
+from .logspace import (LOG_ZERO, log_sum_exp, log_sum_exp_inplace,
+                       log_sum_exp_pairwise, scaled_log)
 
 DEFAULT_MAX_VERTICES = 28
-_CHUNK_BITS = 16
+_LOW_BITS = 10    # free spins tabulated along the columns of a block table
+_BLOCK_BITS = 16  # a block table holds at most 2**_BLOCK_BITS log-weights
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class SpinParams:
 
 # ---------------------------------------------------------------------------
 # Side constraints on zero-counts of vertex sets
+#
+# Each constraint names its vertex sets (`sets`) and answers, for given
+# zero-counts of those sets, whether a configuration is admitted (`admits`).
+# The zero-counts may be ints or integer arrays; the answer has their shape.
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,13 @@ class CountRange:
                 f"CountRange needs 0 <= lo <= hi <= |set|, got lo={self.lo} "
                 f"hi={self.hi} |set|={len(self.vertices)}")
 
+    @property
+    def sets(self):
+        return (self.vertices,)
+
+    def admits(self, zeros):
+        return (zeros >= self.lo) & (zeros <= self.hi)
+
 
 @dataclass(frozen=True)
 class CountLeq:
@@ -92,6 +105,13 @@ class CountLeq:
     def __post_init__(self):
         object.__setattr__(self, "fewer", tuple(self.fewer))
         object.__setattr__(self, "more", tuple(self.more))
+
+    @property
+    def sets(self):
+        return (self.fewer, self.more)
+
+    def admits(self, zeros_fewer, zeros_more):
+        return zeros_fewer <= zeros_more
 
 
 @dataclass(frozen=True)
@@ -108,28 +128,37 @@ class MinCountAtMost:
         if self.hi < 0:
             raise UsageError("MinCountAtMost needs hi >= 0")
 
+    @property
+    def sets(self):
+        return (self.side_a, self.side_b)
+
+    def admits(self, zeros_a, zeros_b):
+        return (zeros_a <= self.hi) | (zeros_b <= self.hi)
+
 
 SideConstraint = (CountRange, CountLeq, MinCountAtMost)
 
 
-def _constraint_sets(constraint):
-    if isinstance(constraint, CountRange):
-        return (constraint.vertices,)
-    if isinstance(constraint, CountLeq):
-        return (constraint.fewer, constraint.more)
-    if isinstance(constraint, MinCountAtMost):
-        return (constraint.side_a, constraint.side_b)
-    raise UsageError(f"unknown constraint type {type(constraint).__name__}")
-
-
 def _validate_constraints(constraints, num_vertices):
     for c in constraints:
-        for vset in _constraint_sets(c):
+        if not isinstance(c, SideConstraint):
+            raise UsageError(f"unknown constraint type {type(c).__name__}")
+        for vset in c.sets:
             for v in vset:
                 if not 0 <= v < num_vertices:
                     raise UsageError(f"constraint references vertex {v} out of range")
             if len(set(vset)) != len(vset):
                 raise UsageError("constraint vertex set has duplicates")
+
+
+def _zero_count_masks(constraints, fixed, pos):
+    """Per constraint, one (mask, base) per vertex set, so that the set's
+    zero-count at a free configuration `config` is
+    base - popcount(config & mask); bit pos[v] of the mask marks free v."""
+    return [(c, [(sum(1 << pos[v] for v in vset if v not in fixed),
+                  sum(1 for v in vset if fixed.get(v, 0) == 0))
+                 for vset in c.sets])
+            for c in constraints]
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +192,46 @@ def log_config_weight(g: MultiGraph, p: SpinParams, bits: Sequence[int]) -> floa
 # Exact partition sums (log domain, vectorized enumeration)
 
 
-class _Problem:
-    """Reduced enumeration problem after substituting fixed spins."""
+def _pair_logs(codes: np.ndarray, records) -> np.ndarray:
+    """Sum of edge log factors at each configuration code.
 
-    def __init__(self, g: MultiGraph, p: SpinParams, fixed: Dict[int, int]):
+    A record (a, b, log00, log11) adds log00 where bits a and b of the code
+    are both 0 and log11 where both are 1.
+    """
+    if not records:
+        return np.zeros(len(codes))
+    a, b, l00, l11 = (np.array(col) for col in zip(*records))
+    ones = ((codes[:, None] >> a) & 1) + ((codes[:, None] >> b) & 1)
+    return np.where(ones == 0, l00, np.where(ones == 2, l11, 0.0)).sum(axis=1)
+
+
+class _Problem:
+    """Enumeration of the free spins after substituting the pinned ones.
+
+    Free spin j is bit j of the configuration code.  The code splits into k
+    low bits x and h high bits y, and the log weight is
+
+        q_lo[x] + q_hi[y] + sum over high v of cols[y_v, v][x]
+
+    where q_lo holds the constant, the low spins' field and pinned-neighbour
+    terms and the low-low edges, q_hi the high-high edges (evaluated per
+    block, so memory stays bounded), and cols[s, v] high spin v's own terms
+    at spin s plus its edges to low spins.  A block fixes the top h - b high
+    bits and tabulates its 2**b x 2**k log-weights by doubling over the b
+    free high bits, so the kernel only adds log factors: no product can meet
+    -inf * 0 or inf - inf.
+    """
+
+    def __init__(self, g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
+                 constraints):
         lb, lg = p.log_entries()
         lmu = math.log(p.mu)
         free = [v for v in range(g.num_vertices) if v not in fixed]
         pos = {v: j for j, v in enumerate(free)}
-        self.free = free
-        self.nf = len(free)
+        nf = len(free)
         # per-free-vertex log factors for spin 0 / spin 1
-        w0 = np.full(self.nf, lmu, dtype=float)
-        w1 = np.zeros(self.nf, dtype=float)
+        w0 = np.full(nf, lmu, dtype=float)
+        w1 = np.zeros(nf, dtype=float)
         const = lmu * sum(1 for v in fixed if fixed[v] == 0)
         ff = []
         for u, v, m in g.edges:
@@ -193,59 +249,54 @@ class _Problem:
                     w0[w] += m * lb
                 else:
                     w1[w] += m * lg
-        self.w0, self.w1, self.const, self.ff = w0, w1, const, ff
-        self.pos = pos
-        self.fixed = fixed
+        self.k = k = min(nf, _LOW_BITS)
+        self.h = h = nf - k
+        self.b = min(h, _BLOCK_BITS - k)
+        x = np.arange(1 << k)
+        low_bits = ((x[:, None] >> np.arange(k)) & 1).astype(bool)
+        self.q_lo = (const + np.where(low_bits, w1[:k], w0[:k]).sum(axis=1)
+                     + _pair_logs(x, [r for r in ff if r[1] < k]))
+        self.cols = np.empty((2, h, 1 << k))
+        self.cols[0] = w0[k:, None]
+        self.cols[1] = w1[k:, None]
+        for a, c, l00, l11 in ff:
+            if a < k <= c:
+                self.cols[0, c - k] += np.where(low_bits[:, a], 0.0, l00)
+                self.cols[1, c - k] += np.where(low_bits[:, a], l11, 0.0)
+        self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
+        # A set's zero-count is its low part base - popcount(x & low mask)
+        # minus the popcount of its high mask in y.  Per constraint, `admitted`
+        # answers for every low configuration and every combination of its
+        # sets' high popcounts; a block looks its rows up by their popcounts.
+        self.admitted = []
+        for c, per_set in _zero_count_masks(constraints, fixed, pos):
+            masks_hi = [mask >> k for mask, _ in per_set]
+            grid = np.ix_(*(np.arange(m.bit_count() + 1) for m in masks_hi), x)
+            zeros = [base - np.bitwise_count(grid[-1] & mask).astype(np.int64) - count
+                     for (mask, base), count in zip(per_set, grid)]
+            self.admitted.append((masks_hi, c.admits(*zeros)))
 
-    def compile_constraints(self, constraints):
-        compiled = []
-        for c in constraints:
-            per_set = []
-            for vset in _constraint_sets(c):
-                mask = 0
-                base = 0
-                for v in vset:
-                    if v in self.fixed:
-                        base += 1 if self.fixed[v] == 0 else 0
-                    else:
-                        mask |= 1 << self.pos[v]
-                        base += 1
-                per_set.append((np.uint64(mask), base))
-            compiled.append((c, per_set))
-        self._compiled = compiled
+    @property
+    def num_blocks(self) -> int:
+        return 1 << (self.h - self.b)
 
-    def _zero_counts(self, configs, mask_base):
-        mask, base = mask_base
-        return base - np.bitwise_count(configs & mask).astype(np.int64)
-
-    def chunk_log_weights(self, start: int, count: int) -> np.ndarray:
-        configs = np.arange(start, start + count, dtype=np.uint64)
-        logw = np.full(count, self.const, dtype=float)
-        for j in range(self.nf):
-            bit = ((configs >> np.uint64(j)) & np.uint64(1)).astype(bool)
-            logw = logw + np.where(bit, self.w1[j], self.w0[j])
-        for ju, jv, ml00, ml11 in self.ff:
-            bu = ((configs >> np.uint64(ju)) & np.uint64(1)).astype(bool)
-            bv = ((configs >> np.uint64(jv)) & np.uint64(1)).astype(bool)
-            logw = logw + np.where(~bu & ~bv, ml00, 0.0)
-            logw = logw + np.where(bu & bv, ml11, 0.0)
-        keep = None
-        for c, per_set in self._compiled:
-            if isinstance(c, CountRange):
-                z = self._zero_counts(configs, per_set[0])
-                ok = (z >= c.lo) & (z <= c.hi)
-            elif isinstance(c, CountLeq):
-                zf = self._zero_counts(configs, per_set[0])
-                zm = self._zero_counts(configs, per_set[1])
-                ok = zf <= zm
-            else:  # MinCountAtMost
-                za = self._zero_counts(configs, per_set[0])
-                zb = self._zero_counts(configs, per_set[1])
-                ok = np.minimum(za, zb) <= c.hi
-            keep = ok if keep is None else (keep & ok)
-        if keep is not None:
-            logw = np.where(keep, logw, LOG_ZERO)
-        return logw
+    def block_log_sum(self, index: int, table: np.ndarray) -> float:
+        """log of the sum over block `index`, built in `table`
+        (2**b x 2**k floats, overwritten)."""
+        rows = 1 << self.b
+        y = np.arange(index * rows, (index + 1) * rows)
+        table[0] = self.q_lo
+        for v in range(self.b, self.h):
+            table[0] += self.cols[(y[0] >> v) & 1, v]
+        for v in range(self.b):
+            n = 1 << v
+            np.add(table[:n], self.cols[1, v], out=table[n:2 * n])
+            table[:n] += self.cols[0, v]
+        table += _pair_logs(y, self.hi_edges)[:, None]
+        for masks_hi, admitted in self.admitted:
+            ok = admitted[tuple(np.bitwise_count(y & m) for m in masks_hi)]
+            np.copyto(table, LOG_ZERO, where=~ok)
+        return log_sum_exp_inplace(table)
 
 
 def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
@@ -258,9 +309,17 @@ def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
     every given side constraint; an infeasible set yields -inf (an empty sum),
     not an error.  `fixed` pins chosen vertices to given spins; only the
     remaining vertices are enumerated, and the cap applies to their number.
-    With threads > 1 the configuration range is split across workers; partial
-    sums are merged by a fixed pairwise tree, so the result does not depend
-    on the thread count.
+
+    The kernel splits the free spins into up to 10 low and the remaining high
+    bits.  It tabulates the low bits' log-weights once, then enumerates the
+    high configurations in blocks of fixed size (at most 2**16 log-weights
+    each), building every block by doubling: each free high spin doubles the
+    table by adding its spin-0 and spin-1 columns.  A side constraint is a
+    predicate on zero-counts, which also split into a low and a high part.
+    Each block is reduced by a max-shifted log-sum-exp, and the block sums are
+    merged by a fixed pairwise tree.  With threads > 1 the blocks are split
+    across workers; since block sums and the tree do not depend on which
+    worker produced them, neither does the result.
     """
     fixed = dict(fixed or {})
     for v, s in fixed.items():
@@ -270,23 +329,25 @@ def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
             raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
     constraints = tuple(constraints)
     _validate_constraints(constraints, g.num_vertices)
-    prob = _Problem(g, p, fixed)
-    if prob.nf > max_vertices and not force:
+    nf = g.num_vertices - len(fixed)
+    if nf > max_vertices and not force:
         raise ResourceLimitError(
-            f"{prob.nf} free vertices exceeds cap {max_vertices}; pass force=True")
-    prob.compile_constraints(constraints)
-    total = 1 << prob.nf
-    chunk = 1 << min(prob.nf, _CHUNK_BITS)
-    starts = list(range(0, total, chunk))
+            f"{nf} free vertices exceeds cap {max_vertices}; pass force=True")
+    prob = _Problem(g, p, fixed, constraints)
 
-    def one(start):
-        return log_sum_exp(prob.chunk_log_weights(start, min(chunk, total - start)))
+    def run(indices):
+        table = np.empty((1 << prob.b, 1 << prob.k))
+        return [prob.block_log_sum(i, table) for i in indices]
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, starts))
+    nblocks = prob.num_blocks
+    workers = min(threads, nblocks)
+    if workers > 1:
+        groups = [range(nblocks * w // workers, nblocks * (w + 1) // workers)
+                  for w in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = [s for group in pool.map(run, groups) for s in group]
     else:
-        parts = [one(s) for s in starts]
+        parts = run(range(nblocks))
     return log_sum_exp_pairwise(parts)
 
 
@@ -307,38 +368,16 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
     nf = len(free)
     if nf > max_vertices and not force:
         raise ResourceLimitError(f"{nf} free vertices exceeds cap {max_vertices}")
-    sets = []
-    for c in constraints:
-        per_set = []
-        for vset in _constraint_sets(c):
-            mask = 0
-            base = 0
-            for v in vset:
-                if v in fixed:
-                    base += 1 if fixed[v] == 0 else 0
-                else:
-                    mask |= 1 << free.index(v)
-                    base += 1
-            per_set.append((mask, base))
-        sets.append((c, per_set))
+    sets = _zero_count_masks(constraints, fixed, {v: j for j, v in enumerate(free)})
     total = Fraction(0)
     for config in range(1 << nf):
+        if not all(c.admits(*(base - (config & mask).bit_count()
+                               for mask, base in per_set))
+                   for c, per_set in sets):
+            continue
         bits = dict(fixed)
         for j, v in enumerate(free):
             bits[v] = (config >> j) & 1
-        ok = True
-        for c, per_set in sets:
-            zs = [base - (config & mask).bit_count() for mask, base in per_set]
-            if isinstance(c, CountRange):
-                ok = c.lo <= zs[0] <= c.hi
-            elif isinstance(c, CountLeq):
-                ok = zs[0] <= zs[1]
-            else:
-                ok = min(zs) <= c.hi
-            if not ok:
-                break
-        if not ok:
-            continue
         w = mu ** sum(1 for v in range(g.num_vertices) if bits[v] == 0)
         for u, v, m in g.edges:
             s, t = bits[u], bits[v]

@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
-partition sums, per-equation satisfaction loops, hypergeometric sequential
+partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, and a grid-plus-golden-section maximum
 of the rate-bound bracket.
 """
@@ -68,6 +68,18 @@ def fraction_partition(num_vertices, edge_records, beta, gamma, mu=1, keep=None)
                 w *= gamma ** m
         total += w
     return total
+
+
+def cycle_partition(n, beta, gamma, mu=1):
+    """Exact partition sum of the n-cycle: the trace of the n-th power of the
+    transfer matrix [[mu beta, mu], [1, gamma]] (row = spin, field on 0)."""
+    beta, gamma, mu = Fraction(beta), Fraction(gamma), Fraction(mu)
+    step = [[mu * beta, mu], [Fraction(1), gamma]]
+    power = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for _ in range(n):
+        power = [[sum(power[r][s] * step[s][c] for s in range(2)) for c in range(2)]
+                 for r in range(2)]
+    return power[0][0] + power[1][1]
 
 
 def best_count_loop(num_vars, equations):

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from twospin import cli
 from twospin.analysis import rate_bound
 from twospin.cli import main
-from twospin.graphs import single_edge, write_graph
+from twospin.graphs import MultiGraph, single_edge, write_graph
 
 
 @pytest.fixture
@@ -181,6 +182,30 @@ def test_verify_field_and_sandwich(capsys):
 def test_verify_gadget_mean(capsys):
     code, rep = _run(capsys, ["verify", "gadget-mean", "--trials", "5000"])
     assert code == 0 and rep["pass"] is True
+
+
+def test_internal_error_exits_4(capsys, monkeypatch, edge_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr(cli, "log_partition", broken)
+    assert main(["z", "--graph", edge_file, "--beta", "1", "--gamma", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: invariant violated" in captured.err
+
+
+def test_z_stdout_does_not_depend_on_threads(capsys, tmp_path):
+    path = tmp_path / "circulant.g"
+    write_graph(MultiGraph.from_edges(
+        18, [(i, (i + d) % 18) for i in range(18) for d in (1, 5)]), path)
+    outputs = []
+    for threads in ("1", "2"):
+        assert main(["z", "--graph", str(path), "--beta", "0.6", "--gamma", "1.3",
+                     "--mu", "0.8", "--threads", threads]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "threads" not in outputs[0]
 
 
 def test_reports_are_deterministic(capsys):

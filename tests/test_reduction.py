@@ -282,6 +282,54 @@ def test_blocks_roundtrip():
         blocks_from_text("block U 0 0 1 2\n", rg.graph)
 
 
+def _mutants(text, rng, count):
+    """Seeded truncations, dropped and duplicated lines, and corrupted tokens."""
+    lines = text.splitlines(keepends=True)
+    tokens = ["x", "-1", "0", "1", "2", "7", "999999", "1.5", "U", "V", "e", "p", "#"]
+    for _ in range(count):
+        kind = int(rng.integers(4))
+        i = int(rng.integers(len(lines)))
+        if kind == 0:
+            yield text[:int(rng.integers(len(text)))]
+        elif kind == 1:
+            yield "".join(lines[:i] + lines[i + 1:])
+        elif kind == 2:
+            yield "".join(lines[:i + 1] + lines[i:])
+        else:
+            words = lines[i].split()
+            words[int(rng.integers(len(words)))] = tokens[int(rng.integers(len(tokens)))]
+            yield "".join(lines[:i] + [" ".join(words) + "\n"] + lines[i + 1:])
+
+
+def test_blocks_from_text_rejects_or_round_trips_mutants():
+    rng = np.random.default_rng(41)
+    inst = E2Lin2Instance(3, ((0, 1, 1), (1, 2, 0), (0, 2, 1)))
+    rg = build_reduction_graph(inst, GadgetParams(2, 1, 2, seed=11))
+    text = blocks_to_text(rg)
+    outcomes = Counter()
+    for mutant in _mutants(text, rng, 600):
+        try:
+            back = blocks_from_text(mutant, rg.graph)
+        except UsageError:
+            outcomes["rejected"] += 1
+            continue
+        assert blocks_to_text(back).splitlines() == mutant.splitlines()
+        assert blocks_from_text(blocks_to_text(back), rg.graph) == back
+        outcomes["round-trip"] += 1
+    assert outcomes["rejected"] > 300 and outcomes["round-trip"] > 0
+    # each defect the parser once let through or leaked
+    lines = text.splitlines()
+    block_line = next(ln for ln in lines if ln.startswith("block"))
+    for bad in ("p blocks 3 3 2 2 1 x\n",                      # ValueError
+                "\n".join(lines[:1] + lines[4:]) + "\n",        # KeyError
+                text + block_line.replace("block U 0 0", "block U 9 0") + "\n",
+                text + block_line.replace("block U 0 0", "block U 0 5") + "\n",
+                text + block_line + "\n",
+                lines[0] + "\n" + text):
+        with pytest.raises(UsageError):
+            blocks_from_text(bad, rg.graph)
+
+
 def test_end_to_end_decode_report():
     # tiny full-pipeline run with published-shape block size (t = m): the
     # decoder output is reported alongside the true optimum; toy constants

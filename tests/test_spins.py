@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fraction_partition, independent_set_count, linear_log_partition
+from oracles import (cycle_partition, fraction_partition, independent_set_count,
+                     linear_log_partition)
+from twospin import spins
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
                             cycle_graph, path_graph, single_edge)
@@ -106,11 +108,19 @@ def test_fixed_vertices_split_the_sum():
 
 
 def test_threads_do_not_change_the_result():
-    g = cycle_graph(8)
+    # 18 free vertices span several blocks, so threads > 1 splits the work
+    g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
     p = SpinParams(0.3, 0.8, 2.0)
-    a = log_partition(g, p)
-    b = log_partition(g, p, threads=4)
-    assert a == b
+    assert spins._Problem(g, p, {}, ()).num_blocks > 1
+    constraints = [CountLeq((0, 1, 2, 3), (9, 10, 11)), CountRange(tuple(range(0, 18, 2)), 2, 7),
+                   MinCountAtMost((4, 5, 6), (12, 13, 14), 1)]
+    for kwargs in ({}, {"constraints": constraints, "fixed": {3: 0, 16: 1}}):
+        values = [log_partition(g, p, threads=t, **kwargs) for t in (1, 2, 3)]
+        assert values[0] == values[1] == values[2]
+    # and the multi-block sum is right: the 18-cycle against its transfer matrix
+    exact = cycle_partition(18, Fraction(3, 10), Fraction(4, 5), 2)
+    assert log_partition(cycle_graph(18), p, threads=2) == pytest.approx(
+        math.log(exact.numerator) - math.log(exact.denominator), abs=1e-12)
 
 
 def test_constraint_kinds():
@@ -175,6 +185,88 @@ def test_partition_fraction_is_exact():
         3, tri.edges, Fraction(1, 3), Fraction(3, 2), 2,
         keep=lambda bits: (2 - bits[0] - bits[1]) <= 1)
     assert got == expect
+
+
+def _log_fraction(x):
+    return LOG_ZERO if x == 0 else math.log(x.numerator) - math.log(x.denominator)
+
+
+def _zeros(bits, vset):
+    return sum(1 - bits[v] for v in vset)
+
+
+def _random_side_constraint(rng, n):
+    """One constraint of a random kind with its brute-force predicate."""
+    def vset():
+        size = int(rng.integers(1, n + 1))
+        return tuple(int(v) for v in rng.choice(n, size=size, replace=False))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        s = vset()
+        lo = int(rng.integers(0, len(s) + 1))
+        hi = int(rng.integers(lo, len(s) + 1))
+        return CountRange(s, lo, hi), lambda bits: lo <= _zeros(bits, s) <= hi
+    a, b = vset(), vset()
+    if kind == 1:
+        return CountLeq(a, b), lambda bits: _zeros(bits, a) <= _zeros(bits, b)
+    hi = int(rng.integers(0, n))
+    return (MinCountAtMost(a, b, hi),
+            lambda bits: min(_zeros(bits, a), _zeros(bits, b)) <= hi)
+
+
+# split (low bits, block bits): the default, and a small one under which
+# n <= 10 reaches k - 1, k, k + 1 free spins and one block past the split
+@pytest.mark.parametrize("split", [(10, 16), (3, 5)])
+def test_kernel_matches_exact_oracles(monkeypatch, split):
+    monkeypatch.setattr(spins, "_LOW_BITS", split[0])
+    monkeypatch.setattr(spins, "_BLOCK_BITS", split[1])
+    rng = np.random.default_rng(29)
+    weights = [(Fraction(0), Fraction(3, 2), Fraction(1)),
+               (Fraction(5, 4), Fraction(0), Fraction(3, 2)),
+               (Fraction(0), Fraction(0), Fraction(2, 3)),
+               (Fraction(1, 2), Fraction(7, 4), Fraction(1, 3))]
+    for n in range(1, 11):
+        g = MultiGraph.from_edges(n, [(u, v, int(rng.integers(1, 4)))
+                                      for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < 0.4])
+        for beta, gamma, mu in weights:
+            p = SpinParams(float(beta), float(gamma), float(mu))
+            pins = rng.choice(n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False)
+            fixed = {int(v): int(rng.integers(2)) for v in pins}
+            drawn = [_random_side_constraint(rng, n) for _ in range(int(rng.integers(3)))]
+            constraints = [c for c, _ in drawn]
+
+            def keep(bits):
+                return (all(bits[v] == s for v, s in fixed.items())
+                        and all(pred(bits) for _, pred in drawn))
+
+            for kwargs, expect in (
+                    ({}, fraction_partition(n, g.edges, beta, gamma, mu)),
+                    ({"constraints": constraints, "fixed": fixed},
+                     fraction_partition(n, g.edges, beta, gamma, mu, keep))):
+                got = log_partition(g, p, **kwargs)
+                assert got == pytest.approx(_log_fraction(expect), abs=1e-12)
+                assert partition_fraction(g, beta, gamma, mu, **kwargs) == expect
+
+
+def test_kernel_exact_zeros_and_degenerate_cases():
+    g = MultiGraph.from_edges(4, [(0, 1, 2), (1, 2), (2, 3, 3), (0, 3)])
+    # pins whose own edge carries a zero weight force an empty sum
+    assert log_partition(g, SpinParams(0, 1.5), fixed={0: 0, 1: 0}) == LOG_ZERO
+    assert log_partition(g, SpinParams(1.5, 0), fixed={2: 1, 3: 1}) == LOG_ZERO
+    # a constraint contradicting a pin, and two contradicting constraints
+    assert log_partition(g, SpinParams(1, 1), [CountRange((0,), 1, 1)],
+                         fixed={0: 1}) == LOG_ZERO
+    assert log_partition(g, SpinParams(1, 1), [CountLeq((0, 1), (2,)),
+                                               CountRange((2,), 0, 0),
+                                               CountRange((0, 1), 1, 2)]) == LOG_ZERO
+    # zero free vertices: the sum is the one pinned configuration's weight
+    p = SpinParams(0.4, 1.9, 1.3)
+    for code in range(16):
+        bits = [(code >> v) & 1 for v in range(4)]
+        assert log_partition(g, p, fixed=dict(enumerate(bits))) == pytest.approx(
+            log_config_weight(g, p, bits), abs=1e-14)
+    assert log_partition(MultiGraph(0), p) == 0.0
 
 
 def test_fraction_mode_matches_log_mode():
