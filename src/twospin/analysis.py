@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
@@ -31,6 +30,7 @@ DEFAULT_BIGNESS = 1e-4            # "big subset" threshold as a side fraction
 DEFAULT_MINORITY = 9e-5           # smallest profile fraction in the rate scan
 DEFAULT_EXPANSION_FACTOR = 0.25   # required fraction of the expected crossing count
 RATE_BOUND_CEILING = 1.21         # verified grid maximum of the rate bound
+MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells)
 
 
 def entropy(x: float) -> float:
@@ -156,11 +156,16 @@ class RateBoundScan:
 
 
 def _scan_grid(min_fraction: float, step: float) -> np.ndarray:
-    """Steps from min_fraction, clipped, closed at 1."""
+    """Steps from min_fraction, clipped, closed at 1; at most MAX_SCAN_SIDE."""
     if not 0.0 < min_fraction <= 1.0:
         raise UsageError(f"min_fraction must lie in (0, 1], got {min_fraction}")
     if not 0.0 < step < math.inf:
         raise UsageError(f"step must be positive and finite, got {step}")
+    # arange gives at most q + 1 points for q = (1 - min_fraction) / step,
+    # and closing the grid at 1 may add one more
+    if (1.0 - min_fraction) / step + 2.0 > MAX_SCAN_SIDE:
+        raise ResourceLimitError(
+            f"step {step} gives more than {MAX_SCAN_SIDE} grid points per axis")
     grid = np.arange(min_fraction, 1.0 + 0.5 * step, step)
     grid = np.clip(grid, min_fraction, 1.0)
     if grid[-1] != 1.0:
@@ -480,6 +485,57 @@ def _sequence_law(n: int, bn: int, length: int) -> np.ndarray:
     return probs
 
 
+# log Gamma(a) - (a - 1/2) log a + a - log(2 pi)/2 = sum c_i / a^(2i+1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """P[chi^2_dof > stat], the regularized upper incomplete gamma Q(a, x)
+    with a = dof/2, x = stat/2.
+
+    Q = front * (series or continued fraction), front = x^a e^-x / Gamma(a).
+    For a >= 10 the log of the front is taken as a (log1p(t) - t) with
+    t = (x-a)/a, plus the Stirling series of log Gamma(a): its rounding
+    error then scales with |x - a|, not with a log x.  x < a + 1 uses the
+    series for P = 1 - Q, otherwise Q is a continued fraction evaluated by
+    the modified Lentz method.
+    """
+    a, x = 0.5 * dof, 0.5 * stat
+    if x <= 0.0:
+        return 1.0
+    if a < 10.0:
+        log_front = a * math.log(x) - x - math.lgamma(a)
+    else:
+        t = (x - a) / a
+        log_front = (a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi))
+                     - sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING)))
+    front = math.exp(log_front)
+    eps, tiny = 2.0 ** -53, 1e-300
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * eps:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - front * total
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= eps:
+            return front * h
+
+
 def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
                  a: float = 1.0, chi2_alpha: float = 1e-3) -> CouplingReport:
     """Simulate the domination coupling behind the crossing-count tail bound.
@@ -541,7 +597,7 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
     stat = float(np.sum((observed[support] - expected[support]) ** 2
                         / expected[support]))
     dof = int(np.count_nonzero(support)) - 1
-    pvalue = float(chi2_dist.sf(stat, dof)) if dof > 0 else 1.0
+    pvalue = chi2_sf(stat, dof) if dof > 0 else 1.0
     return CouplingReport(
         n=n, b=b, a=a, d=d, trials=trials, seed=seed, sequences=total,
         domination_violations=violations, z1_frequency=z1_freq,

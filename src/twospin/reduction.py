@@ -97,6 +97,26 @@ class ReductionGraph:
         return self.params.block_size
 
 
+def _inter_gadget_edges(inst: E2Lin2Instance, u_blocks, v_blocks, delta_prime: int):
+    """Yield the (u, v, delta_prime) records that the equations prescribe.
+
+    Equation s joins the next unused occurrence block of each of its two
+    variables, componentwise: U to V' and V to U' when b = 0, U to U' and V
+    to V' when b = 1.
+    """
+    seen = [0] * inst.num_vars
+    for i, j, b in inst.equations:
+        k, ell = seen[i], seen[j]
+        seen[i] += 1
+        seen[j] += 1
+        u_jl, v_jl = u_blocks[j][ell], v_blocks[j][ell]
+        u_partner, v_partner = (v_jl, u_jl) if b == 0 else (u_jl, v_jl)
+        for u, w in zip(u_blocks[i][k], u_partner):
+            yield u, w, delta_prime
+        for v, w in zip(v_blocks[i][k], v_partner):
+            yield v, w, delta_prime
+
+
 def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> ReductionGraph:
     """Construct the reduction graph; deterministic for a given seed."""
     if not inst.is_normalized():
@@ -117,22 +137,7 @@ def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> Reducti
         base += 2 * occ[i] * t
     num_vertices = base  # = 4*m*t since sum(occ) = 2m
 
-    edges = []
-    seen = [0] * n
-    for i, j, b in inst.equations:
-        k, ell = seen[i], seen[j]
-        seen[i] += 1
-        seen[j] += 1
-        u_ik, v_ik = u_blocks[i][k], v_blocks[i][k]
-        u_jl, v_jl = u_blocks[j][ell], v_blocks[j][ell]
-        for s in range(t):
-            if b == 0:
-                edges.append((u_ik[s], v_jl[s], params.delta_prime))
-                edges.append((v_ik[s], u_jl[s], params.delta_prime))
-            else:
-                edges.append((u_ik[s], u_jl[s], params.delta_prime))
-                edges.append((v_ik[s], v_jl[s], params.delta_prime))
-
+    edges = list(_inter_gadget_edges(inst, u_blocks, v_blocks, params.delta_prime))
     for i in range(n):
         side = occ[i] * t
         rng = np.random.default_rng(gadget_seed(params.seed, i))
@@ -156,17 +161,18 @@ class StructureAudit:
     intra_multiplicities_ok: bool
     inter_multiplicities_ok: bool
     block_sizes_ok: bool
+    wiring_ok: bool  # inter-gadget edges are exactly those the equations prescribe
 
     @property
     def passed(self) -> bool:
         return (self.regular and self.degree == self.expected_degree
                 and self.vertex_count == self.expected_vertex_count
                 and self.intra_multiplicities_ok and self.inter_multiplicities_ok
-                and self.block_sizes_ok)
+                and self.block_sizes_ok and self.wiring_ok)
 
 
 def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
-    """Regularity, vertex-count and per-vertex multiplicity checks."""
+    """Regularity, vertex-count, per-vertex multiplicity and wiring checks."""
     g = rg.graph
     params = rg.params
     inst = rg.instance
@@ -182,6 +188,7 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
             owner[v] = i
     intra = [0] * g.num_vertices
     inter = [0] * g.num_vertices
+    inter_records = []
     for u, v, mult in g.edges:
         if owner[u] == owner[v]:
             intra[u] += mult
@@ -189,6 +196,12 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
         else:
             inter[u] += mult
             inter[v] += mult
+            inter_records.append((u, v, mult))
+    # canonical and sorted like g.edges; no aggregation is needed, because
+    # every vertex lies in one block and every block is wired once
+    prescribed = sorted((u, w, m) if u < w else (w, u, m) for u, w, m in
+                        _inter_gadget_edges(inst, rg.u_blocks, rg.v_blocks,
+                                            params.delta_prime))
     blocks_ok = all(
         len(block) == t
         for blocks in (rg.u_blocks, rg.v_blocks)
@@ -202,6 +215,7 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
         intra_multiplicities_ok=all(x == params.delta for x in intra),
         inter_multiplicities_ok=all(x == params.delta_prime for x in inter),
         block_sizes_ok=blocks_ok,
+        wiring_ok=prescribed == inter_records,
     )
 
 
@@ -488,8 +502,9 @@ def _ints(tokens, lineno: int, line: str):
 def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
     """Parse a block-map sidecar against its graph.
 
-    Malformed text and a block map inconsistent with the graph or with its
-    own header raise UsageError.
+    Malformed text, and a block map inconsistent with its own header or
+    with the graph (its structure, or equations that prescribe other
+    inter-gadget edges than the graph has), raise UsageError.
     """
     header = None
     equations = []
@@ -537,7 +552,10 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
     u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))
     v_blocks = tuple(tuple(blocks[("V", i, k)] for k in range(occ[i])) for i in range(n))
     rg = ReductionGraph(graph, u_blocks, v_blocks, params, inst)
-    if not audit_reduction_graph(rg).passed:
+    audit = audit_reduction_graph(rg)
+    if not audit.wiring_ok:
+        raise UsageError("block map equations do not match the graph's wiring")
+    if not audit.passed:
         raise UsageError("graph and block map are inconsistent")
     return rg
 

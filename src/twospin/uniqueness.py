@@ -17,6 +17,7 @@ for the regime 0 < beta < 1 < gamma, the three-way case split used by the
 gadget reduction, and a phase classifier for parameter grids.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +32,7 @@ BISECT_ITERATIONS = 200
 DEFAULT_CASE_SCALE = 12 * 10**8  # the published L; K = 4L
 HARD_DEGREE_RATIO = 8000         # delta_star >= ratio * delta_prime
 DEFAULT_REGION_CONSTANT = 1000.0  # configurable h in d >= h/(1 - beta*gamma)
+PHASE_BLOCK_CELLS = 1 << 16      # phase_grid cells solved per magnitude_grid call
 
 
 def recursion_value(p: SpinParams, d: int, x: float) -> float:
@@ -172,6 +174,8 @@ def magnitude_grid(beta, gamma, mu, d) -> Tuple[np.ndarray, np.ndarray]:
     """(x_hat, |f'|) over broadcast arrays of parameters; beta*gamma < 1 only."""
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
+    if np.any(d < 1):
+        raise UsageError("degree must be >= 1")
     x = _fixed_point_array(beta, gamma, mu, d)
     return x, _magnitude_from_x(beta, gamma, d, x)
 
@@ -405,30 +409,21 @@ class PhaseReport:
     region_constant: float  # the h used for the unit-square region test
 
 
-def classify_phase_detail(p: SpinParams, d: int,
-                          h: float = DEFAULT_REGION_CONSTANT) -> PhaseReport:
-    """Classify (beta, gamma, mu, d) into a phase/hardness region.
+def _solved_report(p: SpinParams, d: int, h: float, x_hat: float,
+                   mag: float) -> PhaseReport:
+    """Report for a cell with beta*gamma < 1, given its x_hat and |f'|.
 
-    Non-uniqueness labels are consistent with uniqueness_check.  Region tags
-    are decided on the field-free translated parameters (beta*mu**(1/d),
-    gamma*mu**(-1/d)); their product beta*gamma is translation-invariant.
-    The constant h is configuration, not derivation: every report echoes it.
+    Non-unique cells are tagged on the field-free translated parameters
+    (beta*mu**(1/d), gamma*mu**(-1/d)); their product beta*gamma is
+    translation-invariant.
     """
-    bg = p.beta * p.gamma
-    if bg > 1:
-        return PhaseReport(PhaseRegion.FERROMAGNETIC, None, None, h)
-    if bg == 1:
-        # constant recursion: trivially unique, outside the solver's regime
-        return PhaseReport(PhaseRegion.UNIQUENESS, None, 0.0, h)
-    rep = uniqueness_check(p, d)
-    if rep.unique:
-        return PhaseReport(PhaseRegion.UNIQUENESS, rep.x_hat,
-                           rep.derivative_magnitude, h)
+    if mag < 1.0:
+        return PhaseReport(PhaseRegion.UNIQUENESS, x_hat, mag, h)
     eff, _ = remove_field(p, d)
     region = PhaseRegion.NONUNIQUE_UNCLASSIFIED
     if (0 <= eff.beta <= 1 and 0 <= eff.gamma <= 1
             and (eff.beta, eff.gamma) not in ((0.0, 0.0), (1.0, 1.0))
-            and d >= h / (1.0 - bg)):
+            and d >= h / (1.0 - p.beta * p.gamma)):
         region = PhaseRegion.NONUNIQUE_UNIT_SQUARE
     else:
         for lo, hi in ((eff.beta, eff.gamma), (eff.gamma, eff.beta)):
@@ -437,7 +432,25 @@ def classify_phase_detail(p: SpinParams, d: int,
                 if plan.in_hard_region and d == plan.delta_star:
                     region = PhaseRegion.NONUNIQUE_OUTSIDE_SQUARE
                 break
-    return PhaseReport(region, rep.x_hat, rep.derivative_magnitude, h)
+    return PhaseReport(region, x_hat, mag, h)
+
+
+def classify_phase_detail(p: SpinParams, d: int,
+                          h: float = DEFAULT_REGION_CONSTANT) -> PhaseReport:
+    """Classify (beta, gamma, mu, d) into a phase/hardness region.
+
+    Non-uniqueness labels are consistent with uniqueness_check; region tags
+    come from _solved_report.  The constant h is configuration, not
+    derivation: every report echoes it.
+    """
+    bg = p.beta * p.gamma
+    if bg > 1:
+        return PhaseReport(PhaseRegion.FERROMAGNETIC, None, None, h)
+    if bg == 1:
+        # constant recursion: trivially unique, outside the solver's regime
+        return PhaseReport(PhaseRegion.UNIQUENESS, None, 0.0, h)
+    rep = uniqueness_check(p, d)
+    return _solved_report(p, d, h, rep.x_hat, rep.derivative_magnitude)
 
 
 def classify_phase(p: SpinParams, d: int,
@@ -450,13 +463,29 @@ def phase_grid(betas, gammas, mu: float, d: int,
     """Classified rows over a (beta, gamma) grid, suitable for CSV dumps.
 
     Yields dicts with keys beta, gamma, mu, d, region, x_hat, deriv_mag
-    (the last two are None in regions where the solver does not apply).
+    (the last two are None in regions where the solver does not apply),
+    row-major with beta outermost.  Cells are taken lazily in blocks of at
+    most PHASE_BLOCK_CELLS; the cells of a block with beta*gamma < 1 and
+    gamma > 0 are solved by one magnitude_grid call, the rest by
+    classify_phase_detail.  Every row equals classify_phase_detail on its
+    cell; an error raised for a block comes before any of its rows.
     """
-    for beta in betas:
-        for gamma in gammas:
-            rep = classify_phase_detail(SpinParams(beta, gamma, mu), d, h)
+    gammas = list(gammas)
+    cells = ((beta, gamma) for beta in betas for gamma in gammas)
+    while block := list(itertools.islice(cells, PHASE_BLOCK_CELLS)):
+        params = [SpinParams(beta, gamma, mu) for beta, gamma in block]
+        beta_arr, gamma_arr = np.array(block, dtype=float).T
+        solve = (beta_arr * gamma_arr < 1) & (gamma_arr > 0)
+        x_hat, mag = np.empty_like(beta_arr), np.empty_like(beta_arr)
+        if np.any(solve):
+            x_hat[solve], mag[solve] = magnitude_grid(
+                beta_arr[solve], gamma_arr[solve], mu, d)
+        for p, solved, x, m in zip(params, solve.tolist(), x_hat.tolist(),
+                                   mag.tolist()):
+            rep = (_solved_report(p, d, h, x, m) if solved
+                   else classify_phase_detail(p, d, h))
             yield {
-                "beta": beta, "gamma": gamma, "mu": mu, "d": d,
+                "beta": p.beta, "gamma": p.gamma, "mu": mu, "d": d,
                 "region": rep.region.value,
                 "x_hat": rep.x_hat,
                 "deriv_mag": rep.derivative_magnitude,

@@ -3,10 +3,12 @@
 Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
 partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
-laws, a plain bisection root finder, and a grid-plus-golden-section maximum
-of the rate-bound bracket.
+laws, a plain bisection root finder, a grid-plus-golden-section maximum
+of the rate-bound bracket, and the finite closed forms of the chi-square
+survival function.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -181,3 +183,38 @@ def bracket_max(a, b, lam, points=201, iterations=100):
         else:
             left = c
     return max(f(ks[i]), f(0.5 * (left + right)))
+
+
+def chi2_survival(stat, dof):
+    """P[chi^2_dof > stat] for integer dof >= 1 from the finite closed forms,
+    with x = stat/2 and k = dof // 2:
+
+        even dof:  e^-x sum_{i<k} x^i / i!
+        odd dof:   erfc(sqrt x) + e^-x sum_{i<k} x^(i+1/2) / Gamma(i+3/2)
+
+    The sums run in 40-digit decimal arithmetic, where e^-x neither
+    underflows nor loses digits (pi enters at double precision).  erfc comes
+    from math.erfc, and beyond x = 700, where that underflows, from 20 terms
+    of its asymptotic series, whose truncation error there is below 1e-30.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(stat) / 2
+        if dof % 2 == 0:
+            total, term, shift = decimal.Decimal(0), (-x).exp(), 0
+        else:
+            if stat <= 1400:
+                total = decimal.Decimal(math.erfc(math.sqrt(stat / 2)))
+            else:
+                series, coef = decimal.Decimal(0), decimal.Decimal(1)
+                for n in range(20):
+                    series += coef
+                    coef *= -(2 * n + 1) / (2 * x)
+                total = (-x).exp() / (x * decimal.Decimal(math.pi)).sqrt() * series
+            term = (-x).exp() * 2 * (x / decimal.Decimal(math.pi)).sqrt()
+            shift = decimal.Decimal(1) / 2
+        for i in range(dof // 2):
+            if i > 0:
+                term *= x / (i + shift)
+            total += term
+        return float(total)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (binary_entropy, bracket_max, profile_sum_direct,
-                     sequential_indicator_law)
-from twospin.analysis import (coupling_sim, entropy,
+from oracles import (binary_entropy, bracket_max, chi2_survival,
+                     profile_sum_direct, sequential_indicator_law)
+from twospin import analysis, cli
+from twospin.analysis import (chi2_sf, coupling_sim, entropy,
                               enumerate_profile_sum_mean_log, exact_rate,
                               expander_audit, expected_profile_sum_log,
                               expected_profile_sum_mc,
@@ -109,6 +110,35 @@ def test_rate_bound_scan_and_grid_reject_bad_parameters(kwargs):
         rate_bound_scan(**kwargs)
     with pytest.raises(UsageError):
         next(rate_bound_grid(**kwargs))
+
+
+def test_rate_bound_grid_side_cap(monkeypatch, capsys):
+    def started(*args):
+        raise AssertionError("the scan started")
+
+    # a refused step is refused before any grid cell is evaluated
+    monkeypatch.setattr(analysis, "_rate_bound_values", started)
+    for step in (1e-6, 5e-324):
+        with pytest.raises(ResourceLimitError):
+            rate_bound_scan(step=step)
+        with pytest.raises(ResourceLimitError):
+            next(rate_bound_grid(step=step))
+    assert cli.main(["verify", "rate-bound", "--step", "1e-6"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    # every admitted grid, including those at the cap, has at most
+    # MAX_SCAN_SIDE points per axis
+    rng = np.random.default_rng(12)
+    admitted = 0
+    for _ in range(400):
+        lam = float(rng.choice([9e-5, 0.5, rng.uniform(1e-9, 1.0)]))
+        step = (1.0 - lam) / (analysis.MAX_SCAN_SIDE - rng.uniform(1.0, 3.0))
+        try:
+            side = len(analysis._scan_grid(lam, step))
+        except ResourceLimitError:
+            continue
+        assert side <= analysis.MAX_SCAN_SIDE
+        admitted += 1
+    assert 100 < admitted < 400
 
 
 def test_rate_bound_grid_rows():
@@ -289,6 +319,46 @@ def test_coupling_sim_partial_sequences():
     assert rep.z1_frequency == 1.0
     with pytest.raises(UsageError):
         coupling_sim(4, 0.3, 1, seed=0, trials=10)  # b*n not integral
+
+
+def _chi2_points(dof):
+    """Statistics from the far lower to the far upper tail, and around the
+    series/continued-fraction switch at stat = dof + 2."""
+    sd = math.sqrt(2.0 * dof)
+    return ([dof * f for f in (1e-9, 1e-3, 0.3, 0.7)]
+            + [dof + z * sd for z in (-3, -1, 0, 1, 3, 10, 30)]
+            + [dof + 2 - 1e-9, dof + 2, dof + 2 + 1e-9, 3 * dof + 200,
+               10 * dof + 600])
+
+
+def test_chi2_sf_matches_closed_forms():
+    rng = np.random.default_rng(17)
+    dofs = (list(range(1, 41)) + [4094, 4095]
+            + rng.integers(41, 4094, size=40).tolist())
+    checked = 0
+    for dof in dofs:
+        for stat in _chi2_points(dof):
+            if stat <= 0:
+                continue
+            expected = chi2_survival(stat, dof)
+            if expected < 1e-280:  # keep clear of subnormal results
+                continue
+            assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+            checked += 1
+    assert checked > 1200
+    assert chi2_sf(0.0, 3) == 1.0
+
+
+def test_chi2_sf_matches_scipy_at_large_dof():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(19)
+    dofs = ([2 ** j - 1 for j in range(1, 21)] + [2 ** j for j in range(1, 20)]
+            + rng.integers(1, 2 ** 20, size=30).tolist())
+    for dof in dofs:
+        for stat in _chi2_points(dof):
+            expected = float(stats.chi2.sf(stat, dof))
+            if stat > 0 and expected > 1e-280:
+                assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-8, abs=0)
 
 
 def test_coupling_sim_determinism():

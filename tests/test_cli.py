@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twospin
 from twospin import cli
 from twospin.analysis import rate_bound
 from twospin.cli import main
@@ -222,3 +226,16 @@ def test_reports_are_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_import_leaves_scipy_out():
+    # scipy.stats alone used to cost about 1 s of every command's start-up
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twospin.__file__)))
+    for module in ("twospin", "twospin.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -86,6 +87,14 @@ def test_structure_audits_across_instances():
         assert audit.passed
         assert audit.vertex_count == 4 * inst.num_equations * params.block_size
         assert audit.degree == params.delta + params.delta_prime
+        # a flipped right-hand side keeps every degree; only the wiring check sees it
+        for s, (i, j, b) in enumerate(inst.equations):
+            eqs = list(inst.equations)
+            eqs[s] = (i, j, 1 - b)
+            flipped = audit_reduction_graph(dataclasses.replace(
+                rg, instance=E2Lin2Instance(inst.num_vars, tuple(eqs))))
+            assert not flipped.wiring_ok and not flipped.passed
+            assert dataclasses.replace(flipped, wiring_ok=True).passed
 
 
 def test_build_determinism_and_gadget_independence():
@@ -325,7 +334,8 @@ def test_blocks_from_text_rejects_or_round_trips_mutants():
                 text + block_line.replace("block U 0 0", "block U 9 0") + "\n",
                 text + block_line.replace("block U 0 0", "block U 0 5") + "\n",
                 text + block_line + "\n",
-                lines[0] + "\n" + text):
+                lines[0] + "\n" + text,
+                text.replace("e 1 2 1\n", "e 1 2 0\n")):       # wiring
         with pytest.raises(UsageError):
             blocks_from_text(bad, rg.graph)
 

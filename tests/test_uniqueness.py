@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bisect_root
+from twospin import uniqueness
 from twospin.errors import RegimeError, UsageError
 from twospin.spins import SpinParams
 from twospin.uniqueness import (PhaseRegion, SplitCase,
@@ -236,6 +237,40 @@ def test_unit_square_monotonicity():
         _, mags = magnitude_grid(beta, gamma, mu, ds)
         nonunique = mags >= 1.0
         assert not np.any(nonunique[:-1] & ~nonunique[1:])
+
+
+def test_phase_grid_matches_per_cell_classification(monkeypatch):
+    plan = outside_square_degrees(0.3, 1.0001)
+    axis = np.linspace(0.0, 2.5, 11).tolist()  # has 0, and 0.5 * 2.0 == 1
+    grids = [(axis, axis, 1.0, 40, 10.0),        # unit-square region
+             (axis, axis, 0.37, 40, 1000.0),     # unclassified non-uniqueness
+             ([0.0, 0.25, 0.3, 2.0], [1.0001, 4.0], 1.0,
+              plan.delta_star, 1e12)]            # outside-square region
+    expected = []
+    for betas, gammas, mu, d, h in grids:
+        for beta in betas:
+            for gamma in gammas:
+                rep = classify_phase_detail(SpinParams(beta, gamma, mu), d, h)
+                expected.append(({"beta": beta, "gamma": gamma, "mu": mu, "d": d},
+                                 rep))
+    regions = {rep.region for _, rep in expected}
+    assert regions == set(PhaseRegion)
+    cells = [cell for cell, _ in expected]
+    assert any(c["gamma"] == 0 and c["beta"] > 0 for c in cells)
+    assert any(c["beta"] * c["gamma"] == 1 for c in cells)
+    assert any(c["beta"] * c["gamma"] > 1 for c in cells)
+    # the default block, and blocks that rows straddle
+    for block in (None, 7, 1):
+        if block is not None:
+            monkeypatch.setattr(uniqueness, "PHASE_BLOCK_CELLS", block)
+        rows = [row for betas, gammas, mu, d, h in grids
+                for row in phase_grid(betas, gammas, mu, d, h)]
+        assert len(rows) == len(expected)
+        for row, (cell, rep) in zip(rows, expected):
+            assert {k: row[k] for k in cell} == cell
+            assert row["region"] == rep.region.value
+            assert row["x_hat"] == rep.x_hat
+            assert row["deriv_mag"] == rep.derivative_magnitude
 
 
 def test_phase_grid_rows():
