@@ -4,9 +4,14 @@ Reports go to standard output as JSON (sorted keys, so identical runs are
 byte-identical); grids go to CSV files.  Every randomized command takes an
 explicit --seed and echoes it; there are no environment-variable overrides.
 
-Exit codes: 0 success (and verification passed), 1 verification failure,
-2 usage or I/O error, 3 resource-cap refusal, 4 internal error (a bug: the
-traceback goes to standard error).
+Each subcommand is a row of `COMMANDS` or `CHECKS` (the `verify` checks): a
+function from the parsed arguments to the report dict, a help line and its
+argument specs.  `main` alone prints the report and picks the exit code.
+
+Exit codes: 0 success (and verification passed), 1 verification failure
+(the report has "pass": false or a failed entry in "checks"), 2 usage or
+I/O error, 3 resource-cap refusal, 4 internal error (a bug: the traceback
+goes to standard error).
 """
 
 import argparse
@@ -20,7 +25,9 @@ import numpy as np
 
 from . import analysis, e2lin2, reduction, uniqueness
 from .errors import ResourceLimitError, UsageError
-from .graphs import read_graph, write_graph
+from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
+                     hypercube_graph, petersen_graph, prism_graph, read_graph,
+                     scaled_graph, single_edge, write_graph)
 from .logspace import LOG_ZERO
 from .spins import SpinParams, field_identity_report, log_partition, remove_field
 from .uniqueness import SplitCase
@@ -30,10 +37,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
-
-
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _num(value, scale):
@@ -57,49 +60,41 @@ def _verify_report(check, params, value, bound, passed, margin, checks=()):
 
 
 def _spin_params(args) -> SpinParams:
-    return SpinParams(args.beta, args.gamma, getattr(args, "mu", 1.0))
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+    return SpinParams(args.beta, args.gamma, args.mu)
 
 
 # ---------------------------------------------------------------------------
 # Plain subcommands
 
 
-def _cmd_z(args) -> int:
+def _cmd_z(args):
     g = read_graph(args.graph)
-    p = _spin_params(args)
-    value = log_partition(g, p, max_vertices=args.max_vertices,
+    value = log_partition(g, _spin_params(args), max_vertices=args.max_vertices,
                           force=args.force, threads=args.threads)
-    _emit(_report("z",
-                  {"graph": args.graph, "beta": args.beta, "gamma": args.gamma,
-                   "mu": args.mu, "num_vertices": g.num_vertices,
-                   "num_edges": g.num_edges},
-                  {"log_z": _num(value, "log")}))
-    return EXIT_OK
+    return _report("z",
+                   {"graph": args.graph, "beta": args.beta, "gamma": args.gamma,
+                    "mu": args.mu, "num_vertices": g.num_vertices,
+                    "num_edges": g.num_edges},
+                   {"log_z": _num(value, "log")})
 
 
-def _cmd_uniqueness(args) -> int:
+def _cmd_uniqueness(args):
     rep = uniqueness.uniqueness_check(_spin_params(args), args.degree)
-    _emit(_report("uniqueness",
-                  {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                   "degree": args.degree},
-                  {"x_hat": _num(rep.x_hat, "linear"),
-                   "derivative_magnitude": _num(rep.derivative_magnitude, "linear"),
-                   "unique": rep.unique}))
-    return EXIT_OK
+    return _report("uniqueness",
+                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
+                    "degree": args.degree},
+                   {"x_hat": _num(rep.x_hat, "linear"),
+                    "derivative_magnitude": _num(rep.derivative_magnitude, "linear"),
+                    "unique": rep.unique})
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args):
     scan = uniqueness.first_nonunique_degree(_spin_params(args), args.max_degree)
-    _emit(_report("threshold",
-                  {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                   "max_degree": args.max_degree},
-                  {"degree": _num(scan.degree, "count"),
-                   "exhausted": scan.exhausted}))
-    return EXIT_OK
+    return _report("threshold",
+                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
+                    "max_degree": args.max_degree},
+                   {"degree": _num(scan.degree, "count"),
+                    "exhausted": scan.exhausted})
 
 
 def _fmt_csv(x) -> str:
@@ -110,7 +105,7 @@ def _fmt_csv(x) -> str:
     return str(x)
 
 
-def _cmd_phase_map(args) -> int:
+def _cmd_phase_map(args):
     if args.beta_steps < 1 or args.gamma_steps < 1:
         raise UsageError("grid needs at least one step per axis")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
@@ -124,18 +119,17 @@ def _cmd_phase_map(args) -> int:
             fh.write(",".join(_fmt_csv(row[k]) for k in
                               ("beta", "gamma", "mu", "d", "region",
                                "x_hat", "deriv_mag")) + "\n")
-    _emit(_report("phase-map",
-                  {"beta_min": args.beta_min, "beta_max": args.beta_max,
-                   "beta_steps": args.beta_steps, "gamma_min": args.gamma_min,
-                   "gamma_max": args.gamma_max, "gamma_steps": args.gamma_steps,
-                   "mu": args.mu, "degree": args.degree,
-                   "region_constant": args.region_constant, "out": args.out},
-                  {"rows": _num(int(betas.size * gammas.size), "count"),
-                   "regions": {k: counts[k] for k in sorted(counts)}}))
-    return EXIT_OK
+    return _report("phase-map",
+                   {"beta_min": args.beta_min, "beta_max": args.beta_max,
+                    "beta_steps": args.beta_steps, "gamma_min": args.gamma_min,
+                    "gamma_max": args.gamma_max, "gamma_steps": args.gamma_steps,
+                    "mu": args.mu, "degree": args.degree,
+                    "region_constant": args.region_constant, "out": args.out},
+                   {"rows": _num(int(betas.size * gammas.size), "count"),
+                    "regions": {k: counts[k] for k in sorted(counts)}})
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     inst = e2lin2.read_instance(args.instance)
     if not inst.is_normalized():
         inst, _ = e2lin2.normalize(inst)
@@ -147,45 +141,42 @@ def _cmd_reduce(args) -> int:
     blocks_path = args.out_prefix + ".blocks"
     write_graph(rg.graph, graph_path)
     reduction.write_blocks(rg, blocks_path)
-    _emit(_report("reduce",
-                  {"instance": args.instance, "delta": args.delta,
-                   "delta_prime": args.delta_prime, "block_size": args.block_size,
-                   "seed": args.seed,
-                   "block_size_is_num_equations": args.block_size == inst.num_equations},
-                  {"graph_file": graph_path, "blocks_file": blocks_path,
-                   "num_vertices": _num(rg.graph.num_vertices, "count"),
-                   "degree": _num(audit.degree, "count")},
-                  [_check("structure-audit", audit.passed,
-                          audit.degree, audit.expected_degree, 0)]))
-    return EXIT_OK if audit.passed else EXIT_VERIFY_FAILED
+    return _report("reduce",
+                   {"instance": args.instance, "delta": args.delta,
+                    "delta_prime": args.delta_prime, "block_size": args.block_size,
+                    "seed": args.seed,
+                    "block_size_is_num_equations": args.block_size == inst.num_equations},
+                   {"graph_file": graph_path, "blocks_file": blocks_path,
+                    "num_vertices": _num(rg.graph.num_vertices, "count"),
+                    "degree": _num(audit.degree, "count")},
+                   [_check("structure-audit", audit.passed,
+                           audit.degree, audit.expected_degree, 0)])
 
 
-def _cmd_gadget(args) -> int:
+def _cmd_gadget(args):
     h = reduction.sample_gadget(args.side, args.delta, args.seed)
     if args.out:
         write_graph(h.graph, args.out)
     degrees = sorted(set(h.left_degrees()) | set(h.right_degrees()))
-    _emit(_report("gadget",
-                  {"side": args.side, "delta": args.delta, "seed": args.seed,
-                   "out": args.out},
-                  {"num_vertices": _num(h.graph.num_vertices, "count"),
-                   "distinct_degrees": degrees}))
-    return EXIT_OK
+    return _report("gadget",
+                   {"side": args.side, "delta": args.delta, "seed": args.seed,
+                    "out": args.out},
+                   {"num_vertices": _num(h.graph.num_vertices, "count"),
+                    "distinct_degrees": degrees})
 
 
-def _cmd_theta_star(args) -> int:
+def _cmd_theta_star(args):
     inst = e2lin2.read_instance(args.instance)
     best, witness = e2lin2.best_assignment(inst, max_vars=args.max_vars,
                                            force=args.force)
-    _emit(_report("theta-star",
-                  {"instance": args.instance, "num_vars": inst.num_vars,
-                   "num_equations": inst.num_equations},
-                  {"max_satisfied": _num(best, "count"),
-                   "witness": list(witness)}))
-    return EXIT_OK
+    return _report("theta-star",
+                   {"instance": args.instance, "num_vars": inst.num_vars,
+                    "num_equations": inst.num_equations},
+                   {"max_satisfied": _num(best, "count"),
+                    "witness": list(witness)})
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args):
     if args.log_c is not None and args.log_d is not None:
         constants = reduction.BoundsConstants(args.log_c, args.log_d,
                                               SplitCase(args.case))
@@ -198,25 +189,23 @@ def _cmd_decode(args) -> int:
     value = reduction.decode_satisfied_estimate(
         args.log_y, args.n, args.m, constants,
         relative_error=args.eps, slack=args.slack)
-    _emit(_report("decode",
-                  {"log_y": args.log_y, "n": args.n, "m": args.m,
-                   "log_c": constants.log_c, "log_d": constants.log_d,
-                   "case": constants.case.value, "eps": args.eps,
-                   "slack": args.slack},
-                  {"satisfied_estimate": _num(value, "linear")}))
-    return EXIT_OK
+    return _report("decode",
+                   {"log_y": args.log_y, "n": args.n, "m": args.m,
+                    "log_c": constants.log_c, "log_d": constants.log_d,
+                    "case": constants.case.value, "eps": args.eps,
+                    "slack": args.slack},
+                   {"satisfied_estimate": _num(value, "linear")})
 
 
-def _cmd_translate_field(args) -> int:
+def _cmd_translate_field(args):
     p_prime, per_edge = remove_field(_spin_params(args), args.degree)
-    _emit(_report("translate-field",
-                  {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                   "degree": args.degree},
-                  {"beta_prime": _num(p_prime.beta, "linear"),
-                   "gamma_prime": _num(p_prime.gamma, "linear"),
-                   "mu_prime": _num(1.0, "linear"),
-                   "per_edge_log_prefactor": _num(per_edge, "log")}))
-    return EXIT_OK
+    return _report("translate-field",
+                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
+                    "degree": args.degree},
+                   {"beta_prime": _num(p_prime.beta, "linear"),
+                    "gamma_prime": _num(p_prime.gamma, "linear"),
+                    "mu_prime": _num(1.0, "linear"),
+                    "per_edge_log_prefactor": _num(per_edge, "log")})
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def _toy_instances():
     ]
 
 
-def _verify_polarized(args) -> int:
+def _verify_polarized(args):
     rng = np.random.default_rng(args.seed)
     pairs = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
              for _ in range(args.pairs)]
@@ -257,16 +246,14 @@ def _verify_polarized(args) -> int:
                             gap = abs(closed - brute) / max(1.0, abs(closed))
                             worst = max(worst, gap)
                             cases += 1
-    passed = worst <= args.tolerance
-    _emit(_verify_report("polarized",
-                         {"pairs": args.pairs, "seed": args.seed,
-                          "cases": cases, "tolerance": args.tolerance},
-                         worst, args.tolerance, passed,
-                         args.tolerance - worst))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("polarized",
+                          {"pairs": args.pairs, "seed": args.seed,
+                           "cases": cases, "tolerance": args.tolerance},
+                          worst, args.tolerance, worst <= args.tolerance,
+                          args.tolerance - worst)
 
 
-def _verify_gadget_mean(args) -> int:
+def _verify_gadget_mean(args):
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     checks = []
@@ -292,16 +279,14 @@ def _verify_gadget_mean(args) -> int:
     mc_ok = est.within(target, 4.0)
     checks.append(_check("monte-carlo-4-sigma", mc_ok, est.mean, target,
                          4.0 * est.std_error))
-    passed = formula_ok and mc_ok
-    _emit(_verify_report("gadget-mean",
-                         {"trials": args.trials, "seed": args.seed,
-                          "tolerance": args.tolerance},
-                         worst, args.tolerance, passed,
-                         args.tolerance - worst, checks))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("gadget-mean",
+                          {"trials": args.trials, "seed": args.seed,
+                           "tolerance": args.tolerance},
+                          worst, args.tolerance, formula_ok and mc_ok,
+                          args.tolerance - worst, checks)
 
 
-def _verify_rate_bound(args) -> int:
+def _verify_rate_bound(args):
     scan = analysis.rate_bound_scan(c=args.c, min_fraction=args.min_fraction,
                                     step=args.step)
     if args.out:
@@ -311,19 +296,18 @@ def _verify_rate_bound(args) -> int:
                     c=args.c, min_fraction=args.min_fraction, step=args.step):
                 fh.write(f"{a!r},{b!r},{v!r}\n")
     passed = scan.max_value < args.bound
-    _emit(_verify_report("rate-bound",
-                         {"c": args.c, "min_fraction": args.min_fraction,
-                          "step": args.step, "out": args.out},
-                         scan.max_value, args.bound, passed,
-                         args.bound - scan.max_value,
-                         [_check("grid-max-below-bound", passed,
-                                 scan.max_value, args.bound, 0.0),
-                          _check("argmax", True,
-                                 scan.arg_a, scan.arg_b, 0.0)]))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("rate-bound",
+                          {"c": args.c, "min_fraction": args.min_fraction,
+                           "step": args.step, "out": args.out},
+                          scan.max_value, args.bound, passed,
+                          args.bound - scan.max_value,
+                          [_check("grid-max-below-bound", passed,
+                                  scan.max_value, args.bound, 0.0),
+                           _check("argmax", True,
+                                  scan.arg_a, scan.arg_b, 0.0)])
 
 
-def _verify_expander(args) -> int:
+def _verify_expander(args):
     worst = math.inf
     mean_sum = 0.0
     full_ok = True
@@ -337,24 +321,20 @@ def _verify_expander(args) -> int:
                                        mode="exhaustive")
         full_ok = full_ok and full.worst_ratio == 1.0
     mean = mean_sum / args.seeds
-    passed = worst >= args.factor and full_ok
-    _emit(_verify_report("expander",
-                         {"side": args.side, "delta": args.delta,
-                          "seeds": args.seeds, "seed": args.seed,
-                          "eps": args.eps, "factor": args.factor},
-                         worst, args.factor, passed, worst - args.factor,
-                         [_check("worst-ratio-above-factor",
-                                 worst >= args.factor, worst, args.factor, 0.0),
-                          _check("full-sides-ratio-exactly-one", full_ok,
-                                 1.0, 1.0, 0.0),
-                          _check("mean-ratio", True, mean, 1.0, 0.05)]))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("expander",
+                          {"side": args.side, "delta": args.delta,
+                           "seeds": args.seeds, "seed": args.seed,
+                           "eps": args.eps, "factor": args.factor},
+                          worst, args.factor, worst >= args.factor and full_ok,
+                          worst - args.factor,
+                          [_check("worst-ratio-above-factor",
+                                  worst >= args.factor, worst, args.factor, 0.0),
+                           _check("full-sides-ratio-exactly-one", full_ok,
+                                  1.0, 1.0, 0.0),
+                           _check("mean-ratio", True, mean, 1.0, 0.05)])
 
 
-def _verify_field(args) -> int:
-    from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
-                         hypercube_graph, petersen_graph, prism_graph,
-                         scaled_graph, single_edge)
+def _verify_field(args):
     corpus = [single_edge(), cycle_graph(4), cycle_graph(5), cycle_graph(6),
               complete_graph(4), complete_graph(5), complete_bipartite_graph(3, 3),
               prism_graph(), petersen_graph(), hypercube_graph(3),
@@ -366,18 +346,16 @@ def _verify_field(args) -> int:
             p = SpinParams(float(rng.uniform(0.0, 1.5)),
                            float(rng.uniform(0.05, 1.5)),
                            float(10 ** rng.uniform(-2, 2)))
-            rep = field_identity_report(g, p)
+            rep = field_identity_report(g, p, threads=args.threads)
             worst = max(worst, rep.gap)
-    passed = worst <= args.tolerance
-    _emit(_verify_report("field",
-                         {"graphs": len(corpus), "pairs": args.pairs,
-                          "seed": args.seed, "tolerance": args.tolerance},
-                         worst, args.tolerance, passed,
-                         args.tolerance - worst))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("field",
+                          {"graphs": len(corpus), "pairs": args.pairs,
+                           "seed": args.seed, "tolerance": args.tolerance},
+                          worst, args.tolerance, worst <= args.tolerance,
+                          args.tolerance - worst)
 
 
-def _verify_sandwich(args) -> int:
+def _verify_sandwich(args):
     worst = -math.inf
     audits_ok = True
     runs = 0
@@ -398,17 +376,16 @@ def _verify_sandwich(args) -> int:
                     rep.log_max_restricted - rep.log_total,
                     rep.log_total - rep.log_sum_restricted)
         runs += 1
-    passed = worst <= args.tolerance and audits_ok
-    _emit(_verify_report("sandwich",
-                         {"seeds": args.seeds, "seed": args.seed,
-                          "runs": runs, "tolerance": args.tolerance},
-                         worst, args.tolerance, passed,
-                         args.tolerance - worst,
-                         [_check("structure-audits", audits_ok, runs, runs, 0)]))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return _verify_report("sandwich",
+                          {"seeds": args.seeds, "seed": args.seed,
+                           "runs": runs, "tolerance": args.tolerance},
+                          worst, args.tolerance,
+                          worst <= args.tolerance and audits_ok,
+                          args.tolerance - worst,
+                          [_check("structure-audits", audits_ok, runs, runs, 0)])
 
 
-def _verify_coupling(args) -> int:
+def _verify_coupling(args):
     rep = analysis.coupling_sim(args.n, args.b, args.d, args.seed, args.trials,
                                 a=args.a, chi2_alpha=args.alpha)
     checks = [
@@ -419,23 +396,114 @@ def _verify_coupling(args) -> int:
         _check("chi-square-accepts", rep.chi2_pvalue > rep.chi2_alpha,
                rep.chi2_pvalue, rep.chi2_alpha, 0.0),
     ]
-    _emit(_verify_report("coupling",
-                         {"n": args.n, "b": args.b, "a": args.a, "d": args.d,
-                          "trials": args.trials, "seed": args.seed,
-                          "alpha": args.alpha},
-                         rep.chi2_pvalue, rep.chi2_alpha, rep.passed,
-                         rep.chi2_pvalue - rep.chi2_alpha, checks))
-    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+    return _verify_report("coupling",
+                          {"n": args.n, "b": args.b, "a": args.a, "d": args.d,
+                           "trials": args.trials, "seed": args.seed,
+                           "alpha": args.alpha},
+                          rep.chi2_pvalue, rep.chi2_alpha, rep.passed,
+                          rep.chi2_pvalue - rep.chi2_alpha, checks)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command tables and parser
 
 
-def _add_spin_args(sp, mu_default=1.0):
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--mu", type=float, default=mu_default)
+def _arg(*flags, **options):
+    return flags, options
+
+
+MU = _arg("--mu", type=float, default=1.0)
+SPIN = (_arg("--beta", type=float, required=True),
+        _arg("--gamma", type=float, required=True), MU)
+SEED = _arg("--seed", type=int, default=0)
+TOLERANCE = _arg("--tolerance", type=float, default=1e-9)
+THREADS = _arg("--threads", type=int, default=1)
+DEGREE = _arg("--degree", type=int, required=True)
+DELTA = _arg("--delta", type=int, required=True)
+INSTANCE = _arg("--instance", required=True)
+FORCE = _arg("--force", action="store_true")
+
+COMMANDS = {
+    "z": (_cmd_z, "exact log partition sum of a graph file", (
+        _arg("--graph", required=True), *SPIN,
+        _arg("--max-vertices", type=int, default=28), FORCE,
+        _arg("--threads", type=int, default=os.cpu_count() or 1))),
+    "uniqueness": (_cmd_uniqueness, "fixed point and derivative criterion",
+                   (*SPIN, DEGREE)),
+    "threshold": (_cmd_threshold, "first degree failing uniqueness", (
+        *SPIN, _arg("--max-degree", type=int, default=64))),
+    "phase-map": (_cmd_phase_map, "classified (beta, gamma) grid to CSV", (
+        _arg("--beta-min", type=float, required=True),
+        _arg("--beta-max", type=float, required=True),
+        _arg("--beta-steps", type=int, required=True),
+        _arg("--gamma-min", type=float, required=True),
+        _arg("--gamma-max", type=float, required=True),
+        _arg("--gamma-steps", type=int, required=True),
+        MU, DEGREE,
+        _arg("--region-constant", type=float,
+             default=uniqueness.DEFAULT_REGION_CONSTANT,
+             help="the h in the unit-square region test d >= h/(1-beta*gamma)"),
+        _arg("--out", required=True))),
+    "reduce": (_cmd_reduce, "build a reduction graph from an instance", (
+        INSTANCE, DELTA, _arg("--delta-prime", type=int, required=True),
+        _arg("--block-size", type=int, required=True), SEED,
+        _arg("--out-prefix", required=True))),
+    "gadget": (_cmd_gadget, "sample a random matching-union gadget", (
+        _arg("--side", type=int, required=True), DELTA, SEED, _arg("--out"))),
+    "theta-star": (_cmd_theta_star, "exhaustive optimum of an instance", (
+        INSTANCE, _arg("--max-vars", type=int, default=e2lin2.BEST_ASSIGNMENT_CAP),
+        FORCE)),
+    "decode": (_cmd_decode, "invert a partition estimate into a count", (
+        _arg("--log-y", type=float, required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--m", type=int, required=True),
+        _arg("--log-c", type=float), _arg("--log-d", type=float),
+        _arg("--beta", type=float), _arg("--gamma", type=float),
+        _arg("--delta", type=int), _arg("--delta-prime", type=int),
+        _arg("--case", default=SplitCase.BETA_BELOW_HALF.value,
+             choices=[c.value for c in SplitCase]),
+        _arg("--eps", type=float, default=1e-4),
+        _arg("--slack", type=float, default=0.03))),
+    "translate-field": (_cmd_translate_field, "fold the field into the weights",
+                        (*SPIN, DEGREE)),
+}
+
+CHECKS = {
+    "polarized": (_verify_polarized, "closed form vs brute force for polarized sums", (
+        _arg("--pairs", type=int, default=5), SEED, TOLERANCE, THREADS)),
+    "gadget-mean": (_verify_gadget_mean,
+                    "exact expectation vs enumeration and Monte Carlo", (
+                        _arg("--trials", type=int, default=20000), SEED, TOLERANCE)),
+    "rate-bound": (_verify_rate_bound, "grid maximum of the rate bound", (
+        _arg("--c", type=float, default=analysis.DEFAULT_RATE_C),
+        _arg("--lambda", dest="min_fraction", type=float,
+             default=analysis.DEFAULT_MINORITY),
+        _arg("--step", type=float, default=1e-3),
+        _arg("--bound", type=float, default=analysis.RATE_BOUND_CEILING),
+        _arg("--out", help="optional CSV dump of the exact grid values"))),
+    "expander": (_verify_expander, "edge-expansion audit of sampled gadgets", (
+        _arg("--side", type=int, default=8), _arg("--delta", type=int, default=48),
+        _arg("--seeds", type=int, default=20), SEED,
+        _arg("--eps", type=float, default=0.25),
+        _arg("--factor", type=float, default=analysis.DEFAULT_EXPANSION_FACTOR))),
+    "field": (_verify_field, "field-translation identity on regular graphs", (
+        _arg("--pairs", type=int, default=20), SEED, TOLERANCE, THREADS)),
+    "sandwich": (_verify_sandwich, "restricted-sum bracketing on toy reductions", (
+        _arg("--seeds", type=int, default=20), SEED, TOLERANCE, THREADS)),
+    "coupling": (_verify_coupling, "domination coupling simulation", (
+        _arg("--n", type=int, default=4), _arg("--b", type=float, default=0.5),
+        _arg("--a", type=float, default=1.0), _arg("--d", type=int, default=3),
+        _arg("--trials", type=int, default=100000), SEED,
+        _arg("--alpha", type=float, default=1e-3))),
+}
+
+
+def _add_table(subparsers, table) -> None:
+    for name, (func, help_text, specs) in table.items():
+        sp = subparsers.add_parser(name, help=help_text)
+        for flags, options in specs:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,143 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact partition sums, uniqueness thresholds and gadget "
                     "reductions for two-state spin systems.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("z", help="exact log partition sum of a graph file")
-    sp.add_argument("--graph", required=True)
-    _add_spin_args(sp)
-    sp.add_argument("--max-vertices", type=int, default=28)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--threads", type=int, default=_default_threads())
-    sp.set_defaults(func=_cmd_z)
-
-    sp = sub.add_parser("uniqueness", help="fixed point and derivative criterion")
-    _add_spin_args(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_uniqueness)
-
-    sp = sub.add_parser("threshold", help="first degree failing uniqueness")
-    _add_spin_args(sp)
-    sp.add_argument("--max-degree", type=int, default=64)
-    sp.set_defaults(func=_cmd_threshold)
-
-    sp = sub.add_parser("phase-map", help="classified (beta, gamma) grid to CSV")
-    sp.add_argument("--beta-min", type=float, required=True)
-    sp.add_argument("--beta-max", type=float, required=True)
-    sp.add_argument("--beta-steps", type=int, required=True)
-    sp.add_argument("--gamma-min", type=float, required=True)
-    sp.add_argument("--gamma-max", type=float, required=True)
-    sp.add_argument("--gamma-steps", type=int, required=True)
-    sp.add_argument("--mu", type=float, default=1.0)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--region-constant", type=float,
-                    default=uniqueness.DEFAULT_REGION_CONSTANT,
-                    help="the h in the unit-square region test d >= h/(1-beta*gamma)")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_phase_map)
-
-    sp = sub.add_parser("reduce", help="build a reduction graph from an instance")
-    sp.add_argument("--instance", required=True)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("--delta-prime", type=int, required=True)
-    sp.add_argument("--block-size", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out-prefix", required=True)
-    sp.set_defaults(func=_cmd_reduce)
-
-    sp = sub.add_parser("gadget", help="sample a random matching-union gadget")
-    sp.add_argument("--side", type=int, required=True)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_gadget)
-
-    sp = sub.add_parser("theta-star", help="exhaustive optimum of an instance")
-    sp.add_argument("--instance", required=True)
-    sp.add_argument("--max-vars", type=int, default=e2lin2.BEST_ASSIGNMENT_CAP)
-    sp.add_argument("--force", action="store_true")
-    sp.set_defaults(func=_cmd_theta_star)
-
-    sp = sub.add_parser("decode", help="invert a partition estimate into a count")
-    sp.add_argument("--log-y", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--log-c", type=float)
-    sp.add_argument("--log-d", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--delta", type=int)
-    sp.add_argument("--delta-prime", type=int)
-    sp.add_argument("--case", default=SplitCase.BETA_BELOW_HALF.value,
-                    choices=[c.value for c in SplitCase])
-    sp.add_argument("--eps", type=float, default=1e-4)
-    sp.add_argument("--slack", type=float, default=0.03)
-    sp.set_defaults(func=_cmd_decode)
-
-    sp = sub.add_parser("translate-field", help="fold the field into the weights")
-    _add_spin_args(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_translate_field)
-
-    vp = sub.add_parser("verify", help="numerical verification checks")
-    vsub = vp.add_subparsers(dest="check", required=True)
-
-    sp = vsub.add_parser("polarized",
-                         help="closed form vs brute force for polarized sums")
-    sp.add_argument("--pairs", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.set_defaults(func=_verify_polarized)
-
-    sp = vsub.add_parser("gadget-mean",
-                         help="exact expectation vs enumeration and Monte Carlo")
-    sp.add_argument("--trials", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.set_defaults(func=_verify_gadget_mean)
-
-    sp = vsub.add_parser("rate-bound", help="grid maximum of the rate bound")
-    sp.add_argument("--c", type=float, default=analysis.DEFAULT_RATE_C)
-    sp.add_argument("--lambda", dest="min_fraction", type=float,
-                    default=analysis.DEFAULT_MINORITY)
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--bound", type=float, default=analysis.RATE_BOUND_CEILING)
-    sp.add_argument("--out", help="optional CSV dump of the exact grid values")
-    sp.set_defaults(func=_verify_rate_bound)
-
-    sp = vsub.add_parser("expander", help="edge-expansion audit of sampled gadgets")
-    sp.add_argument("--side", type=int, default=8)
-    sp.add_argument("--delta", type=int, default=48)
-    sp.add_argument("--seeds", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--eps", type=float, default=0.25)
-    sp.add_argument("--factor", type=float, default=analysis.DEFAULT_EXPANSION_FACTOR)
-    sp.set_defaults(func=_verify_expander)
-
-    sp = vsub.add_parser("field", help="field-translation identity on regular graphs")
-    sp.add_argument("--pairs", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.set_defaults(func=_verify_field)
-
-    sp = vsub.add_parser("sandwich", help="restricted-sum bracketing on toy reductions")
-    sp.add_argument("--seeds", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.set_defaults(func=_verify_sandwich)
-
-    sp = vsub.add_parser("coupling", help="domination coupling simulation")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--b", type=float, default=0.5)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--alpha", type=float, default=1e-3)
-    sp.set_defaults(func=_verify_coupling)
-
+    _add_table(sub, COMMANDS)
+    verify = sub.add_parser("verify", help="numerical verification checks")
+    _add_table(verify.add_subparsers(dest="check", required=True), CHECKS)
     return ap
 
 
@@ -591,19 +525,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
+        report = args.func(args)
+        print(json.dumps(report, sort_keys=True, indent=2))
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception:  # exit 1 must keep meaning "verification failed"
         traceback.print_exc()
         return EXIT_INTERNAL
+    failed = (report.get("pass") is False
+              or any(not c["pass"] for c in report["checks"]))
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

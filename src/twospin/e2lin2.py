@@ -9,16 +9,12 @@ Lines starting with '#' are comments.  Best over all assignments is found by
 exhaustive (bit-parallel) search, so instances are capped at 24 variables.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-
-# best approximation ratio ruled out for this problem family; metadata only
-HARDNESS_RATIO = 11.0 / 12.0
 
 BEST_ASSIGNMENT_CAP = 24
 
@@ -193,8 +189,3 @@ def random_instance(n: int, m: int, seed: int) -> E2Lin2Instance:
         eqs.append((i, j, int(rng.integers(2))))
     inst, _ = normalize(E2Lin2Instance(n, tuple(eqs)))
     return inst
-
-
-def minimum_best_count(inst: E2Lin2Instance) -> int:
-    """Floor ceil(m/2) that the optimum can never go below."""
-    return math.ceil(inst.num_equations / 2)

@@ -483,8 +483,7 @@ class FieldIdentityReport:
 
 
 def field_identity_report(g: MultiGraph, p: SpinParams, *,
-                          max_vertices: int = DEFAULT_MAX_VERTICES,
-                          force: bool = False) -> FieldIdentityReport:
+                          threads: int = 1) -> FieldIdentityReport:
     """Compare the fielded partition sum against its field-free translation.
 
     On a d-regular graph the two sides agree exactly; the report carries the
@@ -493,9 +492,8 @@ def field_identity_report(g: MultiGraph, p: SpinParams, *,
     d = g.regular_degree()
     if d < 1:
         raise UsageError("field translation needs degree >= 1")
-    lhs = log_partition(g, p, max_vertices=max_vertices, force=force)
+    lhs = log_partition(g, p, threads=threads)
     p_prime, per_edge = remove_field(p, d)
-    rhs = g.num_edges * per_edge + log_partition(
-        g, p_prime, max_vertices=max_vertices, force=force)
+    rhs = g.num_edges * per_edge + log_partition(g, p_prime, threads=threads)
     gap = abs(lhs - rhs) / max(1.0, abs(lhs))
     return FieldIdentityReport(lhs, rhs, gap)

@@ -93,12 +93,13 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
         hi_s = hi[sel]
         bs, gs, ds = beta[sel], gamma[sel], d[sel]
         lm = np.log(mu[sel])
-        for _ in range(BISECT_ITERATIONS):
-            mid = 0.5 * (lo_s + hi_s)
-            ratio = np.log1p(((bs - 1.0) * mid + (1.0 - gs)) / (mid + gs))
-            g = lm + ds * ratio - np.log(mid)
-            lo_s = np.where(g >= 0, mid, lo_s)
-            hi_s = np.where(g <= 0, mid, hi_s)
+        with np.errstate(divide="ignore"):  # mid reaches 0 on underflow
+            for _ in range(BISECT_ITERATIONS):
+                mid = 0.5 * (lo_s + hi_s)
+                ratio = np.log1p(((bs - 1.0) * mid + (1.0 - gs)) / (mid + gs))
+                g = lm + ds * ratio - np.log(mid)
+                lo_s = np.where(g >= 0, mid, lo_s)
+                hi_s = np.where(g <= 0, mid, hi_s)
         out[sel] = 0.5 * (lo_s + hi_s)
     if np.any(wide):
         sel = wide

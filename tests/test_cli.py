@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import twospin
-from twospin import cli
+from twospin import cli, spins
 from twospin.analysis import rate_bound
 from twospin.cli import main
 from twospin.graphs import MultiGraph, single_edge, write_graph
@@ -181,6 +181,45 @@ def test_verify_field_and_sandwich(capsys):
     assert code == 0 and rep["pass"] is True
     code, rep = _run(capsys, ["verify", "sandwich", "--seeds", "4"])
     assert code == 0 and rep["pass"] is True
+
+
+def test_verify_field_passes_threads(capsys, monkeypatch):
+    seen = []
+    original = spins.log_partition
+
+    def recording(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return original(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(spins, "log_partition", recording)
+    outputs = []
+    for threads in (1, 2):
+        seen.clear()
+        assert main(["verify", "field", "--pairs", "1",
+                     "--threads", str(threads)]) == 0
+        assert seen and set(seen) == {threads}
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+# one bound per check that a correct program cannot meet
+UNMET_BOUNDS = {
+    "polarized": ["--pairs", "1", "--tolerance", "-100"],
+    "gadget-mean": ["--trials", "2000", "--tolerance", "-100"],
+    "rate-bound": ["--step", "0.05", "--bound", "1.0"],
+    "expander": ["--side", "6", "--seeds", "1", "--factor", "2"],
+    "field": ["--pairs", "1", "--tolerance", "-100"],
+    "sandwich": ["--seeds", "2", "--tolerance", "-100"],
+    "coupling": ["--trials", "2000", "--alpha", "1.1"],
+}
+
+
+@pytest.mark.parametrize("check", list(cli.CHECKS))
+def test_unmet_bound_exits_1(capsys, check):
+    assert UNMET_BOUNDS.keys() == cli.CHECKS.keys()
+    code, rep = _run(capsys, ["verify", check, *UNMET_BOUNDS[check]])
+    assert code == 1
+    assert rep["pass"] is False
 
 
 def test_verify_gadget_mean(capsys):

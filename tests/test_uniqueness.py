@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ def test_uniqueness_check_examples():
     # hardcore criticality: mu_c(d) = d**d/(d-1)**(d+1), equal to 4 at d = 2
     assert uniqueness_check(SpinParams(0, 1, 3.9), 2).unique
     assert not uniqueness_check(SpinParams(0, 1, 4.1), 2).unique
+
+
+def test_underflowing_fixed_point_is_silent():
+    # at beta = 0 the fixed point mu/(x+gamma)**d underflows to 0; the
+    # bisection's log(0) must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = uniqueness_check(SpinParams(0, 4, 1), 10001)
+    assert r.x_hat == 0.0
+    assert r.unique
 
 
 def test_first_nonunique_degree():
