@@ -31,6 +31,8 @@ DEFAULT_MINORITY = 9e-5           # smallest profile fraction in the rate scan
 DEFAULT_EXPANSION_FACTOR = 0.25   # required fraction of the expected crossing count
 RATE_BOUND_CEILING = 1.21         # verified grid maximum of the rate bound
 MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells)
+MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
+AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
 
 
 def entropy(x: float) -> float:
@@ -356,13 +358,19 @@ class ExpanderAudit:
 def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
                    factor: float = DEFAULT_EXPANSION_FACTOR,
                    mode: str = "exhaustive", trials: int = 2000,
-                   seed: int = 0, max_exhaustive_side: int = 14) -> ExpanderAudit:
+                   seed: int = 0) -> ExpanderAudit:
     """Audit the crossing-edge counts of a regular bipartite gadget.
 
-    Exhaustive mode scans every pair of big subsets (all 2^N per side, sizes
-    >= ceil(eps N)); sampled mode draws `trials` uniform big pairs.
+    Exhaustive mode covers all big pairs (sizes >= ceil(eps N), N up to
+    MAX_AUDIT_SIDE): over |B| = s, a left set A crosses fewest edges into the
+    s right vertices of smallest row sum e(A, {j}); ties go to the smallest
+    left code, then right code.  Its mean ratio is exactly 1, since each size
+    class averages delta |A| |B| / N crossings in a regular gadget.  Sampled
+    mode averages `trials` uniform big pairs.
     """
     n = h.side_size
+    if mode == "exhaustive" and n > MAX_AUDIT_SIDE:
+        raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
     ld, rd = set(h.left_degrees()), set(h.right_degrees())
     if len(ld) != 1 or ld != rd:
         raise UsageError("expansion audit expects a regular bipartite gadget")
@@ -376,38 +384,31 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     right_pos = {v: i for i, v in enumerate(h.right)}
     mat = np.zeros((n, n))
     for u, v, m in h.graph.edges:
-        if u in left_pos:
-            mat[left_pos[u], right_pos[v]] += m
-        else:
-            mat[left_pos[v], right_pos[u]] += m
+        if u not in left_pos:
+            u, v = v, u
+        mat[left_pos[u], right_pos[v]] += m
 
+    worst = math.inf
     if mode == "exhaustive":
-        if n > max_exhaustive_side:
-            raise ResourceLimitError(
-                f"exhaustive audit capped at side {max_exhaustive_side}, got {n}")
-        codes = np.arange(1 << n, dtype=np.uint32)
-        bits = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-        sizes = bits.sum(axis=1)
-        big = sizes >= s0
-        bits_a = bits[big]
-        bits_b = bits_a  # same size threshold on both sides
-        sz = sizes[big]
-        crossings = bits_a @ mat @ bits_b.T
-        ratios = crossings * n / (delta * sz[:, None] * sz[None, :])
-        idx = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
-        worst = float(ratios[idx])
-        mean = float(ratios.mean())
-        masks = codes[big]
-        wa = int(masks[idx[0]])
-        wb = int(masks[idx[1]])
-        witness_left = tuple(h.left[i] for i in range(n) if (wa >> i) & 1)
-        witness_right = tuple(h.right[i] for i in range(n) if (wb >> i) & 1)
-        pairs = ratios.size
+        codes = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= s0)
+        for start in range(0, codes.size, AUDIT_BLOCK):
+            block = codes[start:start + AUDIT_BLOCK]
+            bits = ((block[:, None] >> np.arange(n)) & 1).astype(float)
+            sz, rows = bits.sum(axis=1), bits @ mat
+            prefix = np.cumsum(np.sort(rows, axis=1), axis=1)[:, s0 - 1:]
+            ratios = prefix * n / (delta * sz[:, None] * np.arange(s0, n + 1))
+            i = int(np.argmin(ratios)) // ratios.shape[1]
+            if ratios[i].min() < worst:
+                worst = float(ratios[i].min())
+                order = np.argsort(rows[i], kind="stable")  # low index first
+                wb = min(sum(1 << int(j) for j in order[:s0 + k])
+                         for k in np.flatnonzero(ratios[i] == worst))
+                witness_left = tuple(h.left[j] for j in range(n) if block[i] >> j & 1)
+                witness_right = tuple(h.right[j] for j in range(n) if wb >> j & 1)
+        mean, pairs = 1.0, codes.size ** 2
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
-        worst = math.inf
-        total = 0.0
-        witness_left = witness_right = ()
+        total, witness_left, witness_right = 0.0, (), ()
         for _ in range(trials):
             sa = int(rng.integers(s0, n + 1))
             sb = int(rng.integers(s0, n + 1))
@@ -420,14 +421,12 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
                 worst = ratio
                 witness_left = tuple(sorted(h.left[i] for i in ia))
                 witness_right = tuple(sorted(h.right[i] for i in ib))
-        mean = total / trials
-        pairs = trials
+        mean, pairs = total / trials, trials
     else:
         raise UsageError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    return ExpanderAudit(eps=eps, factor=factor, worst_ratio=worst,
-                         mean_ratio=mean, pairs_checked=pairs,
-                         witness_left=witness_left, witness_right=witness_right,
-                         mode=mode)
+    return ExpanderAudit(eps=eps, factor=factor, worst_ratio=worst, mean_ratio=mean,
+                         pairs_checked=pairs, witness_left=witness_left,
+                         witness_right=witness_right, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
 partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, a grid-plus-golden-section maximum
-of the rate-bound bracket, and the finite closed forms of the chi-square
-survival function.
+of the rate-bound bracket, the finite closed forms of the chi-square
+survival function, and a scan over every big pair of a gadget's subsets.
 """
 
 import decimal
@@ -82,6 +82,34 @@ def cycle_partition(n, beta, gamma, mu=1):
         power = [[sum(power[r][s] * step[s][c] for s in range(2)) for c in range(2)]
                  for r in range(2)]
     return power[0][0] + power[1][1]
+
+
+def expander_worst_pair(left, right, edge_records, eps):
+    """Worst crossing ratio e(A, B) N / (delta |A| |B|) over every pair of
+    big subsets, scanning left codes, then right codes, in increasing order
+    (so ties go to the smallest codes).  Returns (ratio, witness_left,
+    witness_right, pairs)."""
+    n = len(left)
+    left_pos = {v: i for i, v in enumerate(left)}
+    right_pos = {v: i for i, v in enumerate(right)}
+    count = [[0] * n for _ in range(n)]
+    for u, v, m in edge_records:
+        if u in right_pos:
+            u, v = v, u
+        count[left_pos[u]][right_pos[v]] += m
+    delta = sum(count[0])
+    s0 = max(1, math.ceil(eps * n - 1e-9))
+    big = [[i for i in range(n) if code >> i & 1] for code in range(1 << n)]
+    big = [members for members in big if len(members) >= s0]
+    worst = (math.inf, None, None)
+    for a, b in itertools.product(big, repeat=2):
+        crossing = sum(count[i][j] for i in a for j in b)
+        ratio = crossing * n / (delta * len(a) * len(b))
+        if ratio < worst[0]:
+            worst = (ratio, a, b)
+    ratio, a, b = worst
+    return (ratio, tuple(left[i] for i in a), tuple(right[j] for j in b),
+            len(big) ** 2)
 
 
 def best_count_loop(num_vars, equations):

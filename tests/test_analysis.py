@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (binary_entropy, bracket_max, chi2_survival,
-                     profile_sum_direct, sequential_indicator_law)
+                     expander_worst_pair, profile_sum_direct,
+                     sequential_indicator_law)
 from twospin import analysis, cli
 from twospin.analysis import (chi2_sf, coupling_sim, entropy,
                               enumerate_profile_sum_mean_log, exact_rate,
@@ -290,9 +292,38 @@ def test_expander_audit_sampled_mode_and_witness():
     ratio = count * 8 / (6 * len(full.witness_left) * len(full.witness_right))
     assert ratio == pytest.approx(full.worst_ratio, abs=1e-12)
     with pytest.raises(ResourceLimitError):
-        expander_audit(sample_gadget(15, 2, 0), eps=0.5)
+        expander_audit(sample_gadget(analysis.MAX_AUDIT_SIDE + 1, 2, 0), eps=0.5)
     with pytest.raises(UsageError):
         expander_audit(h, eps=0.25, mode="bogus")
+
+
+@pytest.mark.parametrize("block", [analysis.AUDIT_BLOCK, 7, 1])
+def test_expander_audit_matches_brute_force(monkeypatch, block):
+    # witnesses included: ties go to the smallest left code, then right code;
+    # blocks of 7 and of 1 left sets split most sides into several blocks
+    monkeypatch.setattr(analysis, "AUDIT_BLOCK", block)
+    for n_side in range(1, 9):
+        for delta in (1, 2, 3):
+            for eps in (1e-4, 0.3, 0.5, 1.0):
+                h = sample_gadget(n_side, delta, seed=10 * n_side + delta)
+                audit = expander_audit(h, eps=eps)
+                assert (audit.worst_ratio, audit.witness_left, audit.witness_right,
+                        audit.pairs_checked) == expander_worst_pair(
+                            h.left, h.right, h.graph.edges, eps)
+                assert audit.mean_ratio == 1.0
+
+
+def test_expander_audit_memory_stays_flat():
+    # the 2^14 x 2^14 pair matrix alone would take 2 GiB
+    h = sample_gadget(14, 3, seed=0)
+    tracemalloc.start()
+    try:
+        audit = expander_audit(h, eps=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.pairs_checked == (2 ** 14 - 1) ** 2
+    assert peak < 64 * 2 ** 20
 
 
 def test_coupling_sim_domination_and_law():

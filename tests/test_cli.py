@@ -109,6 +109,27 @@ def test_phase_map(capsys, tmp_path):
     assert all("non-uniqueness" in ln for ln in lines[1:])
 
 
+COUNT_FLAGS = [
+    ("z", "--threads"), ("phase-map", "--beta-steps"),
+    ("phase-map", "--gamma-steps"), ("gadget", "--side"), ("decode", "--n"),
+    ("decode", "--m"), ("verify polarized", "--pairs"),
+    ("verify polarized", "--threads"), ("verify gadget-mean", "--trials"),
+    ("verify expander", "--side"), ("verify expander", "--seeds"),
+    ("verify field", "--pairs"), ("verify field", "--threads"),
+    ("verify sandwich", "--seeds"), ("verify sandwich", "--threads"),
+    ("verify coupling", "--trials"),
+]
+
+
+def test_count_flags_are_all_listed():
+    typed = set()
+    for prefix, table in (("", cli.COMMANDS), ("verify ", cli.CHECKS)):
+        for command, (_, _, specs) in table.items():
+            typed |= {(prefix + command, flags[0]) for flags, options in specs
+                      if options.get("type") is cli.positive_int}
+    assert typed == set(COUNT_FLAGS)
+
+
 def test_exit_codes(capsys, edge_file, tmp_path):
     assert main(["nonsense"]) == 2
     capsys.readouterr()
@@ -133,6 +154,25 @@ def test_exit_codes(capsys, edge_file, tmp_path):
                 ["--step", "inf"]):
         assert main(["verify", "rate-bound", *bad]) == 2
     capsys.readouterr()
+    # a count of 0 (and a number JSON cannot hold) is refused at parse time
+    required = {
+        "z": ["--graph", edge_file, "--beta", "1", "--gamma", "1"],
+        "phase-map": ["--beta-min", "0.2", "--beta-max", "0.8", "--beta-steps", "3",
+                      "--gamma-min", "0.2", "--gamma-max", "0.8", "--gamma-steps",
+                      "3", "--degree", "5", "--out", str(tmp_path / "x.csv")],
+        "gadget": ["--side", "3", "--delta", "2"],
+        "decode": ["--log-y", "4", "--n", "3", "--m", "3", "--log-c", "0",
+                   "--log-d", "1"],
+    }
+    for command, flag in COUNT_FLAGS:
+        argv = [*command.split(), *required.get(command, []), flag, "0"]
+        assert main(argv) == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+    assert main(["verify", "polarized", "--tolerance", "nan"]) == 2
+    assert main(["decode", "--log-y", "inf", "--n", "3", "--m", "3",
+                 "--log-c", "0", "--log-d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
     # verification failure exits 1: an unreachable bound
     assert main(["verify", "coupling", "--trials", "2000", "--alpha", "1.1"]) == 1
     capsys.readouterr()
@@ -236,6 +276,19 @@ def test_internal_error_exits_4(capsys, monkeypatch, edge_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "RuntimeError: invariant violated" in captured.err
+
+
+def test_zero_sum_prints_strict_json(capsys, tmp_path):
+    # beta = gamma = 0 leaves only proper 2-colourings: a triangle has none
+    path = tmp_path / "triangle.g"
+    write_graph(MultiGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), path)
+    assert main(["z", "--graph", str(path), "--beta", "0", "--gamma", "0"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in JSON")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rep["outputs"]["log_z"] == {"value": None, "scale": "log"}
 
 
 def test_z_stdout_does_not_depend_on_threads(capsys, tmp_path):
