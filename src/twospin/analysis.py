@@ -33,6 +33,8 @@ RATE_BOUND_CEILING = 1.21         # verified grid maximum of the rate bound
 MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells)
 MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
+MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sum_mean_log
+MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
 
 
 def entropy(x: float) -> float:
@@ -264,17 +266,17 @@ def gadget_from_matchings(n_side: int, perms: Sequence[Sequence[int]]) -> Bipart
 
 
 def enumerate_profile_sum_mean_log(n_side: int, delta: int, delta_prime: int,
-                                   p: SpinParams, a: float, b: float, *,
-                                   max_tuples: int = 200_000) -> float:
+                                   p: SpinParams, a: float, b: float) -> float:
     """log of the exact gadget-average of the profile sum, by enumerating
     all (N!)**delta matching tuples."""
     count = math.factorial(n_side) ** delta
-    if count > max_tuples:
-        raise ResourceLimitError(f"{count} matching tuples exceed cap {max_tuples}")
+    if count > MAX_MATCHING_TUPLES:
+        raise ResourceLimitError(
+            f"{count} matching tuples exceed cap {MAX_MATCHING_TUPLES}")
     perms = list(itertools.permutations(range(n_side)))
     logs = [
         log_profile_sum(gadget_from_matchings(n_side, combo), p, delta_prime,
-                        a, b, force=True)
+                        a, b)
         for combo in itertools.product(perms, repeat=delta)
     ]
     return log_sum_exp(logs) - math.log(count)
@@ -293,8 +295,7 @@ class MCEstimate:
 
 def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
                             p: SpinParams, a: float, b: float,
-                            trials: int, seed: int, *,
-                            max_side: int = 8) -> MCEstimate:
+                            trials: int, seed: int) -> MCEstimate:
     """Monte Carlo mean (linear domain) of the profile sum over H(N, delta).
 
     Deterministic for a given seed.  When (N!)**delta is small the distinct
@@ -303,15 +304,15 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    if n_side > max_side:
-        raise ResourceLimitError(f"side size {n_side} exceeds cap {max_side}")
+    if n_side > MAX_MC_SIDE:
+        raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     rng = np.random.default_rng(seed)
     count = math.factorial(n_side) ** delta
     if count <= 100_000:
         perms = list(itertools.permutations(range(n_side)))
         values = np.array([
             math.exp(log_profile_sum(gadget_from_matchings(n_side, combo), p,
-                                     delta_prime, a, b, force=True))
+                                     delta_prime, a, b))
             for combo in itertools.product(perms, repeat=delta)])
         sample = values[rng.integers(count, size=trials)]
     else:
@@ -319,8 +320,7 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
         for t in range(trials):
             combo = [rng.permutation(n_side) for _ in range(delta)]
             sample[t] = math.exp(log_profile_sum(
-                gadget_from_matchings(n_side, combo), p, delta_prime, a, b,
-                force=True))
+                gadget_from_matchings(n_side, combo), p, delta_prime, a, b))
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials,
                           seed=seed)

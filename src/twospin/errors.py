@@ -10,4 +10,9 @@ class RegimeError(UsageError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured size cap (pass force=True to override)."""
+    """An operation would exceed its size cap; raised before any work starts.
+
+    Only log_partition and e2lin2.best_assignment take their cap as an
+    argument and can be told to go past it (force=True); every other cap is a
+    module constant.
+    """

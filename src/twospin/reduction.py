@@ -34,6 +34,7 @@ from .uniqueness import SplitCase
 
 DEFAULT_MINORITY_FRACTION = 9e-5  # cap on the smaller zero-count, as a fraction
 DEFAULT_CAP_FRACTION = 1e-4       # one-sided zero-count cap, as a fraction
+MAX_REDUCTION_VERTICES = 24       # free vertices of every exact reduction sum
 
 
 @dataclass(frozen=True)
@@ -323,13 +324,12 @@ def polarized_fixed_spins(rg: ReductionGraph, bits: Sequence[int]) -> Dict[int, 
 
 
 def log_polarized_sum_brute(rg: ReductionGraph, bits: Sequence[int], p: SpinParams,
-                            *, max_vertices: int = 24, force: bool = False,
-                            threads: int = 1) -> float:
+                            *, threads: int = 1) -> float:
     """Brute-force mate of log_polarized_sum_closed: enumerate the free half."""
     _require_flat_field(p)
     fixed = polarized_fixed_spins(rg, bits)
-    return log_partition(rg.graph, p, fixed=fixed, max_vertices=max_vertices,
-                         force=force, threads=threads)
+    return log_partition(rg.graph, p, fixed=fixed,
+                         max_vertices=MAX_REDUCTION_VERTICES, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,6 @@ def log_restricted_sum(rg: ReductionGraph, p: SpinParams,
                        bits: Optional[Sequence[int]] = None, *,
                        minority_fraction: float = DEFAULT_MINORITY_FRACTION,
                        cap_fraction: float = DEFAULT_CAP_FRACTION,
-                       max_vertices: int = 24, force: bool = False,
                        threads: int = 1) -> float:
     """Partition sum restricted by one or more constraint families.
 
@@ -401,8 +400,8 @@ def log_restricted_sum(rg: ReductionGraph, p: SpinParams,
         constraints.extend(family_constraints(
             rg, fam, bits, minority_fraction=minority_fraction,
             cap_fraction=cap_fraction))
-    return log_partition(rg.graph, p, constraints, max_vertices=max_vertices,
-                         force=force, threads=threads)
+    return log_partition(rg.graph, p, constraints,
+                         max_vertices=MAX_REDUCTION_VERTICES, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +417,8 @@ def decode_satisfied_estimate(log_estimate: float, n: int, m: int,
     Computes (log Y - log(1+eps) - n log 2 - m^2 log C - slack m^2 log D)
     / (m log D); strictly increasing in log Y since log D > 0.
     """
+    if n < 1 or m < 1:
+        raise UsageError(f"need n, m >= 1, got n={n}, m={m}")
     if constants.log_d <= 0:
         raise UsageError("decoder needs log D > 0")
     num = (log_estimate - math.log1p(relative_error) - n * math.log(2)
@@ -446,19 +447,17 @@ class SandwichReport:
 
 
 def sandwich_check(rg: ReductionGraph, p: SpinParams, *, tolerance: float = 1e-9,
-                   max_vertices: int = 24, force: bool = False,
                    threads: int = 1) -> SandwichReport:
     """Verify max_S Z(G,S) <= Z(G) <= sum_S Z(G,S) over all 2^n assignments."""
     _require_flat_field(p)
     n = rg.instance.num_vars
-    log_total = log_partition(rg.graph, p, max_vertices=max_vertices,
-                              force=force, threads=threads)
+    log_total = log_partition(rg.graph, p, max_vertices=MAX_REDUCTION_VERTICES,
+                              threads=threads)
     parts = []
     for enc in range(1 << n):
         bits = tuple((enc >> i) & 1 for i in range(n))
-        parts.append(log_restricted_sum(
-            rg, p, ("majority",), bits, max_vertices=max_vertices,
-            force=force, threads=threads))
+        parts.append(log_restricted_sum(rg, p, ("majority",), bits,
+                                        threads=threads))
     return SandwichReport(
         log_total=log_total,
         log_max_restricted=max(parts),

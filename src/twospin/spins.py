@@ -31,6 +31,8 @@ from .logspace import (LOG_ZERO, log_sum_exp, log_sum_exp_inplace,
                        log_sum_exp_pairwise, scaled_log)
 
 DEFAULT_MAX_VERTICES = 28
+MAX_FRACTION_VERTICES = 20  # free vertices of the exact rational oracle
+MAX_PROFILE_SIDE = 12       # gadget side of the profile-restricted sum
 _LOW_BITS = 10    # free spins tabulated along the columns of a block table
 _BLOCK_BITS = 16  # a block table holds at most 2**_BLOCK_BITS log-weights
 
@@ -352,8 +354,7 @@ def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
 
 
 def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
-                       fixed: Optional[Dict[int, int]] = None,
-                       max_vertices: int = 20, force: bool = False) -> Fraction:
+                       fixed: Optional[Dict[int, int]] = None) -> Fraction:
     """Exact rational partition sum (linear domain) for rational parameters.
 
     Arbitrary-precision oracle for the log-domain path; no tolerances.
@@ -366,8 +367,9 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
     _validate_constraints(constraints, g.num_vertices)
     free = [v for v in range(g.num_vertices) if v not in fixed]
     nf = len(free)
-    if nf > max_vertices and not force:
-        raise ResourceLimitError(f"{nf} free vertices exceeds cap {max_vertices}")
+    if nf > MAX_FRACTION_VERTICES:
+        raise ResourceLimitError(
+            f"{nf} free vertices exceeds cap {MAX_FRACTION_VERTICES}")
     sets = _zero_count_masks(constraints, fixed, {v: j for j, v in enumerate(free)})
     total = Fraction(0)
     for config in range(1 << nf):
@@ -396,8 +398,7 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
 
 
 def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
-                    a: float, b: float, *, max_side: int = 12,
-                    force: bool = False) -> float:
+                    a: float, b: float) -> float:
     """log of the gadget sum over assignments with fixed zero fractions.
 
     Sums the edge weight of every assignment that puts exactly a*N zeros on
@@ -414,8 +415,8 @@ def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
     if delta_prime < 0:
         raise UsageError("delta_prime must be nonnegative")
     n_side = h.side_size
-    if n_side > max_side and not force:
-        raise ResourceLimitError(f"side size {n_side} exceeds cap {max_side}")
+    if n_side > MAX_PROFILE_SIDE:
+        raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_PROFILE_SIDE}")
     an = _integral_fraction(a, n_side, "a")
     bn = _integral_fraction(b, n_side, "b")
     lb, lg = p.log_entries()

@@ -10,11 +10,12 @@ trees iff
 
     |f'(x_hat)| = d * (1 - beta*gamma) * x_hat / ((beta*x_hat + 1) * (x_hat + gamma)) < 1.
 
-This module computes fixed points (bisection only: unconditional convergence,
-no derivative pathologies near beta = 0), the derivative criterion, threshold
-degrees, the closed-form criticality roots and field windows, the degree plan
-for the regime 0 < beta < 1 < gamma, the three-way case split used by the
-gadget reduction, and a phase classifier for parameter grids.
+This module computes fixed points (one vectorized bisection for every
+gamma >= 0: unconditional convergence, no derivative pathologies near
+beta = 0), the derivative criterion, threshold degrees, the closed-form
+criticality roots and field windows, the degree plan for the regime
+0 < beta < 1 < gamma, the three-way case split used by the gadget reduction,
+and a phase classifier for parameter grids.
 """
 
 import itertools
@@ -29,92 +30,105 @@ from .errors import RegimeError, UsageError
 from .spins import SpinParams, remove_field
 
 BISECT_ITERATIONS = 200
+TINY_BETA = 2.0 ** -20           # beta below which _log_ratio drops its log1p form
 DEFAULT_CASE_SCALE = 12 * 10**8  # the published L; K = 4L
 HARD_DEGREE_RATIO = 8000         # delta_star >= ratio * delta_prime
 DEFAULT_REGION_CONSTANT = 1000.0  # configurable h in d >= h/(1 - beta*gamma)
 PHASE_BLOCK_CELLS = 1 << 16      # phase_grid cells solved per magnitude_grid call
 
 
-def recursion_value(p: SpinParams, d: int, x: float) -> float:
-    """f(x) = mu * ((beta*x + 1)/(x + gamma))**d, evaluated in log space.
+def _log_ratio(beta, gamma):
+    """The map x -> log((beta*x + 1)/(x + gamma)) for fixed parameters.
 
-    The ratio is fed through log1p as 1 + ((beta-1)x + (1-gamma))/(x+gamma),
-    which keeps the rounding error of the d-fold exponent proportional to
-    log(f/mu) instead of d itself.
+    The ratio falls from 1/gamma at x = 0 towards beta.  It is fed through
+    log1p as 1 + ((beta-1)x + (1-gamma))/(x+gamma), which keeps the rounding
+    error of the d-fold exponent proportional to log(f/mu) instead of d
+    itself; the log1p argument stays above beta - 1.  Entries with
+    beta < TINY_BETA would let that argument round to -1 at large x, so they
+    take log1p(beta*x) - log(x + gamma) instead; the form is picked here,
+    once per parameter set.  At x = gamma = 0 the map is +inf: evaluate it
+    under np.errstate(divide="ignore", over="ignore").
     """
+    bm1, omg = beta - 1.0, 1.0 - gamma
+
+    def shifted(x):
+        return np.log1p((bm1 * x + omg) / (x + gamma))
+
+    tiny = np.less(beta, TINY_BETA)
+    if not tiny.any():
+        return shifted
+    return lambda x: np.where(tiny, np.log1p(beta * x) - np.log(x + gamma),
+                              shifted(x))
+
+
+def recursion_value(p: SpinParams, d: int, x: float) -> float:
+    """f(x) = mu * ((beta*x + 1)/(x + gamma))**d, evaluated in log space."""
     if x < 0:
         raise UsageError("x must be nonnegative")
-    log_ratio = math.log1p(((p.beta - 1.0) * x + (1.0 - p.gamma)) / (x + p.gamma))
-    return math.exp(math.log(p.mu) + d * log_ratio)
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(math.log(p.mu) + d * _log_ratio(p.beta, p.gamma)(x)))
+
+
+def _bisect(lo, hi, g):
+    """Bisect [lo, hi] onto the sign change of a decreasing g.
+
+    An exact hit g(mid) = 0 collapses the bracket, so knife-edge parameters
+    return the root exactly.
+    """
+    for _ in range(BISECT_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        v = g(mid)
+        lo = np.where(v >= 0, mid, lo)
+        hi = np.where(v <= 0, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
-    """Vectorized bisection for the fixed point; requires gamma > 0 elementwise.
+    """Vectorized bisection for the fixed point, for beta*gamma < 1 and gamma >= 0.
 
-    Bracket is [0, f(0)] with f(0) = mu/gamma**d (f is decreasing, so the
-    fixed point lies below f(0)).  Sane brackets bisect linearly, with an
-    exact hit g(mid) = 0 collapsing the bracket so knife-edge parameters
-    return the fixed point exactly; brackets spanning many orders of
-    magnitude bisect in log space instead, where 200 halvings always reach
-    full double precision.
+    f is decreasing, so the fixed point lies below f(0) = mu/gamma**d.  Where
+    gamma = 0 makes f(0) infinite, x_hat = f(x_hat) bounds it instead: with
+    L = log(mu) + d*log1p(beta), x_hat <= e**L if x_hat >= 1, and
+    x_hat**(d+1) <= e**L if x_hat < 1.  Brackets up to 1e15 bisect linearly;
+    wider ones bisect in log space, where 200 halvings always reach full
+    double precision.
     """
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
     if np.any(beta * gamma >= 1):
-        raise RegimeError("fixed-point bisection requires beta*gamma < 1")
-    if np.any(gamma <= 0):
-        raise RegimeError("vectorized path requires gamma > 0")
+        raise RegimeError(
+            "fixed-point bisection requires beta*gamma < 1 (f strictly decreasing)")
     logmu = np.log(mu)
+    with np.errstate(divide="ignore", over="ignore"):
+        # f(0) in plain arithmetic where it is finite (so that clean brackets
+        # like [0, 16] bisect onto exact fixed points), else in logs
+        hi = mu / np.power(gamma, d)
+        log_hi = logmu - d * np.log(gamma)
+        bound = logmu + d * np.log1p(beta)
+        log_hi = np.where(np.isposinf(log_hi), np.maximum(bound, bound / (d + 1)),
+                          log_hi)
+        hi = np.where(np.isfinite(hi), hi, np.exp(np.minimum(log_hi, 700.0)))
+        hi = np.maximum(hi, 1e-300)
+        # the cap only matters if the fixed point itself overflows a double;
+        # allow float noise when the bracket top essentially equals the fixed
+        # point (gamma > 1 with f(0) tiny), where the excess can be +O(d*eps)
+        if np.any(logmu + d * _log_ratio(beta, gamma)(hi) - np.log(hi) > 1e-6):
+            raise RegimeError("fixed point overflows double precision")
 
-    def glog(x):
-        with np.errstate(divide="ignore"):
-            ratio = np.log1p(((beta - 1.0) * x + (1.0 - gamma)) / (x + gamma))
-            return logmu + d * ratio - np.log(x)
-
-    # f(0) = mu / gamma**d in plain arithmetic where it is finite (so that
-    # clean brackets like [0, 16] bisect onto exact fixed points), falling
-    # back to the log form when the power over/underflows
-    with np.errstate(over="ignore", divide="ignore"):
-        hi = mu / np.power(gamma, np.asarray(d, dtype=float))
-    log_hi = logmu - d * np.log(gamma)
-    hi = np.where(np.isfinite(hi), hi, np.exp(np.minimum(log_hi, 700.0)))
-    hi = np.maximum(hi, 1e-300)
-    # the cap only matters if the fixed point itself overflows a double;
-    # allow float noise when the bracket top essentially equals the fixed
-    # point (gamma > 1 with f(0) tiny), where glog(hi) can be +O(d*eps)
-    if np.any(glog(hi) > 1e-6):
-        raise RegimeError("fixed point overflows double precision")
-
-    out = np.empty(hi.shape, dtype=float)
-    wide = hi > 1e15
-    if np.any(~wide):
-        sel = ~wide
-        lo_s = np.zeros(np.count_nonzero(sel))
-        hi_s = hi[sel]
-        bs, gs, ds = beta[sel], gamma[sel], d[sel]
-        lm = np.log(mu[sel])
-        with np.errstate(divide="ignore"):  # mid reaches 0 on underflow
-            for _ in range(BISECT_ITERATIONS):
-                mid = 0.5 * (lo_s + hi_s)
-                ratio = np.log1p(((bs - 1.0) * mid + (1.0 - gs)) / (mid + gs))
-                g = lm + ds * ratio - np.log(mid)
-                lo_s = np.where(g >= 0, mid, lo_s)
-                hi_s = np.where(g <= 0, mid, hi_s)
-        out[sel] = 0.5 * (lo_s + hi_s)
-    if np.any(wide):
-        sel = wide
-        ylo = np.full(np.count_nonzero(sel), -737.0)  # below any normal double
-        yhi = np.log(hi[sel])
-        bs, gs, ds = beta[sel], gamma[sel], d[sel]
-        lm = np.log(mu[sel])
-        for _ in range(BISECT_ITERATIONS):
-            ymid = 0.5 * (ylo + yhi)
-            x = np.exp(ymid)
-            ratio = np.log1p(((bs - 1.0) * x + (1.0 - gs)) / (x + gs))
-            g = lm + ds * ratio - ymid
-            ylo = np.where(g >= 0, ymid, ylo)
-            yhi = np.where(g <= 0, ymid, yhi)
-        out[sel] = np.exp(0.5 * (ylo + yhi))
+        out = np.empty(hi.shape, dtype=float)
+        wide = hi > 1e15
+        for sel, in_logs in ((~wide, False), (wide, True)):
+            if not np.any(sel):
+                continue
+            log_ratio = _log_ratio(beta[sel], gamma[sel])
+            lm, ds = logmu[sel], d[sel]
+            if in_logs:  # -737 lies below the log of any normal double
+                out[sel] = np.exp(_bisect(
+                    np.full(np.count_nonzero(sel), -737.0), np.log(hi[sel]),
+                    lambda y: lm + ds * log_ratio(np.exp(y)) - y))
+            else:  # mid reaches 0 when the fixed point underflows
+                out[sel] = _bisect(np.zeros(np.count_nonzero(sel)), hi[sel],
+                                   lambda x: lm + ds * log_ratio(x) - np.log(x))
     return out
 
 
@@ -127,34 +141,13 @@ def _magnitude_from_x(beta, gamma, d, x):
 
 
 def fixed_point(p: SpinParams, d: int) -> float:
-    """The positive fixed point of the tree recursion (beta*gamma < 1 only)."""
+    """The positive fixed point of the tree recursion, for beta*gamma < 1.
+
+    Every gamma >= 0 goes through the one bisection in _fixed_point_array.
+    """
     if d < 1:
         raise UsageError("degree must be >= 1")
-    if p.beta * p.gamma >= 1:
-        raise RegimeError(
-            "fixed-point solver requires beta*gamma < 1 (f strictly decreasing)")
-    if p.gamma > 0:
-        return float(_fixed_point_array(p.beta, p.gamma, p.mu, d))
-    # gamma == 0: f(0) is infinite, bracket by doubling instead
-    logmu = math.log(p.mu)
-
-    def glog(x):
-        return logmu + d * math.log1p(((p.beta - 1.0) * x + 1.0) / x) - math.log(x)
-
-    hi = 1.0
-    while glog(hi) > 0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RegimeError("fixed point overflows double precision")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        g = glog(mid)
-        if g >= 0:
-            lo = mid
-        if g <= 0:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_fixed_point_array(p.beta, p.gamma, p.mu, d))
 
 
 @dataclass(frozen=True)
@@ -197,13 +190,8 @@ def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
     """
     if d_max < 1:
         raise UsageError("d_max must be >= 1")
-    ds = np.arange(1, d_max + 1, dtype=float)
-    if p.gamma > 0:
-        _, mags = magnitude_grid(p.beta, p.gamma, p.mu, ds)
-        mags = np.atleast_1d(mags)
-    else:
-        mags = np.array([uniqueness_check(p, d).derivative_magnitude
-                         for d in range(1, d_max + 1)])
+    _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
+                             np.arange(1, d_max + 1, dtype=float))
     hits = np.nonzero(mags >= 1.0)[0]
     if hits.size == 0:
         return DegreeScan(degree=None, exhausted=True)
@@ -466,17 +454,17 @@ def phase_grid(betas, gammas, mu: float, d: int,
     Yields dicts with keys beta, gamma, mu, d, region, x_hat, deriv_mag
     (the last two are None in regions where the solver does not apply),
     row-major with beta outermost.  Cells are taken lazily in blocks of at
-    most PHASE_BLOCK_CELLS; the cells of a block with beta*gamma < 1 and
-    gamma > 0 are solved by one magnitude_grid call, the rest by
-    classify_phase_detail.  Every row equals classify_phase_detail on its
-    cell; an error raised for a block comes before any of its rows.
+    most PHASE_BLOCK_CELLS; the cells of a block with beta*gamma < 1 are
+    solved by one magnitude_grid call, the rest by classify_phase_detail.
+    Every row equals classify_phase_detail on its cell; an error raised for
+    a block comes before any of its rows.
     """
     gammas = list(gammas)
     cells = ((beta, gamma) for beta in betas for gamma in gammas)
     while block := list(itertools.islice(cells, PHASE_BLOCK_CELLS)):
         params = [SpinParams(beta, gamma, mu) for beta, gamma in block]
         beta_arr, gamma_arr = np.array(block, dtype=float).T
-        solve = (beta_arr * gamma_arr < 1) & (gamma_arr > 0)
+        solve = beta_arr * gamma_arr < 1
         x_hat, mag = np.empty_like(beta_arr), np.empty_like(beta_arr)
         if np.any(solve):
             x_hat[solve], mag[solve] = magnitude_grid(

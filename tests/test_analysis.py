@@ -224,6 +224,9 @@ def test_expected_profile_sum_matches_enumeration():
                             rhs = enumerate_profile_sum_mean_log(
                                 n_side, delta, delta_prime, p, a, b)
                             assert lhs == pytest.approx(rhs, abs=1e-9)
+    assert math.factorial(9) > analysis.MAX_MATCHING_TUPLES
+    with pytest.raises(ResourceLimitError):
+        enumerate_profile_sum_mean_log(9, 1, 1, SpinParams(0.5, 0.5), 0, 0)
 
 
 def test_expected_profile_sum_against_direct_oracle():

@@ -33,6 +33,14 @@ def _run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities, as strict JSON does."""
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_z_single_edge(capsys, edge_file):
     code, rep = _run(capsys, ["z", "--graph", edge_file, "--beta", "1",
                               "--gamma", "1", "--mu", "1"])
@@ -283,12 +291,54 @@ def test_zero_sum_prints_strict_json(capsys, tmp_path):
     path = tmp_path / "triangle.g"
     write_graph(MultiGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), path)
     assert main(["z", "--graph", str(path), "--beta", "0", "--gamma", "0"]) == 0
-
-    def refuse(constant):
-        raise ValueError(f"non-finite {constant} in JSON")
-
-    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    rep = _strict_json(capsys.readouterr().out)
     assert rep["outputs"]["log_z"] == {"value": None, "scale": "log"}
+
+
+def test_degenerate_inputs_never_exit_4(capsys, tmp_path, edge_file, anti3_file):
+    # zero weights, gamma = 0, a field of 1e300, degree 1 and the smallest
+    # counts: each run is a result (0 or 1, strict JSON) or a refusal (2, 3)
+    zero = ["--beta", "0", "--gamma", "0"]
+    out = str(tmp_path / "out")
+    cases = {
+        "z": [["--graph", edge_file, *zero, "--mu", "1e300"]],
+        "uniqueness": [[*zero, "--mu", "1e300", "--degree", "1"],
+                       ["--beta", "0", "--gamma", "0.5", "--mu", "1e300",
+                        "--degree", "1"],
+                       ["--beta", "0", "--gamma", "4", "--mu", "1e300",
+                        "--degree", "100"]],
+        "threshold": [[*zero, "--mu", "1e300"], [*zero, "--max-degree", "1"]],
+        "phase-map": [["--beta-min", "0", "--beta-max", "2", "--beta-steps", "3",
+                       "--gamma-min", "0", "--gamma-max", "2", "--gamma-steps",
+                       "3", "--mu", "1e300", "--degree", "1", "--out",
+                       out + ".csv"]],
+        "reduce": [["--instance", anti3_file, "--delta", "1", "--delta-prime",
+                    "1", "--block-size", "1", "--out-prefix", out]],
+        "gadget": [["--side", "1", "--delta", "1"]],
+        "theta-star": [["--instance", anti3_file]],
+        "decode": [["--log-y", "0", "--n", "1", "--m", "1", *zero, "--delta",
+                    "1", "--delta-prime", "1"],
+                   ["--log-y", "0", "--n", "1", "--m", "1", "--beta", "0",
+                    "--gamma", "0.5", "--delta", "1", "--delta-prime", "1"]],
+        "translate-field": [[*zero, "--mu", "1e300", "--degree", "1"],
+                            ["--beta", "0.5", "--gamma", "0", "--mu", "1e300",
+                             "--degree", "1"]],
+        "verify polarized": [["--pairs", "1"]],
+        "verify gadget-mean": [["--trials", "1"]],
+        "verify rate-bound": [["--step", "0.5"]],
+        "verify expander": [["--side", "1", "--delta", "1", "--seeds", "1"]],
+        "verify field": [["--pairs", "1"]],
+        "verify sandwich": [["--seeds", "1"]],
+        "verify coupling": [["--n", "1", "--b", "1", "--d", "1", "--trials", "1"]],
+    }
+    assert cases.keys() == {*cli.COMMANDS, *("verify " + c for c in cli.CHECKS)}
+    for command, tails in cases.items():
+        for tail in tails:
+            code = main([*command.split(), *tail])
+            captured = capsys.readouterr()
+            assert code != 4, (command, tail, captured.err)
+            if code in (0, 1):
+                _strict_json(captured.out)
 
 
 def test_z_stdout_does_not_depend_on_threads(capsys, tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import linear_log_partition
+from twospin import reduction
 from twospin.e2lin2 import E2Lin2Instance, random_instance
-from twospin.errors import RegimeError, UsageError
+from twospin.errors import RegimeError, ResourceLimitError, UsageError
 from twospin.logspace import log_sum_exp
 from twospin.reduction import (BoundsConstants, GadgetParams,
                                audit_reduction_graph, blocks_from_text,
@@ -257,6 +258,11 @@ def test_sandwich_check_runs():
         p = SpinParams(float(rng.uniform(0.05, 1)), float(rng.uniform(0.05, 1)))
         rep = sandwich_check(rg, p)
         assert rep.passed, rep
+    # 32 vertices: over the cap on every exact reduction sum
+    rg = build_reduction_graph(random_instance(4, 4, 1), GadgetParams(1, 1, 2, 0))
+    assert rg.graph.num_vertices > reduction.MAX_REDUCTION_VERTICES
+    with pytest.raises(ResourceLimitError):
+        sandwich_check(rg, SpinParams(0.5, 0.5))
 
 
 def test_decode_round_trip():
@@ -279,6 +285,11 @@ def test_decode_round_trip():
     with pytest.raises(UsageError):
         decode_satisfied_estimate(1.0, 2, 2,
                                   BoundsConstants(0.0, -1.0, SplitCase.BETA_BELOW_HALF))
+    # no variables or no equations: nothing to divide by
+    bc = BoundsConstants(0.0, 1.0, SplitCase.BETA_BELOW_HALF)
+    for n, m in ((0, 2), (2, 0), (-1, 2), (2, -3)):
+        with pytest.raises(UsageError):
+            decode_satisfied_estimate(1.0, n, m, bc)
 
 
 def test_blocks_roundtrip():

@@ -176,6 +176,8 @@ def test_spin_flip_symmetry():
 def test_partition_fraction_is_exact():
     tri = cycle_graph(3)
     assert partition_fraction(tri, 0, 1, 1) == 4  # empty + 3 singletons
+    with pytest.raises(ResourceLimitError):
+        partition_fraction(cycle_graph(spins.MAX_FRACTION_VERTICES + 1), 1, 1)
     assert partition_fraction(tri, Fraction(1, 2), Fraction(1, 2)) == \
         fraction_partition(3, tri.edges, Fraction(1, 2), Fraction(1, 2))
     # agrees with the oracle under constraints and fixed spins

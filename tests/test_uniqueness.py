@@ -48,6 +48,45 @@ def test_fixed_point_residual_sweep():
         count += 1
 
 
+def test_fixed_point_residual_sweep_zero_gamma_and_tiny_beta():
+    # gamma = 0 leaves f(0) infinite; a tiny beta lets the ratio's log1p form
+    # round to log(0) once x passes 2**53, so those cells take the other form
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            beta, gamma, log_mu = rng.uniform(0, 1.5), 0.0, rng.uniform(-6, 6)
+        else:
+            beta = rng.choice([0.0, 10 ** rng.uniform(-30, math.log10(2.0 ** -20))])
+            gamma = rng.choice([0.0, rng.uniform(0, 4)])
+            log_mu = rng.uniform(-300, 300)
+        p = SpinParams(float(beta), float(gamma), float(10 ** log_mu))
+        d = int(rng.integers(1, 201))
+        x = fixed_point(p, d)
+        assert abs(recursion_value(p, d, x) - x) <= 1e-12 * max(1.0, x)
+
+
+def test_zero_weights_fixed_point_closed_form():
+    # beta = gamma = 0 gives f(x) = mu/x**d: x_hat = mu**(1/(d+1)), |f'| = d
+    for mu in np.logspace(-300, 300, 25).tolist():
+        for d in (1, 2, 5, 40, 200):
+            r = uniqueness_check(SpinParams(0, 0, mu), d)
+            assert r.x_hat == pytest.approx(mu ** (1 / (d + 1)), rel=1e-12)
+            assert r.derivative_magnitude == pytest.approx(d, rel=1e-12)
+
+
+def test_huge_field_fixed_points():
+    # x (x + 1/2) = 1e300, with x far above 2**53
+    r = uniqueness_check(SpinParams(0, 0.5, 1e300), 1)
+    assert r.x_hat == pytest.approx(math.sqrt(1e300 + 1 / 16) - 0.25, rel=1e-12)
+    # f(x) = 1e300/x**d has |f'| = d at its fixed point
+    assert first_nonunique_degree(SpinParams(0, 0, 1e300), 64).degree == 1
+    # x (x + 4)**100 = 1e300, solved in log x by the oracle
+    log_x = bisect_root(
+        lambda y: math.log(1e300) - y - 100 * math.log(math.exp(y) + 4), 0.0, 700.0)
+    r = uniqueness_check(SpinParams(0, 4, 1e300), 100)
+    assert r.x_hat == pytest.approx(math.exp(log_x), rel=1e-12)
+
+
 def test_fixed_point_regime_errors():
     with pytest.raises(RegimeError):
         fixed_point(SpinParams(2.0, 2.0), 3)
