@@ -125,9 +125,7 @@ def _cmd_phase_map(args):
 
 
 def _cmd_reduce(args):
-    inst = e2lin2.read_instance(args.instance)
-    if not inst.is_normalized():
-        inst, _ = e2lin2.normalize(inst)
+    inst, _ = e2lin2.normalize(e2lin2.read_instance(args.instance))
     params = reduction.GadgetParams(args.delta, args.delta_prime,
                                     args.block_size, args.seed)
     rg = reduction.build_reduction_graph(inst, params)

@@ -5,8 +5,9 @@ Instances are stored 0-based; the text format is 1-based (DIMACS habit):
     p e2lin2 <n> <m>
     <i> <j> <b>          # one line per equation, 1-based variable indices
 
-Lines starting with '#' are comments.  Best over all assignments is found by
-exhaustive (bit-parallel) search, so instances are capped at 24 variables.
+Comments, blank lines and the header follow `graphs.read_records`.  Best
+over all assignments is found by exhaustive (bit-parallel) search, so
+instances are capped at 24 variables.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
+from .graphs import (int_fields, read_ascii, read_records, records_to_text,
+                     write_ascii)
 
 BEST_ASSIGNMENT_CAP = 24
 
@@ -45,7 +48,7 @@ class E2Lin2Instance:
 
     def is_normalized(self) -> bool:
         """True when every variable appears in some equation."""
-        return all(d > 0 for d in occurrence_counts(self))
+        return len(used_variables(self)) == self.num_vars
 
 
 def satisfied_count(inst: E2Lin2Instance, bits: Sequence[int]) -> int:
@@ -92,13 +95,17 @@ def occurrence_counts(inst: E2Lin2Instance) -> Tuple[int, ...]:
     return tuple(d)
 
 
+def used_variables(inst: E2Lin2Instance) -> Tuple[int, ...]:
+    """The variables that some equation uses, ascending; O(m) for any n."""
+    return tuple(sorted({v for i, j, _ in inst.equations for v in (i, j)}))
+
+
 def normalize(inst: E2Lin2Instance) -> Tuple[E2Lin2Instance, Tuple[int, ...]]:
     """Drop variables that appear in no equation and renumber.
 
     Returns the normalized instance and a map new_index -> old_index.
     """
-    occ = occurrence_counts(inst)
-    kept = tuple(v for v in range(inst.num_vars) if occ[v] > 0)
+    kept = used_variables(inst)
     if len(kept) == inst.num_vars:
         return inst, kept
     renum = {old: new for new, old in enumerate(kept)}
@@ -111,61 +118,36 @@ def normalize(inst: E2Lin2Instance) -> Tuple[E2Lin2Instance, Tuple[int, ...]]:
 
 
 def format_instance(inst: E2Lin2Instance) -> str:
-    lines = [f"p e2lin2 {inst.num_vars} {inst.num_equations}"]
-    for i, j, b in inst.equations:
-        lines.append(f"{i + 1} {j + 1} {b}")
-    return "\n".join(lines) + "\n"
+    return records_to_text("e2lin2", (inst.num_vars, inst.num_equations),
+                           (f"{i + 1} {j + 1} {b}" for i, j, b in inst.equations))
 
 
 def parse_instance(text: str) -> E2Lin2Instance:
-    header = None
+    records = read_records(text, "e2lin2", 2)
+    n, m = next(records)
     eqs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise UsageError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "e2lin2":
-                raise UsageError(f"line {lineno}: bad header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad header {line!r}") from None
-        else:
-            if header is None:
-                raise UsageError(f"line {lineno}: equation before header")
-            if len(parts) != 3:
-                raise UsageError(f"line {lineno}: bad equation {line!r}")
-            try:
-                i, j, b = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad equation {line!r}") from None
-            n = header[0]
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise UsageError(f"line {lineno}: variable index outside 1..{n}")
-            if i == j:
-                raise UsageError(f"line {lineno}: repeated variable")
-            if b not in (0, 1):
-                raise UsageError(f"line {lineno}: b must be 0 or 1")
-            eqs.append((i - 1, j - 1, b))
-    if header is None:
-        raise UsageError("missing 'p e2lin2' header")
-    if len(eqs) != header[1]:
-        raise UsageError(f"header declares {header[1]} equations, found {len(eqs)}")
-    return E2Lin2Instance(header[0], tuple(eqs))
+    for lineno, line, tokens in records:
+        if len(tokens) != 3:
+            raise UsageError(f"line {lineno}: bad equation {line!r}")
+        i, j, b = int_fields(tokens, lineno, line)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise UsageError(f"line {lineno}: variable index outside 1..{n}")
+        if i == j:
+            raise UsageError(f"line {lineno}: repeated variable")
+        if b not in (0, 1):
+            raise UsageError(f"line {lineno}: b must be 0 or 1")
+        eqs.append((i - 1, j - 1, b))
+    if len(eqs) != m:
+        raise UsageError(f"header declares {m} equations, found {len(eqs)}")
+    return E2Lin2Instance(n, tuple(eqs))
 
 
 def write_instance(inst: E2Lin2Instance, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_instance(inst))
+    write_ascii(path, format_instance(inst))
 
 
 def read_instance(path) -> E2Lin2Instance:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(read_ascii(path))
 
 
 def random_instance(n: int, m: int, seed: int) -> E2Lin2Instance:

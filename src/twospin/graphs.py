@@ -7,8 +7,10 @@ weight exponentiation is O(1) per record either way.
 Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
-Lines starting with '#' are comments.  The writer emits records sorted by
-(u, v); the reader accepts any order and aggregates duplicate pairs.
+The writer emits records sorted by (u, v); the reader accepts any order and
+aggregates duplicate pairs.  `read_records` holds the syntax that this file,
+the E2LIN2 instance and the block map share: ASCII, '#' and blank lines
+skipped, one integer header first.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ from typing import Iterable, Sequence, Tuple
 from .errors import UsageError
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
+MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,8 @@ class MultiGraph:
                 raise UsageError(f"self-loop at vertex {u}")
             if u > v:
                 raise UsageError(f"edge ({u},{v}) not in canonical u < v order")
-            if m <= 0:
-                raise UsageError(f"edge ({u},{v}) has nonpositive multiplicity {m}")
+            if not 0 < m <= MAX_MULTIPLICITY:
+                raise UsageError(f"edge ({u},{v}) multiplicity {m} is outside 1..2**53")
             if (u, v) in seen:
                 raise UsageError(f"duplicate record for edge ({u},{v})")
             seen.add((u, v))
@@ -48,14 +51,8 @@ class MultiGraph:
         """Build a graph from (u, v[, mult]) items, aggregating duplicates."""
         mults = {}
         for item in edges:
-            if len(item) == 2:
-                u, v = item
-                m = 1
-            else:
-                u, v, m = item
-            if u == v:
-                raise UsageError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            u, v, m = item if len(item) == 3 else (*item, 1)
+            key = (u, v) if u < v else (v, u)  # a self-loop is refused below
             mults[key] = mults.get(key, 0) + int(m)
         records = tuple(sorted((u, v, m) for (u, v), m in mults.items()))
         return cls(num_vertices, records)
@@ -71,9 +68,6 @@ class MultiGraph:
             deg[u] += m
             deg[v] += m
         return tuple(deg)
-
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
 
     def is_regular(self) -> bool:
         deg = self.degrees()
@@ -131,65 +125,89 @@ class BipartiteGadget:
 
 
 # ---------------------------------------------------------------------------
-# Text format
+# Text formats: the syntax that the graph, instance and block-map files share
+
+
+def read_records(text: str, kind: str, num_fields: int):
+    """Yield the `p <kind>` header's ints, then (lineno, line, tokens) per record.
+
+    Blank and '#' lines are skipped.  A malformed, missing or repeated header,
+    or a record before it, raises UsageError naming the line.
+    """
+    header = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "p":
+            if header is not None:
+                raise UsageError(f"line {lineno}: duplicate header")
+            if len(tokens) != num_fields + 2 or tokens[1] != kind:
+                raise UsageError(f"line {lineno}: bad header {line!r}")
+            header = int_fields(tokens[2:], lineno, line)
+            yield header
+        elif header is None:
+            raise UsageError(f"line {lineno}: record before the 'p {kind}' header")
+        else:
+            yield lineno, line, tokens
+    if header is None:
+        raise UsageError(f"missing 'p {kind}' header")
+
+
+def int_fields(tokens, lineno: int, line: str):
+    """The tokens as ints; a non-integer raises UsageError naming the line."""
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise UsageError(f"line {lineno}: non-integer field in {line!r}") from None
+
+
+def read_ascii(path) -> str:
+    """The file's text; a byte outside ASCII raises UsageError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
+def write_ascii(path, text: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def records_to_text(kind: str, header, records) -> str:
+    """The inverse of read_records: the `p <kind>` header line, then the records."""
+    return "\n".join([" ".join(["p", kind, *map(str, header)]), *records]) + "\n"
 
 
 def graph_to_text(g: MultiGraph) -> str:
-    lines = [f"p graph {g.num_vertices} {len(g.edges)}"]
-    for u, v, m in sorted(g.edges):
-        lines.append(f"e {u} {v} {m}")
-    return "\n".join(lines) + "\n"
+    return records_to_text("graph", (g.num_vertices, len(g.edges)),
+                           (f"e {u} {v} {m}" for u, v, m in sorted(g.edges)))
 
 
 def graph_from_text(text: str) -> MultiGraph:
-    num_vertices = None
-    declared = None
-    raw = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vertices is not None:
-                raise UsageError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "graph":
-                raise UsageError(f"line {lineno}: bad header {line!r}")
-            try:
-                num_vertices, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad header {line!r}") from None
-        elif parts[0] == "e":
-            if num_vertices is None:
-                raise UsageError(f"line {lineno}: edge before header")
-            if len(parts) != 4:
-                raise UsageError(f"line {lineno}: bad edge record {line!r}")
-            try:
-                u, v, m = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad edge record {line!r}") from None
-            raw.append((u, v, m, lineno))
-        else:
-            raise UsageError(f"line {lineno}: unknown record {line!r}")
-    if num_vertices is None:
-        raise UsageError("missing 'p graph' header")
-    try:
-        g = MultiGraph.from_edges(num_vertices, [(u, v, m) for u, v, m, _ in raw])
-    except UsageError as exc:
-        raise UsageError(f"invalid edge list: {exc}") from None
-    if declared is not None and declared != len(raw):
-        raise UsageError(f"header declares {declared} records, found {len(raw)}")
-    return g
+    records = read_records(text, "graph", 2)
+    num_vertices, declared = next(records)
+    edges = []
+    for lineno, line, tokens in records:
+        if len(tokens) != 4 or tokens[0] != "e":
+            raise UsageError(f"line {lineno}: bad edge record {line!r}")
+        try:  # inline, not through int_fields: this loop is the hot one
+            edges.append((int(tokens[1]), int(tokens[2]), int(tokens[3])))
+        except ValueError:
+            raise UsageError(f"line {lineno}: non-integer field in {line!r}") from None
+    if declared != len(edges):
+        raise UsageError(f"header declares {declared} records, found {len(edges)}")
+    return MultiGraph.from_edges(num_vertices, edges)
 
 
 def write_graph(g: MultiGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(g))
+    write_ascii(path, graph_to_text(g))
 
 
 def read_graph(path) -> MultiGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_ascii(path))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, UsageError
-from .graphs import BipartiteGadget, MultiGraph
+from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii,
+                     read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_sum_exp, scaled_log
 from .spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                     log_partition)
@@ -423,7 +424,10 @@ def decode_satisfied_estimate(log_estimate: float, n: int, m: int,
         raise UsageError("decoder needs log D > 0")
     num = (log_estimate - math.log1p(relative_error) - n * math.log(2)
            - m * m * constants.log_c - slack * m * m * constants.log_d)
-    return num / (m * constants.log_d)
+    estimate = num / (m * constants.log_d)
+    if not math.isfinite(estimate):
+        raise UsageError(f"decoded estimate {estimate} is not finite")
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -477,25 +481,15 @@ def blocks_to_text(rg: ReductionGraph) -> str:
     as `e i j b` lines (1-based), then one `block U|V <var> <occ> <v...>`
     line per block (0-based vertex ids).
     """
-    inst = rg.instance
-    par = rg.params
-    lines = [f"p blocks {inst.num_vars} {inst.num_equations} {par.block_size} "
-             f"{par.delta} {par.delta_prime} {par.seed}"]
-    for i, j, b in inst.equations:
-        lines.append(f"e {i + 1} {j + 1} {b}")
-    for i in range(inst.num_vars):
-        for k, block in enumerate(rg.u_blocks[i]):
-            lines.append(f"block U {i} {k} " + " ".join(str(v) for v in block))
-        for k, block in enumerate(rg.v_blocks[i]):
-            lines.append(f"block V {i} {k} " + " ".join(str(v) for v in block))
-    return "\n".join(lines) + "\n"
-
-
-def _ints(tokens, lineno: int, line: str):
-    try:
-        return [int(x) for x in tokens]
-    except ValueError:
-        raise UsageError(f"line {lineno}: non-integer field in {line!r}") from None
+    inst, par = rg.instance, rg.params
+    equations = [f"e {i + 1} {j + 1} {b}" for i, j, b in inst.equations]
+    blocks = [f"block {side} {i} {k} " + " ".join(map(str, block))
+              for i in range(inst.num_vars)
+              for side, per_var in (("U", rg.u_blocks[i]), ("V", rg.v_blocks[i]))
+              for k, block in enumerate(per_var)]
+    return records_to_text("blocks", (inst.num_vars, inst.num_equations, par.block_size,
+                                      par.delta, par.delta_prime, par.seed),
+                           equations + blocks)
 
 
 def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
@@ -505,40 +499,25 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
     with the graph (its structure, or equations that prescribe other
     inter-gadget edges than the graph has), raise UsageError.
     """
-    header = None
+    records = read_records(text, "blocks", 6)
+    n, m, t, delta, delta_prime, seed = next(records)
     equations = []
     blocks: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if parts[0] == "p":
-            if header is not None:
-                raise UsageError(f"line {lineno}: duplicate header")
-            if len(parts) != 8 or parts[1] != "blocks":
-                raise UsageError(f"line {lineno}: bad header {line!r}")
-            header = _ints(parts[2:], lineno, line)
-        elif parts[0] == "e":
-            if len(parts) != 4:
-                raise UsageError(f"line {lineno}: bad equation {line!r}")
-            i, j, b = _ints(parts[1:], lineno, line)
+    for lineno, line, tokens in records:
+        if tokens[0] == "e" and len(tokens) == 4:
+            i, j, b = int_fields(tokens[1:], lineno, line)
             equations.append((i - 1, j - 1, b))
-        elif parts[0] == "block":
-            if len(parts) < 5 or parts[1] not in ("U", "V"):
-                raise UsageError(f"line {lineno}: bad block record {line!r}")
-            i, k, *vertices = _ints(parts[2:], lineno, line)
-            if (parts[1], i, k) in blocks:
+        elif tokens[0] == "block" and len(tokens) >= 5 and tokens[1] in ("U", "V"):
+            i, k, *vertices = int_fields(tokens[2:], lineno, line)
+            if (tokens[1], i, k) in blocks:
                 raise UsageError(f"line {lineno}: duplicate block record {line!r}")
-            blocks[(parts[1], i, k)] = tuple(vertices)
+            blocks[(tokens[1], i, k)] = tuple(vertices)
         else:
-            raise UsageError(f"line {lineno}: unknown record {line!r}")
-    if header is None:
-        raise UsageError("missing 'p blocks' header")
-    n, m, t, delta, delta_prime, seed = header
+            raise UsageError(f"line {lineno}: bad record {line!r}")
     if len(equations) != m:
         raise UsageError(f"header declares {m} equations, found {len(equations)}")
     inst = E2Lin2Instance(n, tuple(equations))
-    if n > 2 * m or not inst.is_normalized():
+    if not inst.is_normalized():
         raise UsageError("block map instance has unused variables")
     params = GadgetParams(delta, delta_prime, t, seed)
     occ = occurrence_counts(inst)
@@ -560,10 +539,8 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
 
 
 def write_blocks(rg: ReductionGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(blocks_to_text(rg))
+    write_ascii(path, blocks_to_text(rg))
 
 
 def read_blocks(path, graph: MultiGraph) -> ReductionGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return blocks_from_text(fh.read(), graph)
+    return blocks_from_text(read_ascii(path), graph)

@@ -319,7 +319,9 @@ def test_degenerate_inputs_never_exit_4(capsys, tmp_path, edge_file, anti3_file)
         "decode": [["--log-y", "0", "--n", "1", "--m", "1", *zero, "--delta",
                     "1", "--delta-prime", "1"],
                    ["--log-y", "0", "--n", "1", "--m", "1", "--beta", "0",
-                    "--gamma", "0.5", "--delta", "1", "--delta-prime", "1"]],
+                    "--gamma", "0.5", "--delta", "1", "--delta-prime", "1"],
+                   ["--log-y", "1e300", "--n", "1", "--m", "1", "--log-c", "0",
+                    "--log-d", "1e-300"]],
         "translate-field": [[*zero, "--mu", "1e300", "--degree", "1"],
                             ["--beta", "0.5", "--gamma", "0", "--mu", "1e300",
                              "--degree", "1"]],
@@ -339,6 +341,21 @@ def test_degenerate_inputs_never_exit_4(capsys, tmp_path, edge_file, anti3_file)
             assert code != 4, (command, tail, captured.err)
             if code in (0, 1):
                 _strict_json(captured.out)
+
+
+def test_non_ascii_input_files_exit_2(capsys, tmp_path):
+    graph = tmp_path / "g.graph"
+    graph.write_bytes(b"# caf\xc3\xa9\np graph 2 1\ne 0 1 1\n")
+    inst = tmp_path / "i.e2"
+    inst.write_bytes(b"p e2lin2 2 1\n1 2 1 \x80\n")
+    for argv in (["z", "--graph", str(graph), "--beta", "1", "--gamma", "1"],
+                 ["theta-star", "--instance", str(inst)],
+                 ["reduce", "--instance", str(inst), "--delta", "1", "--delta-prime",
+                  "1", "--block-size", "1", "--out-prefix", str(tmp_path / "r")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-ASCII" in captured.err
+    assert not (tmp_path / "r.graph").exists()
 
 
 def test_z_stdout_does_not_depend_on_threads(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_normalize_drops_unused():
     assert norm.is_normalized()
 
 
+def test_normalize_is_linear_in_equations_not_declared_variables():
+    # the header may declare far more variables than 2m equations can use
+    inst = parse_instance("p e2lin2 10000000 1\n3 9999999 1\n")
+    tracemalloc.start()
+    try:
+        normalized = inst.is_normalized()
+        norm, kept = normalize(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not normalized and kept == (2, 9999998)
+    assert norm == E2Lin2Instance(2, ((0, 1, 1),))
+    assert peak < 1 << 20
+
+
 def test_codec_roundtrip(tmp_path):
     text = "p e2lin2 2 1\n1 2 1\n"
     inst = parse_instance(text)
@@ -126,6 +142,8 @@ def test_codec_errors():
         parse_instance("1 2 1\n")
     with pytest.raises(UsageError, match="declares"):
         parse_instance("p e2lin2 2 3\n1 2 1\n")
+    with pytest.raises(UsageError, match="line 3: non-integer field"):
+        parse_instance("# x\np e2lin2 2 1\n1 2 b\n")
 
 
 def test_random_instance_determinism():

@@ -1,0 +1,166 @@
+"""Property tests for the three text formats: graph, E2LIN2 instance, block map.
+
+Every parser and file reader either returns a value or raises UsageError,
+whatever text or bytes it is fed; well-formed text, with comments, blank
+lines and extra whitespace mixed in, parses to the value it was written
+from.  Hypothesis runs derandomized with a bounded example count, so these
+tests check the same inputs on every run.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twospin.e2lin2 import (E2Lin2Instance, format_instance, normalize,
+                            parse_instance, read_instance)
+from twospin.errors import UsageError
+from twospin.graphs import (MAX_MULTIPLICITY, MultiGraph, graph_from_text,
+                            graph_to_text, read_graph)
+from twospin.reduction import (GadgetParams, blocks_from_text, blocks_to_text,
+                               build_reduction_graph, read_blocks)
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# tokens and characters that mutants splice in: the formats' own keywords,
+# edge-case integers, comment marks, line breaks that str.splitlines honours,
+# and non-ASCII text (a Latin letter, an Arabic-Indic digit, a line separator)
+TOKENS = ("p", "e", "block", "U", "V", "graph", "e2lin2", "blocks", "#", "0",
+          "1", "2", "-1", "7", "1.5", "x", str(MAX_MULTIPLICITY + 1), "\u00e9",
+          "\u0663", "\u2028", " ", "\x0c", "\r", "\n", "  ")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 7))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    mults = draw(st.dictionaries(pair.filter(lambda e: e[0] < e[1]),
+                                 st.integers(1, MAX_MULTIPLICITY), max_size=10))
+    return MultiGraph(n, tuple(sorted((u, v, m) for (u, v), m in mults.items())))
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 5))
+    equation = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.integers(0, 1)).filter(lambda e: e[0] != e[1])
+    return E2Lin2Instance(n, tuple(draw(st.lists(equation, min_size=1, max_size=6))))
+
+
+@st.composite
+def reductions(draw):
+    inst, _ = normalize(draw(instances()))
+    params = GadgetParams(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                          draw(st.integers(1, 2)), draw(st.integers(0, 1 << 31)))
+    return build_reduction_graph(inst, params)
+
+
+def decorated(draw, text):
+    """text with comments, blank lines, spacing and line endings varied."""
+    out = []
+    for line in text.splitlines():
+        out += draw(st.lists(st.sampled_from(["", " \t", "#", "# p graph 1 0", "  #x"]),
+                             max_size=2))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        out.append(draw(st.sampled_from(["", " "])) + sep.join(line.split())
+                   + draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(out) + draw(st.sampled_from(["", end]))
+
+
+def mutated(draw, text):
+    """text after one to three random edits: cut or splice characters,
+    replace a token, duplicate a line or swap two lines."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines(keepends=True) or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["cut", "splice", "token", "dup", "swap"]))
+        if kind == "cut":
+            text = text[:at] + text[draw(st.integers(at, len(text))):]
+        elif kind == "splice":
+            text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+        elif kind == "token":
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(words) + "\n"
+            text = "".join(lines)
+        elif kind == "dup":
+            text = "".join(lines[:i + 1] + lines[i:])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+    return text
+
+
+def _accepts_or_refuses(parse, to_text, text):
+    """parse(text) raises UsageError, or what it returns writes back unchanged."""
+    try:
+        value = parse(text)
+    except UsageError:
+        return None
+    assert parse(to_text(value)) == value
+    return value
+
+
+@FUZZ
+@given(st.data())
+def test_graph_text_round_trips_or_raises_usage_error(data):
+    g = data.draw(graphs())
+    text = graph_to_text(g)
+    assert graph_to_text(graph_from_text(decorated(data.draw, text))) == text
+    _accepts_or_refuses(graph_from_text, graph_to_text, mutated(data.draw, text))
+
+
+@FUZZ
+@given(st.data())
+def test_instance_text_round_trips_or_raises_usage_error(data):
+    inst = data.draw(instances())
+    text = format_instance(inst)
+    assert format_instance(parse_instance(decorated(data.draw, text))) == text
+    _accepts_or_refuses(parse_instance, format_instance, mutated(data.draw, text))
+
+
+@FUZZ
+@given(st.data())
+def test_blocks_text_round_trips_or_raises_usage_error(data):
+    rg = data.draw(reductions())
+    text = blocks_to_text(rg)
+    assert blocks_to_text(blocks_from_text(decorated(data.draw, text), rg.graph)) == text
+    _accepts_or_refuses(lambda t: blocks_from_text(t, rg.graph), blocks_to_text,
+                        mutated(data.draw, text))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@FUZZ
+@given(data=st.data())
+def test_file_readers_refuse_non_ascii_bytes(fuzz_file, data):
+    rg = data.draw(reductions())
+    kind = data.draw(st.sampled_from(["graph", "instance", "blocks"]))
+    text, parse, read = {
+        "graph": (graph_to_text(rg.graph), graph_from_text, read_graph),
+        "instance": (format_instance(rg.instance), parse_instance, read_instance),
+        "blocks": (blocks_to_text(rg), lambda t: blocks_from_text(t, rg.graph),
+                   lambda path: read_blocks(path, rg.graph)),
+    }[kind]
+    raw = bytearray(mutated(data.draw, text).encode("utf-8"))
+    for _ in range(data.draw(st.integers(0, 2))):
+        raw.insert(data.draw(st.integers(0, len(raw))), data.draw(st.integers(0, 255)))
+    fuzz_file.write_bytes(bytes(raw))
+    try:
+        decoded = bytes(raw).decode("ascii")
+    except UnicodeDecodeError:
+        with pytest.raises(UsageError, match="non-ASCII"):
+            read(fuzz_file)
+        return
+    try:
+        expected = parse(decoded)
+    except UsageError:
+        with pytest.raises(UsageError):
+            read(fuzz_file)
+        return
+    assert read(fuzz_file) == expected

@@ -1,11 +1,11 @@
 import pytest
 
 from twospin.errors import UsageError
-from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
-                            cycle_graph, graph_from_text, graph_to_text,
-                            grid_graph, hypercube_graph, path_graph,
-                            petersen_graph, read_graph, single_edge,
-                            write_graph)
+from twospin.graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph,
+                            complete_graph, cycle_graph, graph_from_text,
+                            graph_to_text, grid_graph, hypercube_graph,
+                            path_graph, petersen_graph, read_graph,
+                            single_edge, write_graph)
 
 
 def test_from_edges_aggregates_duplicates():
@@ -65,9 +65,23 @@ def test_reader_aggregates_and_accepts_comments():
     assert g.edges == ((0, 1, 3),)
 
 
+def test_multiplicities_must_fit_a_double():
+    # the kernels multiply multiplicities by log-weights as doubles, so each
+    # must be exact there; 400 digits used to overflow inside `twospin z`
+    assert MultiGraph(2, ((0, 1, MAX_MULTIPLICITY),)).num_edges == 2 ** 53
+    with pytest.raises(UsageError, match="multiplicity"):
+        graph_from_text("p graph 2 1\ne 0 1 " + "9" * 400 + "\n")
+    with pytest.raises(UsageError, match="multiplicity"):
+        MultiGraph.from_edges(2, [(0, 1, MAX_MULTIPLICITY), (1, 0, 1)])
+
+
 def test_reader_errors_carry_line_numbers():
-    with pytest.raises(UsageError, match="line 2"):
+    with pytest.raises(UsageError, match="line 2: non-integer field"):
         graph_from_text("p graph 2 1\ne 0 two 1\n")
+    with pytest.raises(UsageError, match="line 3: duplicate header"):
+        graph_from_text("p graph 2 1\ne 0 1 1\np graph 2 1\n")
+    with pytest.raises(UsageError, match="line 1: bad header"):
+        graph_from_text("p e2lin2 2 1\n")
     with pytest.raises(UsageError, match="header"):
         graph_from_text("e 0 1 1\n")
     with pytest.raises(UsageError, match="declares"):

@@ -290,6 +290,10 @@ def test_decode_round_trip():
     for n, m in ((0, 2), (2, 0), (-1, 2), (2, -3)):
         with pytest.raises(UsageError):
             decode_satisfied_estimate(1.0, n, m, bc)
+    # finite inputs whose quotient overflows a double
+    with pytest.raises(UsageError, match="not finite"):
+        decode_satisfied_estimate(1e300, 1, 1, BoundsConstants(
+            0.0, 1e-300, SplitCase.BETA_BELOW_HALF))
 
 
 def test_blocks_roundtrip():
@@ -300,6 +304,10 @@ def test_blocks_roundtrip():
     assert back == rg
     with pytest.raises(UsageError):
         blocks_from_text("block U 0 0 1 2\n", rg.graph)
+    # the header comes first, as the writer puts it
+    header, *records = text.splitlines(keepends=True)
+    with pytest.raises(UsageError, match="line 1: record before"):
+        blocks_from_text("".join(records[:1] + [header] + records[1:]), rg.graph)
 
 
 def _mutants(text, rng, count):
