@@ -7,8 +7,8 @@ from .graphs import BipartiteGadget, MultiGraph, graph_from_text, graph_to_text,
     read_graph, write_graph
 from .spins import (CountLeq, CountRange, FieldIdentityReport, MinCountAtMost,
                     SpinParams, field_identity_report, log_config_weight,
-                    log_partition, log_profile_sum, partition_fraction,
-                    remove_field)
+                    log_partition, log_partition_histogram, log_profile_sum,
+                    partition_fraction, remove_field)
 from .uniqueness import (CaseParams, DegreeScan, OutsideSquareDegrees,
                          PhaseRegion, SplitCase, UniquenessReport,
                          always_unique_bound, case_split, classify_phase,
@@ -22,9 +22,10 @@ from .e2lin2 import (E2Lin2Instance, best_assignment, format_instance,
 from .reduction import (BoundsConstants, GadgetParams, ReductionGraph,
                         SandwichReport, StructureAudit, audit_reduction_graph,
                         bounds_constants, build_reduction_graph,
-                        decode_satisfied_estimate, log_polarized_sum_brute,
-                        log_polarized_sum_closed, log_restricted_sum,
-                        read_blocks, sample_gadget, sandwich_check, write_blocks)
+                        decode_satisfied_estimate, log_majority_sums,
+                        log_polarized_sum_brute, log_polarized_sum_closed,
+                        log_restricted_sum, read_blocks, sample_gadget,
+                        sandwich_check, write_blocks)
 from .analysis import (CouplingReport, ExpanderAudit, MCEstimate, RateBoundScan,
                        coupling_sim, entropy, exact_rate, expander_audit,
                        expected_profile_sum_log, expected_profile_sum_mc,

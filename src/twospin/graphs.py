@@ -132,10 +132,14 @@ def read_records(text: str, kind: str, num_fields: int):
     """Yield the `p <kind>` header's ints, then (lineno, line, tokens) per record.
 
     Blank and '#' lines are skipped.  A malformed, missing or repeated header,
-    or a record before it, raises UsageError naming the line.
+    or a record before it, raises UsageError naming the line.  Lines end at
+    '\n', '\r\n' or '\r' (the universal newlines), not at the other breaks
+    that str.splitlines honours, so a '\n' file's lines are numbered as
+    `wc -l` counts them.
     """
     header = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue

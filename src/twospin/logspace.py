@@ -27,14 +27,10 @@ def scaled_log(base: float, exponent: float) -> float:
     return exponent * math.log(base)
 
 
-def log_add(la: float, lb: float) -> float:
-    """log(exp(la) + exp(lb)), safe when either side is -inf."""
-    if la == LOG_ZERO:
-        return lb
-    if lb == LOG_ZERO:
-        return la
-    hi, lo = (la, lb) if la >= lb else (lb, la)
-    return hi + math.log1p(math.exp(lo - hi))
+def log_add(la, lb):
+    """log(exp(la) + exp(lb)), elementwise on arrays; -inf on either side is
+    absorbed, so two -inf give -inf."""
+    return np.logaddexp(la, lb)
 
 
 def log_sum_exp(values) -> float:
@@ -58,24 +54,58 @@ def log_sum_exp_inplace(arr: np.ndarray) -> float:
     return hi + math.log(float(np.sum(arr)))
 
 
-def log_sum_exp_pairwise(parts) -> float:
-    """Combine partial log-sums by a fixed pairwise tree.
+def log_sum_exp_by_bucket(values: np.ndarray, buckets: np.ndarray, size: int,
+                          shifts: np.ndarray) -> np.ndarray:
+    """Per-bucket log_sum_exp: entry j combines the values whose bucket is j,
+    and is -inf where there are none.
 
-    Used to merge per-chunk results of a split enumeration: the tree shape
-    depends only on the list length, so the result is independent of which
-    worker produced which part.
+    `values` (floats, overwritten), `buckets` (ints in [0, size)) and
+    `shifts` (floats, scratch space) are contiguous arrays of one shape.
+    Each bucket is shifted by its own maximum, never the overall one, so a
+    bucket far below the others keeps its precision.
     """
-    parts = list(parts)
-    if not parts:
+    values, buckets, shifts = values.ravel(), buckets.ravel(), shifts.ravel()
+    top = np.full(size, LOG_ZERO)
+    np.maximum.at(top, buckets, values)
+    top[top == LOG_ZERO] = 0.0  # empty and all-zero buckets sum to 0
+    np.take(top, buckets, out=shifts, mode="clip")  # "raise" would buffer
+    values -= shifts
+    np.exp(values, out=values)
+    sums = np.bincount(buckets, weights=values, minlength=size)
+    out = np.full(size, LOG_ZERO)
+    np.log(sums, out=out, where=sums > 0)
+    return out + top
+
+
+def pairwise_add(tree, start, size, value):
+    """Add the node of `size` parts from part `start` on to `tree`, a list
+    of (start, size, log-sum) nodes in part order, and merge sibling nodes
+    as soon as both are there.
+
+    This merges partial log-sums (floats, or equal-shape arrays combined
+    elementwise) by a fixed pairwise tree, the one that pairs parts level
+    by level; its shape depends only on the number of parts.  A node that
+    starts at a multiple of twice its size is a left child; the others
+    merge with the node of their size just before them.  So a range of
+    parts keeps at most one node per level, and adding one range's nodes in
+    order to the tree of the parts before them continues the same tree: the
+    result does not depend on how the parts were split among workers.
+    """
+    while tree and start % (2 * size) == size and tree[-1][1] == size:
+        start, _, left = tree.pop()
+        size, value = 2 * size, log_add(left, value)
+    tree.append((start, size, value))
+
+
+def pairwise_root(tree):
+    """The log-sum of a tree's nodes; nodes left without a sibling merge
+    from the right, as pairing level by level carries an odd part up."""
+    if not tree:
         return LOG_ZERO
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            nxt.append(log_add(parts[i], parts[i + 1]))
-        if len(parts) % 2 == 1:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+    value = tree[-1][2]
+    for _, _, left in reversed(tree[:-1]):
+        value = log_add(left, value)
+    return value
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -28,9 +28,9 @@ from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, UsageError
 from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii,
                      read_records, records_to_text, write_ascii)
-from .logspace import LOG_ZERO, log_sum_exp, scaled_log
+from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
 from .spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
-                    log_partition)
+                    log_partition, log_partition_histogram)
 from .uniqueness import SplitCase
 
 DEFAULT_MINORITY_FRACTION = 9e-5  # cap on the smaller zero-count, as a fraction
@@ -450,21 +450,51 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_check(rg: ReductionGraph, p: SpinParams, *, tolerance: float = 1e-9,
-                   threads: int = 1) -> SandwichReport:
-    """Verify max_S Z(G,S) <= Z(G) <= sum_S Z(G,S) over all 2^n assignments."""
+@dataclass(frozen=True)
+class _MajoritySign:
+    """The base-3 digit weight * (1 + sign(zeros(U) - zeros(V))) of one
+    variable: 0, 1, 2 for fewer zeros on U, a tie, fewer zeros on V."""
+
+    sets: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    weight: int
+
+    def digit(self, zeros_u, zeros_v):
+        return self.weight * (np.sign(zeros_u - zeros_v) + 1)
+
+
+def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
+                      threads: int = 1) -> Tuple[float, np.ndarray]:
+    """log Z(G) and the 2^n majority sums log Z(G,S), from one enumeration.
+
+    The enumeration buckets every configuration by its majority signs, one
+    base-3 digit per variable (3^n buckets).  Z(G) is the sum of all
+    buckets; Z(G,S) keeps the digits {-, 0} of variable i where S_i = 0 and
+    {0, +} where S_i = 1, so a tie counts for both, as CountLeq does.
+    Folding each axis of the 3^n histogram into those two halves gives all
+    2^n sums, at index sum_i S_i 2^i.
+    """
     _require_flat_field(p)
     n = rg.instance.num_vars
-    log_total = log_partition(rg.graph, p, max_vertices=MAX_REDUCTION_VERTICES,
-                              threads=threads)
-    parts = []
-    for enc in range(1 << n):
-        bits = tuple((enc >> i) & 1 for i in range(n))
-        parts.append(log_restricted_sum(rg, p, ("majority",), bits,
-                                        threads=threads))
+    signs = [_MajoritySign((rg.u_side(i), rg.v_side(i)), 3 ** i) for i in range(n)]
+    hist = log_partition_histogram(rg.graph, p, signs, 3 ** n,
+                                   max_vertices=MAX_REDUCTION_VERTICES,
+                                   threads=threads)
+    # axis 0 is variable n - 1, so a C-order ravel indexes by sum_i S_i 2^i
+    sums = hist.reshape((3,) * n)
+    for axis in range(n):
+        fewer, tie, more = np.split(sums, 3, axis=axis)
+        sums = np.concatenate([log_add(fewer, tie), log_add(tie, more)], axis=axis)
+    return log_sum_exp(hist), sums.ravel()
+
+
+def sandwich_check(rg: ReductionGraph, p: SpinParams, *, tolerance: float = 1e-9,
+                   threads: int = 1) -> SandwichReport:
+    """Verify max_S Z(G,S) <= Z(G) <= sum_S Z(G,S) over all 2^n assignments,
+    all from the one enumeration of log_majority_sums."""
+    log_total, parts = log_majority_sums(rg, p, threads=threads)
     return SandwichReport(
         log_total=log_total,
-        log_max_restricted=max(parts),
+        log_max_restricted=float(parts.max()),
         log_sum_restricted=log_sum_exp(parts),
         tolerance=tolerance,
     )

@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
-from .logspace import (LOG_ZERO, log_sum_exp, log_sum_exp_inplace,
-                       log_sum_exp_pairwise, scaled_log)
+from .logspace import (LOG_ZERO, log_sum_exp, log_sum_exp_by_bucket,
+                       log_sum_exp_inplace, pairwise_add, pairwise_root,
+                       scaled_log)
 
 DEFAULT_MAX_VERTICES = 28
 MAX_FRACTION_VERTICES = 20  # free vertices of the exact rational oracle
@@ -67,15 +68,29 @@ class SpinParams:
 
 
 # ---------------------------------------------------------------------------
-# Side constraints on zero-counts of vertex sets
+# Zero-count profiles
 #
-# Each constraint names its vertex sets (`sets`) and answers, for given
-# zero-counts of those sets, whether a configuration is admitted (`admits`).
-# The zero-counts may be ints or integer arrays; the answer has their shape.
+# A profile sorts configurations into buckets by the zero-counts of vertex
+# sets.  Each of its terms names its vertex sets (`sets`) and maps their
+# zero-counts to an offset (`digit`); a configuration's bucket is the sum of
+# its terms' offsets, and one DISCARD offset drops it from every bucket.  The
+# zero-counts may be ints or integer arrays; the offsets have their shape.
+# The offsets must be nonnegative (or DISCARD), and their largest values
+# must sum below the number of buckets.
+
+DISCARD = -1
+
+
+class SideConstraint:
+    """A profile term that answers whether a configuration is admitted
+    (`admits`): its offset is 0 where it is, and DISCARD elsewhere."""
+
+    def digit(self, *zeros):
+        return np.where(self.admits(*zeros), 0, DISCARD)
 
 
 @dataclass(frozen=True)
-class CountRange:
+class CountRange(SideConstraint):
     """lo <= #zeros(vertices) <= hi."""
 
     vertices: Tuple[int, ...]
@@ -98,7 +113,7 @@ class CountRange:
 
 
 @dataclass(frozen=True)
-class CountLeq:
+class CountLeq(SideConstraint):
     """#zeros(fewer) <= #zeros(more)."""
 
     fewer: Tuple[int, ...]
@@ -117,7 +132,7 @@ class CountLeq:
 
 
 @dataclass(frozen=True)
-class MinCountAtMost:
+class MinCountAtMost(SideConstraint):
     """min(#zeros(side_a), #zeros(side_b)) <= hi."""
 
     side_a: Tuple[int, ...]
@@ -138,29 +153,22 @@ class MinCountAtMost:
         return (zeros_a <= self.hi) | (zeros_b <= self.hi)
 
 
-SideConstraint = (CountRange, CountLeq, MinCountAtMost)
+def _validate_terms(terms, num_vertices):
+    for term in terms:
+        for vset in term.sets:
+            for v in vset:
+                if not 0 <= v < num_vertices:
+                    raise UsageError(
+                        f"{type(term).__name__} references vertex {v} out of range")
+            if len(set(vset)) != len(vset):
+                raise UsageError(f"{type(term).__name__} vertex set has duplicates")
 
 
 def _validate_constraints(constraints, num_vertices):
     for c in constraints:
         if not isinstance(c, SideConstraint):
             raise UsageError(f"unknown constraint type {type(c).__name__}")
-        for vset in c.sets:
-            for v in vset:
-                if not 0 <= v < num_vertices:
-                    raise UsageError(f"constraint references vertex {v} out of range")
-            if len(set(vset)) != len(vset):
-                raise UsageError("constraint vertex set has duplicates")
-
-
-def _zero_count_masks(constraints, fixed, pos):
-    """Per constraint, one (mask, base) per vertex set, so that the set's
-    zero-count at a free configuration `config` is
-    base - popcount(config & mask); bit pos[v] of the mask marks free v."""
-    return [(c, [(sum(1 << pos[v] for v in vset if v not in fixed),
-                  sum(1 for v in vset if fixed.get(v, 0) == 0))
-                 for vset in c.sets])
-            for c in constraints]
+    _validate_terms(constraints, num_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +233,7 @@ class _Problem:
     """
 
     def __init__(self, g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
-                 constraints):
+                 terms=(), num_buckets: int = 1):
         lb, lg = p.log_entries()
         lmu = math.log(p.mu)
         free = [v for v in range(g.num_vertices) if v not in fixed]
@@ -266,25 +274,56 @@ class _Problem:
                 self.cols[0, c - k] += np.where(low_bits[:, a], 0.0, l00)
                 self.cols[1, c - k] += np.where(low_bits[:, a], l11, 0.0)
         self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
-        # A set's zero-count is its low part base - popcount(x & low mask)
-        # minus the popcount of its high mask in y.  Per constraint, `admitted`
-        # answers for every low configuration and every combination of its
-        # sets' high popcounts; a block looks its rows up by their popcounts.
-        self.admitted = []
-        for c, per_set in _zero_count_masks(constraints, fixed, pos):
-            masks_hi = [mask >> k for mask, _ in per_set]
-            grid = np.ix_(*(np.arange(m.bit_count() + 1) for m in masks_hi), x)
-            zeros = [base - np.bitwise_count(grid[-1] & mask).astype(np.int64) - count
-                     for (mask, base), count in zip(per_set, grid)]
-            self.admitted.append((masks_hi, c.admits(*zeros)))
+        # A set's zero-count is (its size less its pinned ones) minus the
+        # popcount of its free mask in the low bits x and in the high bits y.
+        # Per term, `digits` holds the offset for every low configuration and
+        # every combination of the term's high popcounts; a block looks its
+        # rows up by their popcounts.  DISCARD becomes num_buckets, so every
+        # bucket from num_buckets up collects discarded configurations.
+        self.num_buckets = num_buckets
+        self.digits = []
+        top = 0  # the largest bucket a kept configuration can reach
+        for term in terms:
+            masks = [sum(1 << pos[v] for v in vset if v not in fixed)
+                     for vset in term.sets]
+            grid = np.ix_(*(np.arange((m >> k).bit_count() + 1) for m in masks), x)
+            zeros = [sum(1 for v in vset if fixed.get(v, 0) == 0) - count
+                     - np.bitwise_count(grid[-1] & m).astype(np.int64)
+                     for vset, m, count in zip(term.sets, masks, grid)]
+            shape = np.broadcast_shapes(*(axis.shape for axis in grid))
+            digits = np.broadcast_to(term.digit(*zeros), shape)
+            kept = digits[digits != DISCARD]
+            if kept.min(initial=0) < 0:
+                raise UsageError(f"profile offsets must be nonnegative, got {kept.min()}")
+            top += int(kept.max(initial=0))
+            # one row per combination of high popcounts, in C order
+            self.digits.append(([m >> k for m in masks], shape[:-1],
+                                np.where(digits == DISCARD, num_buckets, digits)
+                                .astype(np.intp).reshape(-1, 1 << k)))
+        if top >= num_buckets:
+            raise UsageError(f"profile offsets reach bucket {top}, not below "
+                             f"num_buckets = {num_buckets}")
+        self.bins = max(num_buckets, 1 + sum(int(d.max()) for *_, d in self.digits))
 
     @property
     def num_blocks(self) -> int:
         return 1 << (self.h - self.b)
 
-    def block_log_sum(self, index: int, table: np.ndarray) -> float:
-        """log of the sum over block `index`, built in `table`
-        (2**b x 2**k floats, overwritten)."""
+    def scratch(self):
+        """One worker's arrays for block_histogram: the block's log-weights,
+        and for a profile with terms its buckets, one term's offsets and the
+        buckets' shifts.  Reusing them spares each block fresh pages."""
+        shape = (1 << self.b, 1 << self.k)
+        if not self.digits:
+            return (np.empty(shape),)
+        return (np.empty(shape), np.empty(shape, dtype=np.intp),
+                np.empty(shape, dtype=np.intp), np.empty(shape))
+
+    def block_histogram(self, index: int, table: np.ndarray, bucket=None,
+                        offsets=None, shifts=None):
+        """log of the sum over block `index`, built in the arrays of
+        scratch() (overwritten): a float for a profile without terms, else
+        one entry per bucket."""
         rows = 1 << self.b
         y = np.arange(index * rows, (index + 1) * rows)
         table[0] = self.q_lo
@@ -295,10 +334,75 @@ class _Problem:
             np.add(table[:n], self.cols[1, v], out=table[n:2 * n])
             table[:n] += self.cols[0, v]
         table += _pair_logs(y, self.hi_edges)[:, None]
-        for masks_hi, admitted in self.admitted:
-            ok = admitted[tuple(np.bitwise_count(y & m) for m in masks_hi)]
-            np.copyto(table, LOG_ZERO, where=~ok)
-        return log_sum_exp_inplace(table)
+        if not self.digits:  # one bucket holds every configuration
+            return log_sum_exp_inplace(table)
+        for j, (masks_hi, counts, digits) in enumerate(self.digits):
+            row = np.ravel_multi_index([np.bitwise_count(y & m) for m in masks_hi],
+                                       counts)
+            np.take(digits, row, axis=0, out=offsets if j else bucket, mode="clip")
+            if j:
+                bucket += offsets
+        return log_sum_exp_by_bucket(table, bucket, self.bins, shifts)[:self.num_buckets]
+
+
+def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: int,
+                            *, fixed: Optional[Dict[int, int]] = None,
+                            max_vertices: int = DEFAULT_MAX_VERTICES,
+                            force: bool = False, threads: int = 1) -> np.ndarray:
+    """log of the exact partition sum per bucket of a zero-count profile.
+
+    Entry j is the log-sum over the configurations whose profile terms'
+    offsets sum to j, and -inf (an empty sum) where there are none.  `fixed`
+    pins chosen vertices to given spins; only the remaining vertices are
+    enumerated, and the cap applies to their number.
+
+    The kernel splits the free spins into up to 10 low and the remaining high
+    bits.  It tabulates the low bits' log-weights once, then enumerates the
+    high configurations in blocks of fixed size (at most 2**16 log-weights
+    each), building every block by doubling: each free high spin doubles the
+    table by adding its spin-0 and spin-1 columns.  A zero-count also splits
+    into a low and a high part, so each term's offsets are a lookup by the
+    high popcounts of a block row.  Each block is reduced per bucket by a
+    log-sum-exp shifted by the bucket's own maximum (a profile without
+    terms skips the bucketing), and the block histograms are merged by a
+    fixed pairwise tree as they come, so a worker holds one histogram per
+    tree level.  With threads > 1 the blocks are split across workers;
+    since block histograms and the tree do not depend on which worker
+    produced them, neither does the result.
+    """
+    fixed = dict(fixed or {})
+    for v, s in fixed.items():
+        if not 0 <= v < g.num_vertices:
+            raise UsageError(f"fixed vertex {v} out of range")
+        if s not in (0, 1):
+            raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
+    terms = tuple(terms)
+    _validate_terms(terms, g.num_vertices)
+    nf = g.num_vertices - len(fixed)
+    if nf > max_vertices and not force:
+        raise ResourceLimitError(
+            f"{nf} free vertices exceeds cap {max_vertices}; pass force=True")
+    prob = _Problem(g, p, fixed, terms, num_buckets)
+
+    def run(indices):
+        scratch, tree = prob.scratch(), []
+        for i in indices:
+            pairwise_add(tree, i, 1, prob.block_histogram(i, *scratch))
+        return tree
+
+    nblocks = prob.num_blocks
+    workers = min(threads, nblocks)
+    if workers > 1:
+        groups = [range(nblocks * w // workers, nblocks * (w + 1) // workers)
+                  for w in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            tree = []
+            for nodes in pool.map(run, groups):
+                for node in nodes:
+                    pairwise_add(tree, *node)
+    else:
+        tree = run(range(nblocks))
+    return np.atleast_1d(pairwise_root(tree))
 
 
 def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
@@ -309,48 +413,14 @@ def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
 
     constraints restrict the sum to configurations whose zero-counts satisfy
     every given side constraint; an infeasible set yields -inf (an empty sum),
-    not an error.  `fixed` pins chosen vertices to given spins; only the
-    remaining vertices are enumerated, and the cap applies to their number.
-
-    The kernel splits the free spins into up to 10 low and the remaining high
-    bits.  It tabulates the low bits' log-weights once, then enumerates the
-    high configurations in blocks of fixed size (at most 2**16 log-weights
-    each), building every block by doubling: each free high spin doubles the
-    table by adding its spin-0 and spin-1 columns.  A side constraint is a
-    predicate on zero-counts, which also split into a low and a high part.
-    Each block is reduced by a max-shifted log-sum-exp, and the block sums are
-    merged by a fixed pairwise tree.  With threads > 1 the blocks are split
-    across workers; since block sums and the tree do not depend on which
-    worker produced them, neither does the result.
+    not an error.  This is the one bucket of log_partition_histogram whose
+    profile terms are the constraints, which discard what they reject.
     """
-    fixed = dict(fixed or {})
-    for v, s in fixed.items():
-        if not 0 <= v < g.num_vertices:
-            raise UsageError(f"fixed vertex {v} out of range")
-        if s not in (0, 1):
-            raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
     constraints = tuple(constraints)
     _validate_constraints(constraints, g.num_vertices)
-    nf = g.num_vertices - len(fixed)
-    if nf > max_vertices and not force:
-        raise ResourceLimitError(
-            f"{nf} free vertices exceeds cap {max_vertices}; pass force=True")
-    prob = _Problem(g, p, fixed, constraints)
-
-    def run(indices):
-        table = np.empty((1 << prob.b, 1 << prob.k))
-        return [prob.block_log_sum(i, table) for i in indices]
-
-    nblocks = prob.num_blocks
-    workers = min(threads, nblocks)
-    if workers > 1:
-        groups = [range(nblocks * w // workers, nblocks * (w + 1) // workers)
-                  for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [s for group in pool.map(run, groups) for s in group]
-    else:
-        parts = run(range(nblocks))
-    return log_sum_exp_pairwise(parts)
+    return float(log_partition_histogram(
+        g, p, constraints, 1, fixed=fixed, max_vertices=max_vertices,
+        force=force, threads=threads)[0])
 
 
 def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
@@ -370,16 +440,14 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
     if nf > MAX_FRACTION_VERTICES:
         raise ResourceLimitError(
             f"{nf} free vertices exceeds cap {MAX_FRACTION_VERTICES}")
-    sets = _zero_count_masks(constraints, fixed, {v: j for j, v in enumerate(free)})
     total = Fraction(0)
     for config in range(1 << nf):
-        if not all(c.admits(*(base - (config & mask).bit_count()
-                               for mask, base in per_set))
-                   for c, per_set in sets):
-            continue
         bits = dict(fixed)
         for j, v in enumerate(free):
             bits[v] = (config >> j) & 1
+        if not all(c.admits(*(sum(1 - bits[v] for v in vset) for vset in c.sets))
+                   for c in constraints):
+            continue
         w = mu ** sum(1 for v in range(g.num_vertices) if bits[v] == 0)
         for u, v, m in g.edges:
             s, t = bits[u], bits[v]

@@ -5,7 +5,9 @@ with the library: subset enumeration for independent sets, linear-domain
 partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
-survival function, and a scan over every big pair of a gadget's subsets.
+survival function, a scan over every big pair of a gadget's subsets, and
+a loop over every configuration for the reduction's majority sums (whose
+per-configuration weight the caller passes in).
 """
 
 import decimal
@@ -246,3 +248,64 @@ def chi2_survival(stat, dof):
                 term *= x / (i + shift)
             total += term
         return float(total)
+
+
+def _log_sum(logs):
+    """log of the sum of exp(logs), correctly rounded before the log; -inf
+    for an empty sum."""
+    logs = [x for x in logs if x != -math.inf]
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def sandwich_brute(num_vertices, edge_records, sides, log_weights):
+    """Per weight function, (log Z, max_S log Z(G,S), log sum_S Z(G,S),
+    [log Z(G,S) per S]) from one loop over every configuration.
+
+    sides[i] = (U_i, V_i).  Z(G,S) sums the configurations with
+    zeros(U_i) <= zeros(V_i) for each i with S_i = 0 and
+    zeros(V_i) <= zeros(U_i) for each i with S_i = 1; S is listed in the
+    order of its encoding sum_i S_i 2^i.  A weight function maps a
+    configuration's bits (bits[v] is the spin at v) to its log weight.  The
+    loop counts configurations by their zero-counts on the sides and by
+    their numbers of zeros, 0-0 edges and 1-1 edges, which fix the weight;
+    so each weight function is called once per such class, on a member.
+    """
+    side_masks = [(sum(1 << v for v in u), len(u), sum(1 << v for v in w), len(w))
+                  for u, w in sides]
+    edge_masks = [((1 << u) | (1 << v), m) for u, v, m in edge_records]
+    classes = {}  # zero-counts on the sides -> weight class -> [count, member]
+    for code in range(1 << num_vertices):
+        n00 = n11 = 0  # 0-0 and 1-1 edges, with multiplicity
+        for mask, m in edge_masks:
+            ends = code & mask
+            if ends == mask:
+                n11 += m
+            elif not ends:
+                n00 += m
+        zeros = tuple((nu - (code & mu).bit_count(), nw - (code & mw).bit_count())
+                      for mu, nu, mw, nw in side_masks)
+        weight_class = (num_vertices - code.bit_count(), n00, n11)
+        entry = classes.setdefault(zeros, {}).setdefault(weight_class, [0, code])
+        entry[0] += 1
+    reports = []
+    for log_weight in log_weights:
+        weights = {}
+        groups = {}  # zero-counts on the sides -> log of their configurations' sum
+        for zeros, by_weight in classes.items():
+            logs = []
+            for weight_class, (count, code) in by_weight.items():
+                if weight_class not in weights:
+                    weights[weight_class] = log_weight(
+                        [(code >> v) & 1 for v in range(num_vertices)])
+                logs.append(math.log(count) + weights[weight_class])
+            groups[zeros] = _log_sum(logs)
+        restricted = [_log_sum(x for zeros, x in groups.items()
+                               if all(zu <= zw if (enc >> i) & 1 == 0 else zw <= zu
+                                      for i, (zu, zw) in enumerate(zeros)))
+                      for enc in range(1 << len(sides))]
+        reports.append((_log_sum(groups.values()), max(restricted),
+                        _log_sum(restricted), restricted))
+    return reports

@@ -88,6 +88,19 @@ def test_reader_errors_carry_line_numbers():
         graph_from_text("p graph 2 2\ne 0 1 1\n")
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_reader_errors_name_the_line_wc_counts(sep, tmp_path):
+    # '\n' ends a line for `wc -l`; these separators sit inside one
+    text = f"# a comment{sep}on one line\np graph 2 1\ne 0 1 x\n"
+    last = text.count("\n")
+    with pytest.raises(UsageError, match=f"line {last}: non-integer field"):
+        graph_from_text(text)
+    path = tmp_path / "g.graph"
+    path.write_bytes(f"p graph 2 1{sep}e 0 1 x\n".encode("ascii"))
+    with pytest.raises(UsageError, match="line 1: bad header"):
+        read_graph(path)
+
+
 def test_bipartite_gadget_validation():
     g = MultiGraph.from_edges(4, [(0, 2), (1, 3)])
     h = BipartiteGadget(g, (0, 1), (2, 3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twospin.logspace import (LOG_ZERO, log_add, log_binomial, log_sum_exp,
-                              log_sum_exp_pairwise, scaled_log)
+                              pairwise_add, pairwise_root, scaled_log)
 
 
 def test_scaled_log_conventions():
@@ -32,8 +32,27 @@ def test_pairwise_matches_direct():
     rng = np.random.default_rng(0)
     vals = list(rng.normal(size=37) * 50)
     vals[3] = LOG_ZERO
-    assert log_sum_exp_pairwise(vals) == pytest.approx(log_sum_exp(vals), abs=1e-11)
-    assert log_sum_exp_pairwise([]) == LOG_ZERO
+    tree = []
+    for i, v in enumerate(vals):
+        pairwise_add(tree, i, 1, v)
+    assert pairwise_root(tree) == pytest.approx(log_sum_exp(vals), abs=1e-11)
+    assert pairwise_root([]) == LOG_ZERO
+    # the tree that pairs the parts level by level, to the last bit
+    level = vals
+    while len(level) > 1:
+        level = [log_add(*level[i:i + 2]) if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    assert pairwise_root(tree) == level[0]
+    # the nodes of contiguous ranges, added in order, continue the same tree
+    for workers in (2, 3, 5):
+        merged = []
+        for w in range(workers):
+            part = []
+            for i in range(37 * w // workers, 37 * (w + 1) // workers):
+                pairwise_add(part, i, 1, vals[i])
+            for node in part:
+                pairwise_add(merged, *node)
+        assert pairwise_root(merged) == level[0]
 
 
 def test_log_binomial_matches_comb():

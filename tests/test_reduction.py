@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import linear_log_partition
+from oracles import linear_log_partition, sandwich_brute
 from twospin import reduction
 from twospin.e2lin2 import E2Lin2Instance, random_instance
 from twospin.errors import RegimeError, ResourceLimitError, UsageError
@@ -14,11 +16,13 @@ from twospin.reduction import (BoundsConstants, GadgetParams,
                                audit_reduction_graph, blocks_from_text,
                                blocks_to_text, bounds_constants,
                                build_reduction_graph, decode_satisfied_estimate,
+                               family_constraints, log_majority_sums,
                                log_polarized_sum_brute,
                                log_polarized_sum_closed, log_restricted_sum,
                                polarized_fixed_spins, sample_gadget,
                                sandwich_check)
-from twospin.spins import SpinParams, log_partition
+from twospin.spins import (SpinParams, log_config_weight, log_partition,
+                           partition_fraction)
 from twospin.uniqueness import SplitCase
 
 
@@ -263,6 +267,51 @@ def test_sandwich_check_runs():
     assert rg.graph.num_vertices > reduction.MAX_REDUCTION_VERTICES
     with pytest.raises(ResourceLimitError):
         sandwich_check(rg, SpinParams(0.5, 0.5))
+
+
+def _normalized_instance(n, m, seed):
+    while random_instance(n, m, seed).num_vars != n:
+        seed += 1
+    return random_instance(n, m, seed)
+
+
+# (n, m, t, delta, delta_prime) for 4 m t = 12, 16 and 20 vertices; the
+# 20-vertex graph spans 16 enumeration blocks, so two threads split it
+@pytest.mark.parametrize("shape", [(3, 3, 1, 2, 1), (2, 2, 2, 2, 1), (4, 5, 1, 1, 2)])
+def test_sandwich_matches_brute_force(shape):
+    n, m, t, delta, delta_prime = shape
+    rng = np.random.default_rng(4 * m * t)
+    rg = build_reduction_graph(_normalized_instance(n, m, 7),
+                               GadgetParams(delta, delta_prime, t, 11))
+    beta, gamma = rng.uniform(0.05, 1.5, 2)
+    weights = [SpinParams(beta, gamma), SpinParams(0, gamma), SpinParams(beta, 0),
+               SpinParams(0, 0)]
+    expect = sandwich_brute(rg.graph.num_vertices, rg.graph.edges,
+                            [(rg.u_side(i), rg.v_side(i)) for i in range(n)],
+                            [functools.partial(log_config_weight, rg.graph, p)
+                             for p in weights])
+    for p, (total, largest, summed, parts) in zip(weights, expect):
+        rep = sandwich_check(rg, p)
+        assert sandwich_check(rg, p, threads=2) == rep
+        np.testing.assert_allclose(
+            [rep.log_total, rep.log_max_restricted, rep.log_sum_restricted],
+            [total, largest, summed], rtol=0, atol=1e-12)
+        log_total, got = log_majority_sums(rg, p)
+        assert log_total == rep.log_total
+        np.testing.assert_allclose(got, parts, rtol=0, atol=1e-12)
+
+
+def test_majority_sums_match_exact_fractions():
+    rg = build_reduction_graph(_normalized_instance(3, 3, 5), GadgetParams(2, 1, 1, 4))
+    assert rg.graph.num_vertices == 12
+    beta, gamma = Fraction(1, 3), Fraction(5, 4)
+    _, parts = log_majority_sums(rg, SpinParams(float(beta), float(gamma)))
+    for enc, got in enumerate(parts):
+        bits = tuple((enc >> i) & 1 for i in range(3))
+        exact = partition_fraction(rg.graph, beta, gamma, 1,
+                                   family_constraints(rg, "majority", bits))
+        want = math.log(exact.numerator) - math.log(exact.denominator)
+        assert abs(got - want) <= 1e-12
 
 
 def test_decode_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
 from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
 from twospin.spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                            field_identity_report, log_config_weight,
-                           log_partition, log_profile_sum, partition_fraction,
-                           remove_field)
+                           log_partition, log_partition_histogram,
+                           log_profile_sum, partition_fraction, remove_field)
 
 
 def test_spin_params_validation():
@@ -122,6 +123,61 @@ def test_threads_do_not_change_the_result():
     assert log_partition(cycle_graph(18), p, threads=2) == pytest.approx(
         math.log(exact.numerator) - math.log(exact.denominator), abs=1e-12)
 
+
+@dataclasses.dataclass(frozen=True)
+class _ZeroCount:
+    """The profile term whose offset is #zeros(vertices)."""
+
+    vertices: tuple
+
+    @property
+    def sets(self):
+        return (self.vertices,)
+
+    def digit(self, zeros):
+        return zeros
+
+
+def test_histogram_buckets_sum_to_the_partition():
+    g = cycle_graph(18)  # 18 free vertices span several blocks
+    p = SpinParams(1e-150, 0.8, 1.3)
+    everything = tuple(range(18))
+    profile = [_ZeroCount(everything)]
+    hist = log_partition_histogram(g, p, profile, 20)
+    assert hist.shape == (20,)
+    assert hist[19] == LOG_ZERO  # no configuration has 19 zeros
+    assert log_sum_exp(hist) == pytest.approx(log_partition(g, p), abs=1e-12)
+    for k in range(19):
+        expect = log_partition(g, p, [CountRange(everything, k, k)])
+        assert hist[k] == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
+    # the all-zero configuration, thousands of nats below the other buckets,
+    # keeps its bucket: each bucket is shifted by its own maximum
+    assert hist[18] == pytest.approx(18 * math.log(1e-150 * 1.3), rel=1e-14)
+    for threads in (2, 3):
+        assert np.array_equal(log_partition_histogram(g, p, profile, 20, threads=threads),
+                              hist)
+
+
+def test_histogram_with_pins_and_constraints_matches_fractions():
+    g = MultiGraph.from_edges(8, [(0, 1, 2), (1, 2), (2, 3), (3, 4, 3), (4, 5),
+                                  (5, 6), (6, 7), (7, 0), (1, 5), (2, 6, 2)])
+    beta, gamma, mu = Fraction(0), Fraction(3, 2), Fraction(2, 3)
+    counted = (0, 1, 2, 3, 5)
+    fixed = {2: 0, 5: 1}
+    leq = CountLeq((0, 1), (6, 7))
+    hist = log_partition_histogram(
+        g, SpinParams(float(beta), float(gamma), float(mu)),
+        [_ZeroCount(counted), leq], 7, fixed=fixed)
+    for k in range(7):
+        exact = fraction_partition(
+            8, g.edges, beta, gamma, mu,
+            keep=lambda bits: (all(bits[v] == s for v, s in fixed.items())
+                               and _zeros(bits, (0, 1)) <= _zeros(bits, (6, 7))
+                               and _zeros(bits, counted) == k))
+        assert hist[k] == pytest.approx(_log_fraction(exact), abs=1e-12)
+    assert hist[0] == hist[5] == hist[6] == LOG_ZERO  # vertex 2 is pinned to 0
+    with pytest.raises(UsageError, match="below num_buckets"):
+        log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted)], 5)
 
 def test_constraint_kinds():
     g = path_graph(4)
