@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .graphs import BipartiteGadget, MultiGraph
+from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
 from .spins import SpinParams, _integral_fraction, log_profile_sum
 from .uniqueness import HARD_DEGREE_RATIO
@@ -256,13 +256,11 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
 
 def gadget_from_matchings(n_side: int, perms: Sequence[Sequence[int]]) -> BipartiteGadget:
     """Gadget assembled from explicit matchings (left u -> right perm[u])."""
-    edges = []
     for perm in perms:
         if sorted(perm) != list(range(n_side)):
             raise UsageError("each matching must be a permutation of 0..N-1")
-        edges.extend((u, n_side + int(perm[u])) for u in range(n_side))
-    return BipartiteGadget(MultiGraph.from_edges(2 * n_side, edges),
-                           tuple(range(n_side)), tuple(range(n_side, 2 * n_side)))
+    return BipartiteGadget.from_matchings(
+        np.array(perms, dtype=np.int64).reshape(len(perms), n_side))
 
 
 def enumerate_profile_sum_mean_log(n_side: int, delta: int, delta_prime: int,

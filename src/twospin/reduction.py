@@ -20,14 +20,15 @@ field translate it away first (remove_field).
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, UsageError
-from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii,
-                     read_records, records_to_text, write_ascii)
+from .graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph, int_fields,
+                     read_ascii, read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
 from .spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                     log_partition, log_partition_histogram)
@@ -69,13 +70,8 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
     if n_side < 1 or delta < 1:
         raise UsageError("need n_side >= 1 and delta >= 1")
     rng = np.random.default_rng(seed)
-    edges = []
-    for _ in range(delta):
-        perm = rng.permutation(n_side)
-        edges.extend((u, n_side + int(perm[u])) for u in range(n_side))
-    graph = MultiGraph.from_edges(2 * n_side, edges)
-    return BipartiteGadget(graph, tuple(range(n_side)),
-                           tuple(range(n_side, 2 * n_side)))
+    return BipartiteGadget.from_matchings(
+        np.array([rng.permutation(n_side) for _ in range(delta)]))
 
 
 @dataclass(frozen=True)
@@ -89,34 +85,37 @@ class ReductionGraph:
     instance: E2Lin2Instance
 
     def u_side(self, i: int) -> Tuple[int, ...]:
-        return tuple(v for block in self.u_blocks[i] for v in block)
+        return tuple(chain.from_iterable(self.u_blocks[i]))
 
     def v_side(self, i: int) -> Tuple[int, ...]:
-        return tuple(v for block in self.v_blocks[i] for v in block)
+        return tuple(chain.from_iterable(self.v_blocks[i]))
 
     @property
     def block_size(self) -> int:
         return self.params.block_size
 
 
-def _inter_gadget_edges(inst: E2Lin2Instance, u_blocks, v_blocks, delta_prime: int):
-    """Yield the (u, v, delta_prime) records that the equations prescribe.
+def _inter_gadget_wiring(inst: E2Lin2Instance, u_blocks, v_blocks) -> np.ndarray:
+    """The records that the equations prescribe, each of multiplicity
+    delta_prime, as a (2, k) array of their endpoints.
 
     Equation s joins the next unused occurrence block of each of its two
     variables, componentwise: U to V' and V to U' when b = 0, U to U' and V
     to V' when b = 1.
     """
     seen = [0] * inst.num_vars
+    ends, partners = [], []
     for i, j, b in inst.equations:
         k, ell = seen[i], seen[j]
         seen[i] += 1
         seen[j] += 1
         u_jl, v_jl = u_blocks[j][ell], v_blocks[j][ell]
         u_partner, v_partner = (v_jl, u_jl) if b == 0 else (u_jl, v_jl)
-        for u, w in zip(u_blocks[i][k], u_partner):
-            yield u, w, delta_prime
-        for v, w in zip(v_blocks[i][k], v_partner):
-            yield v, w, delta_prime
+        for block, partner in ((u_blocks[i][k], u_partner), (v_blocks[i][k], v_partner)):
+            size = min(len(block), len(partner))
+            ends += block[:size]
+            partners += partner[:size]
+    return np.array((ends, partners), dtype=np.int64)
 
 
 def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> ReductionGraph:
@@ -139,17 +138,21 @@ def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> Reducti
         base += 2 * occ[i] * t
     num_vertices = base  # = 4*m*t since sum(occ) = 2m
 
-    edges = list(_inter_gadget_edges(inst, u_blocks, v_blocks, params.delta_prime))
+    wiring = _inter_gadget_wiring(inst, u_blocks, v_blocks)
+    lefts, rights = [wiring[0]], [wiring[1]]
+    base = 0
     for i in range(n):
         side = occ[i] * t
         rng = np.random.default_rng(gadget_seed(params.seed, i))
-        u_side = [v for block in u_blocks[i] for v in block]
-        v_side = [v for block in v_blocks[i] for v in block]
+        u_side = np.arange(base, base + side)
         for _ in range(params.delta):
-            perm = rng.permutation(side)
-            edges.extend((u_side[s], v_side[int(perm[s])], 1) for s in range(side))
-
-    graph = MultiGraph.from_edges(num_vertices, edges)
+            lefts.append(u_side)
+            rights.append(rng.permutation(side) + (base + side))
+        base += 2 * side
+    mults = np.ones(num_vertices * params.delta // 2 + wiring.shape[1], dtype=np.int64)
+    mults[:wiring.shape[1]] = params.delta_prime
+    graph = MultiGraph.from_columns(num_vertices, np.concatenate(lefts),
+                                    np.concatenate(rights), mults)
     return ReductionGraph(graph, tuple(u_blocks), tuple(v_blocks), params, inst)
 
 
@@ -180,44 +183,45 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
     inst = rg.instance
     m = inst.num_equations
     t = params.block_size
-    degrees = g.degrees()
-    regular = len(set(degrees)) == 1
-    degree = degrees[0] if degrees else 0
-
-    owner = {}
+    n = g.num_vertices
+    owner = np.full(n, -1)
     for i in range(inst.num_vars):
-        for v in rg.u_side(i) + rg.v_side(i):
-            owner[v] = i
-    intra = [0] * g.num_vertices
-    inter = [0] * g.num_vertices
-    inter_records = []
-    for u, v, mult in g.edges:
-        if owner[u] == owner[v]:
-            intra[u] += mult
-            intra[v] += mult
-        else:
-            inter[u] += mult
-            inter[v] += mult
-            inter_records.append((u, v, mult))
-    # canonical and sorted like g.edges; no aggregation is needed, because
-    # every vertex lies in one block and every block is wired once
-    prescribed = sorted((u, w, m) if u < w else (w, u, m) for u, w, m in
-                        _inter_gadget_edges(inst, rg.u_blocks, rg.v_blocks,
-                                            params.delta_prime))
+        owner[list(chain.from_iterable(rg.u_blocks[i] + rg.v_blocks[i]))] = i
+    table = g.edge_columns
+    u, v, mult = table
+    cross = owner[u] != owner[v]
+    # per-vertex sums within gadgets (bins 0..n-1) and across them (n..2n-1),
+    # as doubles: exact wherever they can equal delta or delta_prime, and
+    # where the degrees stay below 2**53
+    sums = np.bincount((table[:2] + n * cross).ravel(), np.concatenate((mult, mult)), 2 * n)
+    intra, inter = sums[:n], sums[n:]
+    degrees = intra + inter
+    if n and degrees[degrees.argmax()] >= MAX_MULTIPLICITY:
+        degrees = np.array(g.degrees(), dtype=object)
+    # the graph's inter-gadget records, in order, against the prescribed
+    # ones, canonical and sorted; no aggregation is needed, because every
+    # vertex lies in one block and every block is wired once
+    found = table[:, cross.nonzero()[0]]
+    ends, partners = _inter_gadget_wiring(inst, rg.u_blocks, rg.v_blocks)
+    prescribed = np.array((np.minimum(ends, partners), np.maximum(ends, partners)))
+    prescribed = prescribed[:, np.lexsort(prescribed[::-1])]
+    wiring_ok = found.shape[1] == prescribed.shape[1] and not (
+        np.count_nonzero(found[:2] != prescribed)
+        or np.count_nonzero(found[2] != params.delta_prime))
     blocks_ok = all(
         len(block) == t
         for blocks in (rg.u_blocks, rg.v_blocks)
         for per_var in blocks for block in per_var)
     return StructureAudit(
-        regular=regular,
-        degree=degree,
+        regular=n > 0 and not np.count_nonzero(degrees != degrees[0]),
+        degree=int(degrees[0]) if n else 0,
         expected_degree=params.delta + params.delta_prime,
         vertex_count=g.num_vertices,
         expected_vertex_count=4 * m * t,
-        intra_multiplicities_ok=all(x == params.delta for x in intra),
-        inter_multiplicities_ok=all(x == params.delta_prime for x in inter),
+        intra_multiplicities_ok=not np.count_nonzero(intra != params.delta),
+        inter_multiplicities_ok=not np.count_nonzero(inter != params.delta_prime),
         block_sizes_ok=blocks_ok,
-        wiring_ok=prescribed == inter_records,
+        wiring_ok=wiring_ok,
     )
 
 

@@ -345,6 +345,18 @@ class _Problem:
         return log_sum_exp_by_bucket(table, bucket, self.bins, shifts)[:self.num_buckets]
 
 
+def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, int]:
+    """A copy of the pins; a vertex out of range or a spin other than 0 or
+    1 raises UsageError."""
+    fixed = dict(fixed or {})
+    for v, s in fixed.items():
+        if not 0 <= v < g.num_vertices:
+            raise UsageError(f"fixed vertex {v} out of range")
+        if s not in (0, 1):
+            raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
+    return fixed
+
+
 def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: int,
                             *, fixed: Optional[Dict[int, int]] = None,
                             max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -370,12 +382,7 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     since block histograms and the tree do not depend on which worker
     produced them, neither does the result.
     """
-    fixed = dict(fixed or {})
-    for v, s in fixed.items():
-        if not 0 <= v < g.num_vertices:
-            raise UsageError(f"fixed vertex {v} out of range")
-        if s not in (0, 1):
-            raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
+    fixed = _checked_pins(g, fixed)
     terms = tuple(terms)
     _validate_terms(terms, g.num_vertices)
     nf = g.num_vertices - len(fixed)
@@ -432,7 +439,7 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
     beta, gamma, mu = Fraction(beta), Fraction(gamma), Fraction(mu)
     if beta < 0 or gamma < 0 or mu <= 0:
         raise UsageError("need beta, gamma >= 0 and mu > 0")
-    fixed = dict(fixed or {})
+    fixed = _checked_pins(g, fixed)
     constraints = tuple(constraints)
     _validate_constraints(constraints, g.num_vertices)
     free = [v for v in range(g.num_vertices) if v not in fixed]

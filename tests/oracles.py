@@ -5,9 +5,10 @@ with the library: subset enumeration for independent sets, linear-domain
 partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
-survival function, a scan over every big pair of a gadget's subsets, and
+survival function, a scan over every big pair of a gadget's subsets,
 a loop over every configuration for the reduction's majority sums (whose
-per-configuration weight the caller passes in).
+per-configuration weight the caller passes in), and per-record loops that
+check, aggregate, write and audit edge records and build the reduction's.
 """
 
 import decimal
@@ -309,3 +310,145 @@ def sandwich_brute(num_vertices, edge_records, sides, log_weights):
         reports.append((_log_sum(groups.values()), max(restricted),
                         _log_sum(restricted), restricted))
     return reports
+
+
+MAX_MULTIPLICITY = 2 ** 53
+
+
+def checked_records(num_vertices, records):
+    """The records, or the error message of the first one that is out of
+    range, a self-loop, not in u < v order, of multiplicity outside
+    1..2**53, or a second record for its pair; checked one by one."""
+    seen = set()
+    for u, v, m in records:
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            return f"edge ({u},{v}) out of range"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if u > v:
+            return f"edge ({u},{v}) not in canonical u < v order"
+        if not 0 < m <= MAX_MULTIPLICITY:
+            return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
+        if (u, v) in seen:
+            return f"duplicate record for edge ({u},{v})"
+        seen.add((u, v))
+    return tuple(records)
+
+
+def aggregated_records(num_vertices, items):
+    """(u, v[, mult]) items summed per unordered pair in a dict, sorted and
+    checked by `checked_records`: the records or an error message."""
+    mults = {}
+    for item in items:
+        u, v, m = item if len(item) == 3 else (*item, 1)
+        key = (u, v) if u < v else (v, u)
+        mults[key] = mults.get(key, 0) + m
+    return checked_records(num_vertices, sorted((u, v, m) for (u, v), m in mults.items()))
+
+
+def graph_text(num_vertices, records):
+    """The graph file of sorted records."""
+    lines = [f"p graph {num_vertices} {len(records)}"]
+    lines += [f"e {u} {v} {m}" for u, v, m in sorted(records)]
+    return "\n".join(lines) + "\n"
+
+
+def reduction_layout(num_vars, equations, block_size):
+    """Per variable, its U and V occurrence blocks as lists of vertex ids:
+    variable i takes the next 2 d_i t ids, U blocks first."""
+    occ = [0] * num_vars
+    for i, j, _ in equations:
+        occ[i] += 1
+        occ[j] += 1
+    u_blocks, v_blocks, base = [], [], 0
+    for i in range(num_vars):
+        side = occ[i] * block_size
+        u_blocks.append([list(range(base + k * block_size, base + (k + 1) * block_size))
+                         for k in range(occ[i])])
+        v_blocks.append([list(range(base + side + k * block_size,
+                                    base + side + (k + 1) * block_size))
+                         for k in range(occ[i])])
+        base += 2 * side
+    return u_blocks, v_blocks, base
+
+
+def prescribed_wiring(equations, u_blocks, v_blocks, delta_prime):
+    """The (u, w, delta_prime) records that the equations prescribe, one per
+    pair of corresponding block positions, in equation order."""
+    seen = [0] * len(u_blocks)
+    out = []
+    for i, j, b in equations:
+        k, ell = seen[i], seen[j]
+        seen[i] += 1
+        seen[j] += 1
+        if b == 0:
+            pairs = [(u_blocks[i][k], v_blocks[j][ell]), (v_blocks[i][k], u_blocks[j][ell])]
+        else:
+            pairs = [(u_blocks[i][k], u_blocks[j][ell]), (v_blocks[i][k], v_blocks[j][ell])]
+        for mine, theirs in pairs:
+            out += [(a, c, delta_prime) for a, c in zip(mine, theirs)]
+    return out
+
+
+def reduction_records(num_vars, equations, delta, delta_prime, block_size, gadget_rngs):
+    """The reduction's records, one per item, aggregated: the prescribed
+    wiring, then for each variable delta matchings u_s -> v_{perm[s]} drawn
+    by `gadget_rngs[i].permutation(side)`.  Returns (records, u_blocks,
+    v_blocks, num_vertices)."""
+    u_blocks, v_blocks, num_vertices = reduction_layout(num_vars, equations, block_size)
+    items = prescribed_wiring(equations, u_blocks, v_blocks, delta_prime)
+    for i in range(num_vars):
+        u_side = [v for block in u_blocks[i] for v in block]
+        v_side = [v for block in v_blocks[i] for v in block]
+        for _ in range(delta):
+            perm = gadget_rngs[i].permutation(len(u_side))
+            items += [(u_side[s], v_side[int(perm[s])], 1) for s in range(len(u_side))]
+    return aggregated_records(num_vertices, items), u_blocks, v_blocks, num_vertices
+
+
+def blocks_text(num_vars, equations, block_size, delta, delta_prime, seed,
+                u_blocks, v_blocks):
+    """The block-map file: header, 1-based equations, then the U and V
+    blocks of each variable in turn."""
+    lines = [f"p blocks {num_vars} {len(equations)} {block_size} {delta} "
+             f"{delta_prime} {seed}"]
+    lines += [f"e {i + 1} {j + 1} {b}" for i, j, b in equations]
+    for i in range(num_vars):
+        for side, blocks in (("U", u_blocks[i]), ("V", v_blocks[i])):
+            lines += [f"block {side} {i} {k} " + " ".join(map(str, block))
+                      for k, block in enumerate(blocks)]
+    return "\n".join(lines) + "\n"
+
+
+def audit_fields(num_vertices, records, equations, u_blocks, v_blocks, delta,
+                 delta_prime, block_size):
+    """The structure audit's fields, from per-record loops over the graph's
+    records (in their order) and the blocks."""
+    degree = [0] * num_vertices
+    intra = [0] * num_vertices
+    inter = [0] * num_vertices
+    owner = {v: i for i in range(len(u_blocks))
+             for blocks in (u_blocks[i], v_blocks[i]) for block in blocks for v in block}
+    crossing = []
+    for u, v, m in records:
+        degree[u] += m
+        degree[v] += m
+        sums = inter if owner[u] != owner[v] else intra
+        sums[u] += m
+        sums[v] += m
+        if owner[u] != owner[v]:
+            crossing.append((u, v, m))
+    prescribed = sorted((min(a, c), max(a, c), m) for a, c, m in
+                        prescribed_wiring(equations, u_blocks, v_blocks, delta_prime))
+    return dict(
+        regular=len(set(degree)) == 1,
+        degree=degree[0] if degree else 0,
+        expected_degree=delta + delta_prime,
+        vertex_count=num_vertices,
+        expected_vertex_count=4 * len(equations) * block_size,
+        intra_multiplicities_ok=all(x == delta for x in intra),
+        inter_multiplicities_ok=all(x == delta_prime for x in inter),
+        block_sizes_ok=all(len(block) == block_size for blocks in u_blocks + v_blocks
+                           for block in blocks),
+        wiring_ok=prescribed == crossing,
+    )

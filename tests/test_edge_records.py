@@ -1,0 +1,216 @@
+"""Differential tests of the array edge-record layer against per-record loops.
+
+`tests/oracles.py` holds the loops: a record-by-record check, a dict
+aggregation, the reduction's wiring and matchings, the two file writers and
+the structure audit.  The graphs, reductions and audits built on int64
+columns must give `==` graphs, the same bytes, the same audit fields and,
+for a bad record, the same message as those loops.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import oracles
+from twospin.e2lin2 import random_instance
+from twospin.errors import UsageError
+from twospin.graphs import (MAX_MULTIPLICITY, MultiGraph, graph_from_text,
+                            graph_to_text)
+from twospin.reduction import (GadgetParams, audit_reduction_graph,
+                               blocks_to_text, build_reduction_graph)
+
+MULTS = (1, 2, 3, 2 ** 52, MAX_MULTIPLICITY - 1, MAX_MULTIPLICITY)
+
+
+def _outcome(build, *args):
+    """The graph's records, or the message of the UsageError it raised."""
+    try:
+        return build(*args).edges
+    except UsageError as exc:
+        return str(exc)
+
+
+def _items(rng, n, count):
+    """Random (u, v[, mult]) items on n >= 2 vertices: both orientations,
+    repeated pairs, multiplicities up to 2**53."""
+    items = []
+    for _ in range(count):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        v = v if v != u else (u + 1) % n
+        if rng.random() < 0.3 and items:
+            u, v = items[int(rng.integers(len(items)))][:2][::int(rng.choice([1, -1]))]
+        m = int(rng.choice(MULTS)) if rng.random() < 0.2 else int(rng.integers(1, 4))
+        items.append((u, v) if m == 1 and rng.random() < 0.5 else (u, v, m))
+    return items
+
+
+def _columns(n, items):
+    """from_columns on contiguous int64 columns of the items."""
+    rows = [item if len(item) == 3 else (*item, 1) for item in items]
+    return MultiGraph.from_columns(n, *np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy())
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, 5 * 10 ** 9])
+def test_aggregation_matches_the_dict_loop(n):
+    # 5e9 vertices: a packed u * n + v key would overflow int64
+    rng = np.random.default_rng(n)
+    for _ in range(60):
+        items = _items(rng, n, int(rng.integers(0, 25)))
+        expected = oracles.aggregated_records(n, items)
+        assert _outcome(MultiGraph.from_edges, n, items) == expected
+        assert _outcome(_columns, n, items) == expected
+        if isinstance(expected, tuple):
+            assert MultiGraph.from_edges(n, items) == MultiGraph(n, expected)
+
+
+# bad records for the aggregating builders; each keeps every record's own
+# multiplicity in 1..2**53, whose violation has an error of its own
+AGGREGATE_FAULTS = [
+    (-1, 2), (2, 7), (7, 7), (3, 3, 2), (0, -5), (10 ** 20, 1), (1, -10 ** 20),
+    (0, 1, MAX_MULTIPLICITY), (1, 0, MAX_MULTIPLICITY),  # together past 2**53
+]
+
+
+def test_aggregation_errors_name_the_old_first_record():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        items = [(0, 1), (2, 1, 2), (2, 3), (3, 4, 5), (4, 5), (0, 1, 3)]
+        for _ in range(int(rng.integers(1, 4))):
+            bad = AGGREGATE_FAULTS[int(rng.integers(len(AGGREGATE_FAULTS)))]
+            items.insert(int(rng.integers(len(items) + 1)), bad)
+        expected = oracles.aggregated_records(7, items)
+        assert _outcome(MultiGraph.from_edges, 7, items) == expected
+
+
+def test_a_pair_sum_past_int64_is_refused_with_its_exact_value():
+    items = [(0, 1, MAX_MULTIPLICITY)] * 2048 + [(1, 2)]
+    message = f"edge (0,1) multiplicity {2048 * MAX_MULTIPLICITY} is outside 1..2**53"
+    assert oracles.aggregated_records(3, items) == message
+    assert _outcome(MultiGraph.from_edges, 3, items) == message
+
+
+# bad records for the constructor, which takes sorted, distinct u < v records
+RECORD_FAULTS = [
+    (-1, 2, 1), (2, 7, 1), (4, 4, 1), (5, 3, 1), (1, 2, 0), (1, 2, -4),
+    (1, 2, MAX_MULTIPLICITY + 1), (1, 2, 10 ** 400), (10 ** 20, 1, 1),
+    (0, 10 ** 20, 1), (2, 3, 1),  # (2, 3) repeats a valid record
+]
+
+
+def test_constructor_errors_name_the_old_first_record():
+    rng = np.random.default_rng(4)
+    valid = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, MAX_MULTIPLICITY), (4, 6, 1)]
+    for _ in range(300):
+        records = list(valid)
+        for _ in range(int(rng.integers(1, 4))):
+            bad = RECORD_FAULTS[int(rng.integers(len(RECORD_FAULTS)))]
+            records.insert(int(rng.integers(len(records) + 1)), bad)
+        expected = oracles.checked_records(7, records)
+        assert _outcome(MultiGraph, 7, tuple(records)) == expected
+    # a valid record list keeps its order, sorted or not; the file is sorted
+    shuffled = tuple(valid[::-1])
+    assert MultiGraph(7, shuffled).edges == shuffled != MultiGraph(7, tuple(valid)).edges
+    assert graph_to_text(MultiGraph(7, shuffled)) == oracles.graph_text(7, shuffled)
+
+
+def test_vertex_ids_past_int64_are_records_of_a_huge_graph():
+    huge = 10 ** 30
+    g = MultiGraph.from_edges(huge, [(10 ** 25, 0), (0, 10 ** 25, 2), (5, 10 ** 20)])
+    assert g.edges == ((0, 10 ** 25, 3), (5, 10 ** 20, 1))
+    assert graph_from_text(graph_to_text(g)) == g
+    assert MultiGraph(huge, g.edges) == g
+
+
+def test_degrees_stay_exact_past_two_to_the_53():
+    g = MultiGraph(3, ((0, 1, MAX_MULTIPLICITY), (0, 2, 1), (1, 2, MAX_MULTIPLICITY)))
+    assert g.degrees() == (MAX_MULTIPLICITY + 1, 2 * MAX_MULTIPLICITY,
+                           MAX_MULTIPLICITY + 1)
+    assert not g.is_regular()
+
+
+def _reference(inst, params):
+    """The reference build of `inst` under `params`, from the oracles."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=params.seed,
+                                                         spawn_key=(i,)))
+            for i in range(inst.num_vars)]
+    return oracles.reduction_records(inst.num_vars, inst.equations, params.delta,
+                                     params.delta_prime, params.block_size, rngs)
+
+
+SHAPES = [(2, 1, 1, 1, 1), (3, 3, 1, 2, 1), (4, 3, 2, 2, 2), (5, 8, 3, 3, 1),
+          (16, 50, 100, 4, 2)]  # the last is the benchmark's large shape
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_build_matches_the_reference_records_and_files(shape):
+    n, m, t, delta, delta_prime = shape
+    for seed in (1, 77, 2 ** 31 - 1):
+        inst = random_instance(n, m, seed)
+        params = GadgetParams(delta, delta_prime, t, seed)
+        rg = build_reduction_graph(inst, params)
+        records, u_blocks, v_blocks, num_vertices = _reference(inst, params)
+        assert rg.graph.edges == records
+        assert rg.graph == MultiGraph(num_vertices, records)
+        assert [list(map(list, b)) for b in rg.u_blocks] == u_blocks
+        assert [list(map(list, b)) for b in rg.v_blocks] == v_blocks
+        assert graph_to_text(rg.graph) == oracles.graph_text(num_vertices, records)
+        assert blocks_to_text(rg) == oracles.blocks_text(
+            inst.num_vars, inst.equations, t, delta, delta_prime, seed,
+            u_blocks, v_blocks)
+        assert graph_from_text(graph_to_text(rg.graph)) == rg.graph
+
+
+def _audit_fields(rg, graph):
+    p = rg.params
+    return oracles.audit_fields(graph.num_vertices, graph.edges, rg.instance.equations,
+                                rg.u_blocks, rg.v_blocks, p.delta, p.delta_prime,
+                                p.block_size)
+
+
+def _failed(audit):
+    fields = dataclasses.asdict(audit)
+    assert all(type(value) in (bool, int) for value in fields.values())  # JSON-ready
+    return {name for name, value in fields.items() if value is False}
+
+
+@pytest.mark.parametrize("shape", SHAPES[1:4])
+def test_audit_of_altered_graphs_matches_the_reference(shape):
+    n, m, t, delta, delta_prime = shape
+    rng = np.random.default_rng(m)
+    for seed in range(4):
+        rg = build_reduction_graph(random_instance(n, m, seed),
+                                   GadgetParams(delta, delta_prime, t, seed))
+        audit = audit_reduction_graph(rg)
+        assert dataclasses.asdict(audit) == _audit_fields(rg, rg.graph)
+        assert audit.passed
+        owner = {v: i for i in range(rg.instance.num_vars)
+                 for v in rg.u_side(i) + rg.v_side(i)}
+        records = list(rg.graph.edges)
+        crossing = [k for k, (u, v, _) in enumerate(records) if owner[u] != owner[v]]
+        inside = [k for k, (u, v, _) in enumerate(records) if owner[u] == owner[v]]
+
+        # one inter-gadget record moved to another vertex of another gadget
+        k = crossing[int(rng.integers(len(crossing)))]
+        u, v, mult = records[k]
+        others = [x for x in range(rg.graph.num_vertices)
+                  if owner[x] not in (owner[u], owner[v])]
+        moved = list(records)
+        moved[k] = (u, others[int(rng.integers(len(others)))], mult)
+        g = MultiGraph.from_edges(rg.graph.num_vertices, moved)
+        audit = audit_reduction_graph(dataclasses.replace(rg, graph=g))
+        assert dataclasses.asdict(audit) == _audit_fields(rg, g)
+        assert {"regular", "inter_multiplicities_ok", "wiring_ok"} <= _failed(audit)
+        assert "block_sizes_ok" not in _failed(audit)
+
+        # one multiplicity raised by one, within a gadget and across two
+        for chosen, failing in ((inside, {"regular", "intra_multiplicities_ok"}),
+                                (crossing, {"regular", "inter_multiplicities_ok",
+                                            "wiring_ok"})):
+            k = chosen[int(rng.integers(len(chosen)))]
+            raised = list(records)
+            raised[k] = records[k][:2] + (records[k][2] + 1,)
+            g = MultiGraph(rg.graph.num_vertices, tuple(raised))
+            audit = audit_reduction_graph(dataclasses.replace(rg, graph=g))
+            assert dataclasses.asdict(audit) == _audit_fields(rg, g)
+            assert _failed(audit) == failing

@@ -75,6 +75,19 @@ def test_multiplicities_must_fit_a_double():
         MultiGraph.from_edges(2, [(0, 1, MAX_MULTIPLICITY), (1, 0, 1)])
 
 
+def test_each_record_multiplicity_must_lie_in_range():
+    # the sum of a pair's records used to be the only thing checked, so a
+    # record of -3 beside one of 5 read as one edge of multiplicity 2
+    with pytest.raises(UsageError, match=r"line 3: multiplicity -3 is outside 1\.\.2\*\*53"):
+        graph_from_text("p graph 2 2\ne 0 1 5\ne 0 1 -3\n")
+    with pytest.raises(UsageError, match="line 3: multiplicity 0 "):
+        graph_from_text("p graph 3 2\ne 1 2 1\ne 0 1 0\n")
+    with pytest.raises(UsageError, match="record of multiplicity -3"):
+        MultiGraph.from_edges(2, [(0, 1, 5), (1, 0, -3)])
+    with pytest.raises(UsageError, match="record of multiplicity 0"):
+        MultiGraph.from_edges(3, [(0, 1), (1, 2, 0)])
+
+
 def test_reader_errors_carry_line_numbers():
     with pytest.raises(UsageError, match="line 2: non-integer field"):
         graph_from_text("p graph 2 1\ne 0 two 1\n")

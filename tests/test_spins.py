@@ -108,6 +108,16 @@ def test_fixed_vertices_split_the_sum():
         log_partition(g, p, fixed={0: 2})
 
 
+def test_partition_fraction_checks_pins_like_log_partition():
+    g = path_graph(3)
+    for fixed, message in (({0: 2}, "fixed spin must be 0 or 1, got 2"),
+                           ({7: 0}, "fixed vertex 7 out of range")):
+        with pytest.raises(UsageError, match=message):
+            log_partition(g, SpinParams(2, 3), fixed=fixed)
+        with pytest.raises(UsageError, match=message):
+            partition_fraction(g, 2, 3, fixed=fixed)
+
+
 def test_threads_do_not_change_the_result():
     # 18 free vertices span several blocks, so threads > 1 splits the work
     g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
