@@ -9,12 +9,13 @@ Graph file format (text):
     e <u> <v> <mult>        # one line per record, 0-based endpoints
 The writer emits records sorted by (u, v); the reader accepts any order and
 aggregates duplicate pairs.  Each record's multiplicity, like each pair's
-sum, must lie in 1..2**53.  `read_records` holds the syntax that this file,
-the E2LIN2 instance and the block map share: ASCII, '#' and blank lines
-skipped, one integer header first.
+sum, must lie in 1..2**53.  A graph holds its records as int64 columns, and
+the reader converts its record block into them PARSE_BLOCK lines at a time.
+`read_records` holds the syntax that this file, the E2LIN2 instance and the
+block map share: ASCII, '#' and blank lines skipped, one integer header first.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from typing import Iterable, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from .errors import UsageError
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
+PARSE_BLOCK = 1 << 14  # lines of a graph file's record block converted at a time
 
 
 def _int_table(values):
@@ -66,30 +68,33 @@ def _first_bad_multiplicity(m) -> int:
     return -1
 
 
+def _in_pair_order(u, v) -> bool:
+    """Whether the pairs (u[i], v[i]) are ordered by u, then v."""
+    u0, u1 = u[:-1], u[1:]
+    return not (np.count_nonzero(u1 < u0) or np.count_nonzero((u1 == u0) & (v[1:] < v[:-1])))
+
+
 def _first(mask):
     """Index of the first True in mask, or -1."""
     return int(mask.argmax()) if np.count_nonzero(mask) else -1
 
 
-@dataclass(frozen=True)
 class MultiGraph:
     """Immutable undirected multigraph on vertices 0..num_vertices-1.
 
-    `edges` is a tuple of (u, v, mult) Python ints.  `edge_columns` holds
-    the same records, in the same order, as a read-only int64 array of shape
-    (3, len(edges)) whose rows are the u, v and mult columns; the checks,
-    the aggregation and the degrees work on it.
+    The records live in `edge_columns`, a read-only int64 array of shape
+    (3, k) whose rows are the u, v and mult columns (dtype object when a
+    field does not fit int64); the checks, the aggregation, the degrees,
+    `==` and the writer work on it.  `edges` holds the same records, in the
+    same order, as a tuple of (u, v, mult) Python ints, built on first use.
     """
 
-    num_vertices: int
-    edges: Tuple[EdgeRecord, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, edges: Tuple[EdgeRecord, ...] = ()):
+        if num_vertices < 0:
             raise UsageError("num_vertices must be nonnegative")
-        table = _int_table(self.edges).reshape(-1, 3).T
+        table = _int_table(edges).reshape(-1, 3).T
         u, v, m = table
-        bad = (u < 0) | (v >= self.num_vertices) | (u >= v) | _bad_multiplicity(m)
+        bad = (u < 0) | (v >= num_vertices) | (u >= v) | _bad_multiplicity(m)
         # the later of two records for one pair is a duplicate (the sort is stable)
         order = np.lexsort(table[1::-1])
         pairs = table[:2, order]
@@ -97,13 +102,36 @@ class MultiGraph:
         bad[order[1:][same[0] & same[1]]] = True
         i = _first(bad)
         if i >= 0:
-            raise UsageError(_record_error(self.num_vertices, int(u[i]), int(v[i]),
-                                           int(m[i])))
-        self._set_columns(table)
+            raise UsageError(_record_error(num_vertices, int(u[i]), int(v[i]), int(m[i])))
+        self._store(num_vertices, table, edges)
 
-    def _set_columns(self, table):
+    def _store(self, num_vertices, table, edges):
         table.setflags(write=False)
+        object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edge_columns", table)
+        object.__setattr__(self, "_edges", edges)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def edges(self) -> Tuple[EdgeRecord, ...]:
+        """The records as (u, v, mult) Python ints; built once, on first use."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(zip(*self.edge_columns.tolist())))
+        return self._edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_vertices == other.num_vertices
+                and np.array_equal(self.edge_columns, other.edge_columns))
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.edges))
+
+    def __repr__(self):
+        return f"MultiGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def from_columns(cls, num_vertices: int, u, v, mult) -> "MultiGraph":
@@ -119,8 +147,9 @@ class MultiGraph:
             raise UsageError(f"edge ({u[i]},{v[i]}) has a record of multiplicity "
                              f"{mult[i]}, outside 1..2**53")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((hi, lo))
-        lo, hi, mult = lo[order], hi[order], mult[order]
+        if not _in_pair_order(lo, hi):
+            order = np.lexsort((hi, lo))
+            lo, hi, mult = lo[order], hi[order], mult[order]
         new_pair = np.empty(mult.size, dtype=bool)
         new_pair[:1] = True
         np.not_equal(lo[1:], lo[:-1], out=new_pair[1:])
@@ -138,9 +167,7 @@ class MultiGraph:
                        | (exact > MAX_MULTIPLICITY))
             raise UsageError(_record_error(num_vertices, int(lo[i]), int(hi[i]), exact[i]))
         g = object.__new__(cls)
-        object.__setattr__(g, "num_vertices", num_vertices)
-        object.__setattr__(g, "edges", tuple(zip(lo.tolist(), hi.tolist(), sums.tolist())))
-        g._set_columns(np.array((lo, hi, sums)))
+        g._store(num_vertices, np.array((lo, hi, sums)), None)
         return g
 
     @classmethod
@@ -151,8 +178,8 @@ class MultiGraph:
 
     @property
     def num_edges(self) -> int:
-        """Total edge count, multiplicities included."""
-        return sum(m for _, _, m in self.edges)
+        """Total edge count, multiplicities included, as an exact int."""
+        return sum(self.edge_columns[2].tolist())
 
     def degrees(self) -> Tuple[int, ...]:
         u, v, m = self.edge_columns
@@ -202,10 +229,12 @@ class BipartiteGadget:
             raise UsageError("bipartition sides overlap")
         if all_ids != set(range(self.graph.num_vertices)):
             raise UsageError("bipartition must cover all vertices exactly once")
-        left = set(self.left)
-        for u, v, _ in self.graph.edges:
-            if (u in left) == (v in left):
-                raise UsageError(f"edge ({u},{v}) does not cross the bipartition")
+        on_left = np.zeros(self.graph.num_vertices, dtype=bool)
+        on_left[list(self.left)] = True
+        u, v = self.graph.edge_columns[0], self.graph.edge_columns[1]
+        i = _first(on_left[u] == on_left[v])
+        if i >= 0:
+            raise UsageError(f"edge ({u[i]},{v[i]}) does not cross the bipartition")
 
     @classmethod
     def from_matchings(cls, perms) -> "BipartiteGadget":
@@ -234,6 +263,33 @@ class BipartiteGadget:
 # Text formats: the syntax that the graph, instance and block-map files share
 
 
+def _lines(text: str):
+    """text's lines, ended at '\n', '\r\n' or '\r'; a final line end closes
+    the last line rather than opening an empty one."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _header(lines, kind: str, num_fields: int):
+    """The `p <kind>` header's ints and the index of the line after it.
+
+    Blank and '#' lines before it are skipped; a record before it, a
+    malformed header or none raises UsageError.
+    """
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[0] != "p":
+            raise UsageError(f"line {i + 1}: record before the 'p {kind}' header")
+        if len(tokens) != num_fields + 2 or tokens[1] != kind:
+            raise UsageError(f"line {i + 1}: bad header {line!r}")
+        return int_fields(tokens[2:], i + 1, line), i + 1
+    raise UsageError(f"missing 'p {kind}' header")
+
+
 def read_records(text: str, kind: str, num_fields: int):
     """Yield the `p <kind>` header's ints, then (lineno, line, tokens) per record.
 
@@ -243,25 +299,16 @@ def read_records(text: str, kind: str, num_fields: int):
     that str.splitlines honours, so a '\n' file's lines are numbered as
     `wc -l` counts them.
     """
-    header = None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    lines = _lines(text)
+    header, start = _header(lines, kind, num_fields)
+    yield header
+    for lineno, line in enumerate(lines[start:], start=start + 1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "#":
             continue
         if tokens[0] == "p":
-            if header is not None:
-                raise UsageError(f"line {lineno}: duplicate header")
-            if len(tokens) != num_fields + 2 or tokens[1] != kind:
-                raise UsageError(f"line {lineno}: bad header {line!r}")
-            header = int_fields(tokens[2:], lineno, line)
-            yield header
-        elif header is None:
-            raise UsageError(f"line {lineno}: record before the 'p {kind}' header")
-        else:
-            yield lineno, line, tokens
-    if header is None:
-        raise UsageError(f"missing 'p {kind}' header")
+            raise UsageError(f"line {lineno}: duplicate header")
+        yield lineno, line, tokens
 
 
 def int_fields(tokens, lineno: int, line: str):
@@ -292,25 +339,76 @@ def records_to_text(kind: str, header, records) -> str:
 
 
 def graph_to_text(g: MultiGraph) -> str:
-    # the records' own ints, not the columns': tolist() would allocate new
-    # ones, which costs more than sorting the (already sorted) tuples
-    return records_to_text("graph", (g.num_vertices, len(g.edges)),
-                           (f"e {u} {v} {m}" for u, v, m in sorted(g.edges)))
+    table = g.edge_columns
+    if not _in_pair_order(table[0], table[1]):
+        table = table[:, np.lexsort(table[1::-1])]
+    return (records_to_text("graph", (g.num_vertices, table.shape[1]), ())
+            + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist()))
+
+
+def _edge_fields(lines, lo: int, sep: str):
+    """The fields of the records among lines[lo:lo + PARSE_BLOCK], as a (k, 3)
+    int64 array (dtype object past int64) in file order.
+
+    The chunk's lines are joined around `sep`, a token that the text does
+    not contain, and split once, so each line's tokens end at a `sep`: every
+    fifth token is one when every line holds four tokens; otherwise they are
+    found in an object array of the tokens.  A line of four tokens, the first
+    'e', is a record; a blank or '#' line is skipped; any other line is a
+    fault.  The first fault, or an earlier record's non-integer field,
+    raises the error that reading the lines one by one would raise.
+    """
+    chunk = lines[lo:lo + PARSE_BLOCK]
+    n = len(chunk)
+    tokens = f" {sep} ".join(chunk).split()
+    tokens.append(sep)
+    fault = None
+    if len(tokens) == 5 * n and tokens[4::5].count(sep) == n and tokens[::5].count("e") == n:
+        rows = range(n)
+        del tokens[4::5], tokens[::4]
+        fields = tokens
+    else:
+        words = np.array(tokens, dtype=object)
+        ends = np.flatnonzero(words == sep)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        record = (ends - starts == 4) & (words[starts] == "e")
+        for j in np.flatnonzero(~record).tolist():
+            first = chunk[j].split()[:1]
+            if first and first[0][0] != "#":
+                fault = j
+                record[j:] = False
+                break
+        rows = np.flatnonzero(record).tolist()
+        fields = words[(starts[rows, None] + np.arange(1, 4)).ravel()]
+    try:
+        table = _int_table(list(map(int, fields)))
+    except ValueError:  # name the first record with a non-integer field
+        for j in rows:
+            int_fields(chunk[j].split()[1:], lo + j + 1, chunk[j])
+    if fault is not None:
+        lineno, line = lo + fault + 1, chunk[fault]
+        if line.split()[0] == "p":
+            raise UsageError(f"line {lineno}: duplicate header")
+        raise UsageError(f"line {lineno}: bad edge record {line!r}")
+    return table.reshape(-1, 3)
 
 
 def graph_from_text(text: str) -> MultiGraph:
-    records = read_records(text, "graph", 2)
-    num_vertices, declared = next(records)
-    fields = []
-    for lineno, line, tokens in records:
-        if len(tokens) != 4 or tokens[0] != "e":
-            raise UsageError(f"line {lineno}: bad edge record {line!r}")
-        try:  # inline, not through int_fields: this loop is the hot one
-            fields += map(int, tokens[1:])
-        except ValueError:
-            raise UsageError(f"line {lineno}: non-integer field in {line!r}") from None
-    u, v, m = _int_table(fields).reshape(-1, 3).T
-    del fields  # as large as the graph: free it before the aggregation
+    """Parse a graph file.
+
+    The header is read as `read_records` reads it; the record block after it
+    is converted PARSE_BLOCK lines at a time by `_edge_fields`, each field
+    through `int`, so the errors are those of reading it line by line, in
+    file order.  The records then go through `MultiGraph.from_columns`.
+    """
+    lines = _lines(text)
+    (num_vertices, declared), start = _header(lines, "graph", 2)
+    sep = "\x01"  # not NUL: numpy strips trailing NULs from a str it compares
+    while sep in text:
+        sep += "\x01"
+    blocks = [_edge_fields(lines, lo, sep) for lo in range(start, len(lines), PARSE_BLOCK)]
+    u, v, m = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)]).T
+    del lines, blocks  # as large as the graph: free them before the aggregation
     if declared != len(m):
         raise UsageError(f"header declares {declared} records, found {len(m)}")
     k = _first_bad_multiplicity(m)

@@ -7,8 +7,9 @@ laws, a plain bisection root finder, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
 survival function, a scan over every big pair of a gadget's subsets,
 a loop over every configuration for the reduction's majority sums (whose
-per-configuration weight the caller passes in), and per-record loops that
-check, aggregate, write and audit edge records and build the reduction's.
+per-configuration weight the caller passes in), per-record loops that
+check, aggregate, write and audit edge records and build the reduction's,
+and a line-by-line reader of graph files.
 """
 
 import decimal
@@ -344,6 +345,49 @@ def aggregated_records(num_vertices, items):
         key = (u, v) if u < v else (v, u)
         mults[key] = mults.get(key, 0) + m
     return checked_records(num_vertices, sorted((u, v, m) for (u, v), m in mults.items()))
+
+
+def graph_file(text):
+    """A graph file read line by line: (num_vertices, its aggregated records)
+    as `aggregated_records` gives them, or the message of the first error in
+    the order the reader reports them: a line's fault, the record count, a
+    record's multiplicity, then the graph's own checks."""
+    header, items, where = None, [], []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "p":
+            if header is not None:
+                return f"line {lineno}: duplicate header"
+            if len(tokens) != 4 or tokens[1] != "graph":
+                return f"line {lineno}: bad header {line!r}"
+        elif header is None:
+            return f"line {lineno}: record before the 'p graph' header"
+        elif len(tokens) != 4 or tokens[0] != "e":
+            return f"line {lineno}: bad edge record {line!r}"
+        try:
+            fields = [int(token) for token in (tokens[2:] if tokens[0] == "p" else tokens[1:])]
+        except ValueError:
+            return f"line {lineno}: non-integer field in {line!r}"
+        if header is None:
+            header = fields
+        else:
+            items.append(tuple(fields))
+            where.append((lineno, line))
+    if header is None:
+        return "missing 'p graph' header"
+    num_vertices, declared = header
+    if declared != len(items):
+        return f"header declares {declared} records, found {len(items)}"
+    for (_, _, m), (lineno, line) in zip(items, where):
+        if not 0 < m <= MAX_MULTIPLICITY:
+            return f"line {lineno}: multiplicity {m} is outside 1..2**53 in {line!r}"
+    if num_vertices < 0:
+        return "num_vertices must be nonnegative"
+    records = aggregated_records(num_vertices, items)
+    return records if isinstance(records, str) else (num_vertices, records)
 
 
 def graph_text(num_vertices, records):

@@ -4,7 +4,9 @@
 aggregation, the reduction's wiring and matchings, the two file writers and
 the structure audit.  The graphs, reductions and audits built on int64
 columns must give `==` graphs, the same bytes, the same audit fields and,
-for a bad record, the same message as those loops.
+for a bad record, the same message as those loops.  A graph's `edges` tuple
+is built from its columns only when it is first read, so these tests also
+check that tuple, `==` and the writer against the records themselves.
 """
 
 import dataclasses
@@ -15,8 +17,8 @@ import pytest
 import oracles
 from twospin.e2lin2 import random_instance
 from twospin.errors import UsageError
-from twospin.graphs import (MAX_MULTIPLICITY, MultiGraph, graph_from_text,
-                            graph_to_text)
+from twospin.graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph,
+                            graph_from_text, graph_to_text)
 from twospin.reduction import (GadgetParams, audit_reduction_graph,
                                blocks_to_text, build_reduction_graph)
 
@@ -120,6 +122,125 @@ def test_vertex_ids_past_int64_are_records_of_a_huge_graph():
     assert g.edges == ((0, 10 ** 25, 3), (5, 10 ** 20, 1))
     assert graph_from_text(graph_to_text(g)) == g
     assert MultiGraph(huge, g.edges) == g
+
+
+def _valid_records(rng, n, count):
+    """Sorted, distinct records on n vertices, every sum in 1..2**53."""
+    while True:
+        records = oracles.aggregated_records(n, _items(rng, n, count))
+        if isinstance(records, tuple):
+            return records
+
+
+def _column_arrays(records, dtype=np.int64):
+    return [np.array(column, dtype=dtype) for column in zip(*records)] or [
+        np.zeros(0, dtype=dtype)] * 3
+
+
+def _built(n, records):
+    """The graph of sorted, distinct records, from each builder."""
+    dtype = object if max(map(max, records), default=0) >= 2 ** 63 else np.int64
+    return {"constructor": MultiGraph(n, records),
+            "from_edges": MultiGraph.from_edges(n, records),
+            "from_columns": MultiGraph.from_columns(n, *_column_arrays(records, dtype)),
+            "text": graph_from_text(oracles.graph_text(n, records))}
+
+
+def _unbuilt(g):
+    """Whether g has not built its edges tuple yet."""
+    return vars(g)["_edges"] is None
+
+
+def test_edges_tuple_is_built_on_first_use():
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        records = _valid_records(rng, n, int(rng.integers(0, 12)))
+        for name, g in _built(n, records).items():
+            assert _unbuilt(g) == (name != "constructor"), name
+            assert g.num_edges == sum(m for _, _, m in records)
+            assert graph_to_text(g) == oracles.graph_text(n, records)
+            assert _unbuilt(g) == (name != "constructor"), name
+            assert g.edges == records and g.edges is g.edges
+        side, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        perms = np.array([rng.permutation(side) for _ in range(k)])
+        h = BipartiteGadget.from_matchings(perms)
+        assert _unbuilt(h.graph)  # validating the gadget read only the columns
+        assert h.graph.edges == oracles.aggregated_records(
+            2 * side, [(i, side + int(p[i])) for p in perms for i in range(side)])
+
+
+def test_equality_follows_the_records():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(3, 8))
+        records = _valid_records(rng, n, int(rng.integers(1, 10)))
+        k = int(rng.integers(len(records)))
+        u, v, m = records[k]
+        moved = oracles.aggregated_records(n, records[:k] + ((u, (v + 1) % n or 1, m),)
+                                           + records[k + 1:])
+        raised = records[:k] + ((u, v, m + 1 if m < MAX_MULTIPLICITY else 1),) + records[k + 1:]
+        variants = [records, raised] + ([moved] if isinstance(moved, tuple) else [])
+        for first in variants:
+            for second in variants:
+                for g in _built(n, first).values():
+                    for h in _built(n, second).values():
+                        assert (g == h) == (first == second)
+                        assert g != MultiGraph(n + 1, first)
+                        if first == second:
+                            assert hash(g) == hash(h)
+        # the constructor keeps its records' order, and `==` sees it
+        reordered = records[::-1]
+        assert (MultiGraph(n, reordered) == MultiGraph(n, records)) == (reordered == records)
+
+
+def test_columns_past_int64_compare_and_print_as_before():
+    huge = 10 ** 30
+    records = ((0, 10 ** 25, 3), (5, 10 ** 20, 1))
+    built = list(_built(huge, records).values())
+    built.append(MultiGraph.from_columns(huge, *_column_arrays(records, object)))
+    for g in built:
+        assert g.edge_columns.dtype == object
+        assert g == built[0] and hash(g) == hash(built[0])
+        assert g.edges == records
+        assert graph_to_text(g) == oracles.graph_text(huge, records)
+        assert repr(g) == f"MultiGraph(num_vertices={huge}, edges={records!r})"
+    # records that fit int64 compare equal whatever the columns' dtype
+    small = ((0, 1, 2), (1, 2 ** 40, 1))
+    plain = MultiGraph(huge, small)
+    boxed = MultiGraph.from_columns(huge, *_column_arrays(small, object))
+    assert plain.edge_columns.dtype == np.int64 and boxed.edge_columns.dtype == object
+    assert plain == boxed and hash(plain) == hash(boxed)
+    assert graph_to_text(plain) == graph_to_text(boxed) == oracles.graph_text(huge, small)
+    assert plain != MultiGraph(huge, ((0, 1, 2), (1, 2 ** 40, 2)))
+
+
+def test_num_edges_is_exact_past_int64():
+    k = 2048
+    mult = np.full(k, MAX_MULTIPLICITY)
+    g = MultiGraph.from_columns(2 * k, np.arange(k), np.arange(k, 2 * k), mult)
+    assert int(mult.sum()) == 0  # an int64 sum wraps
+    assert g.num_edges == k * MAX_MULTIPLICITY == 2 ** 64
+    assert _unbuilt(g)
+
+
+def test_gadget_crossing_check_names_the_first_edge():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        side = int(rng.integers(2, 6))
+        left = tuple(int(x) for x in rng.permutation(2 * side)[:side])
+        right = tuple(sorted(set(range(2 * side)) - set(left)))
+        records = _valid_records(rng, 2 * side, int(rng.integers(1, 8)))
+        order = rng.permutation(len(records))
+        records = tuple(records[i] for i in order)
+        inside = [(u, v) for u, v, _ in records if (u in left) == (v in left)]
+        graph = MultiGraph(2 * side, records)
+        if not inside:
+            assert BipartiteGadget(graph, left, right).graph is graph
+            continue
+        with pytest.raises(UsageError) as exc:
+            BipartiteGadget(graph, left, right)
+        assert str(exc.value) == "edge (%d,%d) does not cross the bipartition" % inside[0]
 
 
 def test_degrees_stay_exact_past_two_to_the_53():

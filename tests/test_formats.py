@@ -3,16 +3,20 @@
 Every parser and file reader either returns a value or raises UsageError,
 whatever text or bytes it is fed; well-formed text, with comments, blank
 lines and extra whitespace mixed in, parses to the value it was written
-from.  Hypothesis runs derandomized with a bounded example count, so these
-tests check the same inputs on every run.
+from.  The graph parser, which converts its record block a chunk of lines at
+a time, must also agree with `oracles.graph_file`, a line-by-line reader, at
+several chunk sizes.  Hypothesis runs derandomized with a bounded example
+count, so these tests check the same inputs on every run.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+import twospin.graphs
 from twospin.e2lin2 import (E2Lin2Instance, format_instance, normalize,
-                            parse_instance, read_instance)
+                            parse_instance, random_instance, read_instance)
 from twospin.errors import UsageError
 from twospin.graphs import (MAX_MULTIPLICITY, MultiGraph, graph_from_text,
                             graph_to_text, read_graph)
@@ -164,3 +168,69 @@ def test_file_readers_refuse_non_ascii_bytes(fuzz_file, data):
             read(fuzz_file)
         return
     assert read(fuzz_file) == expected
+
+
+def _parsed(text):
+    """(num_vertices, the records read off its columns) of the parsed graph,
+    or the message of the UsageError."""
+    try:
+        g = graph_from_text(text)
+    except UsageError as exc:
+        return str(exc)
+    return g.num_vertices, tuple(zip(*g.edge_columns.tolist()))
+
+
+def assert_parses_like_the_line_reader(text, blocks=(1, 3, twospin.graphs.PARSE_BLOCK)):
+    expected = oracles.graph_file(text)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twospin.graphs, "PARSE_BLOCK", block)
+            assert _parsed(text) == expected, f"chunks of {block} lines"
+
+
+@FUZZ
+@given(st.data())
+def test_graph_parser_matches_the_line_reader(data):
+    g = data.draw(st.one_of(graphs(), reductions().map(lambda rg: rg.graph)))
+    text = graph_to_text(g)
+    decorated_text = decorated(data.draw, text)
+    for sample in (text, decorated_text, mutated(data.draw, text),
+                   mutated(data.draw, decorated_text)):
+        assert_parses_like_the_line_reader(sample)
+
+
+def test_graph_parser_matches_the_line_reader_on_a_large_reduction():
+    rg = build_reduction_graph(random_instance(16, 50, 5), GadgetParams(4, 2, 100, 5))
+    text = graph_to_text(rg.graph)
+    assert text.count("\n") > 45_000
+    assert_parses_like_the_line_reader(text)
+    assert_parses_like_the_line_reader(text.replace("\n", "\r\n"))
+
+
+# lines planted at chunk boundaries: faults, lines that are skipped, and
+# fields that int() reads in unusual forms
+PLANTS = ["x 0 1 1", "e 0 1", "e e 0 1 1", "e 0 one 1", "e 0 1 1 1", "e 0 1 0",
+          "p graph 9 8", "# e 0 1 1", "#", "", " \t", "e 0 1 \u0663", "e +0 1 1_0",
+          "e 0 1 " + "9" * 400, "e 0 \x01 1", "# \x01 \x01\x01 \x00"]
+
+
+@pytest.mark.parametrize("block", [1, 3, twospin.graphs.PARSE_BLOCK])
+def test_graph_parser_faults_at_chunk_boundaries(block):
+    count = block + 3
+    lines = [f"p graph {count + 1} {count}"] + [f"e {i} {i + 1} 1" for i in range(count)]
+    # the first and the last line of the first chunk, and the first of the next
+    places = [1, block, block + 1]
+    plants = PLANTS if block < 100 else PLANTS[:4] + ["p graph 9 8", ""]
+    for place in places:
+        for plant in plants:
+            for edited in (lines[:place] + [plant] + lines[place + 1:],
+                           lines[:place] + [plant] + lines[place:]):
+                assert_parses_like_the_line_reader("\n".join(edited) + "\n", (block,))
+    # two faults, in one chunk or across the boundary: the earlier is reported
+    for pair in ([block - 1, block] if block > 1 else [], [block, block + 1]):
+        for first in plants[:4]:
+            for second in plants[:4]:
+                edited = list(lines)
+                for place, plant in zip(pair, (first, second)):
+                    edited[place] = plant
+                assert_parses_like_the_line_reader("\n".join(edited), (block,))
