@@ -369,7 +369,14 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     n = h.side_size
     if mode == "exhaustive" and n > MAX_AUDIT_SIDE:
         raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
-    ld, rd = set(h.left_degrees()), set(h.right_degrees())
+    # the crossing counts, by the positions of the ends in h.left and h.right
+    pos = np.empty(2 * n, dtype=np.int64)
+    pos[list(h.left + h.right)] = np.arange(2 * n)
+    u, v, m = h.graph.edge_columns
+    mat = np.zeros((n, n))
+    mat[np.minimum(pos[u], pos[v]), np.maximum(pos[u], pos[v]) - n] = m  # once per pair
+    ld = set(mat.sum(axis=1).astype(np.int64).tolist())
+    rd = set(mat.sum(axis=0).astype(np.int64).tolist())
     if len(ld) != 1 or ld != rd:
         raise UsageError("expansion audit expects a regular bipartite gadget")
     delta = ld.pop()
@@ -378,13 +385,6 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     if not 0 < eps <= 1:
         raise UsageError("eps must lie in (0, 1]")
     s0 = max(1, math.ceil(eps * n - 1e-9))
-    left_pos = {v: i for i, v in enumerate(h.left)}
-    right_pos = {v: i for i, v in enumerate(h.right)}
-    mat = np.zeros((n, n))
-    for u, v, m in h.graph.edges:
-        if u not in left_pos:
-            u, v = v, u
-        mat[left_pos[u], right_pos[v]] += m
 
     worst = math.inf
     if mode == "exhaustive":

@@ -150,7 +150,7 @@ def _cmd_gadget(args):
     h = reduction.sample_gadget(args.side, args.delta, args.seed)
     if args.out:
         write_graph(h.graph, args.out)
-    degrees = sorted(set(h.left_degrees()) | set(h.right_degrees()))
+    degrees = sorted(set(h.graph.degrees()))
     return _report("gadget",
                    {"side": args.side, "delta": args.delta, "seed": args.seed,
                     "out": args.out},

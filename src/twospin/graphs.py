@@ -4,15 +4,21 @@ Parallel edges are stored as multiplicity counts and never expanded: the
 reduction gadgets carry multiplicities in the billions at full scale, and
 weight exponentiation is O(1) per record either way.
 
+Every graph, however it is built, passes one check, `_canonical`, at a cost
+of O(records): every field fits int64; 0 <= num_vertices <= 2**53; each
+record's multiplicity, each pair's sum and each vertex degree lie within
+2**53, so that the doubles the kernels read are exact.  A breach raises
+UsageError naming the first offending record, line or vertex.  A graph holds
+one canonical form: int64 columns sorted by (u, v), u < v, one record per pair.
+
 Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
-The writer emits records sorted by (u, v); the reader accepts any order and
-aggregates duplicate pairs.  Each record's multiplicity, like each pair's
-sum, must lie in 1..2**53.  A graph holds its records as int64 columns, and
-the reader converts its record block into them PARSE_BLOCK lines at a time.
-`read_records` holds the syntax that this file, the E2LIN2 instance and the
-block map share: ASCII, '#' and blank lines skipped, one integer header first.
+The writer emits the canonical records; the reader accepts any order and
+orientation, sums duplicate pairs, and converts its record block PARSE_BLOCK
+lines at a time.  `read_records` holds the syntax that this file, the E2LIN2
+instance and the block map share: ASCII, '#' and blank lines skipped, one
+integer header first.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
@@ -28,44 +34,13 @@ MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
 PARSE_BLOCK = 1 << 14  # lines of a graph file's record block converted at a time
 
 
-def _int_table(values):
-    """values as an int64 array; as an array of Python ints (dtype object)
-    when one does not fit, which the checks then refuse unless the graph
-    has more than 2**63 vertices."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _record_error(num_vertices: int, u: int, v: int, m: int) -> str:
-    """Why a record failed, by the first of the checks in this order."""
+    """Why a pair failed: out of range, a self-loop, or its multiplicity."""
     if not (0 <= u < num_vertices and 0 <= v < num_vertices):
         return f"edge ({u},{v}) out of range"
     if u == v:
         return f"self-loop at vertex {u}"
-    if u > v:
-        return f"edge ({u},{v}) not in canonical u < v order"
-    if not 0 < m <= MAX_MULTIPLICITY:
-        return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
-    return f"duplicate record for edge ({u},{v})"
-
-
-def _top(a):
-    """The largest entry of a nonempty array; on the few records of a small
-    graph, argmax costs a tenth of max."""
-    return a[a.argmax()]
-
-
-def _bad_multiplicity(m):
-    return (m < 1) | (m > MAX_MULTIPLICITY)
-
-
-def _first_bad_multiplicity(m) -> int:
-    """Index of the first entry of m outside 1..2**53, or -1."""
-    if m.size and (m[m.argmin()] < 1 or _top(m) > MAX_MULTIPLICITY):
-        return _first(_bad_multiplicity(m))
-    return -1
+    return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
 
 
 def _in_pair_order(u, v) -> bool:
@@ -79,37 +54,71 @@ def _first(mask):
     return int(mask.argmax()) if np.count_nonzero(mask) else -1
 
 
+def _canonical(num_vertices: int, u, v, mult):
+    """The graph contract: the canonical (3, k) int64 table of the int64 columns
+    u, v, mult in any order and orientation, each pair's records summed."""
+    if num_vertices < 0:
+        raise UsageError("num_vertices must be nonnegative")
+    if num_vertices > MAX_MULTIPLICITY:
+        raise UsageError(f"num_vertices {num_vertices} exceeds 2**53")
+    # on a small graph's few records, argmin and argmax cost less than min and max
+    if mult.size and (mult[mult.argmin()] < 1 or mult[mult.argmax()] > MAX_MULTIPLICITY):
+        i = _first((mult < 1) | (mult > MAX_MULTIPLICITY))
+        raise UsageError(f"edge ({u[i]},{v[i]}) has a record of multiplicity "
+                         f"{mult[i]}, outside 1..2**53")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if not _in_pair_order(lo, hi):
+        order = np.lexsort((hi, lo))
+        lo, hi, mult = lo[order], hi[order], mult[order]
+    new_pair = np.empty(mult.size, dtype=bool)
+    new_pair[:1] = True
+    new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = new_pair.nonzero()[0]
+    lo, hi, sums = lo[starts], hi[starts], np.add.reduceat(mult, starts)
+    # the largest multiplicity times the count bounds every pair sum and degree;
+    # past 2**53, 1,024 int64 summands can wrap, so their doubles decide too
+    if lo.size and (lo[0] < 0 or hi[hi.argmax()] >= num_vertices or np.count_nonzero(lo == hi)
+                    or int(mult[mult.argmax()]) * mult.size >= MAX_MULTIPLICITY):
+        big = np.add.reduceat(mult, starts, dtype=float) > MAX_MULTIPLICITY
+        i = _first((lo < 0) | (hi >= num_vertices) | (lo == hi) | (sums > MAX_MULTIPLICITY) | big)
+        if i >= 0:
+            exact = sum(mult[starts[i]:starts[i + 1] if i + 1 < starts.size else None].tolist())
+            raise UsageError(_record_error(num_vertices, int(lo[i]), int(hi[i]), exact))
+        ends, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        weights = np.concatenate((sums, sums))
+        degrees = np.zeros(ends.size, dtype=np.int64)
+        np.add.at(degrees, at, weights)
+        i = _first((degrees > MAX_MULTIPLICITY) | (np.bincount(at, weights) > MAX_MULTIPLICITY))
+        if i >= 0:
+            raise UsageError(f"vertex {ends[i]} has degree {sum(weights[at == i].tolist())}, "
+                             "past 2**53")
+    return np.array((lo, hi, sums))
+
+
 class MultiGraph:
     """Immutable undirected multigraph on vertices 0..num_vertices-1.
 
-    The records live in `edge_columns`, a read-only int64 array of shape
-    (3, k) whose rows are the u, v and mult columns (dtype object when a
-    field does not fit int64); the checks, the aggregation, the degrees,
-    `==` and the writer work on it.  `edges` holds the same records, in the
-    same order, as a tuple of (u, v, mult) Python ints, built on first use.
+    `MultiGraph(n, edges)` takes (u, v[, mult]) items in any order and
+    orientation and sums the items of one pair.  Every graph stores the
+    canonical form of the module docstring in `edge_columns`, a read-only
+    (3, k) int64 array of the u, v and mult rows, so `==` is graph equality.
+    `edges` holds the same records as (u, v, mult) ints, built on first use.
     """
 
-    def __init__(self, num_vertices: int, edges: Tuple[EdgeRecord, ...] = ()):
-        if num_vertices < 0:
-            raise UsageError("num_vertices must be nonnegative")
-        table = _int_table(edges).reshape(-1, 3).T
-        u, v, m = table
-        bad = (u < 0) | (v >= num_vertices) | (u >= v) | _bad_multiplicity(m)
-        # the later of two records for one pair is a duplicate (the sort is stable)
-        order = np.lexsort(table[1::-1])
-        pairs = table[:2, order]
-        same = pairs[:, 1:] == pairs[:, :-1]
-        bad[order[1:][same[0] & same[1]]] = True
-        i = _first(bad)
-        if i >= 0:
-            raise UsageError(_record_error(num_vertices, int(u[i]), int(v[i]), int(m[i])))
-        self._store(num_vertices, table, edges)
+    def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]] = ()):
+        rows = [item if len(item) == 3 else (*item, 1) for item in edges]
+        try:
+            table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            row = next(r for r in rows if not all(-2 ** 63 <= x < 2 ** 63 for x in r))
+            raise UsageError(f"record {tuple(row)} has a field outside int64") from None
+        self._store(num_vertices, _canonical(num_vertices, *table.T))
 
-    def _store(self, num_vertices, table, edges):
+    def _store(self, num_vertices, table):
         table.setflags(write=False)
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edge_columns", table)
-        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -128,53 +137,27 @@ class MultiGraph:
                 and np.array_equal(self.edge_columns, other.edge_columns))
 
     def __hash__(self):
-        return hash((self.num_vertices, self.edges))
+        return hash((self.num_vertices, self.edge_columns.tobytes()))
 
     def __repr__(self):
         return f"MultiGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def from_columns(cls, num_vertices: int, u, v, mult) -> "MultiGraph":
-        """Build a graph from (u, v, mult) columns, summing duplicate pairs.
-
-        Records may come in either orientation and any order; each
-        multiplicity must lie in 1..2**53, and so must each pair's sum.
-        """
-        if num_vertices < 0:
-            raise UsageError("num_vertices must be nonnegative")
-        i = _first_bad_multiplicity(mult)
-        if i >= 0:
-            raise UsageError(f"edge ({u[i]},{v[i]}) has a record of multiplicity "
-                             f"{mult[i]}, outside 1..2**53")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if not _in_pair_order(lo, hi):
-            order = np.lexsort((hi, lo))
-            lo, hi, mult = lo[order], hi[order], mult[order]
-        new_pair = np.empty(mult.size, dtype=bool)
-        new_pair[:1] = True
-        np.not_equal(lo[1:], lo[:-1], out=new_pair[1:])
-        new_pair[1:] |= hi[1:] != hi[:-1]
-        starts = new_pair.nonzero()[0]
-        lo, hi, sums = lo[starts], hi[starts], np.add.reduceat(mult, starts)
-        # the int64 sums can wrap only when 1,024 or more records share a pair;
-        # as doubles, such sums are at least 2**53
-        if lo.size and (lo[0] < 0 or _top(hi) >= num_vertices or np.count_nonzero(lo == hi)
-                        or _top(sums) > MAX_MULTIPLICITY
-                        or mult.size >= 1024 and _top(np.add.reduceat(
-                            mult, starts, dtype=float)) > MAX_MULTIPLICITY):
-            exact = np.add.reduceat(mult.astype(object), starts)
-            i = _first((lo < 0) | (hi >= num_vertices) | (lo == hi)
-                       | (exact > MAX_MULTIPLICITY))
-            raise UsageError(_record_error(num_vertices, int(lo[i]), int(hi[i]), exact[i]))
+        """Build a graph from integer (u, v, mult) columns, as from items."""
+        try:
+            u, v, mult = (np.asarray(c).astype(np.int64, casting="safe", copy=False)
+                          for c in (u, v, mult))
+        except TypeError:
+            raise UsageError("edge columns must be integer arrays within int64") from None
         g = object.__new__(cls)
-        g._store(num_vertices, np.array((lo, hi, sums)), None)
+        g._store(num_vertices, _canonical(num_vertices, u, v, mult))
         return g
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Sequence[int]]) -> "MultiGraph":
         """Build a graph from (u, v[, mult]) items, aggregating duplicates."""
-        rows = [item if len(item) == 3 else (*item, 1) for item in edges]
-        return cls.from_columns(num_vertices, *_int_table(rows).reshape(-1, 3).T)
+        return cls(num_vertices, edges)
 
     @property
     def num_edges(self) -> int:
@@ -182,19 +165,13 @@ class MultiGraph:
         return sum(self.edge_columns[2].tolist())
 
     def degrees(self) -> Tuple[int, ...]:
+        """Each vertex's degree; the doubles are exact, as no degree passes 2**53."""
         u, v, m = self.edge_columns
-        n = self.num_vertices
-        deg = np.bincount(u, m, n) + np.bincount(v, m, n)
-        if np.count_nonzero(deg >= MAX_MULTIPLICITY):  # the doubles may have rounded
-            deg = np.zeros(n, dtype=object)
-            np.add.at(deg, u, m.astype(object))
-            np.add.at(deg, v, m.astype(object))
-            return tuple(deg.tolist())
+        deg = np.bincount(u, m, self.num_vertices) + np.bincount(v, m, self.num_vertices)
         return tuple(deg.astype(np.int64).tolist())
 
     def is_regular(self) -> bool:
-        deg = self.degrees()
-        return len(set(deg)) <= 1
+        return len(set(self.degrees())) <= 1
 
     def regular_degree(self) -> int:
         deg = self.degrees()
@@ -203,10 +180,11 @@ class MultiGraph:
         return deg[0] if deg else 0
 
     def disjoint_union(self, other: "MultiGraph") -> "MultiGraph":
+        # shifted ids stay below 2**54; the contract refuses a union past 2**53
         shift = self.num_vertices
-        shifted = [(u + shift, v + shift, m) for u, v, m in other.edges]
-        return MultiGraph(self.num_vertices + other.num_vertices,
-                          tuple(list(self.edges) + shifted))
+        table = np.concatenate((self.edge_columns, other.edge_columns + [[shift], [shift], [0]]),
+                               axis=1)
+        return MultiGraph.from_columns(shift + other.num_vertices, *table)
 
 
 @dataclass(frozen=True)
@@ -231,7 +209,7 @@ class BipartiteGadget:
             raise UsageError("bipartition must cover all vertices exactly once")
         on_left = np.zeros(self.graph.num_vertices, dtype=bool)
         on_left[list(self.left)] = True
-        u, v = self.graph.edge_columns[0], self.graph.edge_columns[1]
+        u, v, _ = self.graph.edge_columns
         i = _first(on_left[u] == on_left[v])
         if i >= 0:
             raise UsageError(f"edge ({u[i]},{v[i]}) does not cross the bipartition")
@@ -249,16 +227,6 @@ class BipartiteGadget:
     @property
     def side_size(self) -> int:
         return len(self.left)
-
-    def left_degrees(self) -> Tuple[int, ...]:
-        deg = self.graph.degrees()
-        return tuple(deg[u] for u in self.left)
-
-    def right_degrees(self) -> Tuple[int, ...]:
-        deg = self.graph.degrees()
-        return tuple(deg[v] for v in self.right)
-
-
 # ---------------------------------------------------------------------------
 # Text formats: the syntax that the graph, instance and block-map files share
 
@@ -340,24 +308,18 @@ def records_to_text(kind: str, header, records) -> str:
 
 def graph_to_text(g: MultiGraph) -> str:
     table = g.edge_columns
-    if not _in_pair_order(table[0], table[1]):
-        table = table[:, np.lexsort(table[1::-1])]
     return (records_to_text("graph", (g.num_vertices, table.shape[1]), ())
             + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist()))
 
 
 def _edge_fields(lines, lo: int, sep: str):
     """The fields of the records among lines[lo:lo + PARSE_BLOCK], as a (k, 3)
-    int64 array (dtype object past int64) in file order.
-
-    The chunk's lines are joined around `sep`, a token that the text does
-    not contain, and split once, so each line's tokens end at a `sep`: every
-    fifth token is one when every line holds four tokens; otherwise they are
-    found in an object array of the tokens.  A line of four tokens, the first
-    'e', is a record; a blank or '#' line is skipped; any other line is a
-    fault.  The first fault, or an earlier record's non-integer field,
-    raises the error that reading the lines one by one would raise.
-    """
+    int64 array in file order; a field past int64 is clipped into it, and so
+    stays out of range.  A record is a line of four tokens, the first 'e',
+    found by one split of the lines joined around `sep` (a token not in the
+    text) when every line is one, else line by line.  Blank and '#' lines
+    are skipped; the first other line, or an earlier non-integer field,
+    raises the error that reading the lines one by one would raise."""
     chunk = lines[lo:lo + PARSE_BLOCK]
     n = len(chunk)
     tokens = f" {sep} ".join(chunk).split()
@@ -366,22 +328,18 @@ def _edge_fields(lines, lo: int, sep: str):
     if len(tokens) == 5 * n and tokens[4::5].count(sep) == n and tokens[::5].count("e") == n:
         rows = range(n)
         del tokens[4::5], tokens[::4]
-        fields = tokens
     else:
-        words = np.array(tokens, dtype=object)
-        ends = np.flatnonzero(words == sep)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        record = (ends - starts == 4) & (words[starts] == "e")
-        for j in np.flatnonzero(~record).tolist():
-            first = chunk[j].split()[:1]
-            if first and first[0][0] != "#":
+        rows, tokens = [], []
+        for j, line in enumerate(chunk):
+            words = line.split()
+            if len(words) == 4 and words[0] == "e":
+                rows.append(j)
+                tokens += words[1:]
+            elif words and words[0][0] != "#":
                 fault = j
-                record[j:] = False
                 break
-        rows = np.flatnonzero(record).tolist()
-        fields = words[(starts[rows, None] + np.arange(1, 4)).ravel()]
     try:
-        table = _int_table(list(map(int, fields)))
+        fields = list(map(int, tokens))
     except ValueError:  # name the first record with a non-integer field
         for j in rows:
             int_fields(chunk[j].split()[1:], lo + j + 1, chunk[j])
@@ -390,33 +348,46 @@ def _edge_fields(lines, lo: int, sep: str):
         if line.split()[0] == "p":
             raise UsageError(f"line {lineno}: duplicate header")
         raise UsageError(f"line {lineno}: bad edge record {line!r}")
-    return table.reshape(-1, 3)
+    try:
+        return np.array(fields, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        return np.array([min(max(x, -2 ** 63), 2 ** 63 - 1) for x in fields],
+                        dtype=np.int64).reshape(-1, 3)
 
 
 def graph_from_text(text: str) -> MultiGraph:
-    """Parse a graph file.
-
-    The header is read as `read_records` reads it; the record block after it
-    is converted PARSE_BLOCK lines at a time by `_edge_fields`, each field
-    through `int`, so the errors are those of reading it line by line, in
-    file order.  The records then go through `MultiGraph.from_columns`.
-    """
+    """Parse a graph file, with the errors of reading it line by line."""
     lines = _lines(text)
     (num_vertices, declared), start = _header(lines, "graph", 2)
-    sep = "\x01"  # not NUL: numpy strips trailing NULs from a str it compares
+    sep = "\x01"
     while sep in text:
         sep += "\x01"
     blocks = [_edge_fields(lines, lo, sep) for lo in range(start, len(lines), PARSE_BLOCK)]
-    u, v, m = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)]).T
+    table = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)])
     del lines, blocks  # as large as the graph: free them before the aggregation
-    if declared != len(m):
-        raise UsageError(f"header declares {declared} records, found {len(m)}")
-    k = _first_bad_multiplicity(m)
-    if k >= 0:  # read the file again for the line of record k
-        lineno, line, _ = next(islice(read_records(text, "graph", 2), k + 1, None))
-        raise UsageError(f"line {lineno}: multiplicity {m[k]} is outside 1..2**53 "
-                         f"in {line!r}")
-    return MultiGraph.from_columns(num_vertices, u, v, m)
+    if declared != len(table):
+        raise UsageError(f"header declares {declared} records, found {len(table)}")
+    records = islice(read_records(text, "graph", 2), 1, None)  # read again for a message
+    k = _first((table[:, 2] < 1) | (table[:, 2] > MAX_MULTIPLICITY))
+    if k >= 0:
+        lineno, line, tokens = next(islice(records, k, None))
+        raise UsageError(f"line {lineno}: multiplicity {int(tokens[3])} is outside "
+                         f"1..2**53 in {line!r}")
+    try:
+        return MultiGraph.from_columns(num_vertices, *table.T)
+    except UsageError:
+        ids = table[:, :2]
+        if not ids.size or -2 ** 63 < ids.min() and ids.max() < 2 ** 63 - 1:
+            raise
+    # a vertex id was clipped to int64: name the first bad pair from the file's fields
+    MultiGraph(num_vertices)  # a bad vertex count comes first
+    sums = {}
+    for _, _, tokens in records:
+        pair = tuple(sorted(map(int, tokens[1:3])))
+        sums[pair] = sums.get(pair, 0) + int(tokens[3])
+    (u, v), m = min((p, m) for p, m in sums.items() if p[0] < 0 or p[1] >= num_vertices
+                    or p[0] == p[1] or m > MAX_MULTIPLICITY)
+    raise UsageError(_record_error(num_vertices, u, v, m))
 
 
 def write_graph(g: MultiGraph, path) -> None:
@@ -458,17 +429,9 @@ def star_graph(leaves: int) -> MultiGraph:
 
 
 def grid_graph(rows: int, cols: int) -> MultiGraph:
-    def vid(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    return MultiGraph.from_edges(rows * cols, edges)
+    n = rows * cols
+    return MultiGraph(n, [(x, x + 1) for x in range(n) if (x + 1) % cols]
+                      + [(x, x + cols) for x in range(n - cols)])
 
 
 def hypercube_graph(dim: int) -> MultiGraph:
@@ -491,5 +454,9 @@ def prism_graph() -> MultiGraph:
 
 
 def scaled_graph(g: MultiGraph, factor: int) -> MultiGraph:
-    """Copy of g with every multiplicity multiplied by factor."""
-    return MultiGraph(g.num_vertices, tuple((u, v, m * factor) for u, v, m in g.edges))
+    """Copy of g with each multiplicity times factor, checked before it can wrap."""
+    u, v, m = g.edge_columns
+    i = _first(m > (MAX_MULTIPLICITY // factor if factor > 0 else 0))
+    if i >= 0:
+        raise UsageError(_record_error(g.num_vertices, int(u[i]), int(v[i]), int(m[i]) * factor))
+    return MultiGraph.from_columns(g.num_vertices, u, v, m * factor if m.size else m)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, UsageError
-from .graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph, int_fields,
-                     read_ascii, read_records, records_to_text, write_ascii)
+from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
+                     records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
 from .spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                     log_partition, log_partition_histogram)
@@ -191,13 +191,10 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
     u, v, mult = table
     cross = owner[u] != owner[v]
     # per-vertex sums within gadgets (bins 0..n-1) and across them (n..2n-1),
-    # as doubles: exact wherever they can equal delta or delta_prime, and
-    # where the degrees stay below 2**53
+    # as doubles: exact, as the graph contract keeps every degree within 2**53
     sums = np.bincount((table[:2] + n * cross).ravel(), np.concatenate((mult, mult)), 2 * n)
     intra, inter = sums[:n], sums[n:]
     degrees = intra + inter
-    if n and degrees[degrees.argmax()] >= MAX_MULTIPLICITY:
-        degrees = np.array(g.degrees(), dtype=object)
     # the graph's inter-gadget records, in order, against the prescribed
     # ones, canonical and sorted; no aggregation is needed, because every
     # vertex lies in one block and every block is wired once

@@ -6,8 +6,8 @@ partition sums, the cycle transfer matrix, per-equation satisfaction loops, hype
 laws, a plain bisection root finder, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
 survival function, a scan over every big pair of a gadget's subsets,
-a loop over every configuration for the reduction's majority sums (whose
-per-configuration weight the caller passes in), per-record loops that
+every configuration, as numpy integer codes, for the reduction's majority
+sums (whose per-configuration weight the caller passes in), per-record loops that
 check, aggregate, write and audit edge records and build the reduction's,
 and a line-by-line reader of graph files.
 """
@@ -16,6 +16,8 @@ import decimal
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def independent_set_count(num_vertices, edge_pairs):
@@ -264,34 +266,45 @@ def _log_sum(logs):
 
 def sandwich_brute(num_vertices, edge_records, sides, log_weights):
     """Per weight function, (log Z, max_S log Z(G,S), log sum_S Z(G,S),
-    [log Z(G,S) per S]) from one loop over every configuration.
+    [log Z(G,S) per S]) from every configuration.
 
     sides[i] = (U_i, V_i).  Z(G,S) sums the configurations with
     zeros(U_i) <= zeros(V_i) for each i with S_i = 0 and
     zeros(V_i) <= zeros(U_i) for each i with S_i = 1; S is listed in the
     order of its encoding sum_i S_i 2^i.  A weight function maps a
     configuration's bits (bits[v] is the spin at v) to its log weight.  The
-    loop counts configurations by their zero-counts on the sides and by
-    their numbers of zeros, 0-0 edges and 1-1 edges, which fix the weight;
-    so each weight function is called once per such class, on a member.
+    configurations, as integer codes in numpy arrays, are counted by their
+    zero-counts on the sides and by their numbers of zeros, 0-0 edges and
+    1-1 edges, which fix the weight; so each weight function is called once
+    per such class, on its smallest member.
     """
-    side_masks = [(sum(1 << v for v in u), len(u), sum(1 << v for v in w), len(w))
-                  for u, w in sides]
-    edge_masks = [((1 << u) | (1 << v), m) for u, v, m in edge_records]
+    codes = np.arange(1 << num_vertices)
+    n00, n11 = np.zeros_like(codes), np.zeros_like(codes)  # with multiplicity
+    for u, v, m in edge_records:
+        ones = ((codes >> u) & 1) + ((codes >> v) & 1)
+        n00 += m * (ones == 0)
+        n11 += m * (ones == 2)
+    columns = [num_vertices - np.bitwise_count(codes), n00, n11] + [
+        len(side) - np.bitwise_count(codes & sum(1 << v for v in side))
+        for pair in sides for side in pair]
+    radices = [int(column.max()) + 1 for column in columns]
+    assert math.prod(radices) < 2 ** 63  # the class key below fits int64
+    key = np.zeros_like(codes)
+    for column, radix in zip(columns, radices):
+        key = key * radix + column
+    _, members, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(members)  # classes in the order of their smallest codes
+    members, counts = members[order].tolist(), counts[order].tolist()
     classes = {}  # zero-counts on the sides -> weight class -> [count, member]
-    for code in range(1 << num_vertices):
-        n00 = n11 = 0  # 0-0 and 1-1 edges, with multiplicity
-        for mask, m in edge_masks:
-            ends = code & mask
-            if ends == mask:
-                n11 += m
-            elif not ends:
-                n00 += m
-        zeros = tuple((nu - (code & mu).bit_count(), nw - (code & mw).bit_count())
-                      for mu, nu, mw, nw in side_masks)
-        weight_class = (num_vertices - code.bit_count(), n00, n11)
-        entry = classes.setdefault(zeros, {}).setdefault(weight_class, [0, code])
-        entry[0] += 1
+    for values, count, code in zip(np.stack([c[members] for c in columns], 1).tolist(),
+                                   counts, members):
+        zeros = tuple(zip(values[3::2], values[4::2]))
+        classes.setdefault(zeros, {})[tuple(values[:3])] = [count, code]
+    # per S, which zero-counts it admits: zeros(U_i) <= zeros(V_i) where S_i = 0,
+    # zeros(V_i) <= zeros(U_i) where S_i = 1
+    zu, zw = np.array(list(classes)).reshape(len(classes), len(sides), 2).transpose(2, 0, 1)
+    admits = [np.all(np.where((enc >> np.arange(len(sides))) & 1, zw <= zu, zu <= zw), axis=1)
+              for enc in range(1 << len(sides))]
     reports = []
     for log_weight in log_weights:
         weights = {}
@@ -304,10 +317,8 @@ def sandwich_brute(num_vertices, edge_records, sides, log_weights):
                         [(code >> v) & 1 for v in range(num_vertices)])
                 logs.append(math.log(count) + weights[weight_class])
             groups[zeros] = _log_sum(logs)
-        restricted = [_log_sum(x for zeros, x in groups.items()
-                               if all(zu <= zw if (enc >> i) & 1 == 0 else zw <= zu
-                                      for i, (zu, zw) in enumerate(zeros)))
-                      for enc in range(1 << len(sides))]
+        logs = np.array(list(groups.values()))
+        restricted = [_log_sum(logs[admit].tolist()) for admit in admits]
         reports.append((_log_sum(groups.values()), max(restricted),
                         _log_sum(restricted), restricted))
     return reports
@@ -316,35 +327,46 @@ def sandwich_brute(num_vertices, edge_records, sides, log_weights):
 MAX_MULTIPLICITY = 2 ** 53
 
 
-def checked_records(num_vertices, records):
-    """The records, or the error message of the first one that is out of
-    range, a self-loop, not in u < v order, of multiplicity outside
-    1..2**53, or a second record for its pair; checked one by one."""
-    seen = set()
-    for u, v, m in records:
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            return f"edge ({u},{v}) out of range"
-        if u == v:
-            return f"self-loop at vertex {u}"
-        if u > v:
-            return f"edge ({u},{v}) not in canonical u < v order"
-        if not 0 < m <= MAX_MULTIPLICITY:
-            return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
-        if (u, v) in seen:
-            return f"duplicate record for edge ({u},{v})"
-        seen.add((u, v))
-    return tuple(records)
-
-
 def aggregated_records(num_vertices, items):
     """(u, v[, mult]) items summed per unordered pair in a dict, sorted and
-    checked by `checked_records`: the records or an error message."""
+    checked one by one: the records, or the error message of the first pair
+    out of range, a self-loop or of multiplicity outside 1..2**53, else of
+    the first vertex whose degree passes 2**53."""
     mults = {}
     for item in items:
         u, v, m = item if len(item) == 3 else (*item, 1)
         key = (u, v) if u < v else (v, u)
         mults[key] = mults.get(key, 0) + m
-    return checked_records(num_vertices, sorted((u, v, m) for (u, v), m in mults.items()))
+    records = sorted((u, v, m) for (u, v), m in mults.items())
+    degrees = {}
+    for u, v, m in records:
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            return f"edge ({u},{v}) out of range"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not 0 < m <= MAX_MULTIPLICITY:
+            return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
+        degrees[u] = degrees.get(u, 0) + m
+        degrees[v] = degrees.get(v, 0) + m
+    for x, degree in sorted(degrees.items()):
+        if degree > MAX_MULTIPLICITY:
+            return f"vertex {x} has degree {degree}, past 2**53"
+    return tuple(records)
+
+
+def item_records(num_vertices, items):
+    """What MultiGraph(num_vertices, items) gives for a valid num_vertices:
+    the message of the first item with a field outside int64, else of the
+    first item whose own multiplicity lies outside 1..2**53, else
+    `aggregated_records`."""
+    rows = [item if len(item) == 3 else (*item, 1) for item in items]
+    for row in rows:
+        if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
+            return f"record {tuple(row)} has a field outside int64"
+    for u, v, m in rows:
+        if not 0 < m <= MAX_MULTIPLICITY:
+            return f"edge ({u},{v}) has a record of multiplicity {m}, outside 1..2**53"
+    return aggregated_records(num_vertices, rows)
 
 
 def graph_file(text):
@@ -386,6 +408,8 @@ def graph_file(text):
             return f"line {lineno}: multiplicity {m} is outside 1..2**53 in {line!r}"
     if num_vertices < 0:
         return "num_vertices must be nonnegative"
+    if num_vertices > MAX_MULTIPLICITY:
+        return f"num_vertices {num_vertices} exceeds 2**53"
     records = aggregated_records(num_vertices, items)
     return records if isinstance(records, str) else (num_vertices, records)
 

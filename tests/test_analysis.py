@@ -16,6 +16,7 @@ from twospin.analysis import (chi2_sf, coupling_sim, entropy,
                               polarized_branch_rate_bound, rate_bound,
                               rate_bound_grid, rate_bound_scan)
 from twospin.errors import ResourceLimitError, UsageError
+from twospin.graphs import BipartiteGadget, MultiGraph
 from twospin.reduction import sample_gadget
 from twospin.spins import SpinParams
 
@@ -314,6 +315,23 @@ def test_expander_audit_matches_brute_force(monkeypatch, block):
                         audit.pairs_checked) == expander_worst_pair(
                             h.left, h.right, h.graph.edges, eps)
                 assert audit.mean_ratio == 1.0
+
+
+def test_expander_audit_reads_the_declared_sides():
+    # relabelled vertices, each side listed in a shuffled order: the audit
+    # counts crossings by positions in `left` and `right`, as the oracle does
+    rng = np.random.default_rng(5)
+    for n_side in (3, 5):
+        h = sample_gadget(n_side, 3, seed=n_side)
+        label = rng.permutation(2 * n_side).tolist()
+        graph = MultiGraph(2 * n_side, [(label[u], label[v], m) for u, v, m in h.graph.edges])
+        mixed = BipartiteGadget(graph, *(tuple(label[x] for x in rng.permutation(side).tolist())
+                                         for side in (h.left, h.right)))
+        for eps in (0.3, 1.0):
+            audit = expander_audit(mixed, eps=eps)
+            assert (audit.worst_ratio, audit.witness_left, audit.witness_right,
+                    audit.pairs_checked) == expander_worst_pair(
+                        mixed.left, mixed.right, mixed.graph.edges, eps)
 
 
 def test_expander_audit_memory_stays_flat():

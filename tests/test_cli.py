@@ -186,6 +186,23 @@ def test_exit_codes(capsys, edge_file, tmp_path):
     capsys.readouterr()
 
 
+def test_graph_contract_exit_codes(capsys, tmp_path):
+    # a graph within the contract but past the free-vertex cap: the cap
+    # refuses it, and reading it made no per-vertex array
+    cases = [(f"p graph {2 ** 53} 3\ne 0 1 1\ne 7 {2 ** 53 - 1} 2\ne 1 0 4\n", 3)]
+    # breaches of the contract are usage errors
+    cases += [(f"p graph {2 ** 53 + 1} 1\ne 0 1 1\n", 2),
+              (f"p graph {2 ** 64} 1\ne 0 1 1\n", 2),
+              (f"p graph 3 1\ne 0 {2 ** 63} 1\n", 2),
+              (f"p graph 3 1\ne 0 1 {2 ** 53 + 1}\n", 2),
+              (f"p graph 3 2\ne 0 1 {2 ** 53}\ne 1 2 1\n", 2)]
+    for i, (text, code) in enumerate(cases):
+        path = tmp_path / f"{i}.graph"
+        path.write_text(text)
+        assert main(["z", "--graph", str(path), "--beta", "1", "--gamma", "1"]) == code
+        assert capsys.readouterr().out == ""
+
+
 def test_verify_rate_bound_csv(capsys, tmp_path):
     out = tmp_path / "rate.csv"
     code, rep = _run(capsys, ["verify", "rate-bound", "--step", "0.05",

@@ -4,9 +4,11 @@
 aggregation, the reduction's wiring and matchings, the two file writers and
 the structure audit.  The graphs, reductions and audits built on int64
 columns must give `==` graphs, the same bytes, the same audit fields and,
-for a bad record, the same message as those loops.  A graph's `edges` tuple
-is built from its columns only when it is first read, so these tests also
-check that tuple, `==` and the writer against the records themselves.
+for a bad record, the same message as those loops.  Every graph passes
+one contract check and holds one canonical form, and a graph's `edges` tuple is
+built from its columns only when it is first read, so these tests also
+check that tuple, `==`, the hash and the writer against the records
+themselves.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import oracles
 from twospin.e2lin2 import random_instance
 from twospin.errors import UsageError
 from twospin.graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph,
-                            graph_from_text, graph_to_text)
+                            graph_from_text, graph_to_text, scaled_graph)
 from twospin.reduction import (GadgetParams, audit_reduction_graph,
                                blocks_to_text, build_reduction_graph)
 
@@ -60,17 +62,19 @@ def test_aggregation_matches_the_dict_loop(n):
     for _ in range(60):
         items = _items(rng, n, int(rng.integers(0, 25)))
         expected = oracles.aggregated_records(n, items)
+        assert _outcome(MultiGraph, n, items) == expected
         assert _outcome(MultiGraph.from_edges, n, items) == expected
         assert _outcome(_columns, n, items) == expected
         if isinstance(expected, tuple):
             assert MultiGraph.from_edges(n, items) == MultiGraph(n, expected)
 
 
-# bad records for the aggregating builders; each keeps every record's own
-# multiplicity in 1..2**53, whose violation has an error of its own
+# bad records for the item constructors; each keeps every record's own multiplicity
+# in 1..2**53, whose violation has an error of its own
 AGGREGATE_FAULTS = [
     (-1, 2), (2, 7), (7, 7), (3, 3, 2), (0, -5), (10 ** 20, 1), (1, -10 ** 20),
     (0, 1, MAX_MULTIPLICITY), (1, 0, MAX_MULTIPLICITY),  # together past 2**53
+    (5, 6, MAX_MULTIPLICITY),  # vertex 5's degree past 2**53
 ]
 
 
@@ -81,7 +85,8 @@ def test_aggregation_errors_name_the_old_first_record():
         for _ in range(int(rng.integers(1, 4))):
             bad = AGGREGATE_FAULTS[int(rng.integers(len(AGGREGATE_FAULTS)))]
             items.insert(int(rng.integers(len(items) + 1)), bad)
-        expected = oracles.aggregated_records(7, items)
+        expected = oracles.item_records(7, items)
+        assert _outcome(MultiGraph, 7, items) == expected
         assert _outcome(MultiGraph.from_edges, 7, items) == expected
 
 
@@ -92,36 +97,51 @@ def test_a_pair_sum_past_int64_is_refused_with_its_exact_value():
     assert _outcome(MultiGraph.from_edges, 3, items) == message
 
 
-# bad records for the constructor, which takes sorted, distinct u < v records
+# bad records for the constructor, in the (u, v, mult) form; the valid
+# records put vertices 3 and 4 at degree 2**53 exactly
 RECORD_FAULTS = [
-    (-1, 2, 1), (2, 7, 1), (4, 4, 1), (5, 3, 1), (1, 2, 0), (1, 2, -4),
-    (1, 2, MAX_MULTIPLICITY + 1), (1, 2, 10 ** 400), (10 ** 20, 1, 1),
-    (0, 10 ** 20, 1), (2, 3, 1),  # (2, 3) repeats a valid record
+    (-1, 2, 1), (2, 7, 1), (4, 4, 1), (1, 2, 0), (1, 2, -4),
+    (1, 2, MAX_MULTIPLICITY + 1), (1, 2, 10 ** 400), (10 ** 20, 1, 1), (0, 10 ** 20, 1),
+    (2, 3, 1), (5, 3, 1),  # a second record for (2, 3), or a new pair, passes vertex 3's degree
 ]
 
 
 def test_constructor_errors_name_the_old_first_record():
     rng = np.random.default_rng(4)
-    valid = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, MAX_MULTIPLICITY), (4, 6, 1)]
+    valid = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, MAX_MULTIPLICITY - 1), (4, 6, 1)]
     for _ in range(300):
         records = list(valid)
         for _ in range(int(rng.integers(1, 4))):
             bad = RECORD_FAULTS[int(rng.integers(len(RECORD_FAULTS)))]
             records.insert(int(rng.integers(len(records) + 1)), bad)
-        expected = oracles.checked_records(7, records)
+        expected = oracles.item_records(7, records)
         assert _outcome(MultiGraph, 7, tuple(records)) == expected
-    # a valid record list keeps its order, sorted or not; the file is sorted
-    shuffled = tuple(valid[::-1])
-    assert MultiGraph(7, shuffled).edges == shuffled != MultiGraph(7, tuple(valid)).edges
-    assert graph_to_text(MultiGraph(7, shuffled)) == oracles.graph_text(7, shuffled)
+    # valid records in any order and orientation build the canonical graph
+    shuffled = tuple((v, u, m) if k % 2 else (u, v, m) for k, (u, v, m) in enumerate(valid[::-1]))
+    assert MultiGraph(7, shuffled).edges == tuple(valid)
+    assert MultiGraph(7, shuffled) == MultiGraph(7, valid)
+    assert graph_to_text(MultiGraph(7, shuffled)) == oracles.graph_text(7, valid)
 
 
-def test_vertex_ids_past_int64_are_records_of_a_huge_graph():
-    huge = 10 ** 30
-    g = MultiGraph.from_edges(huge, [(10 ** 25, 0), (0, 10 ** 25, 2), (5, 10 ** 20)])
-    assert g.edges == ((0, 10 ** 25, 3), (5, 10 ** 20, 1))
-    assert graph_from_text(graph_to_text(g)) == g
-    assert MultiGraph(huge, g.edges) == g
+def test_vertex_ids_past_int64_are_refused():
+    # no id past 2**53 is in range, so no field need go past int64
+    for items in ([(10 ** 25, 0)], [(0, 1), (5, -10 ** 20, 2)], [(0, 1, 10 ** 400)]):
+        assert _outcome(MultiGraph, 7, items) == oracles.item_records(7, items)
+        assert _outcome(MultiGraph.from_edges, 7, items) == oracles.item_records(7, items)
+    assert _outcome(MultiGraph, 10 ** 30, [(0, 1)]) == f"num_vertices {10 ** 30} exceeds 2**53"
+    # the reader gives the line-by-line reader's messages, from the ids in the file
+    texts = ["p graph 7 1\ne 0 10000000000000000000000000 1\n",
+             "p graph 7 3\ne 0 1 1\ne 5 -100000000000000000000 2\ne 2 -99999999999999999999 1\n",
+             "p graph 7 2\ne 3 3 1\ne 100000000000000000000 1 1\n",
+             "p graph -7 1\ne 100000000000000000000 1 1\n",
+             f"p graph {10 ** 30} 2\ne 0 10000000000000000000000000 1\ne 0 1 1\n",
+             "p graph 7 2\ne 0 1 1\ne 0 10000000000000000000000000 100000000000000000000\n",
+             # pair (0, 1) sums past 2**53 and sorts before the pair past int64
+             f"p graph 7 3\ne 0 1 {MAX_MULTIPLICITY}\ne 0 1 1\ne 5 100000000000000000000 1\n"]
+    for text in texts:
+        with pytest.raises(UsageError) as exc:
+            graph_from_text(text)
+        assert str(exc.value) == oracles.graph_file(text)
 
 
 def _valid_records(rng, n, count):
@@ -132,17 +152,16 @@ def _valid_records(rng, n, count):
             return records
 
 
-def _column_arrays(records, dtype=np.int64):
-    return [np.array(column, dtype=dtype) for column in zip(*records)] or [
-        np.zeros(0, dtype=dtype)] * 3
+def _column_arrays(records):
+    return [np.array(column, dtype=np.int64) for column in zip(*records)] or [
+        np.zeros(0, dtype=np.int64)] * 3
 
 
 def _built(n, records):
     """The graph of sorted, distinct records, from each builder."""
-    dtype = object if max(map(max, records), default=0) >= 2 ** 63 else np.int64
     return {"constructor": MultiGraph(n, records),
             "from_edges": MultiGraph.from_edges(n, records),
-            "from_columns": MultiGraph.from_columns(n, *_column_arrays(records, dtype)),
+            "from_columns": MultiGraph.from_columns(n, *_column_arrays(records)),
             "text": graph_from_text(oracles.graph_text(n, records))}
 
 
@@ -157,10 +176,11 @@ def test_edges_tuple_is_built_on_first_use():
         n = int(rng.integers(2, 9))
         records = _valid_records(rng, n, int(rng.integers(0, 12)))
         for name, g in _built(n, records).items():
-            assert _unbuilt(g) == (name != "constructor"), name
+            assert _unbuilt(g), name
             assert g.num_edges == sum(m for _, _, m in records)
             assert graph_to_text(g) == oracles.graph_text(n, records)
-            assert _unbuilt(g) == (name != "constructor"), name
+            assert hash(g) == hash(MultiGraph(n, records))
+            assert _unbuilt(g), name
             assert g.edges == records and g.edges is g.edges
         side, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         perms = np.array([rng.permutation(side) for _ in range(k)])
@@ -189,30 +209,25 @@ def test_equality_follows_the_records():
                         assert g != MultiGraph(n + 1, first)
                         if first == second:
                             assert hash(g) == hash(h)
-        # the constructor keeps its records' order, and `==` sees it
-        reordered = records[::-1]
-        assert (MultiGraph(n, reordered) == MultiGraph(n, records)) == (reordered == records)
+        # the records' order is not part of the graph
+        reordered, g = MultiGraph(n, records[::-1]), MultiGraph(n, records)
+        assert reordered == g and hash(reordered) == hash(g)
 
 
-def test_columns_past_int64_compare_and_print_as_before():
-    huge = 10 ** 30
-    records = ((0, 10 ** 25, 3), (5, 10 ** 20, 1))
-    built = list(_built(huge, records).values())
-    built.append(MultiGraph.from_columns(huge, *_column_arrays(records, object)))
+def test_a_graph_of_2_53_vertices_costs_its_records():
+    # no construction makes a per-vertex array, which could not be allocated here
+    n, cut = MAX_MULTIPLICITY, 2 ** 50
+    records = ((0, 5, 4), (5, 2 ** 40, 2), (cut, n - 1, 6))
+    built = list(_built(n, records).values())
+    built.append(MultiGraph(cut, records[:2]).disjoint_union(
+        MultiGraph(n - cut, ((0, n - 1 - cut, 6),))))
+    built.append(scaled_graph(MultiGraph(n, [(u, v, m // 2) for u, v, m in records]), 2))
     for g in built:
-        assert g.edge_columns.dtype == object
+        assert g.num_edges == 12
         assert g == built[0] and hash(g) == hash(built[0])
         assert g.edges == records
-        assert graph_to_text(g) == oracles.graph_text(huge, records)
-        assert repr(g) == f"MultiGraph(num_vertices={huge}, edges={records!r})"
-    # records that fit int64 compare equal whatever the columns' dtype
-    small = ((0, 1, 2), (1, 2 ** 40, 1))
-    plain = MultiGraph(huge, small)
-    boxed = MultiGraph.from_columns(huge, *_column_arrays(small, object))
-    assert plain.edge_columns.dtype == np.int64 and boxed.edge_columns.dtype == object
-    assert plain == boxed and hash(plain) == hash(boxed)
-    assert graph_to_text(plain) == graph_to_text(boxed) == oracles.graph_text(huge, small)
-    assert plain != MultiGraph(huge, ((0, 1, 2), (1, 2 ** 40, 2)))
+        assert graph_to_text(g) == oracles.graph_text(n, records)
+    assert built[0] != MultiGraph(n - 1, records[:2]) != MultiGraph(n, records[:2])
 
 
 def test_num_edges_is_exact_past_int64():
@@ -233,7 +248,8 @@ def test_gadget_crossing_check_names_the_first_edge():
         records = _valid_records(rng, 2 * side, int(rng.integers(1, 8)))
         order = rng.permutation(len(records))
         records = tuple(records[i] for i in order)
-        inside = [(u, v) for u, v, _ in records if (u in left) == (v in left)]
+        # the graph holds its records in (u, v) order, whatever order they came in
+        inside = [(u, v) for u, v, _ in sorted(records) if (u in left) == (v in left)]
         graph = MultiGraph(2 * side, records)
         if not inside:
             assert BipartiteGadget(graph, left, right).graph is graph
@@ -243,10 +259,21 @@ def test_gadget_crossing_check_names_the_first_edge():
         assert str(exc.value) == "edge (%d,%d) does not cross the bipartition" % inside[0]
 
 
-def test_degrees_stay_exact_past_two_to_the_53():
-    g = MultiGraph(3, ((0, 1, MAX_MULTIPLICITY), (0, 2, 1), (1, 2, MAX_MULTIPLICITY)))
-    assert g.degrees() == (MAX_MULTIPLICITY + 1, 2 * MAX_MULTIPLICITY,
-                           MAX_MULTIPLICITY + 1)
+def test_degrees_past_two_to_the_53_are_refused():
+    # the kernels read degrees as doubles, exact up to 2**53
+    records = ((0, 1, MAX_MULTIPLICITY), (0, 2, 1), (1, 2, MAX_MULTIPLICITY))
+    message = f"vertex 0 has degree {MAX_MULTIPLICITY + 1}, past 2**53"
+    assert oracles.aggregated_records(3, records) == message
+    assert _outcome(MultiGraph, 3, records) == message
+    assert _outcome(_columns, 3, records) == message
+    text = oracles.graph_text(3, records)
+    assert oracles.graph_file(text) == message == _outcome(graph_from_text, text)
+    # 2,048 records of 2**53 at one vertex: an int64 sum of its degree wraps to 0
+    star = [(0, k, MAX_MULTIPLICITY) for k in range(1, 2049)]
+    assert _outcome(MultiGraph, 2049, star) == f"vertex 0 has degree {2 ** 64}, past 2**53"
+    # a degree of 2**53 exactly is kept, exact as a double
+    g = MultiGraph(3, ((0, 1, MAX_MULTIPLICITY - 1), (0, 2, 1), (1, 2, 1)))
+    assert g.degrees() == (MAX_MULTIPLICITY, MAX_MULTIPLICITY, 2)
     assert not g.is_regular()
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twospin.errors import UsageError
@@ -20,10 +21,14 @@ def test_self_loop_and_range_rejected():
         MultiGraph.from_edges(2, [(0, 0)])
     with pytest.raises(UsageError):
         MultiGraph(2, ((0, 2, 1),))
-    with pytest.raises(UsageError):
-        MultiGraph(3, ((1, 0, 1),))  # non-canonical order
+    assert MultiGraph(3, ((1, 0, 1),)).edges == ((0, 1, 1),)  # either orientation
     with pytest.raises(UsageError):
         MultiGraph(3, ((0, 1, 0),))  # nonpositive multiplicity
+    # columns must hold integers that fit int64
+    assert MultiGraph.from_columns(3, [1], [0], [2]).edge_columns.dtype == np.int64
+    for bad in (np.array([0.5]), np.array([1], dtype=np.uint64)):
+        with pytest.raises(UsageError, match="integer arrays"):
+            MultiGraph.from_columns(3, bad, [1], [1])
 
 
 def test_regularity():
@@ -118,7 +123,7 @@ def test_bipartite_gadget_validation():
     g = MultiGraph.from_edges(4, [(0, 2), (1, 3)])
     h = BipartiteGadget(g, (0, 1), (2, 3))
     assert h.side_size == 2
-    assert h.left_degrees() == (1, 1)
+    assert h.graph.degrees() == (1, 1, 1, 1)
     bad = MultiGraph.from_edges(4, [(0, 1)])
     with pytest.raises(UsageError, match="cross"):
         BipartiteGadget(bad, (0, 1), (2, 3))
