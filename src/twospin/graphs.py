@@ -21,6 +21,7 @@ instance and the block map share: ASCII, '#' and blank lines skipped, one
 integer header first.
 """
 
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from typing import Iterable, Sequence, Tuple
@@ -98,20 +99,25 @@ def _canonical(num_vertices: int, u, v, mult):
 class MultiGraph:
     """Immutable undirected multigraph on vertices 0..num_vertices-1.
 
-    `MultiGraph(n, edges)` takes (u, v[, mult]) items in any order and
-    orientation and sums the items of one pair.  Every graph stores the
-    canonical form of the module docstring in `edge_columns`, a read-only
-    (3, k) int64 array of the u, v and mult rows, so `==` is graph equality.
+    `MultiGraph(n, edges)` takes integer (u, v[, mult]) items in any order
+    and orientation and sums the items of one pair; a float field is refused,
+    never truncated.  Every graph stores the canonical form of the module
+    docstring in `edge_columns`, a read-only (3, k) int64 array of the u, v
+    and mult rows, so `==` is graph equality.
     `edges` holds the same records as (u, v, mult) ints, built on first use.
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]] = ()):
         rows = [item if len(item) == 3 else (*item, 1) for item in edges]
-        try:
+        table = np.array(rows).reshape(-1, 3)
+        if table.dtype != np.int64:
+            # no records, or floats, strings or ints past int64: name the first bad one
+            for row in rows:
+                if not all(isinstance(x, numbers.Integral) for x in row):
+                    raise UsageError(f"record {tuple(row)} has a non-integer field")
+                if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
+                    raise UsageError(f"record {tuple(row)} has a field outside int64")
             table = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            row = next(r for r in rows if not all(-2 ** 63 <= x < 2 ** 63 for x in r))
-            raise UsageError(f"record {tuple(row)} has a field outside int64") from None
         self._store(num_vertices, _canonical(num_vertices, *table.T))
 
     def _store(self, num_vertices, table):

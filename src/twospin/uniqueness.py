@@ -12,10 +12,12 @@ trees iff
 
 This module computes fixed points (one vectorized bisection for every
 gamma >= 0: unconditional convergence, no derivative pathologies near
-beta = 0), the derivative criterion, threshold degrees, the closed-form
-criticality roots and field windows, the degree plan for the regime
-0 < beta < 1 < gamma, the three-way case split used by the gadget reduction,
-and a phase classifier for parameter grids.
+beta = 0; it stops once a halving leaves the bracket unchanged, which gives
+the same bits as running all BISECT_ITERATIONS = 200 halvings, its cap),
+the derivative criterion, threshold degrees, the closed-form criticality
+roots and field windows, the degree plan for the regime 0 < beta < 1 < gamma,
+the three-way case split used by the gadget reduction, and a phase
+classifier for parameter grids.
 """
 
 import itertools
@@ -73,13 +75,20 @@ def _bisect(lo, hi, g):
     """Bisect [lo, hi] onto the sign change of a decreasing g.
 
     An exact hit g(mid) = 0 collapses the bracket, so knife-edge parameters
-    return the root exactly.
+    return the root exactly.  A halving is a pure function of (lo, hi), so
+    once one leaves every entry unchanged the rest would too: the loop stops
+    there, with the bits that BISECT_ITERATIONS halvings give.  It tests
+    every 8th halving, which keeps the test cheap; a NaN entry never
+    compares equal, so it runs to the cap.
     """
-    for _ in range(BISECT_ITERATIONS):
+    for i in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         v = g(mid)
-        lo = np.where(v >= 0, mid, lo)
-        hi = np.where(v <= 0, mid, hi)
+        new_lo = np.where(v >= 0, mid, lo)
+        new_hi = np.where(v <= 0, mid, hi)
+        if i % 8 == 7 and not ((new_lo != lo).any() or (new_hi != hi).any()):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -90,8 +99,10 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
     gamma = 0 makes f(0) infinite, x_hat = f(x_hat) bounds it instead: with
     L = log(mu) + d*log1p(beta), x_hat <= e**L if x_hat >= 1, and
     x_hat**(d+1) <= e**L if x_hat < 1.  Brackets up to 1e15 bisect linearly;
-    wider ones bisect in log space, where 200 halvings always reach full
-    double precision.
+    wider ones bisect in log space.  _bisect stops once the bracket stops
+    moving, 64-104 halvings into the cap of BISECT_ITERATIONS on phase-grid
+    rows; a halving that changes nothing is a fixed point of the loop, so
+    the result is that of every halving, bit for bit.
     """
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))

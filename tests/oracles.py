@@ -3,7 +3,8 @@
 Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
 partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
-laws, a plain bisection root finder, a grid-plus-golden-section maximum
+laws, a plain bisection root finder, the vectorized fixed-point bisection
+run for every one of its halvings, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
 survival function, a scan over every big pair of a gadget's subsets,
 every configuration, as numpy integer codes, for the reduction's majority
@@ -144,6 +145,17 @@ def bisect_root(fn, lo, hi, iterations=200):
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_every_halving(lo, hi, g, iterations=200):
+    """The fixed-point bisection of `uniqueness._bisect` with no early stop:
+    every one of the `iterations` halvings runs."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        v = g(mid)
+        lo = np.where(v >= 0, mid, lo)
+        hi = np.where(v <= 0, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -356,11 +368,13 @@ def aggregated_records(num_vertices, items):
 
 def item_records(num_vertices, items):
     """What MultiGraph(num_vertices, items) gives for a valid num_vertices:
-    the message of the first item with a field outside int64, else of the
-    first item whose own multiplicity lies outside 1..2**53, else
-    `aggregated_records`."""
+    the message of the first item with a field that is not an int or lies
+    outside int64, else of the first item whose own multiplicity lies outside
+    1..2**53, else `aggregated_records`."""
     rows = [item if len(item) == 3 else (*item, 1) for item in items]
     for row in rows:
+        if not all(isinstance(x, (int, np.integer)) for x in row):
+            return f"record {tuple(row)} has a non-integer field"
         if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
             return f"record {tuple(row)} has a field outside int64"
     for u, v, m in rows:

@@ -144,6 +144,22 @@ def test_vertex_ids_past_int64_are_refused():
         assert str(exc.value) == oracles.graph_file(text)
 
 
+def test_non_integer_fields_are_refused():
+    # a float field is refused, never truncated: (0, 1.9) is not the edge (0, 1)
+    assert _outcome(MultiGraph, 3, [(0, 1.9)]) == "record (0, 1.9, 1) has a non-integer field"
+    assert _outcome(MultiGraph.from_edges, 3, [(0, 1, 2.7)]) == (
+        "record (0, 1, 2.7) has a non-integer field")
+    for items in ([(0, 1), (2.0, 3)], [(1, 2), (0, 1, np.float64(2)), (0, 1, 10 ** 20)],
+                  [(1, 2), (0, 1, 10 ** 20), (3, 4, 0.5)], [(0, 1, 10 ** 20), (3, 4.5)],
+                  [("0", "1")], [(1, 2, 1), (2, 3, float("nan"))]):
+        expected = oracles.item_records(7, items)
+        assert expected.startswith("record ")
+        assert _outcome(MultiGraph, 7, items) == expected
+        assert _outcome(MultiGraph.from_edges, 7, items) == expected
+    # numpy integers and bools are integers
+    assert MultiGraph(3, [(np.int64(0), np.uint64(2), True)]).edges == ((0, 2, 1),)
+
+
 def _valid_records(rng, n, count):
     """Sorted, distinct records on n vertices, every sum in 1..2**53."""
     while True:

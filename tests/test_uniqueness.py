@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from oracles import bisect_root
 from twospin import uniqueness
 from twospin.errors import RegimeError, UsageError
@@ -114,6 +115,86 @@ def test_underflowing_fixed_point_is_silent():
         r = uniqueness_check(SpinParams(0, 4, 1), 10001)
     assert r.x_hat == 0.0
     assert r.unique
+
+
+def _fixed_point_outcomes(beta, gamma, mu, d):
+    """_fixed_point_array's bytes on the cells, or the error it raises.  A
+    block that raises is split in halves until each error is pinned on one
+    cell, so that one failing cell does not hide the rest of its block."""
+    try:
+        return [uniqueness._fixed_point_array(beta, gamma, mu, d).tobytes()]
+    except Exception as exc:  # both loops must raise alike, whatever they raise
+        if beta.size == 1:
+            return [(type(exc), str(exc))]
+        half = beta.size // 2
+        return (_fixed_point_outcomes(beta[:half], gamma[:half], mu[:half], d[:half])
+                + _fixed_point_outcomes(beta[half:], gamma[half:], mu[half:], d[half:]))
+
+
+def _bisection_sweep_cells(rng, count):
+    """(beta, gamma, mu, d) columns: beta in [0, 1) with TINY_BETA and its
+    neighbours, gamma = 0 or up to 1/beta, mu from 1e-300 to 1e300, d from
+    1 to 10**4, then knife-edge cells beta = gamma = 2**-k at mu = 1, whose
+    fixed point 1 is a midpoint of the dyadic bracket [0, 2**(k*d)]."""
+    tiny = uniqueness.TINY_BETA
+    specials = [0.0, tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0)]
+    beta = np.where(rng.random(count) < 0.3, rng.choice(specials, count),
+                    rng.uniform(0.0, 1.0, count))
+    gamma = 10 ** rng.uniform(-4.0, 4.0, count)
+    gamma = np.where(beta * gamma < 1, gamma, rng.random(count) / np.maximum(beta, tiny))
+    gamma = np.where(rng.random(count) < 0.25, 0.0, gamma)
+    mu = 10 ** rng.uniform(-300.0, 300.0, count)
+    d = np.floor(10 ** rng.uniform(0.0, 4.0, count))
+    d[:2] = 1, 10 ** 4
+    knife = [(2.0 ** -k, dk) for k in range(1, 8) for dk in (1, 2, 3, 4, 7)]
+    kb, kd = np.array(knife).T
+    return (np.concatenate([beta, kb]), np.concatenate([gamma, kb]),
+            np.concatenate([mu, np.ones(kb.size)]), np.concatenate([d, kd]))
+
+
+def test_bisection_gives_the_bits_of_every_halving(monkeypatch):
+    cells = _bisection_sweep_cells(np.random.default_rng(13), 3000)
+    blocks = [[c[i:i + 512] for c in cells] for i in range(0, cells[0].size, 512)]
+    got = [_fixed_point_outcomes(*block) for block in blocks]
+    brackets = set()
+
+    def every_halving(lo, hi, g):
+        brackets.add("log" if lo[0] < 0 else "linear")
+        return oracles.bisect_every_halving(lo, hi, g, uniqueness.BISECT_ITERATIONS)
+
+    monkeypatch.setattr(uniqueness, "_bisect", every_halving)
+    assert got == [_fixed_point_outcomes(*block) for block in blocks]
+    assert brackets == {"linear", "log"}
+    outcomes = [o for block in got for o in block]
+    assert any(isinstance(o, tuple) for o in outcomes)  # some cells overflow
+    # every knife-edge cell bisects onto its exact fixed point
+    assert uniqueness._fixed_point_array(*(c[-35:] for c in cells)).tolist() == [1.0] * 35
+
+
+def test_bisection_stops_once_its_bracket_is_stationary():
+    # a typical phase-grid row: each cell's linear bracket [0, f(0)]
+    beta, gammas, mu, d = 0.5, np.linspace(0.1, 0.9, 33), 1.2, 5
+    log_ratio = uniqueness._log_ratio(beta, gammas)
+    hi = mu / gammas ** d
+    lo = np.zeros_like(hi)
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        return math.log(mu) + d * log_ratio(x) - np.log(x)
+
+    reference = oracles.bisect_every_halving(lo, hi, g)
+    calls = 0
+    assert uniqueness._bisect(lo, hi, g).tobytes() == reference.tobytes()
+    assert calls < uniqueness.BISECT_ITERATIONS
+    # a NaN entry never compares equal to itself, so the loop runs to the cap
+    hi[3] = np.nan
+    reference = oracles.bisect_every_halving(lo, hi, g)
+    calls = 0
+    assert uniqueness._bisect(lo, hi, g).tobytes() == reference.tobytes()
+    assert calls == uniqueness.BISECT_ITERATIONS
+    assert np.isnan(reference[3]) and not np.isnan(np.delete(reference, 3)).any()
 
 
 def test_first_nonunique_degree():
