@@ -8,7 +8,7 @@ from .graphs import BipartiteGadget, MultiGraph, graph_from_text, graph_to_text,
 from .spins import (CountLeq, CountRange, FieldIdentityReport, MinCountAtMost,
                     SpinParams, field_identity_report, log_config_weight,
                     log_partition, log_partition_histogram, log_profile_sum,
-                    partition_fraction, remove_field)
+                    log_profile_sums, partition_fraction, remove_field)
 from .uniqueness import (CaseParams, DegreeScan, OutsideSquareDegrees,
                          PhaseRegion, SplitCase, UniquenessReport,
                          always_unique_bound, case_split, classify_phase,

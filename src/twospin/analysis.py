@@ -15,14 +15,14 @@ Contents:
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
-from .spins import SpinParams, _integral_fraction, log_profile_sum
+from .spins import SpinParams, _integral_fraction, log_profile_sum, log_profile_sums
 from .uniqueness import HARD_DEGREE_RATIO
 
 DEFAULT_RATE_C = 8000.0
@@ -33,7 +33,7 @@ RATE_BOUND_CEILING = 1.21         # verified grid maximum of the rate bound
 MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells)
 MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
-MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sum_mean_log
+MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
 MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
 
 
@@ -254,30 +254,22 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
             + delta * inner)
 
 
-def gadget_from_matchings(n_side: int, perms: Sequence[Sequence[int]]) -> BipartiteGadget:
-    """Gadget assembled from explicit matchings (left u -> right perm[u])."""
-    for perm in perms:
-        if sorted(perm) != list(range(n_side)):
-            raise UsageError("each matching must be a permutation of 0..N-1")
-    return BipartiteGadget.from_matchings(
-        np.array(perms, dtype=np.int64).reshape(len(perms), n_side))
-
-
-def enumerate_profile_sum_mean_log(n_side: int, delta: int, delta_prime: int,
-                                   p: SpinParams, a: float, b: float) -> float:
-    """log of the exact gadget-average of the profile sum, by enumerating
-    all (N!)**delta matching tuples."""
+def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
+                                    p: SpinParams) -> np.ndarray:
+    """log of the exact gadget-average of every profile sum, by enumerating
+    all (N!)**delta matching tuples: entry [an, bn] averages entry [an, bn]
+    of log_profile_sums."""
     count = math.factorial(n_side) ** delta
     if count > MAX_MATCHING_TUPLES:
         raise ResourceLimitError(
             f"{count} matching tuples exceed cap {MAX_MATCHING_TUPLES}")
-    perms = list(itertools.permutations(range(n_side)))
-    logs = [
-        log_profile_sum(gadget_from_matchings(n_side, combo), p, delta_prime,
-                        a, b)
-        for combo in itertools.product(perms, repeat=delta)
-    ]
-    return log_sum_exp(logs) - math.log(count)
+    perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
+    logs = np.array([
+        log_profile_sums(BipartiteGadget.from_matchings(perms[list(combo)]), p,
+                         delta_prime)
+        for combo in itertools.product(range(len(perms)), repeat=delta)])
+    return np.array([log_sum_exp(column) for column in logs.reshape(count, -1).T]
+                    ).reshape(n_side + 1, n_side + 1) - math.log(count)
 
 
 @dataclass(frozen=True)
@@ -307,18 +299,16 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     rng = np.random.default_rng(seed)
     count = math.factorial(n_side) ** delta
     if count <= 100_000:
-        perms = list(itertools.permutations(range(n_side)))
-        values = np.array([
-            math.exp(log_profile_sum(gadget_from_matchings(n_side, combo), p,
-                                     delta_prime, a, b))
-            for combo in itertools.product(perms, repeat=delta)])
-        sample = values[rng.integers(count, size=trials)]
-    else:
-        sample = np.empty(trials)
-        for t in range(trials):
-            combo = [rng.permutation(n_side) for _ in range(delta)]
-            sample[t] = math.exp(log_profile_sum(
-                gadget_from_matchings(n_side, combo), p, delta_prime, a, b))
+        perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
+        tuples = (perms[list(combo)]
+                  for combo in itertools.product(range(len(perms)), repeat=delta))
+    else:  # delta fresh permutations per trial, drawn as the values are computed
+        tuples = (np.array([rng.permutation(n_side) for _ in range(delta)])
+                  for _ in range(trials))
+    values = np.array([math.exp(log_profile_sum(BipartiteGadget.from_matchings(matchings),
+                                                p, delta_prime, a, b))
+                       for matchings in tuples])
+    sample = values[rng.integers(count, size=trials)] if count <= 100_000 else values
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials,
                           seed=seed)

@@ -253,12 +253,12 @@ def _verify_gadget_mean(args):
     for n_side, delta in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         beta, gamma = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
         p = SpinParams(beta, gamma)
+        table = analysis.enumerate_profile_sums_mean_log(n_side, delta, 1, p).tolist()
         for an in range(n_side + 1):
             for bn in range(n_side + 1):
-                a, b = an / n_side, bn / n_side
-                exact = analysis.expected_profile_sum_log(n_side, delta, 1, p, a, b)
-                enum = analysis.enumerate_profile_sum_mean_log(
-                    n_side, delta, 1, p, a, b)
+                exact = analysis.expected_profile_sum_log(n_side, delta, 1, p,
+                                                          an / n_side, bn / n_side)
+                enum = table[an][bn]
                 if exact == LOG_ZERO and enum == LOG_ZERO:
                     continue
                 worst = max(worst, abs(exact - enum) / max(1.0, abs(exact)))
@@ -317,8 +317,7 @@ def _verify_expander(args):
                           [_check("worst-ratio-above-factor",
                                   worst >= args.factor, worst, args.factor, 0.0),
                            _check("full-sides-ratio-exactly-one", full_ok,
-                                  1.0, 1.0, 0.0),
-                           _check("mean-ratio", True, audit.mean_ratio, 1.0, 0.05)])
+                                  1.0, 1.0, 0.0)])
 
 
 def _verify_field(args):

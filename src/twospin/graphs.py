@@ -100,15 +100,20 @@ class MultiGraph:
     """Immutable undirected multigraph on vertices 0..num_vertices-1.
 
     `MultiGraph(n, edges)` takes integer (u, v[, mult]) items in any order
-    and orientation and sums the items of one pair; a float field is refused,
-    never truncated.  Every graph stores the canonical form of the module
-    docstring in `edge_columns`, a read-only (3, k) int64 array of the u, v
-    and mult rows, so `==` is graph equality.
+    and orientation and sums the items of one pair; an item of another
+    length or with a float field is refused, never regrouped or truncated.
+    Every graph stores the canonical form of the module docstring in
+    `edge_columns`, a read-only (3, k) int64 array of the u, v and mult
+    rows, so `==` is graph equality.
     `edges` holds the same records as (u, v, mult) ints, built on first use.
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]] = ()):
-        rows = [item if len(item) == 3 else (*item, 1) for item in edges]
+        rows = []
+        for item in edges:
+            if len(item) not in (2, 3):
+                raise UsageError(f"record {tuple(item)} is not a (u, v) or (u, v, mult) item")
+            rows.append(item if len(item) == 3 else (*item, 1))
         table = np.array(rows).reshape(-1, 3)
         if table.dtype != np.int64:
             # no records, or floats, strings or ints past int64: name the first bad one

@@ -16,7 +16,6 @@ Enumeration order is the ascending integer encoding of the configuration,
 with vertex 0 as the least significant bit.
 """
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph
-from .logspace import (LOG_ZERO, log_sum_exp, log_sum_exp_by_bucket,
+from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
                        log_sum_exp_inplace, pairwise_add, pairwise_root,
                        scaled_log)
 
@@ -472,15 +471,25 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
 # Profile-restricted sums over bipartite gadgets
 
 
-def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
-                    a: float, b: float) -> float:
-    """log of the gadget sum over assignments with fixed zero fractions.
+@dataclass(frozen=True)
+class _ProfileCounts:
+    """The bucket zeros(left) * (N + 1) + zeros(right) of a gadget side pair."""
 
-    Sums the edge weight of every assignment that puts exactly a*N zeros on
-    the left side and b*N zeros on the right (enumerating all
-    C(N, aN) * C(N, bN) such assignments), times a boundary factor
-    gamma**(delta_prime * (2 - a - b) * N) accounting for delta_prime outside
-    edges per vertex whose partners are all in state 1.
+    sets: Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+    def digit(self, zeros_left, zeros_right):
+        return zeros_left * (len(self.sets[1]) + 1) + zeros_right
+
+
+def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.ndarray:
+    """log of the gadget sum at every zero profile, from one enumeration.
+
+    Entry [an, bn] sums the edge weight of every assignment that puts
+    exactly an zeros on the left side and bn on the right, times a boundary
+    factor gamma**(delta_prime * (2N - an - bn)) accounting for delta_prime
+    outside edges per vertex whose partners are all in state 1; it is -inf
+    where that sum is zero.  The enumeration buckets every configuration by
+    its zero-counts, (N + 1)**2 buckets of log_partition_histogram.
 
     The external field plays no role at this level: pass mu == 1 (translate
     a field away first if needed).
@@ -489,30 +498,24 @@ def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
         raise UsageError("profile sums are defined for mu == 1; translate the field first")
     if delta_prime < 0:
         raise UsageError("delta_prime must be nonnegative")
-    n_side = h.side_size
-    if n_side > MAX_PROFILE_SIDE:
-        raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_PROFILE_SIDE}")
-    an = _integral_fraction(a, n_side, "a")
-    bn = _integral_fraction(b, n_side, "b")
-    lb, lg = p.log_entries()
-    left_pos = {v: i for i, v in enumerate(h.left)}
-    right_pos = {v: i for i, v in enumerate(h.right)}
-    records = []
-    for u, v, m in h.graph.edges:
-        if u in left_pos:
-            records.append((left_pos[u], right_pos[v], m))
-        else:
-            records.append((left_pos[v], right_pos[u], m))
-    a_masks = _subset_masks(n_side, an)
-    b_masks = _subset_masks(n_side, bn)
-    logw = np.zeros((len(a_masks), len(b_masks)), dtype=float)
-    for iu, iv, m in records:
-        za = ((a_masks >> np.uint64(iu)) & np.uint64(1)).astype(bool)
-        zb = ((b_masks >> np.uint64(iv)) & np.uint64(1)).astype(bool)
-        logw = logw + np.where(za[:, None] & zb[None, :], m * lb, 0.0)
-        logw = logw + np.where(~za[:, None] & ~zb[None, :], m * lg, 0.0)
-    boundary = scaled_log(p.gamma, delta_prime * (2 * n_side - an - bn))
-    return log_sum_exp(logw.ravel()) + boundary
+    n = h.side_size
+    if n > MAX_PROFILE_SIDE:
+        raise ResourceLimitError(f"side size {n} exceeds cap {MAX_PROFILE_SIDE}")
+    hist = log_partition_histogram(h.graph, p, [_ProfileCounts((h.left, h.right))],
+                                   (n + 1) ** 2)
+    # by the zero total an + bn; scaled_log keeps gamma = 0 from meeting 0 * -inf
+    boundary = np.array([scaled_log(p.gamma, delta_prime * (2 * n - s))
+                         for s in range(2 * n + 1)])
+    return hist.reshape(n + 1, n + 1) + boundary[np.add.outer(range(n + 1), range(n + 1))]
+
+
+def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
+                    a: float, b: float) -> float:
+    """log of the gadget sum over assignments with zero fractions a on the
+    left and b on the right: entry [a*N, b*N] of log_profile_sums."""
+    an = _integral_fraction(a, h.side_size, "a")
+    bn = _integral_fraction(b, h.side_size, "b")
+    return float(log_profile_sums(h, p, delta_prime)[an, bn])
 
 
 def _integral_fraction(x: float, n: int, name: str) -> int:
@@ -523,12 +526,6 @@ def _integral_fraction(x: float, n: int, name: str) -> int:
     if abs(count - rounded) > 1e-9:
         raise UsageError(f"{name} * N = {count} is not an integer")
     return int(rounded)
-
-
-def _subset_masks(n: int, k: int) -> np.ndarray:
-    masks = [sum(1 << i for i in combo)
-             for combo in itertools.combinations(range(n), k)]
-    return np.array(masks, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------

@@ -368,9 +368,13 @@ def aggregated_records(num_vertices, items):
 
 def item_records(num_vertices, items):
     """What MultiGraph(num_vertices, items) gives for a valid num_vertices:
-    the message of the first item with a field that is not an int or lies
-    outside int64, else of the first item whose own multiplicity lies outside
-    1..2**53, else `aggregated_records`."""
+    the message of the first item with other than 2 or 3 fields, else of the
+    first item with a field that is not an int or lies outside int64, else of
+    the first item whose own multiplicity lies outside 1..2**53, else
+    `aggregated_records`."""
+    for item in items:
+        if len(item) not in (2, 3):
+            return f"record {tuple(item)} is not a (u, v) or (u, v, mult) item"
     rows = [item if len(item) == 3 else (*item, 1) for item in items]
     for row in rows:
         if not all(isinstance(x, (int, np.integer)) for x in row):

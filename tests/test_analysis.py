@@ -10,7 +10,7 @@ from oracles import (binary_entropy, bracket_max, chi2_survival,
                      sequential_indicator_law)
 from twospin import analysis, cli
 from twospin.analysis import (chi2_sf, coupling_sim, entropy,
-                              enumerate_profile_sum_mean_log, exact_rate,
+                              enumerate_profile_sums_mean_log, exact_rate,
                               expander_audit, expected_profile_sum_log,
                               expected_profile_sum_mc,
                               polarized_branch_rate_bound, rate_bound,
@@ -217,17 +217,18 @@ def test_expected_profile_sum_matches_enumeration():
                 for _ in range(3):
                     p = SpinParams(float(rng.uniform(0.05, 1.2)),
                                    float(rng.uniform(0.05, 1.2)))
+                    table = enumerate_profile_sums_mean_log(
+                        n_side, delta, delta_prime, p)
+                    assert table.shape == (n_side + 1, n_side + 1)
                     for an in range(n_side + 1):
                         for bn in range(n_side + 1):
                             a, b = an / n_side, bn / n_side
                             lhs = expected_profile_sum_log(
                                 n_side, delta, delta_prime, p, a, b)
-                            rhs = enumerate_profile_sum_mean_log(
-                                n_side, delta, delta_prime, p, a, b)
-                            assert lhs == pytest.approx(rhs, abs=1e-9)
+                            assert lhs == pytest.approx(table[an, bn], abs=1e-9)
     assert math.factorial(9) > analysis.MAX_MATCHING_TUPLES
     with pytest.raises(ResourceLimitError):
-        enumerate_profile_sum_mean_log(9, 1, 1, SpinParams(0.5, 0.5), 0, 0)
+        enumerate_profile_sums_mean_log(9, 1, 1, SpinParams(0.5, 0.5))
 
 
 def test_expected_profile_sum_against_direct_oracle():

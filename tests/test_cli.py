@@ -232,6 +232,8 @@ def test_verify_coupling_and_expander(capsys):
                               "40", "--seeds", "3", "--eps", "0.34"])
     assert code == 0
     assert rep["pass"] is True
+    assert [c["name"] for c in rep["checks"]] == [
+        "worst-ratio-above-factor", "full-sides-ratio-exactly-one"]
 
 
 def test_verify_polarized_small(capsys):

@@ -160,6 +160,19 @@ def test_non_integer_fields_are_refused():
     assert MultiGraph(3, [(np.int64(0), np.uint64(2), True)]).edges == ((0, 2, 1),)
 
 
+@pytest.mark.parametrize("n, items, bad", [
+    (5, [(0, 2, 1, 3), (1, 2, 4, 1), (3, 1, 0, 4)], "(0, 2, 1, 3)"),  # not cut into other records
+    (3, [(0,)], "(0,)"),  # a UsageError, not numpy's ValueError
+    (3, [(0, 1), ()], "()"),
+    (7, [(0, 1, 1.5), (1, 2, 1, 1, 1)], "(1, 2, 1, 1, 1)"),  # before the float field
+])
+def test_items_of_other_lengths_are_refused(n, items, bad):
+    message = f"record {bad} is not a (u, v) or (u, v, mult) item"
+    assert oracles.item_records(n, items) == message
+    assert _outcome(MultiGraph, n, items) == message
+    assert _outcome(MultiGraph.from_edges, n, items) == message
+
+
 def _valid_records(rng, n, count):
     """Sorted, distinct records on n vertices, every sum in 1..2**53."""
     while True:

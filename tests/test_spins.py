@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (cycle_partition, fraction_partition, independent_set_count,
-                     linear_log_partition)
+                     linear_log_partition, profile_sum_direct)
 from twospin import spins
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
@@ -15,7 +15,8 @@ from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
 from twospin.spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                            field_identity_report, log_config_weight,
                            log_partition, log_partition_histogram,
-                           log_profile_sum, partition_fraction, remove_field)
+                           log_profile_sum, log_profile_sums, partition_fraction,
+                           remove_field)
 
 
 def test_spin_params_validation():
@@ -371,6 +372,36 @@ def test_profile_sum_two_vertex_oracle():
     assert log_profile_sum(h, p, 1, 0.5, 0.5) == pytest.approx(expect, abs=1e-12)
 
 
+def test_profile_sums_match_the_direct_oracle():
+    # every profile of random gadgets against the subset-pair sum, with zero
+    # interaction weights among the cases.  Matching unions this small have
+    # symmetric tables, Z(a, b) = Z(b, a); a union of arbitrary maps from the
+    # left side to the right has unequal right degrees and need not.
+    rng = np.random.default_rng(14)
+    for n_side in range(1, 5):
+        for delta in range(1, 4):
+            for draw in (rng.permutation, lambda n: rng.integers(n, size=n)):
+                maps = np.array([draw(n_side) for _ in range(delta)])
+                h = BipartiteGadget.from_matchings(maps)
+                beta, gamma = (float(x) for x in rng.uniform(0.05, 1.5, 2))
+                for b, g in ((beta, gamma), (0.0, gamma), (beta, 0.0), (0.0, 0.0)):
+                    for delta_prime in range(3):
+                        table = log_profile_sums(h, SpinParams(b, g), delta_prime)
+                        assert table.shape == (n_side + 1, n_side + 1)
+                        for an in range(n_side + 1):
+                            for bn in range(n_side + 1):
+                                direct = profile_sum_direct(
+                                    n_side, maps.tolist(), delta_prime, b, g, an, bn)
+                                if direct == 0.0:
+                                    assert table[an, bn] == LOG_ZERO
+                                else:
+                                    assert math.exp(table[an, bn]) == pytest.approx(
+                                        direct, rel=1e-12, abs=0)
+                                assert log_profile_sum(
+                                    h, SpinParams(b, g), delta_prime,
+                                    an / n_side, bn / n_side) == table[an, bn]
+
+
 def test_profile_sum_validation():
     h = _matching_gadget()
     with pytest.raises(UsageError):
@@ -382,6 +413,11 @@ def test_profile_sum_validation():
         tuple(range(13)), tuple(range(13, 26)))
     with pytest.raises(ResourceLimitError):
         log_profile_sum(big, SpinParams(1, 1), 1, 0, 0)
+    with pytest.raises(ResourceLimitError):
+        log_profile_sums(big, SpinParams(1, 1), 1)
+    for bad in (SpinParams(1, 1, 2.0), 1), (SpinParams(1, 1), -1):
+        with pytest.raises(UsageError):
+            log_profile_sums(h, *bad)
 
 
 # ---------------------------------------------------------------------------
