@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
-from .spins import SpinParams, _integral_fraction, log_profile_sum, log_profile_sums
+from .spins import SpinParams, _integral_fraction, log_profile_sums
 from .uniqueness import HARD_DEGREE_RATIO
 
 DEFAULT_RATE_C = 8000.0
@@ -35,6 +35,8 @@ MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
 MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
 MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
+MAX_MC_ENUMERATED = 100_000       # the MC enumerates every matching tuple up to this count
+MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 
 
 def entropy(x: float) -> float:
@@ -254,6 +256,12 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
             + delta * inner)
 
 
+def _matching_tuples(n_side: int, delta: int):
+    """Every tuple of delta perfect matchings of N + N vertices, as (delta, N) arrays."""
+    perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
+    return (perms[list(combo)] for combo in itertools.product(range(len(perms)), repeat=delta))
+
+
 def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
                                     p: SpinParams) -> np.ndarray:
     """log of the exact gadget-average of every profile sum, by enumerating
@@ -263,11 +271,8 @@ def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
     if count > MAX_MATCHING_TUPLES:
         raise ResourceLimitError(
             f"{count} matching tuples exceed cap {MAX_MATCHING_TUPLES}")
-    perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
-    logs = np.array([
-        log_profile_sums(BipartiteGadget.from_matchings(perms[list(combo)]), p,
-                         delta_prime)
-        for combo in itertools.product(range(len(perms)), repeat=delta)])
+    logs = np.array([log_profile_sums(BipartiteGadget.from_matchings(m), p, delta_prime)
+                     for m in _matching_tuples(n_side, delta)])
     return np.array([log_sum_exp(column) for column in logs.reshape(count, -1).T]
                     ).reshape(n_side + 1, n_side + 1) - math.log(count)
 
@@ -288,27 +293,26 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
                             trials: int, seed: int) -> MCEstimate:
     """Monte Carlo mean (linear domain) of the profile sum over H(N, delta).
 
-    Deterministic for a given seed.  When (N!)**delta is small the distinct
-    matching tuples are precomputed and sampled by index, which is the same
+    Deterministic for a given seed.  Up to MAX_MC_ENUMERATED matching tuples,
+    every tuple is precomputed and then sampled by index: the same
     distribution at a fraction of the cost.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if n_side > MAX_MC_SIDE:
         raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
+    an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
     rng = np.random.default_rng(seed)
     count = math.factorial(n_side) ** delta
-    if count <= 100_000:
-        perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
-        tuples = (perms[list(combo)]
-                  for combo in itertools.product(range(len(perms)), repeat=delta))
+    enumerated = count <= MAX_MC_ENUMERATED
+    if enumerated:
+        tuples = _matching_tuples(n_side, delta)
     else:  # delta fresh permutations per trial, drawn as the values are computed
         tuples = (np.array([rng.permutation(n_side) for _ in range(delta)])
                   for _ in range(trials))
-    values = np.array([math.exp(log_profile_sum(BipartiteGadget.from_matchings(matchings),
-                                                p, delta_prime, a, b))
-                       for matchings in tuples])
-    sample = values[rng.integers(count, size=trials)] if count <= 100_000 else values
+    values = np.array([math.exp(log_profile_sums(BipartiteGadget.from_matchings(m), p,
+                                                 delta_prime)[an, bn]) for m in tuples])
+    sample = values[rng.integers(count, size=trials)] if enumerated else values
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials,
                           seed=seed)
@@ -548,8 +552,9 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
     length = _integral_fraction(a, n, "a")
     if length < 1:
         raise UsageError("a*n must be >= 1")
-    if length > 20:
-        raise ResourceLimitError("sequence length a*n capped at 20 (pattern table)")
+    if length > MAX_SEQUENCE_LENGTH:
+        raise ResourceLimitError(
+            f"sequence length a*n capped at {MAX_SEQUENCE_LENGTH} (pattern table)")
     rng = np.random.default_rng(seed)
     total = trials * d
     zsum = np.zeros(total, dtype=np.int64)

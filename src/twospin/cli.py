@@ -22,7 +22,7 @@ import traceback
 
 import numpy as np
 
-from . import analysis, e2lin2, reduction, uniqueness
+from . import analysis, e2lin2, reduction, spins, uniqueness
 from .errors import ResourceLimitError, UsageError
 from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
                      hypercube_graph, petersen_graph, prism_graph, read_graph,
@@ -71,7 +71,7 @@ def _spin_params(args) -> SpinParams:
 def _cmd_z(args):
     g = read_graph(args.graph)
     value = log_partition(g, _spin_params(args), max_vertices=args.max_vertices,
-                          force=args.force, threads=args.threads)
+                          threads=args.threads)
     return _report("z",
                    {"graph": args.graph, "beta": args.beta, "gamma": args.gamma,
                     "mu": args.mu, "num_vertices": g.num_vertices,
@@ -160,8 +160,7 @@ def _cmd_gadget(args):
 
 def _cmd_theta_star(args):
     inst = e2lin2.read_instance(args.instance)
-    best, witness = e2lin2.best_assignment(inst, max_vars=args.max_vars,
-                                           force=args.force)
+    best, witness = e2lin2.best_assignment(inst, max_vars=args.max_vars)
     return _report("theta-star",
                    {"instance": args.instance, "num_vars": inst.num_vars,
                     "num_equations": inst.num_equations},
@@ -415,12 +414,11 @@ THREADS = _arg("--threads", type=positive_int, default=1)
 DEGREE = _arg("--degree", type=int, required=True)
 DELTA = _arg("--delta", type=int, required=True)
 INSTANCE = _arg("--instance", required=True)
-FORCE = _arg("--force", action="store_true")
 
 COMMANDS = {
     "z": (_cmd_z, "exact log partition sum of a graph file", (
         _arg("--graph", required=True), *SPIN,
-        _arg("--max-vertices", type=int, default=28), FORCE, THREADS)),
+        _arg("--max-vertices", type=int, default=spins.DEFAULT_MAX_VERTICES), THREADS)),
     "uniqueness": (_cmd_uniqueness, "fixed point and derivative criterion",
                    (*SPIN, DEGREE)),
     "threshold": (_cmd_threshold, "first degree failing uniqueness", (
@@ -444,8 +442,7 @@ COMMANDS = {
     "gadget": (_cmd_gadget, "sample a random matching-union gadget", (
         _arg("--side", type=positive_int, required=True), DELTA, SEED, _arg("--out"))),
     "theta-star": (_cmd_theta_star, "exhaustive optimum of an instance", (
-        INSTANCE, _arg("--max-vars", type=int, default=e2lin2.BEST_ASSIGNMENT_CAP),
-        FORCE)),
+        INSTANCE, _arg("--max-vars", type=int, default=e2lin2.BEST_ASSIGNMENT_CAP))),
     "decode": (_cmd_decode, "invert a partition estimate into a count", (
         _arg("--log-y", type=float, required=True),
         _arg("--n", type=positive_int, required=True),

@@ -19,7 +19,7 @@ from .errors import ResourceLimitError, UsageError
 from .graphs import (int_fields, read_ascii, read_records, records_to_text,
                      write_ascii)
 
-BEST_ASSIGNMENT_CAP = 24
+BEST_ASSIGNMENT_CAP = 24  # default variable cap (max_vars) of best_assignment
 
 Equation = Tuple[int, int, int]  # (i, j, b) with i != j, b in {0, 1}
 
@@ -58,16 +58,16 @@ def satisfied_count(inst: E2Lin2Instance, bits: Sequence[int]) -> int:
     return sum(1 for i, j, b in inst.equations if (bits[i] ^ bits[j]) == b)
 
 
-def best_assignment(inst: E2Lin2Instance, *, max_vars: int = BEST_ASSIGNMENT_CAP,
-                    force: bool = False) -> Tuple[int, Tuple[int, ...]]:
+def best_assignment(inst: E2Lin2Instance, *,
+                    max_vars: int = BEST_ASSIGNMENT_CAP) -> Tuple[int, Tuple[int, ...]]:
     """Exhaustive maximum of satisfied_count and one maximizer.
 
     Assignments are encoded as integers with variable 0 in the least
     significant bit; ties go to the lowest encoding.
     """
     n = inst.num_vars
-    if n > max_vars and not force:
-        raise ResourceLimitError(f"{n} variables exceeds cap {max_vars}")
+    if n > max_vars:
+        raise ResourceLimitError(f"{n} variables exceeds cap max_vars={max_vars}")
     total = 1 << n
     best_val = -1
     best_enc = 0

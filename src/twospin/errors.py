@@ -12,7 +12,7 @@ class RegimeError(UsageError):
 class ResourceLimitError(RuntimeError):
     """An operation would exceed its size cap; raised before any work starts.
 
-    Only log_partition and e2lin2.best_assignment take their cap as an
-    argument and can be told to go past it (force=True); every other cap is a
-    module constant.
+    Each cap is one named constant.  Only log_partition (max_vertices) and
+    e2lin2.best_assignment (max_vars) take theirs as an argument, which is
+    its one override; every other cap is fixed.
     """

@@ -30,7 +30,7 @@ from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
                        log_sum_exp_inplace, pairwise_add, pairwise_root,
                        scaled_log)
 
-DEFAULT_MAX_VERTICES = 28
+DEFAULT_MAX_VERTICES = 28   # default free-vertex cap (max_vertices) of log_partition
 MAX_FRACTION_VERTICES = 20  # free vertices of the exact rational oracle
 MAX_PROFILE_SIDE = 12       # gadget side of the profile-restricted sum
 _LOW_BITS = 10    # free spins tabulated along the columns of a block table
@@ -359,7 +359,7 @@ def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, i
 def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: int,
                             *, fixed: Optional[Dict[int, int]] = None,
                             max_vertices: int = DEFAULT_MAX_VERTICES,
-                            force: bool = False, threads: int = 1) -> np.ndarray:
+                            threads: int = 1) -> np.ndarray:
     """log of the exact partition sum per bucket of a zero-count profile.
 
     Entry j is the log-sum over the configurations whose profile terms'
@@ -385,9 +385,8 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     terms = tuple(terms)
     _validate_terms(terms, g.num_vertices)
     nf = g.num_vertices - len(fixed)
-    if nf > max_vertices and not force:
-        raise ResourceLimitError(
-            f"{nf} free vertices exceeds cap {max_vertices}; pass force=True")
+    if nf > max_vertices:
+        raise ResourceLimitError(f"{nf} free vertices exceeds cap max_vertices={max_vertices}")
     prob = _Problem(g, p, fixed, terms, num_buckets)
 
     def run(indices):
@@ -413,8 +412,7 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
 
 def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
                   fixed: Optional[Dict[int, int]] = None,
-                  max_vertices: int = DEFAULT_MAX_VERTICES,
-                  force: bool = False, threads: int = 1) -> float:
+                  max_vertices: int = DEFAULT_MAX_VERTICES, threads: int = 1) -> float:
     """log of the exact partition sum over all configurations.
 
     constraints restrict the sum to configurations whose zero-counts satisfy
@@ -424,9 +422,8 @@ def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
     """
     constraints = tuple(constraints)
     _validate_constraints(constraints, g.num_vertices)
-    return float(log_partition_histogram(
-        g, p, constraints, 1, fixed=fixed, max_vertices=max_vertices,
-        force=force, threads=threads)[0])
+    return float(log_partition_histogram(g, p, constraints, 1, fixed=fixed,
+                                         max_vertices=max_vertices, threads=threads)[0])
 
 
 def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,

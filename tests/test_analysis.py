@@ -262,6 +262,18 @@ def test_mc_estimate_behaviour():
         expected_profile_sum_mc(9, 1, 1, p, 0, 0, trials=10, seed=0)
 
 
+def test_mc_checks_profile_before_weights():
+    fielded = SpinParams(0.4, 0.7, 2.0)
+    with pytest.raises(UsageError, match="a must lie in"):
+        expected_profile_sum_mc(3, 1, -1, fielded, 1.5, 0, trials=10, seed=0)
+    with pytest.raises(UsageError, match="b \\* N"):
+        expected_profile_sum_mc(3, 1, -1, fielded, 0, 0.5, trials=10, seed=0)
+    with pytest.raises(UsageError, match="mu == 1"):
+        expected_profile_sum_mc(3, 1, -1, fielded, 0, 0, trials=10, seed=0)
+    with pytest.raises(UsageError, match="delta_prime"):
+        expected_profile_sum_mc(3, 1, -1, SpinParams(0.4, 0.7), 0, 0, trials=10, seed=0)
+
+
 def test_expander_audit_trivial_cases():
     h = sample_gadget(1, 4, seed=3)
     audit = expander_audit(h, eps=1.0)

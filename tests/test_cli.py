@@ -10,7 +10,7 @@ import twospin
 from twospin import cli, spins
 from twospin.analysis import rate_bound
 from twospin.cli import main
-from twospin.graphs import MultiGraph, single_edge, write_graph
+from twospin.graphs import MultiGraph, cycle_graph, single_edge, write_graph
 
 
 @pytest.fixture
@@ -53,6 +53,36 @@ def test_theta_star_anticycle(capsys, anti3_file):
     code, rep = _run(capsys, ["theta-star", "--instance", anti3_file])
     assert code == 0
     assert rep["outputs"]["max_satisfied"]["value"] == 2
+
+
+@pytest.mark.parametrize("command, flag", [("z", "--max-vertices"),
+                                           ("theta-star", "--max-vars")])
+def test_cap_flag_admits_exactly_up_to_its_value(capsys, tmp_path, anti3_file,
+                                                 command, flag):
+    """The cap flag is the one override: at the input's size the command
+    runs, one below it exits 3 and the refusal names the cap."""
+    if command == "z":
+        graph = tmp_path / "c5.g"
+        write_graph(cycle_graph(5), graph)
+        argv, size = ["z", "--graph", str(graph), "--beta", "1", "--gamma", "1"], 5
+    else:
+        argv, size = ["theta-star", "--instance", anti3_file], 3
+    assert main(argv + [flag, str(size)]) == 0
+    capsys.readouterr()
+    assert main(argv + [flag, str(size - 1)]) == 3
+    err = capsys.readouterr().err
+    assert f"cap {flag[2:].replace('-', '_')}={size - 1}" in err
+    assert "force" not in err
+
+
+@pytest.mark.parametrize("command", ["z", "theta-star"])
+def test_force_flag_is_gone(capsys, edge_file, anti3_file, command):
+    argv = (["z", "--graph", edge_file, "--beta", "1", "--gamma", "1"]
+            if command == "z" else ["theta-star", "--instance", anti3_file])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--force"]) == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_uniqueness_and_threshold(capsys):

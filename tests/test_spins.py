@@ -88,11 +88,11 @@ def test_infeasible_constraints_give_log_zero():
     assert val == LOG_ZERO
 
 
-def test_resource_cap_and_force():
+def test_resource_cap_and_its_override():
     g = path_graph(6)
     with pytest.raises(ResourceLimitError):
         log_partition(g, SpinParams(1, 1), max_vertices=5)
-    assert log_partition(g, SpinParams(1, 1), max_vertices=5, force=True) == \
+    assert log_partition(g, SpinParams(1, 1), max_vertices=6) == \
         pytest.approx(math.log(2 ** 6), abs=1e-12)
 
 
