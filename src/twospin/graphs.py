@@ -15,10 +15,20 @@ Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
 The writer emits the canonical records; the reader accepts any order and
-orientation, sums duplicate pairs, and converts its record block PARSE_BLOCK
-lines at a time.  `read_records` holds the syntax that this file, the E2LIN2
-instance and the block map share: ASCII, '#' and blank lines skipped, one
-integer header first.
+orientation and sums duplicate pairs.  It reads a file on one of two paths.
+The byte path takes a file of at least BYTE_PATH_MIN characters whose header
+is its first line and whose every record line is exactly 'e U V M', single
+spaces and 1 to 18 ASCII digits per field, once blank and '#'-first lines
+are dropped: a few numpy passes over its bytes check that layout and gather
+the fields into int64 columns.  Any other text goes to the line reader,
+which converts the record block PARSE_BLOCK lines at a time through
+Python's int and is the only source of a line's error message; below
+BYTE_PATH_MIN characters it also costs less than numpy's fixed cost.  Both
+feed the same record-count, multiplicity and graph checks.
+
+`read_records` holds the syntax that this file, the E2LIN2 instance and the
+block map share: ASCII, '#' and blank lines skipped, one integer header
+first.
 """
 
 import numbers
@@ -32,7 +42,10 @@ from .errors import UsageError
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
-PARSE_BLOCK = 1 << 14  # lines of a graph file's record block converted at a time
+PARSE_BLOCK = 1 << 14  # lines the line reader converts at a time
+BYTE_PATH_MIN = 1 << 10  # characters: a shorter graph file costs less line by line
+RECORD_MARKS = b"e   \n"  # the non-digit bytes of a record line 'e U V M\n', in order
+STEPS = bytes((1, 1, 2, 2, 2))  # the step to each of them from the one before, capped at 2
 
 
 def _record_error(num_vertices: int, u: int, v: int, m: int) -> str:
@@ -323,32 +336,23 @@ def graph_to_text(g: MultiGraph) -> str:
             + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist()))
 
 
-def _edge_fields(lines, lo: int, sep: str):
+def _edge_fields(lines, lo: int):
     """The fields of the records among lines[lo:lo + PARSE_BLOCK], as a (k, 3)
     int64 array in file order; a field past int64 is clipped into it, and so
-    stays out of range.  A record is a line of four tokens, the first 'e',
-    found by one split of the lines joined around `sep` (a token not in the
-    text) when every line is one, else line by line.  Blank and '#' lines
-    are skipped; the first other line, or an earlier non-integer field,
-    raises the error that reading the lines one by one would raise."""
+    stays out of range.  A record is a line of four tokens, the first 'e'.
+    Blank and '#' lines are skipped; the first other line, or an earlier
+    non-integer field, raises the error that reading the lines one by one
+    would raise."""
     chunk = lines[lo:lo + PARSE_BLOCK]
-    n = len(chunk)
-    tokens = f" {sep} ".join(chunk).split()
-    tokens.append(sep)
-    fault = None
-    if len(tokens) == 5 * n and tokens[4::5].count(sep) == n and tokens[::5].count("e") == n:
-        rows = range(n)
-        del tokens[4::5], tokens[::4]
-    else:
-        rows, tokens = [], []
-        for j, line in enumerate(chunk):
-            words = line.split()
-            if len(words) == 4 and words[0] == "e":
-                rows.append(j)
-                tokens += words[1:]
-            elif words and words[0][0] != "#":
-                fault = j
-                break
+    rows, tokens, fault = [], [], None
+    for j, line in enumerate(chunk):
+        words = line.split()
+        if len(words) == 4 and words[0] == "e":
+            rows.append(j)
+            tokens += words[1:]
+        elif words and words[0][0] != "#":
+            fault = j
+            break
     try:
         fields = list(map(int, tokens))
     except ValueError:  # name the first record with a non-integer field
@@ -366,16 +370,73 @@ def _edge_fields(lines, lo: int, sep: str):
                         dtype=np.int64).reshape(-1, 3)
 
 
+def _byte_fields(text: str):
+    """The header ints and the (k, 3) int64 records of a graph file whose
+    header is its first line and whose every record line is 'e U V M' with
+    single spaces and fields of 1 to 18 ASCII digits, read in numpy passes
+    over its bytes; None for any other text.  Lines end as `_lines` ends
+    them, and blank lines and lines that start with '#' are dropped first."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b"#" in raw or b"\n\n" in raw or raw[:1] == b"\n":
+        starts = np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))
+        first = b[starts]
+        keep = (first != 35) & (first != 10)
+        raw = b[np.repeat(keep, np.diff(starts, append=b.size))].tobytes()
+        b = np.frombuffer(raw, dtype=np.uint8)
+    h = raw.find(b"\n") % (len(raw) + 1)  # the header's end: its '\n', or the end of the text
+    try:
+        header, _ = _header([raw[:h].decode("ascii")], "graph", 2)
+    except UsageError:
+        return None
+    records = b[h:]  # the header's '\n', then the record lines
+    if records.size < 2:
+        return header, np.zeros((0, 3), dtype=np.int64)
+    digits = records - 48  # a digit's value; every other byte maps to 10 or more
+    marks = np.flatnonzero(digits >= 10)
+    found = marks.size
+    if records[-1] != 10:  # the last line ends at the end of the text
+        marks = np.append(marks, records.size)
+    # a line's non-digit bytes are 'e   \n'; it steps 1 from the last line's
+    # '\n' to its 'e', 1 to its first space, then its fields' widths plus one
+    step = marks[1:] - marks[:-1]
+    k, extra = divmod(step.size, 5)
+    top = int(step.max())
+    if extra or top > 19 or records[marks[1:found]].tobytes() != (RECORD_MARKS * k)[:found - 1]:
+        return None
+    step = step.astype(np.uint8)
+    if np.minimum(step, 2).tobytes() != STEPS * k:
+        return None
+    # Horner over each field's digits, right-aligned to the widest field
+    spans = step.reshape(k, 5).T[2:].copy()  # (3, k): each field's width plus one
+    at = marks[1:].reshape(k, 5).T[2:] - (top - 1)  # where a field of width top - 1 starts
+    fields = np.zeros((3, k), dtype=np.int64)
+    for place in range(top - 2, -1, -1):
+        digit = digits.take(at, mode="clip")  # a clipped index is left of the field
+        if place:  # every field has a ones digit
+            digit *= (spans > place + 1).view(np.uint8)
+        fields *= 10
+        fields += digit
+        at += 1
+    return header, fields.T
+
+
 def graph_from_text(text: str) -> MultiGraph:
     """Parse a graph file, with the errors of reading it line by line."""
-    lines = _lines(text)
-    (num_vertices, declared), start = _header(lines, "graph", 2)
-    sep = "\x01"
-    while sep in text:
-        sep += "\x01"
-    blocks = [_edge_fields(lines, lo, sep) for lo in range(start, len(lines), PARSE_BLOCK)]
-    table = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)])
-    del lines, blocks  # as large as the graph: free them before the aggregation
+    parsed = _byte_fields(text) if len(text) >= BYTE_PATH_MIN else None
+    if parsed is not None:
+        (num_vertices, declared), table = parsed
+    else:
+        lines = _lines(text)
+        (num_vertices, declared), start = _header(lines, "graph", 2)
+        blocks = [_edge_fields(lines, lo) for lo in range(start, len(lines), PARSE_BLOCK)]
+        table = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)])
+        del lines, blocks  # as large as the graph: free them before the aggregation
     if declared != len(table):
         raise UsageError(f"header declares {declared} records, found {len(table)}")
     records = islice(read_records(text, "graph", 2), 1, None)  # read again for a message

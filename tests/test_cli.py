@@ -55,6 +55,15 @@ def test_theta_star_anticycle(capsys, anti3_file):
     assert rep["outputs"]["max_satisfied"]["value"] == 2
 
 
+def test_theta_star_counts_past_uint16(capsys, tmp_path):
+    path = tmp_path / "wrap.e2"
+    path.write_text("p e2lin2 2 65537\n" + "1 2 0\n" * 65536 + "1 2 1\n")
+    code, rep = _run(capsys, ["theta-star", "--instance", str(path)])
+    assert code == 0
+    assert rep["outputs"]["max_satisfied"]["value"] == 65536
+    assert rep["outputs"]["witness"] == [0, 0]
+
+
 @pytest.mark.parametrize("command, flag", [("z", "--max-vertices"),
                                            ("theta-star", "--max-vars")])
 def test_cap_flag_admits_exactly_up_to_its_value(capsys, tmp_path, anti3_file,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import best_count_loop
+from twospin import e2lin2
 from twospin.e2lin2 import (E2Lin2Instance, best_assignment, format_instance,
                             normalize, occurrence_counts, parse_instance,
                             random_instance, read_instance, satisfied_count,
@@ -63,6 +64,25 @@ def test_best_assignment_against_loop_oracle():
         assert best == o_best
         assert bits == o_bits  # both take the lowest encoding
         assert best >= math.ceil(m / 2)
+
+
+@pytest.mark.parametrize("block_vars", [1, 3, e2lin2.BLOCK_VARS])
+def test_best_assignment_on_repeated_pairs_against_loop_oracle(monkeypatch, block_vars):
+    # few variables and many equations, so pairs repeat with both right-hand
+    # sides; small blocks make most variables high ones, fixed per block
+    monkeypatch.setattr(e2lin2, "BLOCK_VARS", block_vars)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        pairs = [tuple(int(v) for v in rng.choice(n, 2, replace=False))
+                 for _ in range(int(rng.integers(1, 30)))]
+        inst = E2Lin2Instance(n, tuple((i, j, int(rng.integers(2))) for i, j in pairs))
+        assert best_assignment(inst) == best_count_loop(n, inst.equations)
+
+
+def test_best_assignment_counts_past_uint16():
+    inst = E2Lin2Instance(2, ((0, 1, 0),) * 65536 + ((0, 1, 1),))
+    assert best_assignment(inst) == (65536, (0, 0))
 
 
 def test_best_assignment_relabeling_invariance():

@@ -3,9 +3,9 @@
 Every parser and file reader either returns a value or raises UsageError,
 whatever text or bytes it is fed; well-formed text, with comments, blank
 lines and extra whitespace mixed in, parses to the value it was written
-from.  The graph parser, which converts its record block a chunk of lines at
-a time, must also agree with `oracles.graph_file`, a line-by-line reader, at
-several chunk sizes.  Hypothesis runs derandomized with a bounded example
+from.  The graph parser, which reads a strict file in numpy passes over its
+bytes and any other text a chunk of lines at a time, must also agree with
+`oracles.graph_file`, a line-by-line reader, at several chunk sizes.  Hypothesis runs derandomized with a bounded example
 count, so these tests check the same inputs on every run.
 """
 
@@ -239,3 +239,85 @@ def test_graph_parser_faults_at_chunk_boundaries(block):
                 for place, plant in zip(pair, (first, second)):
                     edited[place] = plant
                 assert_parses_like_the_line_reader("\n".join(edited), (block,))
+
+
+@pytest.fixture
+def small_files_on_the_byte_path(monkeypatch):
+    monkeypatch.setattr(twospin.graphs, "BYTE_PATH_MIN", 0)
+
+
+@FUZZ
+@given(st.data())
+def test_byte_path_matches_the_line_reader(data):
+    g = data.draw(st.one_of(graphs(), reductions().map(lambda rg: rg.graph)))
+    text = graph_to_text(g)
+    decorated_text = decorated(data.draw, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twospin.graphs, "BYTE_PATH_MIN", 0)
+        for sample in (text, decorated_text, mutated(data.draw, text),
+                       mutated(data.draw, decorated_text)):
+            assert_parses_like_the_line_reader(sample, (twospin.graphs.PARSE_BLOCK,))
+
+
+# near misses of the record line 'e U V M' that the byte path reads: each
+# goes to the line reader, which accepts it or names it
+NEAR_MISSES = ["e\t0 1 1", "e  0 1 1", " e 0 1 1", "e 0 1 1 ", "e +0 1 1", "e -0 1 1",
+               "e 0 1 1_0", "e 007 1 1", "E 0 1 1", "e 0 1 \u0663", "e 0 1 1\x00",
+               "e 0\x001 1", "e 0 1", "e 0 1 1 1", "e 0 1 x"]
+
+
+@pytest.mark.parametrize("plant", NEAR_MISSES)
+def test_byte_path_near_misses_read_as_the_line_reader_reads_them(small_files_on_the_byte_path,
+                                                                  plant):
+    lines = ["p graph 4 3", "e 0 1 1", "e 1 2 1", "e 2 3 1"]
+    for place in (1, 2, 3):
+        edited = lines[:place] + [plant] + lines[place + 1:]
+        for end in ("\n", ""):
+            assert_parses_like_the_line_reader("\n".join(edited) + end)
+
+
+@pytest.mark.parametrize("width", [17, 18, 19, 20])
+def test_byte_path_reads_fields_of_up_to_18_digits(small_files_on_the_byte_path, width):
+    for field in ("0" * (width - 1) + "1", "0" * (width - 2) + "23", "9" * width,
+                  "1" + "0" * (width - 1)):
+        for at in range(3):
+            fields = ["0", "1", "1"]
+            fields[at] = field
+            text = "p graph 30 2\ne " + " ".join(fields) + "\ne 1 2 1\n"
+            assert_parses_like_the_line_reader(text)
+            assert (twospin.graphs._byte_fields(text) is None) == (width > 18)
+
+
+@pytest.mark.parametrize("text", [
+    "p graph 3 2\r\ne 0 1 1\r\ne 1 2 1\r\n", "p graph 3 2\re 0 1 1\re 1 2 1\r",
+    "p graph 3 2\ne 0 1 1\r\ne 1 2 1", "p graph 3 2\ne 0 1 1\ne 1 2 1",
+    "p graph 3 0\n", "p graph 3 0", "p graph 3 0\n\n# none\n", "p graph 3 1\n",
+    "# c\n\np graph 3 2\n#\ne 0 1 1\n\n\ne 1 2 1\n# end", "#\r\np graph 3 1\ne 0 1 1",
+    "p graph 3 1\n#\re 0 1 1\n", "p graph 3 1\n \ne 0 1 1\n", "p graph 3 1\n  #\ne 0 1 1\n",
+    "p  graph 3 1\ne 0 1 1\n", "p graph 3 1 \ne 0 1 1\n", "p graph 3 1\x00\ne 0 1 1\n",
+    "p graph 3 1\ne 0 1 1\np graph 3 1\n", "e 0 1 1\np graph 3 1\n", "", "\n", "#",
+    "p graph 3 1\ne 0 1 0\n", "p graph 3 1\ne 0 3 1\n", "p graph 3 1\ne 1 1 1\n",
+    "p graph 3 2\ne 0 1 1\n", "p graph 3 1\ne 0 1 1\ne 1 2 1\n",
+    "p graph 2 1\ne 0 1 9007199254740993\n", "p graph 9007199254740993 1\ne 0 1 1\n",
+])
+def test_byte_path_edges_read_as_the_line_reader_reads_them(small_files_on_the_byte_path, text):
+    assert_parses_like_the_line_reader(text)
+
+
+def test_byte_path_reads_the_benchmark_scale_reduction(monkeypatch):
+    rg = build_reduction_graph(random_instance(16, 50, 5), GadgetParams(4, 2, 100, 5))
+    text = graph_to_text(rg.graph)
+
+    def line_reader(*args):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(twospin.graphs, "_edge_fields", line_reader)
+    monkeypatch.setattr(twospin.graphs, "_lines", line_reader)
+    lines = text.splitlines()
+    decorated_text = "".join(("# record %d\n\n" % i if i % 1000 == 1 else "") + line + "\n"
+                             for i, line in enumerate(lines))
+    assert decorated_text.count("#") > 45
+    for sample in (text, decorated_text, "\n# a comment first\n" + decorated_text,
+                   text.replace("\n", "\r\n")):
+        assert graph_from_text(sample) == rg.graph
+    assert graph_to_text(graph_from_text(text)) == text
