@@ -72,9 +72,8 @@ def log_sum_exp_by_bucket(values: np.ndarray, buckets: np.ndarray, size: int,
     values -= shifts
     np.exp(values, out=values)
     sums = np.bincount(buckets, weights=values, minlength=size)
-    out = np.full(size, LOG_ZERO)
-    np.log(sums, out=out, where=sums > 0)
-    return out + top
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a bucket summing to 0
+        return np.log(sums) + top
 
 
 def pairwise_add(tree, start, size, value):

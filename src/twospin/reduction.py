@@ -480,11 +480,12 @@ def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
     hist = log_partition_histogram(rg.graph, p, signs, 3 ** n,
                                    max_vertices=MAX_REDUCTION_VERTICES,
                                    threads=threads)
-    # axis 0 is variable n - 1, so a C-order ravel indexes by sum_i S_i 2^i
+    # axis 0 is variable n - 1, so a C-order ravel indexes by sum_i S_i 2^i;
+    # along each axis, (fewer, tie) plus (tie, more) gives the halves S_i = 0, 1
     sums = hist.reshape((3,) * n)
     for axis in range(n):
-        fewer, tie, more = np.split(sums, 3, axis=axis)
-        sums = np.concatenate([log_add(fewer, tie), log_add(tie, more)], axis=axis)
+        head = (slice(None),) * axis
+        sums = log_add(sums[head + (slice(0, 2),)], sums[head + (slice(1, 3),)])
     return log_sum_exp(hist), sums.ravel()
 
 

@@ -20,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,17 +202,31 @@ def log_config_weight(g: MultiGraph, p: SpinParams, bits: Sequence[int]) -> floa
 # Exact partition sums (log domain, vectorized enumeration)
 
 
-def _pair_logs(codes: np.ndarray, records) -> np.ndarray:
-    """Sum of edge log factors at each configuration code.
+@lru_cache(maxsize=_LOW_BITS + 1)
+def _low_tables(k: int):
+    """Read-only tables of k low bits, shared by every problem and thread
+    (96 KB for all k <= 10): the codes x < 2**k, their bits (row j: bit j of
+    each code) and, row x, the indices j + k * bit_j(x) into (w0, w1)."""
+    codes = np.arange(1 << k, dtype=np.int16)
+    bits = ((codes >> np.arange(k, dtype=np.int16)[:, None]) & 1).astype(np.uint8)
+    gather = (bits.T * k + np.arange(k)).astype(np.int32, order="C")
+    for table in (codes, bits, gather):
+        table.flags.writeable = False
+    return codes, bits, gather
 
-    A record (a, b, log00, log11) adds log00 where bits a and b of the code
-    are both 0 and log11 where both are 1.
-    """
+
+def _pair_logs(bits: np.ndarray, records) -> np.ndarray:
+    """Sum of edge log factors at each configuration, whose free spin j is
+    in row j of `bits`: a record (a, b, log00, log11) adds log00 where spins
+    a and b are both 0 and log11 where both are 1."""
     if not records:
-        return np.zeros(len(codes))
+        return np.zeros(bits.shape[1])
     a, b, l00, l11 = (np.array(col) for col in zip(*records))
-    ones = ((codes[:, None] >> a) & 1) + ((codes[:, None] >> b) & 1)
-    return np.where(ones == 0, l00, np.where(ones == 2, l11, 0.0)).sum(axis=1)
+    # record r at spin sum s takes factor 3 r + s; np.take lays the factors
+    # out C-ordered by configuration, which fixes the order of the row sums
+    factors = np.array((l00, np.zeros(len(a)), l11)).T.ravel()
+    index = bits[a] + bits[b] + np.arange(0, 3 * len(a), 3)[:, None]
+    return np.take(factors, index.T).sum(axis=1)
 
 
 class _Problem:
@@ -228,7 +243,8 @@ class _Problem:
     at spin s plus its edges to low spins.  A block fixes the top h - b high
     bits and tabulates its 2**b x 2**k log-weights by doubling over the b
     free high bits, so the kernel only adds log factors: no product can meet
-    -inf * 0 or inf - inf.
+    -inf * 0 or inf - inf.  Set-up gathers q_lo through _low_tables, fills
+    each term's offsets by broadcasting, and takes no per-configuration step.
     """
 
     def __init__(self, g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
@@ -245,64 +261,58 @@ class _Problem:
         ff = []
         for u, v, m in g.edges:
             su, sv = fixed.get(u), fixed.get(v)
-            if su is not None and sv is not None:
-                if su == 0 and sv == 0:
-                    const += m * lb
-                elif su == 1 and sv == 1:
-                    const += m * lg
-            elif su is None and sv is None:
+            if su is None and sv is None:
                 ff.append((pos[u], pos[v], m * lb, m * lg))
-            else:
+            elif su is None or sv is None:  # one end pinned to spin s
                 w, s = (pos[u], sv) if su is None else (pos[v], su)
-                if s == 0:
-                    w0[w] += m * lb
-                else:
-                    w1[w] += m * lg
+                (w1 if s else w0)[w] += m * (lg if s else lb)
+            elif su == sv:
+                const += m * (lg if su else lb)
         self.k = k = min(nf, _LOW_BITS)
         self.h = h = nf - k
         self.b = min(h, _BLOCK_BITS - k)
-        x = np.arange(1 << k)
-        low_bits = ((x[:, None] >> np.arange(k)) & 1).astype(bool)
-        self.q_lo = (const + np.where(low_bits, w1[:k], w0[:k]).sum(axis=1)
-                     + _pair_logs(x, [r for r in ff if r[1] < k]))
-        self.cols = np.empty((2, h, 1 << k))
-        self.cols[0] = w0[k:, None]
-        self.cols[1] = w1[k:, None]
+        codes, bits, gather = _low_tables(k)
+        self.q_lo = (const + np.take(np.concatenate((w0[:k], w1[:k])), gather).sum(axis=1)
+                     + _pair_logs(bits, [r for r in ff if r[1] < k]))
+        self.cols = np.repeat(np.array((w0[k:], w1[k:]))[:, :, None], 1 << k, axis=2)
         for a, c, l00, l11 in ff:
             if a < k <= c:
-                self.cols[0, c - k] += np.where(low_bits[:, a], 0.0, l00)
-                self.cols[1, c - k] += np.where(low_bits[:, a], l11, 0.0)
+                self.cols[0, c - k] += np.where(bits[a], 0.0, l00)
+                self.cols[1, c - k] += np.where(bits[a], l11, 0.0)
         self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
-        # A set's zero-count is (its size less its pinned ones) minus the
-        # popcount of its free mask in the low bits x and in the high bits y.
-        # Per term, `digits` holds the offset for every low configuration and
-        # every combination of the term's high popcounts; a block looks its
-        # rows up by their popcounts.  DISCARD becomes num_buckets, so every
-        # bucket from num_buckets up collects discarded configurations.
+        # A set's zero-count is its size, less its pinned ones and the
+        # popcounts of its free mask in x and y.  `digits` holds a term's
+        # offset per x and per combination of its sets' high popcounts, in
+        # rows that row_weights finds from a block's high bits; DISCARD
+        # becomes num_buckets, so buckets from there up collect the discarded.
         self.num_buckets = num_buckets
-        self.digits = []
-        top = 0  # the largest bucket a kept configuration can reach
-        for term in terms:
-            masks = [sum(1 << pos[v] for v in vset if v not in fixed)
-                     for vset in term.sets]
-            grid = np.ix_(*(np.arange((m >> k).bit_count() + 1) for m in masks), x)
-            zeros = [sum(1 for v in vset if fixed.get(v, 0) == 0) - count
-                     - np.bitwise_count(grid[-1] & m).astype(np.int64)
-                     for vset, m, count in zip(term.sets, masks, grid)]
-            shape = np.broadcast_shapes(*(axis.shape for axis in grid))
-            digits = np.broadcast_to(term.digit(*zeros), shape)
-            kept = digits[digits != DISCARD]
-            if kept.min(initial=0) < 0:
-                raise UsageError(f"profile offsets must be nonnegative, got {kept.min()}")
-            top += int(kept.max(initial=0))
-            # one row per combination of high popcounts, in C order
-            self.digits.append(([m >> k for m in masks], shape[:-1],
-                                np.where(digits == DISCARD, num_buckets, digits)
-                                .astype(np.intp).reshape(-1, 1 << k)))
+        self.digits, row_weights = [], []
+        top, bins = 0, 1  # the largest bucket kept; one past the largest of all
+        masks = [[sum(1 << pos[v] for v in s if v not in fixed) for s in t.sets] for t in terms]
+        low_counts = iter(np.bitwise_count(codes & np.array(
+            [m & ((1 << k) - 1) for ms in masks for m in ms], dtype=np.int16)[:, None]))
+        for term, ms in zip(terms, masks):
+            shape = tuple((m >> k).bit_count() + 1 for m in ms) + (1 << k,)
+            most = [sum(1 for v in vset if fixed.get(v, 0) == 0) for vset in term.sets]
+            zeros = [np.arange(z, z - n, -1).reshape(-1, *(1,) * (len(shape) - axis - 1))
+                     - next(low_counts) for axis, (z, n) in enumerate(zip(most, shape))]
+            digits = np.empty(shape, dtype=np.intp)
+            digits[...] = term.digit(*zeros)
+            lo, hi = int(digits.min()), int(digits.max())
+            if lo < DISCARD:
+                raise UsageError(f"profile offsets must be nonnegative, got {lo}")
+            top += max(hi, 0)
+            if lo == DISCARD:
+                digits[digits == DISCARD] = num_buckets
+            bins += num_buckets if lo == DISCARD else hi
+            self.digits.append(digits.reshape(-1, 1 << k))
+            row_weights.append([sum(math.prod(shape[axis + 1:-1]) * (m >> v & 1)
+                                    for axis, m in enumerate(ms)) for v in range(k, nf)])
         if top >= num_buckets:
             raise UsageError(f"profile offsets reach bucket {top}, not below "
                              f"num_buckets = {num_buckets}")
-        self.bins = max(num_buckets, 1 + sum(int(d.max()) for *_, d in self.digits))
+        self.bins = max(num_buckets, bins)
+        self.row_weights = np.array(row_weights, dtype=np.int64).reshape(len(terms), h)
 
     @property
     def num_blocks(self) -> int:
@@ -320,11 +330,9 @@ class _Problem:
 
     def block_histogram(self, index: int, table: np.ndarray, bucket=None,
                         offsets=None, shifts=None):
-        """log of the sum over block `index`, built in the arrays of
-        scratch() (overwritten): a float for a profile without terms, else
-        one entry per bucket."""
-        rows = 1 << self.b
-        y = np.arange(index * rows, (index + 1) * rows)
+        """log of the sum over block `index`, built in scratch()'s arrays
+        (overwritten): a float without terms, else one entry per bucket."""
+        y = np.arange(index << self.b, (index + 1) << self.b)
         table[0] = self.q_lo
         for v in range(self.b, self.h):
             table[0] += self.cols[(y[0] >> v) & 1, v]
@@ -332,12 +340,12 @@ class _Problem:
             n = 1 << v
             np.add(table[:n], self.cols[1, v], out=table[n:2 * n])
             table[:n] += self.cols[0, v]
-        table += _pair_logs(y, self.hi_edges)[:, None]
+        high_bits = (y >> np.arange(self.h)[:, None]) & 1
+        if self.hi_edges:  # adding zeros would change no sum, only a zero's sign
+            table += _pair_logs(high_bits, self.hi_edges)[:, None]
         if not self.digits:  # one bucket holds every configuration
             return log_sum_exp_inplace(table)
-        for j, (masks_hi, counts, digits) in enumerate(self.digits):
-            row = np.ravel_multi_index([np.bitwise_count(y & m) for m in masks_hi],
-                                       counts)
+        for j, (digits, row) in enumerate(zip(self.digits, self.row_weights @ high_bits)):
             np.take(digits, row, axis=0, out=offsets if j else bucket, mode="clip")
             if j:
                 bucket += offsets
@@ -379,7 +387,10 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     fixed pairwise tree as they come, so a worker holds one histogram per
     tree level.  With threads > 1 the blocks are split across workers;
     since block histograms and the tree do not depend on which worker
-    produced them, neither does the result.
+    produced them, neither does the result.  A call's fixed cost is about
+    25 numpy calls of set-up, one step per edge, about 15 calls per term and
+    15 per block; only the read-only tables of k low bits outlive it, cached
+    once per k for the process (96 KB in all).
     """
     fixed = _checked_pins(g, fixed)
     terms = tuple(terms)
@@ -407,7 +418,8 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
                     pairwise_add(tree, *node)
     else:
         tree = run(range(nblocks))
-    return np.atleast_1d(pairwise_root(tree))
+    hist = pairwise_root(tree)  # without terms, bucket 0 holds every configuration
+    return hist if terms else np.append(hist, np.full(num_buckets - 1, LOG_ZERO))
 
 
 def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,

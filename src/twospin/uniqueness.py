@@ -63,14 +63,6 @@ def _log_ratio(beta, gamma):
                               shifted(x))
 
 
-def recursion_value(p: SpinParams, d: int, x: float) -> float:
-    """f(x) = mu * ((beta*x + 1)/(x + gamma))**d, evaluated in log space."""
-    if x < 0:
-        raise UsageError("x must be nonnegative")
-    with np.errstate(divide="ignore", over="ignore"):
-        return float(np.exp(math.log(p.mu) + d * _log_ratio(p.beta, p.gamma)(x)))
-
-
 def _bisect(lo, hi, g):
     """Bisect [lo, hi] onto the sign change of a decreasing g.
 

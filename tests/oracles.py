@@ -10,7 +10,11 @@ survival function, a scan over every big pair of a gadget's subsets,
 every configuration, as numpy integer codes, for the reduction's majority
 sums (whose per-configuration weight the caller passes in), per-record loops that
 check, aggregate, write and audit edge records and build the reduction's,
-and a line-by-line reader of graph files.
+a line-by-line reader of graph files, and the enumeration kernel's problem
+construction and block as they stood before its set-up was cut (a frozen
+copy, for bit-for-bit comparison).  `recursion_value` is the one helper that
+evaluates through the library: the tree recursion, with the log ratio that
+the fixed-point bisection uses.
 """
 
 import decimal
@@ -19,6 +23,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from twospin.errors import UsageError
+from twospin.uniqueness import _log_ratio
 
 
 def independent_set_count(num_vertices, edge_pairs):
@@ -538,3 +545,180 @@ def audit_fields(num_vertices, records, equations, u_blocks, v_blocks, delta,
                            for block in blocks),
         wiring_ok=prescribed == crossing,
     )
+
+
+def recursion_value(p, d, x):
+    """f(x) = mu * ((beta*x + 1)/(x + gamma))**d, evaluated in log space
+    through the library's own log ratio: the residual check of a fixed
+    point that the bisection found."""
+    if x < 0:
+        raise UsageError("x must be nonnegative")
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(math.log(p.mu) + d * _log_ratio(p.beta, p.gamma)(x)))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration kernel as it stood before its set-up was cut: its problem
+# construction, block and merge, kept verbatim so that tests can require the
+# kernel's tables and histograms to be the same floats, bit for bit.
+
+REFERENCE_LOW_BITS = 10
+REFERENCE_BLOCK_BITS = 16
+REFERENCE_DISCARD = -1
+
+
+def _reference_pair_logs(codes, records):
+    if not records:
+        return np.zeros(len(codes))
+    a, b, l00, l11 = (np.array(col) for col in zip(*records))
+    ones = ((codes[:, None] >> a) & 1) + ((codes[:, None] >> b) & 1)
+    return np.where(ones == 0, l00, np.where(ones == 2, l11, 0.0)).sum(axis=1)
+
+
+def _reference_lse(arr):
+    if arr.size == 0:
+        return float("-inf")
+    hi = float(np.max(arr))
+    if hi == float("-inf"):
+        return float("-inf")
+    arr -= hi
+    np.exp(arr, out=arr)
+    return hi + math.log(float(np.sum(arr)))
+
+
+def _reference_lse_by_bucket(values, buckets, size, shifts):
+    values, buckets, shifts = values.ravel(), buckets.ravel(), shifts.ravel()
+    top = np.full(size, float("-inf"))
+    np.maximum.at(top, buckets, values)
+    top[top == float("-inf")] = 0.0
+    np.take(top, buckets, out=shifts, mode="clip")
+    values -= shifts
+    np.exp(values, out=values)
+    sums = np.bincount(buckets, weights=values, minlength=size)
+    out = np.full(size, float("-inf"))
+    np.log(sums, out=out, where=sums > 0)
+    return out + top
+
+
+def _reference_pairwise_add(tree, start, size, value):
+    while tree and start % (2 * size) == size and tree[-1][1] == size:
+        start, _, left = tree.pop()
+        size, value = 2 * size, np.logaddexp(left, value)
+    tree.append((start, size, value))
+
+
+def _reference_pairwise_root(tree):
+    value = tree[-1][2]
+    for _, _, left in reversed(tree[:-1]):
+        value = np.logaddexp(left, value)
+    return value
+
+
+class ReferenceProblem:
+    """The kernel's problem: q_lo, cols, hi_edges and one (high masks,
+    popcount shape, offsets) entry per profile term in `digits`."""
+
+    def __init__(self, g, p, fixed, terms=(), num_buckets=1):
+        lb, lg = p.log_entries()
+        lmu = math.log(p.mu)
+        free = [v for v in range(g.num_vertices) if v not in fixed]
+        pos = {v: j for j, v in enumerate(free)}
+        nf = len(free)
+        # per-free-vertex log factors for spin 0 / spin 1
+        w0 = np.full(nf, lmu, dtype=float)
+        w1 = np.zeros(nf, dtype=float)
+        const = lmu * sum(1 for v in fixed if fixed[v] == 0)
+        ff = []
+        for u, v, m in g.edges:
+            su, sv = fixed.get(u), fixed.get(v)
+            if su is not None and sv is not None:
+                if su == 0 and sv == 0:
+                    const += m * lb
+                elif su == 1 and sv == 1:
+                    const += m * lg
+            elif su is None and sv is None:
+                ff.append((pos[u], pos[v], m * lb, m * lg))
+            else:
+                w, s = (pos[u], sv) if su is None else (pos[v], su)
+                if s == 0:
+                    w0[w] += m * lb
+                else:
+                    w1[w] += m * lg
+        self.k = k = min(nf, REFERENCE_LOW_BITS)
+        self.h = h = nf - k
+        self.b = min(h, REFERENCE_BLOCK_BITS - k)
+        x = np.arange(1 << k)
+        low_bits = ((x[:, None] >> np.arange(k)) & 1).astype(bool)
+        self.q_lo = (const + np.where(low_bits, w1[:k], w0[:k]).sum(axis=1)
+                     + _reference_pair_logs(x, [r for r in ff if r[1] < k]))
+        self.cols = np.empty((2, h, 1 << k))
+        self.cols[0] = w0[k:, None]
+        self.cols[1] = w1[k:, None]
+        for a, c, l00, l11 in ff:
+            if a < k <= c:
+                self.cols[0, c - k] += np.where(low_bits[:, a], 0.0, l00)
+                self.cols[1, c - k] += np.where(low_bits[:, a], l11, 0.0)
+        self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
+        self.num_buckets = num_buckets
+        self.digits = []
+        top = 0  # the largest bucket a kept configuration can reach
+        for term in terms:
+            masks = [sum(1 << pos[v] for v in vset if v not in fixed)
+                     for vset in term.sets]
+            grid = np.ix_(*(np.arange((m >> k).bit_count() + 1) for m in masks), x)
+            zeros = [sum(1 for v in vset if fixed.get(v, 0) == 0) - count
+                     - np.bitwise_count(grid[-1] & m).astype(np.int64)
+                     for vset, m, count in zip(term.sets, masks, grid)]
+            shape = np.broadcast_shapes(*(axis.shape for axis in grid))
+            digits = np.broadcast_to(term.digit(*zeros), shape)
+            kept = digits[digits != REFERENCE_DISCARD]
+            if kept.min(initial=0) < 0:
+                raise UsageError(f"profile offsets must be nonnegative, got {kept.min()}")
+            top += int(kept.max(initial=0))
+            # one row per combination of high popcounts, in C order
+            self.digits.append(([m >> k for m in masks], shape[:-1],
+                                np.where(digits == REFERENCE_DISCARD, num_buckets, digits)
+                                .astype(np.intp).reshape(-1, 1 << k)))
+        if top >= num_buckets:
+            raise UsageError(f"profile offsets reach bucket {top}, not below "
+                             f"num_buckets = {num_buckets}")
+        self.bins = max(num_buckets, 1 + sum(int(d.max()) for *_, d in self.digits))
+
+    def scratch(self):
+        shape = (1 << self.b, 1 << self.k)
+        if not self.digits:
+            return (np.empty(shape),)
+        return (np.empty(shape), np.empty(shape, dtype=np.intp),
+                np.empty(shape, dtype=np.intp), np.empty(shape))
+
+    def block_histogram(self, index, table, bucket=None, offsets=None, shifts=None):
+        rows = 1 << self.b
+        y = np.arange(index * rows, (index + 1) * rows)
+        table[0] = self.q_lo
+        for v in range(self.b, self.h):
+            table[0] += self.cols[(y[0] >> v) & 1, v]
+        for v in range(self.b):
+            n = 1 << v
+            np.add(table[:n], self.cols[1, v], out=table[n:2 * n])
+            table[:n] += self.cols[0, v]
+        table += _reference_pair_logs(y, self.hi_edges)[:, None]
+        if not self.digits:  # one bucket holds every configuration
+            return _reference_lse(table)
+        for j, (masks_hi, counts, digits) in enumerate(self.digits):
+            row = np.ravel_multi_index([np.bitwise_count(y & m) for m in masks_hi],
+                                       counts)
+            np.take(digits, row, axis=0, out=offsets if j else bucket, mode="clip")
+            if j:
+                bucket += offsets
+        return _reference_lse_by_bucket(table, bucket, self.bins, shifts)[:self.num_buckets]
+
+
+def reference_histogram(g, p, terms, num_buckets, fixed=None):
+    """The kernel's histogram, its blocks in order through one worker (the
+    kernel's result does not depend on its thread count); without terms
+    it has one entry."""
+    prob = ReferenceProblem(g, p, dict(fixed or {}), tuple(terms), num_buckets)
+    scratch, tree = prob.scratch(), []
+    for i in range(1 << (prob.h - prob.b)):
+        _reference_pairwise_add(tree, i, 1, prob.block_histogram(i, *scratch))
+    return np.atleast_1d(_reference_pairwise_root(tree))

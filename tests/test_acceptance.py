@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from corpus import independent_set_corpus, regular_corpus
-from oracles import independent_set_count, sequential_indicator_law
+from oracles import (independent_set_count, recursion_value,
+                     sequential_indicator_law)
 from twospin.analysis import (coupling_sim, enumerate_profile_sums_mean_log,
                               expected_profile_sum_log, expected_profile_sum_mc,
                               rate_bound_scan)
@@ -27,8 +28,7 @@ from twospin.spins import SpinParams, field_identity_report, log_partition, \
 from twospin.uniqueness import (always_unique_bound, criticality_roots,
                                 field_window, first_nonunique_degree,
                                 fixed_point, magnitude_grid,
-                                outside_square_degrees, recursion_value,
-                                uniqueness_check)
+                                outside_square_degrees, uniqueness_check)
 
 _SUITE_START = time.time()
 

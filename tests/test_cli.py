@@ -271,8 +271,7 @@ def test_verify_coupling_and_expander(capsys):
                               "40", "--seeds", "3", "--eps", "0.34"])
     assert code == 0
     assert rep["pass"] is True
-    assert [c["name"] for c in rep["checks"]] == [
-        "worst-ratio-above-factor", "full-sides-ratio-exactly-one"]
+    assert [c["name"] for c in rep["checks"]] == ["worst-ratio-above-factor"]
 
 
 def test_verify_polarized_small(capsys):

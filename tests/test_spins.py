@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import (cycle_partition, fraction_partition, independent_set_count,
-                     linear_log_partition, profile_sum_direct)
+from oracles import (ReferenceProblem, cycle_partition, fraction_partition,
+                     independent_set_count, linear_log_partition,
+                     profile_sum_direct, reference_histogram)
 from twospin import spins
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
                             cycle_graph, path_graph, single_edge)
 from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
+from twospin.reduction import _MajoritySign
 from twospin.spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
                            field_identity_report, log_config_weight,
                            log_partition, log_partition_histogram,
@@ -189,6 +193,72 @@ def test_histogram_with_pins_and_constraints_matches_fractions():
     assert hist[0] == hist[5] == hist[6] == LOG_ZERO  # vertex 2 is pinned to 0
     with pytest.raises(UsageError, match="below num_buckets"):
         log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted)], 5)
+
+
+def test_histogram_without_terms_has_every_bucket():
+    # every configuration's offset is 0: bucket 0 holds the sum, the rest
+    # are empty, as with a term whose offset is always 0
+    for g in (path_graph(3), cycle_graph(18)):  # one block, several blocks
+        p = SpinParams(0.5, 1.5, 0.8)
+        for threads in (1, 2):
+            hist = log_partition_histogram(g, p, (), 5, threads=threads)
+            assert hist.shape == (5,)
+            assert hist[0] == log_partition(g, p)
+            assert (hist[1:] == LOG_ZERO).all()
+            always = log_partition_histogram(g, p, [CountRange((0,), 0, 1)], 5)
+            assert (always[1:] == LOG_ZERO).all()
+            assert always[0] == pytest.approx(hist[0], rel=1e-14)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_KERNEL_WEIGHTS = ((0.0, 1.5, 1.0), (1.25, 0.0, 0.7), (0.4, 0.9, 2.0), (1.0, 1.0, 1.0))
+
+
+# nf free spins: below the 10 low bits, past them in one block (11-16),
+# and in several blocks (17-20); the examples pin one of each
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(nf=st.sampled_from(range(1, 21)), pins=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       weights=st.sampled_from(_KERNEL_WEIGHTS), num_terms=st.integers(0, 3),
+       discard=st.booleans(), threads=st.sampled_from((1, 2)))
+@example(nf=20, pins=2, seed=1, weights=_KERNEL_WEIGHTS[0], num_terms=3, discard=True,
+         threads=2)
+@example(nf=6, pins=3, seed=2, weights=_KERNEL_WEIGHTS[1], num_terms=2, discard=True,
+         threads=1)
+@example(nf=13, pins=0, seed=3, weights=_KERNEL_WEIGHTS[2], num_terms=1, discard=False,
+         threads=2)
+@example(nf=18, pins=1, seed=4, weights=_KERNEL_WEIGHTS[3], num_terms=0, discard=False,
+         threads=2)
+def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_terms,
+                                                  discard, threads):
+    rng = np.random.default_rng(seed)
+    n = nf + pins
+    g = MultiGraph.from_edges(n, [(u, v, int(rng.integers(1, 4))) for u in range(n)
+                                  for v in range(u + 1, n) if rng.random() < 3 / n])
+    p = SpinParams(*weights)
+    fixed = {int(v): int(rng.integers(2)) for v in rng.choice(n, size=pins, replace=False)}
+
+    def vset():
+        return tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                 replace=False))
+
+    # majority digits 0..2 in base 3; the last term discards when asked
+    terms = [_MajoritySign((vset(), vset()), 3 ** i) for i in range(num_terms)]
+    if discard and terms:
+        terms[-1] = CountLeq(vset(), vset())
+    num_buckets = 3 ** num_terms
+    ref = ReferenceProblem(g, p, fixed, terms, num_buckets)
+    prob = spins._Problem(g, p, fixed, terms, num_buckets)
+    assert _same_bits(prob.q_lo, ref.q_lo) and _same_bits(prob.cols, ref.cols)
+    assert prob.hi_edges == ref.hi_edges and prob.bins == ref.bins
+    assert len(prob.digits) == len(ref.digits)
+    for digits, (_, _, ref_digits) in zip(prob.digits, ref.digits):
+        assert _same_bits(digits, ref_digits)
+    hist = log_partition_histogram(g, p, terms, num_buckets, fixed=fixed, threads=threads)
+    assert _same_bits(hist, reference_histogram(g, p, terms, num_buckets, fixed))
 
 def test_constraint_kinds():
     g = path_graph(4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import bisect_root
+from oracles import bisect_root, recursion_value
 from twospin import uniqueness
 from twospin.errors import RegimeError, UsageError
 from twospin.spins import SpinParams
@@ -15,7 +15,7 @@ from twospin.uniqueness import (PhaseRegion, SplitCase,
                                 field_window, first_nonunique_degree,
                                 fixed_point, magnitude_grid,
                                 outside_square_degrees, phase_grid,
-                                recursion_value, uniqueness_check)
+                                uniqueness_check)
 
 
 def test_fixed_point_symmetric_params():
