@@ -1,15 +1,14 @@
 """Exact partition sums on small graphs.
 
-Walks through configuration weights, unrestricted and constrained partition
-sums, the exact rational mode, and the external-field translation on regular
-graphs.
+Walks through configuration weights, full and pinned partition sums, the
+exact rational mode, and the external-field translation on regular graphs.
 """
 
 import math
 from fractions import Fraction
 
-from twospin import (CountRange, SpinParams, field_identity_report,
-                     log_config_weight, log_partition, partition_fraction)
+from twospin import (SpinParams, field_identity_report, log_config_weight,
+                     log_partition, partition_fraction)
 from twospin.graphs import complete_graph, cycle_graph, path_graph, single_edge
 
 # A single edge with all weights 1 has four configurations of weight 1.
@@ -31,11 +30,11 @@ print("\npath on 4 vertices, hardcore weights:")
 print("  Z =", math.exp(log_partition(p4, hardcore)), " independent sets")
 print("  exact rational mode:", partition_fraction(p4, 0, 1, 1))
 
-# Side constraints restrict the sum by zero-counts of vertex sets.
+# Pins fix chosen spins; the sum runs over the remaining vertices.
 tri = cycle_graph(3)
-restricted = log_partition(tri, hardcore, [CountRange((0, 1, 2), 1, 3)])
-print("\ntriangle, at least one zero:")
-print("  Z =", math.exp(restricted), " (the three singleton sets)")
+pinned = log_partition(tri, hardcore, fixed={0: 0})
+print("\ntriangle, vertex 0 pinned to 0:")
+print("  Z =", math.exp(pinned), " (only the singleton set {0})")
 
 # Rational parameters make the exact mode an oracle for the log-domain path.
 g = cycle_graph(5)

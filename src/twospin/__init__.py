@@ -1,14 +1,14 @@
 """Two-state spin systems: exact partition sums, uniqueness calculus, and
-the random-gadget reduction from two-variable parity constraints, all at
+the random-gadget reduction from two-variable parity equations, all at
 desk scale with log-domain arithmetic."""
 
 from .errors import RegimeError, ResourceLimitError, UsageError
 from .graphs import BipartiteGadget, MultiGraph, graph_from_text, graph_to_text, \
     read_graph, write_graph
-from .spins import (CountLeq, CountRange, FieldIdentityReport, MinCountAtMost,
-                    SpinParams, field_identity_report, log_config_weight,
-                    log_partition, log_partition_histogram, log_profile_sum,
-                    log_profile_sums, partition_fraction, remove_field)
+from .spins import (FieldIdentityReport, SpinParams, field_identity_report,
+                    log_config_weight, log_partition, log_partition_histogram,
+                    log_profile_sum, log_profile_sums, partition_fraction,
+                    remove_field)
 from .uniqueness import (CaseParams, DegreeScan, OutsideSquareDegrees,
                          PhaseRegion, SplitCase, UniquenessReport,
                          always_unique_bound, case_split, classify_phase,
@@ -24,8 +24,8 @@ from .reduction import (BoundsConstants, GadgetParams, ReductionGraph,
                         bounds_constants, build_reduction_graph,
                         decode_satisfied_estimate, log_majority_sums,
                         log_polarized_sum_brute, log_polarized_sum_closed,
-                        log_restricted_sum, read_blocks, sample_gadget,
-                        sandwich_check, write_blocks)
+                        read_blocks, sample_gadget, sandwich_check,
+                        write_blocks)
 from .analysis import (CouplingReport, ExpanderAudit, MCEstimate, RateBoundScan,
                        coupling_sim, entropy, exact_rate, expander_audit,
                        expected_profile_sum_log, expected_profile_sum_mc,

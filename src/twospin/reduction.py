@@ -20,8 +20,9 @@ field translate it away first (remove_field).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +31,9 @@ from .errors import RegimeError, UsageError
 from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
                      records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
-from .spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
-                    log_partition, log_partition_histogram)
+from .spins import SpinParams, log_partition, log_partition_histogram
 from .uniqueness import SplitCase
 
-DEFAULT_MINORITY_FRACTION = 9e-5  # cap on the smaller zero-count, as a fraction
-DEFAULT_CAP_FRACTION = 1e-4       # one-sided zero-count cap, as a fraction
 MAX_REDUCTION_VERTICES = 24       # free vertices of every exact reduction sum
 
 
@@ -233,6 +231,7 @@ class BoundsConstants:
     case: SplitCase
 
 
+@lru_cache(maxsize=64)
 def _polarized_factors(p: SpinParams, delta: int, delta_prime: int) -> Tuple[float, float]:
     """(log satisfied factor, log unsatisfied factor) of the polarized sum.
 
@@ -335,78 +334,6 @@ def log_polarized_sum_brute(rg: ReductionGraph, bits: Sequence[int], p: SpinPara
 
 
 # ---------------------------------------------------------------------------
-# Constraint families for conditioned sums
-
-FAMILY_NAMES = ("majority", "polarized", "minority-cap", "small-side-cap",
-                "two-sided-cap")
-
-
-def family_constraints(rg: ReductionGraph, family: str,
-                       bits: Optional[Sequence[int]] = None,
-                       minority_fraction: float = DEFAULT_MINORITY_FRACTION,
-                       cap_fraction: float = DEFAULT_CAP_FRACTION):
-    """Side constraints realizing one named restriction family.
-
-    majority:       zeros(U_i) <= zeros(V_i) when S_i = 0, reversed otherwise
-    polarized:      zeros of the S-side are exactly 0
-    minority-cap:   min(zeros(U_i), zeros(V_i)) <= floor(fraction * side)
-    small-side-cap: zeros of the S-side <= floor(fraction * side)
-    two-sided-cap:  S-side zeros <= floor(f * side), other side >= side - that
-    """
-    if family not in FAMILY_NAMES:
-        raise UsageError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    needs_bits = family != "minority-cap"
-    if needs_bits:
-        if bits is None:
-            raise UsageError(f"family {family!r} needs an assignment")
-        _check_assignment(rg, bits)
-    out = []
-    for i in range(rg.instance.num_vars):
-        u, v = rg.u_side(i), rg.v_side(i)
-        side = len(u)
-        if family == "minority-cap":
-            cap = min(side, math.floor(minority_fraction * side))
-            out.append(MinCountAtMost(u, v, cap))
-            continue
-        low, high = (u, v) if bits[i] == 0 else (v, u)
-        if family == "majority":
-            out.append(CountLeq(low, high))
-        elif family == "polarized":
-            out.append(CountRange(low, 0, 0))
-        elif family == "small-side-cap":
-            out.append(CountRange(low, 0, min(side, math.floor(cap_fraction * side))))
-        else:  # two-sided-cap
-            cap = min(side, math.floor(cap_fraction * side))
-            out.append(CountRange(low, 0, cap))
-            out.append(CountRange(high, side - cap, side))
-    return tuple(out)
-
-
-def log_restricted_sum(rg: ReductionGraph, p: SpinParams,
-                       families: Sequence[str] = ("majority",),
-                       bits: Optional[Sequence[int]] = None, *,
-                       minority_fraction: float = DEFAULT_MINORITY_FRACTION,
-                       cap_fraction: float = DEFAULT_CAP_FRACTION,
-                       threads: int = 1) -> float:
-    """Partition sum restricted by one or more constraint families.
-
-    Families compose by conjunction, e.g. ("majority", "minority-cap") is the
-    sum over assignments that respect the majority sides of `bits` and keep
-    every gadget's smaller zero-count under the minority cap.
-    """
-    _require_flat_field(p)
-    if isinstance(families, str):
-        families = (families,)
-    constraints = []
-    for fam in families:
-        constraints.extend(family_constraints(
-            rg, fam, bits, minority_fraction=minority_fraction,
-            cap_fraction=cap_fraction))
-    return log_partition(rg.graph, p, constraints,
-                         max_vertices=MAX_REDUCTION_VERTICES, threads=threads)
-
-
-# ---------------------------------------------------------------------------
 # Decoder and sandwich check
 
 
@@ -470,7 +397,7 @@ def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
     The enumeration buckets every configuration by its majority signs, one
     base-3 digit per variable (3^n buckets).  Z(G) is the sum of all
     buckets; Z(G,S) keeps the digits {-, 0} of variable i where S_i = 0 and
-    {0, +} where S_i = 1, so a tie counts for both, as CountLeq does.
+    {0, +} where S_i = 1, so a tie counts for both.
     Folding each axis of the 3^n histogram into those two halves gives all
     2^n sums, at index sum_i S_i 2^i.
     """

@@ -8,7 +8,8 @@ configuration sigma is
     mu**#zeros(sigma) * prod_edges entry(sigma_u, sigma_v)**mult
 
 and the partition function is the sum of these weights over all 2**n
-configurations (optionally restricted by side constraints on zero-counts).
+configurations.  A zero-count profile splits that sum into buckets by the
+zero-counts of vertex sets (log_partition_histogram), and pins fix spins.
 Everything is computed in the log domain (see logspace): exponents like
 beta**(delta * m**2) make linear floats useless here.
 
@@ -73,84 +74,9 @@ class SpinParams:
 # A profile sorts configurations into buckets by the zero-counts of vertex
 # sets.  Each of its terms names its vertex sets (`sets`) and maps their
 # zero-counts to an offset (`digit`); a configuration's bucket is the sum of
-# its terms' offsets, and one DISCARD offset drops it from every bucket.  The
-# zero-counts may be ints or integer arrays; the offsets have their shape.
-# The offsets must be nonnegative (or DISCARD), and their largest values
-# must sum below the number of buckets.
-
-DISCARD = -1
-
-
-class SideConstraint:
-    """A profile term that answers whether a configuration is admitted
-    (`admits`): its offset is 0 where it is, and DISCARD elsewhere."""
-
-    def digit(self, *zeros):
-        return np.where(self.admits(*zeros), 0, DISCARD)
-
-
-@dataclass(frozen=True)
-class CountRange(SideConstraint):
-    """lo <= #zeros(vertices) <= hi."""
-
-    vertices: Tuple[int, ...]
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if not (0 <= self.lo <= self.hi <= len(self.vertices)):
-            raise UsageError(
-                f"CountRange needs 0 <= lo <= hi <= |set|, got lo={self.lo} "
-                f"hi={self.hi} |set|={len(self.vertices)}")
-
-    @property
-    def sets(self):
-        return (self.vertices,)
-
-    def admits(self, zeros):
-        return (zeros >= self.lo) & (zeros <= self.hi)
-
-
-@dataclass(frozen=True)
-class CountLeq(SideConstraint):
-    """#zeros(fewer) <= #zeros(more)."""
-
-    fewer: Tuple[int, ...]
-    more: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "fewer", tuple(self.fewer))
-        object.__setattr__(self, "more", tuple(self.more))
-
-    @property
-    def sets(self):
-        return (self.fewer, self.more)
-
-    def admits(self, zeros_fewer, zeros_more):
-        return zeros_fewer <= zeros_more
-
-
-@dataclass(frozen=True)
-class MinCountAtMost(SideConstraint):
-    """min(#zeros(side_a), #zeros(side_b)) <= hi."""
-
-    side_a: Tuple[int, ...]
-    side_b: Tuple[int, ...]
-    hi: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_a", tuple(self.side_a))
-        object.__setattr__(self, "side_b", tuple(self.side_b))
-        if self.hi < 0:
-            raise UsageError("MinCountAtMost needs hi >= 0")
-
-    @property
-    def sets(self):
-        return (self.side_a, self.side_b)
-
-    def admits(self, zeros_a, zeros_b):
-        return (zeros_a <= self.hi) | (zeros_b <= self.hi)
+# its terms' offsets.  The zero-counts may be ints or integer arrays; the
+# offsets have their shape.  The offsets must be nonnegative, and their
+# largest values must sum below the number of buckets.
 
 
 def _validate_terms(terms, num_vertices):
@@ -162,13 +88,6 @@ def _validate_terms(terms, num_vertices):
                         f"{type(term).__name__} references vertex {v} out of range")
             if len(set(vset)) != len(vset):
                 raise UsageError(f"{type(term).__name__} vertex set has duplicates")
-
-
-def _validate_constraints(constraints, num_vertices):
-    for c in constraints:
-        if not isinstance(c, SideConstraint):
-            raise UsageError(f"unknown constraint type {type(c).__name__}")
-    _validate_terms(constraints, num_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +202,10 @@ class _Problem:
         # A set's zero-count is its size, less its pinned ones and the
         # popcounts of its free mask in x and y.  `digits` holds a term's
         # offset per x and per combination of its sets' high popcounts, in
-        # rows that row_weights finds from a block's high bits; DISCARD
-        # becomes num_buckets, so buckets from there up collect the discarded.
+        # rows that row_weights finds from a block's high bits.
         self.num_buckets = num_buckets
         self.digits, row_weights = [], []
-        top, bins = 0, 1  # the largest bucket kept; one past the largest of all
+        top = 0  # the largest bucket a configuration can reach
         masks = [[sum(1 << pos[v] for v in s if v not in fixed) for s in t.sets] for t in terms]
         low_counts = iter(np.bitwise_count(codes & np.array(
             [m & ((1 << k) - 1) for ms in masks for m in ms], dtype=np.int16)[:, None]))
@@ -299,19 +217,15 @@ class _Problem:
             digits = np.empty(shape, dtype=np.intp)
             digits[...] = term.digit(*zeros)
             lo, hi = int(digits.min()), int(digits.max())
-            if lo < DISCARD:
+            if lo < 0:
                 raise UsageError(f"profile offsets must be nonnegative, got {lo}")
-            top += max(hi, 0)
-            if lo == DISCARD:
-                digits[digits == DISCARD] = num_buckets
-            bins += num_buckets if lo == DISCARD else hi
+            top += hi
             self.digits.append(digits.reshape(-1, 1 << k))
             row_weights.append([sum(math.prod(shape[axis + 1:-1]) * (m >> v & 1)
                                     for axis, m in enumerate(ms)) for v in range(k, nf)])
         if top >= num_buckets:
             raise UsageError(f"profile offsets reach bucket {top}, not below "
                              f"num_buckets = {num_buckets}")
-        self.bins = max(num_buckets, bins)
         self.row_weights = np.array(row_weights, dtype=np.int64).reshape(len(terms), h)
 
     @property
@@ -349,7 +263,7 @@ class _Problem:
             np.take(digits, row, axis=0, out=offsets if j else bucket, mode="clip")
             if j:
                 bucket += offsets
-        return log_sum_exp_by_bucket(table, bucket, self.bins, shifts)[:self.num_buckets]
+        return log_sum_exp_by_bucket(table, bucket, self.num_buckets, shifts)
 
 
 def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, int]:
@@ -422,25 +336,22 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     return hist if terms else np.append(hist, np.full(num_buckets - 1, LOG_ZERO))
 
 
-def log_partition(g: MultiGraph, p: SpinParams, constraints=(), *,
+def log_partition(g: MultiGraph, p: SpinParams, *,
                   fixed: Optional[Dict[int, int]] = None,
                   max_vertices: int = DEFAULT_MAX_VERTICES, threads: int = 1) -> float:
-    """log of the exact partition sum over all configurations.
-
-    constraints restrict the sum to configurations whose zero-counts satisfy
-    every given side constraint; an infeasible set yields -inf (an empty sum),
-    not an error.  This is the one bucket of log_partition_histogram whose
-    profile terms are the constraints, which discard what they reject.
+    """log of the exact partition sum over all configurations that agree
+    with the pins in `fixed`; -inf (an empty sum) when none has positive
+    weight.  This is the one bucket of log_partition_histogram without
+    profile terms.
     """
-    constraints = tuple(constraints)
-    _validate_constraints(constraints, g.num_vertices)
-    return float(log_partition_histogram(g, p, constraints, 1, fixed=fixed,
+    return float(log_partition_histogram(g, p, (), 1, fixed=fixed,
                                          max_vertices=max_vertices, threads=threads)[0])
 
 
-def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
+def partition_fraction(g: MultiGraph, beta, gamma, mu=1, *,
                        fixed: Optional[Dict[int, int]] = None) -> Fraction:
-    """Exact rational partition sum (linear domain) for rational parameters.
+    """Exact rational partition sum (linear domain) for rational parameters,
+    over the configurations that agree with the pins in `fixed`.
 
     Arbitrary-precision oracle for the log-domain path; no tolerances.
     """
@@ -448,8 +359,6 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
     if beta < 0 or gamma < 0 or mu <= 0:
         raise UsageError("need beta, gamma >= 0 and mu > 0")
     fixed = _checked_pins(g, fixed)
-    constraints = tuple(constraints)
-    _validate_constraints(constraints, g.num_vertices)
     free = [v for v in range(g.num_vertices) if v not in fixed]
     nf = len(free)
     if nf > MAX_FRACTION_VERTICES:
@@ -460,9 +369,6 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, constraints=(), *,
         bits = dict(fixed)
         for j, v in enumerate(free):
             bits[v] = (config >> j) & 1
-        if not all(c.admits(*(sum(1 - bits[v] for v in vset) for vset in c.sets))
-                   for c in constraints):
-            continue
         w = mu ** sum(1 for v in range(g.num_vertices) if bits[v] == 0)
         for u, v, m in g.edges:
             s, t = bits[u], bits[v]

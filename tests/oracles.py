@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from definitions, sharing no code path
 with the library: subset enumeration for independent sets, linear-domain
-partition sums, the cycle transfer matrix, per-equation satisfaction loops, hypergeometric sequential
+partition sums (optionally restricted by a predicate, such as the majority
+sides of an assignment), the cycle transfer matrix and its split by number
+of zeros, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, the vectorized fixed-point bisection
 run for every one of its halvings, a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
@@ -96,6 +98,33 @@ def cycle_partition(n, beta, gamma, mu=1):
         power = [[sum(power[r][s] * step[s][c] for s in range(2)) for c in range(2)]
                  for r in range(2)]
     return power[0][0] + power[1][1]
+
+
+def cycle_zero_counts(n, beta, gamma, mu=1):
+    """Exact partition sum of the n-cycle per number of zeros: entry k is
+    the coefficient of x**k in the trace of the n-th power of the transfer
+    matrix [[x mu beta, x mu], [1, gamma]], whose spin-0 row marks a zero."""
+    beta, gamma, mu = Fraction(beta), Fraction(gamma), Fraction(mu)
+    step = [[mu * beta, mu], [Fraction(1), gamma]]
+    power = [[[Fraction(r == c)] + [Fraction(0)] * n for c in range(2)] for r in range(2)]
+    for _ in range(n):
+        power = [[[(power[r][0][k - 1] * step[0][c] if k else 0) + power[r][1][k] * step[1][c]
+                   for k in range(n + 1)] for c in range(2)] for r in range(2)]
+    return [a + b for a, b in zip(power[0][0], power[1][1])]
+
+
+def majority_keep(sides, enc):
+    """The configurations of the majority sum Z(G,S), S = sum_i S_i 2^i, as a
+    predicate on bits (bits[v] is the spin at v): zeros(U_i) <= zeros(V_i)
+    for each i with S_i = 0 and zeros(V_i) <= zeros(U_i) for each i with
+    S_i = 1, where sides[i] = (U_i, V_i)."""
+    def keep(bits):
+        for i, (u, v) in enumerate(sides):
+            fewer, more = (v, u) if (enc >> i) & 1 else (u, v)
+            if sum(1 - bits[x] for x in fewer) > sum(1 - bits[x] for x in more):
+                return False
+        return True
+    return keep
 
 
 def expander_worst_pair(left, right, edge_records, eps):

@@ -7,22 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import linear_log_partition, sandwich_brute
+from oracles import fraction_partition, linear_log_partition, majority_keep, sandwich_brute
 from twospin import reduction
 from twospin.e2lin2 import E2Lin2Instance, random_instance
 from twospin.errors import RegimeError, ResourceLimitError, UsageError
-from twospin.logspace import log_sum_exp
 from twospin.reduction import (BoundsConstants, GadgetParams,
                                audit_reduction_graph, blocks_from_text,
                                blocks_to_text, bounds_constants,
                                build_reduction_graph, decode_satisfied_estimate,
-                               family_constraints, log_majority_sums,
-                               log_polarized_sum_brute,
-                               log_polarized_sum_closed, log_restricted_sum,
-                               polarized_fixed_spins, sample_gadget,
-                               sandwich_check)
-from twospin.spins import (SpinParams, log_config_weight, log_partition,
-                           partition_fraction)
+                               log_majority_sums, log_polarized_sum_brute,
+                               log_polarized_sum_closed, polarized_fixed_spins,
+                               sample_gadget, sandwich_check)
+from twospin.spins import SpinParams, log_config_weight, log_partition
 from twospin.uniqueness import SplitCase
 
 
@@ -212,42 +208,21 @@ def test_polarized_requires_flat_field():
         log_polarized_sum_brute(rg, (0, 1), SpinParams(0.5, 0.5, 2.0))
 
 
-def test_restricted_sum_families():
-    inst = E2Lin2Instance(2, ((0, 1, 1),))
-    rg = build_reduction_graph(inst, GadgetParams(1, 1, 1, seed=7))
-    p = SpinParams(0.5, 0.5)
-    z = log_partition(rg.graph, p)
-    # a minority cap of one full side is vacuous
-    assert log_restricted_sum(rg, p, ("minority-cap",), minority_fraction=1.0) \
-        == pytest.approx(z, abs=1e-12)
-    # the polarized family reproduces the brute-force sum
-    bits = (0, 1)
-    assert log_restricted_sum(rg, p, ("polarized",), bits) == pytest.approx(
-        log_polarized_sum_brute(rg, bits, p), abs=1e-12)
-    # two-sided caps never exceed the one-sided ones
-    assert log_restricted_sum(rg, p, ("two-sided-cap",), bits, cap_fraction=0.6) \
-        <= log_restricted_sum(rg, p, ("small-side-cap",), bits, cap_fraction=0.6) + 1e-12
-    # adding the majority family can only shrink the sum
-    assert log_restricted_sum(rg, p, ("majority", "minority-cap"), bits,
-                              minority_fraction=1.0) <= \
-        log_restricted_sum(rg, p, ("majority",), bits) + 1e-12
-    with pytest.raises(UsageError):
-        log_restricted_sum(rg, p, ("no-such-family",), bits)
-    with pytest.raises(UsageError):
-        log_restricted_sum(rg, p, ("majority",))  # needs an assignment
-
-
 def test_majority_partition_covers_everything():
-    # summing the majority-restricted sums over all assignments covers Z
+    # summing the majority-restricted sums over all assignments covers Z,
+    # exactly, and each of them is part of Z
     inst = E2Lin2Instance(2, ((0, 1, 0), (0, 1, 1)))
     rg = build_reduction_graph(inst, GadgetParams(1, 1, 1, seed=2))
-    p = SpinParams(0.4, 0.7)
-    z = log_partition(rg.graph, p)
-    parts = [log_restricted_sum(rg, p, ("majority",),
-                                tuple((enc >> i) & 1 for i in range(2)))
+    beta, gamma = Fraction(2, 5), Fraction(7, 10)
+    sides = [(rg.u_side(i), rg.v_side(i)) for i in range(2)]
+    n = rg.graph.num_vertices
+    z = fraction_partition(n, rg.graph.edges, beta, gamma)
+    parts = [fraction_partition(n, rg.graph.edges, beta, gamma, keep=majority_keep(sides, enc))
              for enc in range(4)]
-    assert log_sum_exp(parts) >= z - 1e-12
-    assert max(parts) <= z + 1e-12
+    assert sum(parts) >= z >= max(parts)
+    log_z, got = log_majority_sums(rg, SpinParams(float(beta), float(gamma)))
+    assert log_z == pytest.approx(math.log(z), abs=1e-12)
+    np.testing.assert_allclose(got, [math.log(x) for x in parts], rtol=0, atol=1e-12)
 
 
 def test_sandwich_check_runs():
@@ -305,10 +280,10 @@ def test_majority_sums_match_exact_fractions():
     assert rg.graph.num_vertices == 12
     beta, gamma = Fraction(1, 3), Fraction(5, 4)
     _, parts = log_majority_sums(rg, SpinParams(float(beta), float(gamma)))
+    sides = [(rg.u_side(i), rg.v_side(i)) for i in range(3)]
     for enc, got in enumerate(parts):
-        bits = tuple((enc >> i) & 1 for i in range(3))
-        exact = partition_fraction(rg.graph, beta, gamma, 1,
-                                   family_constraints(rg, "majority", bits))
+        exact = fraction_partition(12, rg.graph.edges, beta, gamma,
+                                   keep=majority_keep(sides, enc))
         want = math.log(exact.numerator) - math.log(exact.denominator)
         assert abs(got - want) <= 1e-12
 

@@ -7,20 +7,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (ReferenceProblem, cycle_partition, fraction_partition,
-                     independent_set_count, linear_log_partition,
-                     profile_sum_direct, reference_histogram)
+from oracles import (ReferenceProblem, cycle_partition, cycle_zero_counts,
+                     fraction_partition, independent_set_count,
+                     linear_log_partition, profile_sum_direct,
+                     reference_histogram)
 from twospin import spins
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
                             cycle_graph, path_graph, single_edge)
 from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
 from twospin.reduction import _MajoritySign
-from twospin.spins import (CountLeq, CountRange, MinCountAtMost, SpinParams,
-                           field_identity_report, log_config_weight,
+from twospin.spins import (SpinParams, field_identity_report, log_config_weight,
                            log_partition, log_partition_histogram,
                            log_profile_sum, log_profile_sums, partition_fraction,
                            remove_field)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ZeroCount:
+    """The profile term whose offset is weight * #zeros(vertices)."""
+
+    vertices: tuple
+    weight: int = 1
+
+    @property
+    def sets(self):
+        return (self.vertices,)
+
+    def digit(self, zeros):
+        return self.weight * zeros
 
 
 def test_spin_params_validation():
@@ -65,11 +80,11 @@ def test_partition_trivial_examples():
     assert count == 8
     assert log_partition(p4, SpinParams(0, 1, 1)) == pytest.approx(
         math.log(count), abs=1e-12)
-    # triangle restricted to at least one zero: the 3 singleton sets
+    # triangle with at least one zero (buckets 1-3 of its zero-count
+    # profile): the 3 singleton sets
     tri = cycle_graph(3)
-    val = log_partition(tri, SpinParams(0, 1, 1),
-                        [CountRange((0, 1, 2), 1, 3)])
-    assert val == pytest.approx(math.log(3), abs=1e-12)
+    hist = log_partition_histogram(tri, SpinParams(0, 1, 1), [_ZeroCount((0, 1, 2))], 4)
+    assert log_sum_exp(hist[1:]) == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_partition_against_linear_oracle():
@@ -83,13 +98,6 @@ def test_partition_against_linear_oracle():
             expect = linear_log_partition(
                 g.num_vertices, g.edges, p.beta, p.gamma, p.mu)
             assert log_partition(g, p) == pytest.approx(expect, abs=1e-10)
-
-
-def test_infeasible_constraints_give_log_zero():
-    tri = cycle_graph(3)
-    val = log_partition(tri, SpinParams(1, 1), [CountRange((0,), 1, 1),
-                                                CountRange((0,), 0, 0)])
-    assert val == LOG_ZERO
 
 
 def test_resource_cap_and_its_override():
@@ -128,42 +136,31 @@ def test_threads_do_not_change_the_result():
     g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
     p = SpinParams(0.3, 0.8, 2.0)
     assert spins._Problem(g, p, {}, ()).num_blocks > 1
-    constraints = [CountLeq((0, 1, 2, 3), (9, 10, 11)), CountRange(tuple(range(0, 18, 2)), 2, 7),
-                   MinCountAtMost((4, 5, 6), (12, 13, 14), 1)]
-    for kwargs in ({}, {"constraints": constraints, "fixed": {3: 0, 16: 1}}):
-        values = [log_partition(g, p, threads=t, **kwargs) for t in (1, 2, 3)]
-        assert values[0] == values[1] == values[2]
+    values = [log_partition(g, p, threads=t) for t in (1, 2, 3)]
+    assert values[0] == values[1] == values[2]
+    terms = [_MajoritySign(((0, 1, 2, 3), (9, 10, 11)), 1),
+             _ZeroCount(tuple(range(0, 18, 2)), 3), _MajoritySign(((4, 5, 6), (12, 13, 14)), 30)]
+    hists = [log_partition_histogram(g, p, terms, 90, fixed={3: 0, 16: 1}, threads=t)
+             for t in (1, 2, 3)]
+    assert _same_bits(hists[0], hists[1]) and _same_bits(hists[0], hists[2])
     # and the multi-block sum is right: the 18-cycle against its transfer matrix
     exact = cycle_partition(18, Fraction(3, 10), Fraction(4, 5), 2)
     assert log_partition(cycle_graph(18), p, threads=2) == pytest.approx(
         math.log(exact.numerator) - math.log(exact.denominator), abs=1e-12)
 
 
-@dataclasses.dataclass(frozen=True)
-class _ZeroCount:
-    """The profile term whose offset is #zeros(vertices)."""
-
-    vertices: tuple
-
-    @property
-    def sets(self):
-        return (self.vertices,)
-
-    def digit(self, zeros):
-        return zeros
-
-
 def test_histogram_buckets_sum_to_the_partition():
     g = cycle_graph(18)  # 18 free vertices span several blocks
     p = SpinParams(1e-150, 0.8, 1.3)
-    everything = tuple(range(18))
-    profile = [_ZeroCount(everything)]
+    profile = [_ZeroCount(tuple(range(18)))]
     hist = log_partition_histogram(g, p, profile, 20)
     assert hist.shape == (20,)
     assert hist[19] == LOG_ZERO  # no configuration has 19 zeros
     assert log_sum_exp(hist) == pytest.approx(log_partition(g, p), abs=1e-12)
+    # bucket k against the cycle's transfer matrix split by number of zeros
+    exact = cycle_zero_counts(18, Fraction(1e-150), Fraction(0.8), Fraction(1.3))
     for k in range(19):
-        expect = log_partition(g, p, [CountRange(everything, k, k)])
+        expect = _log_fraction(exact[k])
         assert hist[k] == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
     # the all-zero configuration, thousands of nats below the other buckets,
     # keeps its bucket: each bucket is shifted by its own maximum
@@ -179,20 +176,26 @@ def test_histogram_with_pins_and_constraints_matches_fractions():
     beta, gamma, mu = Fraction(0), Fraction(3, 2), Fraction(2, 3)
     counted = (0, 1, 2, 3, 5)
     fixed = {2: 0, 5: 1}
-    leq = CountLeq((0, 1), (6, 7))
+    # bucket k + 6 (sign(zeros(0, 1) - zeros(6, 7)) + 1) with k = zeros(counted);
+    # bucket 18 lies past the largest offset sum, 17, and stays empty
     hist = log_partition_histogram(
         g, SpinParams(float(beta), float(gamma), float(mu)),
-        [_ZeroCount(counted), leq], 7, fixed=fixed)
-    for k in range(7):
-        exact = fraction_partition(
-            8, g.edges, beta, gamma, mu,
-            keep=lambda bits: (all(bits[v] == s for v, s in fixed.items())
-                               and _zeros(bits, (0, 1)) <= _zeros(bits, (6, 7))
-                               and _zeros(bits, counted) == k))
-        assert hist[k] == pytest.approx(_log_fraction(exact), abs=1e-12)
-    assert hist[0] == hist[5] == hist[6] == LOG_ZERO  # vertex 2 is pinned to 0
+        [_ZeroCount(counted), _MajoritySign(((0, 1), (6, 7)), 6)], 19, fixed=fixed)
+    for sign in (-1, 0, 1):
+        for k in range(6):
+            exact = fraction_partition(
+                8, g.edges, beta, gamma, mu,
+                keep=lambda bits: (all(bits[v] == s for v, s in fixed.items())
+                                   and np.sign(_zeros(bits, (0, 1)) - _zeros(bits, (6, 7)))
+                                   == sign and _zeros(bits, counted) == k))
+            assert hist[k + 6 * (sign + 1)] == pytest.approx(_log_fraction(exact), abs=1e-12)
+        # vertex 2 is pinned to 0 and vertex 5 to 1
+        assert hist[6 * (sign + 1)] == hist[6 * (sign + 1) + 5] == LOG_ZERO
+    assert hist[18] == LOG_ZERO
     with pytest.raises(UsageError, match="below num_buckets"):
         log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted)], 5)
+    with pytest.raises(UsageError, match="must be nonnegative, got -5"):
+        log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted, -1)], 6)
 
 
 def test_histogram_without_terms_has_every_bucket():
@@ -205,7 +208,7 @@ def test_histogram_without_terms_has_every_bucket():
             assert hist.shape == (5,)
             assert hist[0] == log_partition(g, p)
             assert (hist[1:] == LOG_ZERO).all()
-            always = log_partition_histogram(g, p, [CountRange((0,), 0, 1)], 5)
+            always = log_partition_histogram(g, p, [_ZeroCount(())], 5)
             assert (always[1:] == LOG_ZERO).all()
             assert always[0] == pytest.approx(hist[0], rel=1e-14)
 
@@ -223,17 +226,13 @@ _KERNEL_WEIGHTS = ((0.0, 1.5, 1.0), (1.25, 0.0, 0.7), (0.4, 0.9, 2.0), (1.0, 1.0
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(nf=st.sampled_from(range(1, 21)), pins=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
        weights=st.sampled_from(_KERNEL_WEIGHTS), num_terms=st.integers(0, 3),
-       discard=st.booleans(), threads=st.sampled_from((1, 2)))
-@example(nf=20, pins=2, seed=1, weights=_KERNEL_WEIGHTS[0], num_terms=3, discard=True,
-         threads=2)
-@example(nf=6, pins=3, seed=2, weights=_KERNEL_WEIGHTS[1], num_terms=2, discard=True,
-         threads=1)
-@example(nf=13, pins=0, seed=3, weights=_KERNEL_WEIGHTS[2], num_terms=1, discard=False,
-         threads=2)
-@example(nf=18, pins=1, seed=4, weights=_KERNEL_WEIGHTS[3], num_terms=0, discard=False,
-         threads=2)
+       threads=st.sampled_from((1, 2)))
+@example(nf=20, pins=2, seed=1, weights=_KERNEL_WEIGHTS[0], num_terms=3, threads=2)
+@example(nf=6, pins=3, seed=2, weights=_KERNEL_WEIGHTS[1], num_terms=2, threads=1)
+@example(nf=13, pins=0, seed=3, weights=_KERNEL_WEIGHTS[2], num_terms=1, threads=2)
+@example(nf=18, pins=1, seed=4, weights=_KERNEL_WEIGHTS[3], num_terms=0, threads=2)
 def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_terms,
-                                                  discard, threads):
+                                                  threads):
     rng = np.random.default_rng(seed)
     n = nf + pins
     g = MultiGraph.from_edges(n, [(u, v, int(rng.integers(1, 4))) for u in range(n)
@@ -245,49 +244,20 @@ def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_t
         return tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                  replace=False))
 
-    # majority digits 0..2 in base 3; the last term discards when asked
+    # majority digits 0..2 in base 3
     terms = [_MajoritySign((vset(), vset()), 3 ** i) for i in range(num_terms)]
-    if discard and terms:
-        terms[-1] = CountLeq(vset(), vset())
     num_buckets = 3 ** num_terms
     ref = ReferenceProblem(g, p, fixed, terms, num_buckets)
     prob = spins._Problem(g, p, fixed, terms, num_buckets)
     assert _same_bits(prob.q_lo, ref.q_lo) and _same_bits(prob.cols, ref.cols)
-    assert prob.hi_edges == ref.hi_edges and prob.bins == ref.bins
+    # the reference reduces every block over `bins` buckets, the kernel over
+    # num_buckets: the same count, so the same floats
+    assert prob.hi_edges == ref.hi_edges and prob.num_buckets == ref.bins
     assert len(prob.digits) == len(ref.digits)
     for digits, (_, _, ref_digits) in zip(prob.digits, ref.digits):
         assert _same_bits(digits, ref_digits)
     hist = log_partition_histogram(g, p, terms, num_buckets, fixed=fixed, threads=threads)
     assert _same_bits(hist, reference_histogram(g, p, terms, num_buckets, fixed))
-
-def test_constraint_kinds():
-    g = path_graph(4)
-    p = SpinParams(0.6, 0.7, 1.1)
-    # CountLeq: zeros(front half) <= zeros(back half)
-    vals = []
-    for keep in (
-        lambda bits: (2 - bits[0] - bits[1]) <= (2 - bits[2] - bits[3]),
-        lambda bits: min(2 - bits[0] - bits[1], 2 - bits[2] - bits[3]) <= 1,
-    ):
-        vals.append(linear_log_partition(4, g.edges, p.beta, p.gamma, p.mu, keep))
-    assert log_partition(g, p, [CountLeq((0, 1), (2, 3))]) == pytest.approx(
-        vals[0], abs=1e-11)
-    assert log_partition(g, p, [MinCountAtMost((0, 1), (2, 3), 1)]) == \
-        pytest.approx(vals[1], abs=1e-11)
-    with pytest.raises(UsageError):
-        CountRange((0, 1), 2, 1)
-    with pytest.raises(UsageError):
-        CountRange((0, 1), 0, 3)
-
-
-def test_restricted_sum_partition_property():
-    # slicing by the total zero count partitions the configuration space
-    g = cycle_graph(5)
-    p = SpinParams(0.7, 0.4, 1.3)
-    full = log_partition(g, p)
-    parts = [log_partition(g, p, [CountRange(tuple(range(5)), k, k)])
-             for k in range(6)]
-    assert log_sum_exp(parts) == pytest.approx(full, abs=1e-9)
 
 
 def test_disjoint_union_multiplicativity():
@@ -317,13 +287,12 @@ def test_partition_fraction_is_exact():
         partition_fraction(cycle_graph(spins.MAX_FRACTION_VERTICES + 1), 1, 1)
     assert partition_fraction(tri, Fraction(1, 2), Fraction(1, 2)) == \
         fraction_partition(3, tri.edges, Fraction(1, 2), Fraction(1, 2))
-    # agrees with the oracle under constraints and fixed spins
-    got = partition_fraction(tri, Fraction(1, 3), Fraction(3, 2), 2,
-                             [CountRange((0, 1), 0, 1)])
+    # agrees with the oracle under fixed spins
+    got = partition_fraction(tri, Fraction(1, 3), Fraction(3, 2), 2, fixed={0: 0, 2: 1})
     expect = fraction_partition(
         3, tri.edges, Fraction(1, 3), Fraction(3, 2), 2,
-        keep=lambda bits: (2 - bits[0] - bits[1]) <= 1)
-    assert got == expect
+        keep=lambda bits: bits[0] == 0 and bits[2] == 1)
+    assert got == expect == Fraction(1, 3) * 2 * 2 + 2 * Fraction(3, 2)
 
 
 def _log_fraction(x):
@@ -334,23 +303,19 @@ def _zeros(bits, vset):
     return sum(1 - bits[v] for v in vset)
 
 
-def _random_side_constraint(rng, n):
-    """One constraint of a random kind with its brute-force predicate."""
+def _random_term(rng, n, weight):
+    """A zero-count or a majority-sign profile term on random vertex sets,
+    its offsets times `weight`: the term, its number of distinct digits and
+    its offset as a function of the bits."""
     def vset():
         size = int(rng.integers(1, n + 1))
         return tuple(int(v) for v in rng.choice(n, size=size, replace=False))
-    kind = int(rng.integers(3))
-    if kind == 0:
+    if rng.integers(2):
         s = vset()
-        lo = int(rng.integers(0, len(s) + 1))
-        hi = int(rng.integers(lo, len(s) + 1))
-        return CountRange(s, lo, hi), lambda bits: lo <= _zeros(bits, s) <= hi
+        return _ZeroCount(s, weight), len(s) + 1, lambda bits: weight * _zeros(bits, s)
     a, b = vset(), vset()
-    if kind == 1:
-        return CountLeq(a, b), lambda bits: _zeros(bits, a) <= _zeros(bits, b)
-    hi = int(rng.integers(0, n))
-    return (MinCountAtMost(a, b, hi),
-            lambda bits: min(_zeros(bits, a), _zeros(bits, b)) <= hi)
+    return (_MajoritySign((a, b), weight), 3,
+            lambda bits: weight * (np.sign(_zeros(bits, a) - _zeros(bits, b)) + 1))
 
 
 # split (low bits, block bits): the default, and a small one under which
@@ -372,20 +337,30 @@ def test_kernel_matches_exact_oracles(monkeypatch, split):
             p = SpinParams(float(beta), float(gamma), float(mu))
             pins = rng.choice(n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False)
             fixed = {int(v): int(rng.integers(2)) for v in pins}
-            drawn = [_random_side_constraint(rng, n) for _ in range(int(rng.integers(3)))]
-            constraints = [c for c, _ in drawn]
+            terms, offsets, num_buckets = [], [], 1
+            for _ in range(int(rng.integers(3))):  # digits in mixed radix
+                term, radix, offset = _random_term(rng, n, num_buckets)
+                terms.append(term)
+                offsets.append(offset)
+                num_buckets *= radix
 
-            def keep(bits):
-                return (all(bits[v] == s for v, s in fixed.items())
-                        and all(pred(bits) for _, pred in drawn))
+            def pinned(bits):
+                return all(bits[v] == s for v, s in fixed.items())
 
             for kwargs, expect in (
                     ({}, fraction_partition(n, g.edges, beta, gamma, mu)),
-                    ({"constraints": constraints, "fixed": fixed},
-                     fraction_partition(n, g.edges, beta, gamma, mu, keep))):
+                    ({"fixed": fixed}, fraction_partition(n, g.edges, beta, gamma, mu, pinned))):
                 got = log_partition(g, p, **kwargs)
                 assert got == pytest.approx(_log_fraction(expect), abs=1e-12)
                 assert partition_fraction(g, beta, gamma, mu, **kwargs) == expect
+            hist = log_partition_histogram(g, p, terms, num_buckets, fixed=fixed)
+            assert _same_bits(hist, log_partition_histogram(g, p, terms, num_buckets,
+                                                            fixed=fixed, threads=2))
+            for j in range(num_buckets):
+                expect = fraction_partition(
+                    n, g.edges, beta, gamma, mu,
+                    lambda bits: pinned(bits) and sum(o(bits) for o in offsets) == j)
+                assert hist[j] == pytest.approx(_log_fraction(expect), abs=1e-12)
 
 
 def test_kernel_exact_zeros_and_degenerate_cases():
@@ -393,12 +368,13 @@ def test_kernel_exact_zeros_and_degenerate_cases():
     # pins whose own edge carries a zero weight force an empty sum
     assert log_partition(g, SpinParams(0, 1.5), fixed={0: 0, 1: 0}) == LOG_ZERO
     assert log_partition(g, SpinParams(1.5, 0), fixed={2: 1, 3: 1}) == LOG_ZERO
-    # a constraint contradicting a pin, and two contradicting constraints
-    assert log_partition(g, SpinParams(1, 1), [CountRange((0,), 1, 1)],
-                         fixed={0: 1}) == LOG_ZERO
-    assert log_partition(g, SpinParams(1, 1), [CountLeq((0, 1), (2,)),
-                                               CountRange((2,), 0, 0),
-                                               CountRange((0, 1), 1, 2)]) == LOG_ZERO
+    # a bucket that a pin rules out, and buckets that no two offsets sum to
+    hist = log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount((0,))], 2, fixed={0: 1})
+    assert hist[0] == pytest.approx(math.log(8), abs=1e-15) and hist[1] == LOG_ZERO
+    hist = log_partition_histogram(g, SpinParams(1, 1),
+                                   [_ZeroCount((0, 1)), _ZeroCount((0, 1), 3)], 9)
+    assert (hist[[1, 2, 3, 5, 6, 7]] == LOG_ZERO).all()
+    assert hist[[0, 4, 8]] == pytest.approx(np.log([4, 8, 4]), abs=1e-15)
     # zero free vertices: the sum is the one pinned configuration's weight
     p = SpinParams(0.4, 1.9, 1.3)
     for code in range(16):
