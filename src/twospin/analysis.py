@@ -15,6 +15,7 @@ Contents:
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
 MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
 MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
-MAX_MC_ENUMERATED = 100_000       # the MC enumerates every matching tuple up to this count
+MAX_MC_ENUMERATED = 100_000       # the MC draws matching-tuple indices up to this count
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 
 
@@ -256,10 +257,11 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
             + delta * inner)
 
 
-def _matching_tuples(n_side: int, delta: int):
-    """Every tuple of delta perfect matchings of N + N vertices, as (delta, N) arrays."""
+def _matching_tuples(n_side: int, delta: int, indices):
+    """The matching tuples of N + N vertices at `indices` into all (N!)**delta
+    of them, in C order over their permutation ranks, as (delta, N) arrays."""
     perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
-    return (perms[list(combo)] for combo in itertools.product(range(len(perms)), repeat=delta))
+    return (perms[list(ranks)] for ranks in zip(*np.unravel_index(indices, (len(perms),) * delta)))
 
 
 def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
@@ -272,7 +274,7 @@ def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
         raise ResourceLimitError(
             f"{count} matching tuples exceed cap {MAX_MATCHING_TUPLES}")
     logs = np.array([log_profile_sums(BipartiteGadget.from_matchings(m), p, delta_prime)
-                     for m in _matching_tuples(n_side, delta)])
+                     for m in _matching_tuples(n_side, delta, np.arange(count))])
     return np.array([log_sum_exp(column) for column in logs.reshape(count, -1).T]
                     ).reshape(n_side + 1, n_side + 1) - math.log(count)
 
@@ -294,8 +296,8 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     """Monte Carlo mean (linear domain) of the profile sum over H(N, delta).
 
     Deterministic for a given seed.  Up to MAX_MC_ENUMERATED matching tuples,
-    every tuple is precomputed and then sampled by index: the same
-    distribution at a fraction of the cost.
+    the trials draw tuple indices, and each distinct tuple drawn is computed
+    once.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -306,13 +308,15 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     count = math.factorial(n_side) ** delta
     enumerated = count <= MAX_MC_ENUMERATED
     if enumerated:
-        tuples = _matching_tuples(n_side, delta)
+        drawn = rng.integers(count, size=trials)
+        hit = np.bincount(drawn, minlength=count) > 0
+        tuples = _matching_tuples(n_side, delta, np.flatnonzero(hit))
     else:  # delta fresh permutations per trial, drawn as the values are computed
         tuples = (np.array([rng.permutation(n_side) for _ in range(delta)])
                   for _ in range(trials))
     values = np.array([math.exp(log_profile_sums(BipartiteGadget.from_matchings(m), p,
                                                  delta_prime)[an, bn]) for m in tuples])
-    sample = values[rng.integers(count, size=trials)] if enumerated else values
+    sample = values[np.cumsum(hit)[drawn] - 1] if enumerated else values
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials,
                           seed=seed)
@@ -458,22 +462,12 @@ def _sequence_law(n: int, bn: int, length: int) -> np.ndarray:
 
     Entry `pattern` is the probability that the indicator sequence equals the
     bits of `pattern` (step i in bit i) when bn marked items are hit among n
-    sequential draws without replacement.
+    sequential draws without replacement.  They are exchangeable: k hits have
+    probability (bn)_k (n-bn)_(length-k) / (n)_length, exact, rounded once.
     """
-    probs = np.zeros(1 << length)
-
-    def rec(i, pattern, zsum, prob):
-        if i == length:
-            probs[pattern] += prob
-            return
-        t = (bn - zsum) / (n - i)
-        if t > 0:
-            rec(i + 1, pattern | (1 << i), zsum + 1, prob * t)
-        if t < 1:
-            rec(i + 1, pattern, zsum, prob * (1 - t))
-
-    rec(0, 0, 0, 1.0)
-    return probs
+    law = [float(Fraction(math.perm(bn, k) * math.perm(n - bn, length - k),
+                          math.perm(n, length))) for k in range(length + 1)]
+    return np.array(law)[np.bitwise_count(np.arange(1 << length))]
 
 
 # log Gamma(a) - (a - 1/2) log a + a - log(2 pi)/2 = sum c_i / a^(2i+1)

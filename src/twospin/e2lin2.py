@@ -6,10 +6,11 @@ Instances are stored 0-based; the text format is 1-based (DIMACS habit):
     <i> <j> <b>          # one line per equation, 1-based variable indices
 
 Comments, blank lines and the header follow `graphs.read_records`.  Best
-over all assignments is found by exhaustive search over int64 tables of the
-equations summed per pair, so instances are capped at 24 variables.
+over all assignments is an exhaustive search by the one enumeration kernel,
+reduced by max over the equations summed per pair; capped at 24 variables.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 from .graphs import (int_fields, read_ascii, read_records, records_to_text,
                      write_ascii)
+from .spins import _Problem
 
 BEST_ASSIGNMENT_CAP = 24  # default variable cap (max_vars) of best_assignment
 
@@ -58,59 +60,28 @@ def satisfied_count(inst: E2Lin2Instance, bits: Sequence[int]) -> int:
     return sum(1 for i, j, b in inst.equations if (bits[i] ^ bits[j]) == b)
 
 
-BLOCK_VARS = 16  # best_assignment enumerates the lowest 16 variables at a time
-
-
 def best_assignment(inst: E2Lin2Instance, *,
                     max_vars: int = BEST_ASSIGNMENT_CAP) -> Tuple[int, Tuple[int, ...]]:
     """Exhaustive maximum of satisfied_count and one maximizer.
 
     Assignments are encoded as integers with variable 0 in the least
-    significant bit; ties go to the lowest encoding.  Equations are summed
-    per pair into int64 weights first, so after one pass over them the
-    search costs O(2^n) int64 steps, however many equations there are.
+    significant bit; ties go to the lowest encoding.  An assignment satisfies
+    every b = 1 equation, plus c_ij = (b = 0 count) - (b = 1 count) on each
+    pair i < j it does not split.  The enumeration kernel maximises this over
+    its block tables, with records (i, j, c_ij, c_ij) and no field, so the
+    search costs O(2^n) however many equations there are.  Every partial sum
+    is an integer of magnitude at most m, so float64 is exact.
     """
     n = inst.num_vars
     if n > max_vars:
         raise ResourceLimitError(f"{n} variables exceeds cap max_vars={max_vars}")
-    # an assignment satisfies every b = 0 equation, less w[i][j] = (b = 0
-    # count) - (b = 1 count) on each pair i < j that it splits (x_i != x_j)
-    w = [[0] * n for _ in range(n)]
+    pairs = Counter()
     for i, j, b in inst.equations:
-        w[min(i, j)][max(i, j)] += 1 - 2 * b
-    rows = np.array(w, dtype=np.int64)
-    low = min(n, BLOCK_VARS)
-    # tables over the 2^t settings of x_0..x_{t-1}, grown one variable t at a
-    # time: counts, and fields[j - t], the sum of w[i][j] x_i over i < t for
-    # each later j.  With x_t = 0 the pairs (i, t) split where x_i = 1, which
-    # costs t's field; with x_t = 1 where x_i = 0, which costs their summed
-    # weight less the field
-    counts = np.empty(1 << low, dtype=np.int64)
-    counts[0] = sum(1 for *_, b in inst.equations if b == 0)
-    fields = np.zeros((n, 1), dtype=np.int64)
-    for t in range(low):
-        size = 1 << t
-        field, fields = fields[0], fields[1:]
-        np.subtract(counts[:size], sum(w[i][t] for i in range(t)), out=counts[size:2 * size])
-        counts[size:2 * size] += field
-        counts[:size] -= field
-        fields = np.concatenate((fields, fields + rows[t, t + 1:, None]), axis=1)
-    # a block fixes the high variables x_low.. to the bits of `high`: with
-    # x_j = 1 a pair (i, j), i low, splits where x_i = 0, which costs w[i][j]
-    # less the field; pairs of two high variables cost a constant
-    best_val, best_enc = -1, 0
-    for high in range(1 << (n - low)):
-        x = [(high >> j) & 1 for j in range(n - low)]
-        split = sum(w[i][low + j] for i in range(low) for j in range(n - low) if x[j])
-        split += sum(w[low + i][low + j] for i in range(n - low) for j in range(i + 1, n - low)
-                     if x[i] != x[j])
-        block = counts - split
-        for field, bit in zip(fields, x):
-            block = block + field if bit else block - field
-        k = int(np.argmax(block))
-        if int(block[k]) > best_val:
-            best_val, best_enc = int(block[k]), (high << low) + k
-    return best_val, tuple((best_enc >> i) & 1 for i in range(n))
+        pairs[min(i, j), max(i, j)] += 1 - 2 * b
+    records = [(i, j, c, c) for (i, j), c in pairs.items() if c]
+    const = sum(b for *_, b in inst.equations)
+    value, code = _Problem(np.zeros(n), np.zeros(n), const, records).best()
+    return int(value), tuple((code >> i) & 1 for i in range(n))
 
 
 def occurrence_counts(inst: E2Lin2Instance) -> Tuple[int, ...]:

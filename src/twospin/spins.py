@@ -148,47 +148,58 @@ def _pair_logs(bits: np.ndarray, records) -> np.ndarray:
     return np.take(factors, index.T).sum(axis=1)
 
 
+def _spin_problem(g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
+                  terms=(), num_buckets: int = 1) -> "_Problem":
+    """The kernel's front end: the pins substituted into the log factors,
+    and each term's sets as free masks and zero totals (size less pinned ones)."""
+    lb, lg = p.log_entries()
+    lmu = math.log(p.mu)
+    free = [v for v in range(g.num_vertices) if v not in fixed]
+    pos = {v: j for j, v in enumerate(free)}
+    nf = len(free)
+    w0 = np.full(nf, lmu, dtype=float)
+    w1 = np.zeros(nf, dtype=float)
+    const = lmu * sum(1 for v in fixed if fixed[v] == 0)
+    ff = []
+    for u, v, m in g.edges:
+        su, sv = fixed.get(u), fixed.get(v)
+        if su is None and sv is None:
+            ff.append((pos[u], pos[v], m * lb, m * lg))
+        elif su is None or sv is None:  # one end pinned to spin s
+            w, s = (pos[u], sv) if su is None else (pos[v], su)
+            (w1 if s else w0)[w] += m * (lg if s else lb)
+        elif su == sv:
+            const += m * (lg if su else lb)
+    free_terms = [(term.digit, [sum(1 << pos[v] for v in s if v not in fixed) for s in term.sets],
+                   [sum(1 for v in s if fixed.get(v, 0) == 0) for s in term.sets])
+                  for term in terms]
+    return _Problem(w0, w1, const, ff, free_terms, num_buckets)
+
+
 class _Problem:
-    """Enumeration of the free spins after substituting the pinned ones.
+    """The kernel's core, over the free-spin form that _spin_problem builds:
+    log factors w0, w1 of each spin at 0 and 1, a constant, pair records
+    (a, b, log00, log11) with a < b, terms (digit, free masks, zero totals).
 
     Free spin j is bit j of the configuration code.  The code splits into k
     low bits x and h high bits y, and the log weight is
 
         q_lo[x] + q_hi[y] + sum over high v of cols[y_v, v][x]
 
-    where q_lo holds the constant, the low spins' field and pinned-neighbour
-    terms and the low-low edges, q_hi the high-high edges (evaluated per
-    block, so memory stays bounded), and cols[s, v] high spin v's own terms
-    at spin s plus its edges to low spins.  A block fixes the top h - b high
-    bits and tabulates its 2**b x 2**k log-weights by doubling over the b
-    free high bits, so the kernel only adds log factors: no product can meet
+    where q_lo holds the constant, the low spins' factors and the low-low
+    records, q_hi the high-high records (evaluated per block, so memory
+    stays bounded), and cols[s, v] high spin v's factor at spin s plus its
+    records with low spins.  A block fixes the top h - b high bits and
+    tabulates its 2**b x 2**k log-weights by doubling over the b free high
+    bits, so the kernel only adds log factors: no product can meet
     -inf * 0 or inf - inf.  Set-up gathers q_lo through _low_tables, fills
     each term's offsets by broadcasting, and takes no per-configuration step.
     """
 
-    def __init__(self, g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
+    def __init__(self, w0: np.ndarray, w1: np.ndarray, const: float, ff,
                  terms=(), num_buckets: int = 1):
-        lb, lg = p.log_entries()
-        lmu = math.log(p.mu)
-        free = [v for v in range(g.num_vertices) if v not in fixed]
-        pos = {v: j for j, v in enumerate(free)}
-        nf = len(free)
-        # per-free-vertex log factors for spin 0 / spin 1
-        w0 = np.full(nf, lmu, dtype=float)
-        w1 = np.zeros(nf, dtype=float)
-        const = lmu * sum(1 for v in fixed if fixed[v] == 0)
-        ff = []
-        for u, v, m in g.edges:
-            su, sv = fixed.get(u), fixed.get(v)
-            if su is None and sv is None:
-                ff.append((pos[u], pos[v], m * lb, m * lg))
-            elif su is None or sv is None:  # one end pinned to spin s
-                w, s = (pos[u], sv) if su is None else (pos[v], su)
-                (w1 if s else w0)[w] += m * (lg if s else lb)
-            elif su == sv:
-                const += m * (lg if su else lb)
-        self.k = k = min(nf, _LOW_BITS)
-        self.h = h = nf - k
+        self.k = k = min(len(w0), _LOW_BITS)
+        self.h = h = len(w0) - k
         self.b = min(h, _BLOCK_BITS - k)
         codes, bits, gather = _low_tables(k)
         self.q_lo = (const + np.take(np.concatenate((w0[:k], w1[:k])), gather).sum(axis=1)
@@ -199,30 +210,28 @@ class _Problem:
                 self.cols[0, c - k] += np.where(bits[a], 0.0, l00)
                 self.cols[1, c - k] += np.where(bits[a], l11, 0.0)
         self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
-        # A set's zero-count is its size, less its pinned ones and the
-        # popcounts of its free mask in x and y.  `digits` holds a term's
-        # offset per x and per combination of its sets' high popcounts, in
-        # rows that row_weights finds from a block's high bits.
+        # A set's zero-count is its zero total, less the popcounts of its free
+        # mask in x and y.  `digits` holds a term's offset per x and per
+        # combination of its sets' high popcounts, in rows that row_weights
+        # finds from a block's high bits.
         self.num_buckets = num_buckets
         self.digits, row_weights = [], []
         top = 0  # the largest bucket a configuration can reach
-        masks = [[sum(1 << pos[v] for v in s if v not in fixed) for s in t.sets] for t in terms]
         low_counts = iter(np.bitwise_count(codes & np.array(
-            [m & ((1 << k) - 1) for ms in masks for m in ms], dtype=np.int16)[:, None]))
-        for term, ms in zip(terms, masks):
+            [m & ((1 << k) - 1) for _, ms, _ in terms for m in ms], dtype=np.int16)[:, None]))
+        for digit, ms, most in terms:
             shape = tuple((m >> k).bit_count() + 1 for m in ms) + (1 << k,)
-            most = [sum(1 for v in vset if fixed.get(v, 0) == 0) for vset in term.sets]
             zeros = [np.arange(z, z - n, -1).reshape(-1, *(1,) * (len(shape) - axis - 1))
                      - next(low_counts) for axis, (z, n) in enumerate(zip(most, shape))]
             digits = np.empty(shape, dtype=np.intp)
-            digits[...] = term.digit(*zeros)
+            digits[...] = digit(*zeros)
             lo, hi = int(digits.min()), int(digits.max())
             if lo < 0:
                 raise UsageError(f"profile offsets must be nonnegative, got {lo}")
             top += hi
             self.digits.append(digits.reshape(-1, 1 << k))
             row_weights.append([sum(math.prod(shape[axis + 1:-1]) * (m >> v & 1)
-                                    for axis, m in enumerate(ms)) for v in range(k, nf)])
+                                    for axis, m in enumerate(ms)) for v in range(k, k + h)])
         if top >= num_buckets:
             raise UsageError(f"profile offsets reach bucket {top}, not below "
                              f"num_buckets = {num_buckets}")
@@ -242,10 +251,9 @@ class _Problem:
         return (np.empty(shape), np.empty(shape, dtype=np.intp),
                 np.empty(shape, dtype=np.intp), np.empty(shape))
 
-    def block_histogram(self, index: int, table: np.ndarray, bucket=None,
-                        offsets=None, shifts=None):
-        """log of the sum over block `index`, built in scratch()'s arrays
-        (overwritten): a float without terms, else one entry per bucket."""
+    def block_table(self, index: int, table: np.ndarray) -> np.ndarray:
+        """Build block `index`'s log-weights in `table` (overwritten), row r at
+        high bits index * 2**b + r, and return those bits, row v spin v's."""
         y = np.arange(index << self.b, (index + 1) << self.b)
         table[0] = self.q_lo
         for v in range(self.b, self.h):
@@ -257,6 +265,13 @@ class _Problem:
         high_bits = (y >> np.arange(self.h)[:, None]) & 1
         if self.hi_edges:  # adding zeros would change no sum, only a zero's sign
             table += _pair_logs(high_bits, self.hi_edges)[:, None]
+        return high_bits
+
+    def block_histogram(self, index: int, table: np.ndarray, bucket=None,
+                        offsets=None, shifts=None):
+        """log of the sum over block `index`, built in scratch()'s arrays
+        (overwritten): a float without terms, else one entry per bucket."""
+        high_bits = self.block_table(index, table)
         if not self.digits:  # one bucket holds every configuration
             return log_sum_exp_inplace(table)
         for j, (digits, row) in enumerate(zip(self.digits, self.row_weights @ high_bits)):
@@ -264,6 +279,16 @@ class _Problem:
             if j:
                 bucket += offsets
         return log_sum_exp_by_bucket(table, bucket, self.num_buckets, shifts)
+
+    def best(self) -> Tuple[float, int]:
+        """The largest log-weight and its lowest code: each block's first argmax."""
+        table, best, code = np.empty((1 << self.b, 1 << self.k)), -math.inf, 0
+        for i in range(self.num_blocks):
+            self.block_table(i, table)
+            j = int(np.argmax(table))
+            if table.flat[j] > best:
+                best, code = float(table.flat[j]), (i << (self.b + self.k)) + j
+        return best, code
 
 
 def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, int]:
@@ -312,7 +337,7 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     nf = g.num_vertices - len(fixed)
     if nf > max_vertices:
         raise ResourceLimitError(f"{nf} free vertices exceeds cap max_vertices={max_vertices}")
-    prob = _Problem(g, p, fixed, terms, num_buckets)
+    prob = _spin_problem(g, p, fixed, terms, num_buckets)
 
     def run(indices):
         scratch, tree = prob.scratch(), []

@@ -14,9 +14,11 @@ sums (whose per-configuration weight the caller passes in), per-record loops tha
 check, aggregate, write and audit edge records and build the reduction's,
 a line-by-line reader of graph files, and the enumeration kernel's problem
 construction and block as they stood before its set-up was cut (a frozen
-copy, for bit-for-bit comparison).  `recursion_value` is the one helper that
-evaluates through the library: the tree recursion, with the log ratio that
-the fixed-point bisection uses.
+copy, for bit-for-bit comparison).  Two helpers evaluate through the
+library: `recursion_value`, the tree recursion with the log ratio that the
+fixed-point bisection uses, and `profile_sum_mc_all_tuples`, the gadget
+Monte Carlo as it stood when it computed every matching tuple before it
+drew the sample.
 """
 
 import decimal
@@ -26,7 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from twospin.analysis import MCEstimate
 from twospin.errors import UsageError
+from twospin.graphs import BipartiteGadget
+from twospin.spins import log_profile_sums
 from twospin.uniqueness import _log_ratio
 
 
@@ -169,6 +174,23 @@ def best_count_loop(num_vars, equations):
             best = sat
             best_bits = tuple(bits)
     return best, best_bits
+
+
+def profile_sum_mc_all_tuples(n_side, delta, delta_prime, p, an, bn, trials, seed):
+    """The enumerated gadget Monte Carlo computing first: entry [an, bn] of
+    every one of the (N!)**delta matching tuples' profile sums, in
+    itertools.product order over permutation ranks, then `trials` indices
+    drawn from the seed and looked up."""
+    perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
+    values = np.array([
+        math.exp(log_profile_sums(BipartiteGadget.from_matchings(perms[list(ranks)]), p,
+                                  delta_prime)[an, bn])
+        for ranks in itertools.product(range(len(perms)), repeat=delta)])
+    sample = values[np.random.default_rng(seed).integers(len(values), size=trials)]
+    if np.all(sample == sample[0]):
+        return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials, seed=seed)
+    se = float(sample.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MCEstimate(mean=float(sample.mean()), std_error=se, trials=trials, seed=seed)
 
 
 def bisect_root(fn, lo, hi, iterations=200):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (binary_entropy, bracket_max, chi2_survival,
                      expander_worst_pair, profile_sum_direct,
-                     sequential_indicator_law)
+                     profile_sum_mc_all_tuples, sequential_indicator_law)
 from twospin import analysis, cli
 from twospin.analysis import (chi2_sf, coupling_sim, entropy,
                               enumerate_profile_sums_mean_log, exact_rate,
@@ -18,7 +18,7 @@ from twospin.analysis import (chi2_sf, coupling_sim, entropy,
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import BipartiteGadget, MultiGraph
 from twospin.reduction import sample_gadget
-from twospin.spins import SpinParams
+from twospin.spins import SpinParams, log_profile_sums
 
 
 def test_entropy_values():
@@ -262,6 +262,32 @@ def test_mc_estimate_behaviour():
         expected_profile_sum_mc(9, 1, 1, p, 0, 0, trials=10, seed=0)
 
 
+# (N, delta), trials, zero counts (an, bn) and seed: enumerated shapes of 1
+# to 576 matching tuples, with trials below and above the tuple count
+@pytest.mark.parametrize("shape, trials, counts, seed", [
+    ((3, 2), 20000, (1, 1), 5), ((3, 2), 300, (1, 2), 1), ((4, 2), 2000, (2, 1), 2),
+    ((5, 1), 500, (2, 3), 3), ((2, 3), 1000, (1, 1), 4), ((1, 1), 10, (1, 1), 0)])
+def test_mc_matches_computing_every_tuple(shape, trials, counts, seed):
+    (n_side, delta), (an, bn) = shape, counts
+    p = SpinParams(0.4, 0.7)
+    got = expected_profile_sum_mc(n_side, delta, 1, p, an / n_side, bn / n_side,
+                                  trials=trials, seed=seed)
+    assert got == profile_sum_mc_all_tuples(n_side, delta, 1, p, an, bn, trials, seed)
+
+
+def test_mc_computes_only_the_gadgets_it_draws(monkeypatch):
+    # (4, 3) has 13,824 matching tuples; 50 trials draw at most 50 of them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_profile_sums(*args)
+
+    monkeypatch.setattr(analysis, "log_profile_sums", counted)
+    est = expected_profile_sum_mc(4, 3, 1, SpinParams(0.4, 0.7), 0.5, 0.5, trials=50, seed=0)
+    assert est.trials == 50 and 1 <= len(calls) <= 50
+
+
 def test_mc_checks_profile_before_weights():
     fielded = SpinParams(0.4, 0.7, 2.0)
     with pytest.raises(UsageError, match="a must lie in"):
@@ -370,8 +396,14 @@ def test_coupling_sim_domination_and_law():
     from twospin.analysis import _sequence_law
     ours = _sequence_law(4, 2, 4)
     for pattern, prob in law.items():
-        assert ours[pattern] == pytest.approx(prob, abs=1e-12)
+        assert ours[pattern] == prob
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    # the same floats on every triple with n <= 8, zero off the support
+    for n, bn, length in itertools.product(range(1, 9), repeat=3):
+        if bn <= n and length <= n:
+            law = sequential_indicator_law(n, bn, length)
+            assert list(_sequence_law(n, bn, length)) == [
+                law.get(pattern, 0.0) for pattern in range(1 << length)]
 
 
 def test_coupling_sim_partial_sequences():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import best_count_loop
-from twospin import e2lin2
+from twospin import spins
 from twospin.e2lin2 import (E2Lin2Instance, best_assignment, format_instance,
                             normalize, occurrence_counts, parse_instance,
                             random_instance, read_instance, satisfied_count,
@@ -66,11 +66,14 @@ def test_best_assignment_against_loop_oracle():
         assert best >= math.ceil(m / 2)
 
 
-@pytest.mark.parametrize("block_vars", [1, 3, e2lin2.BLOCK_VARS])
-def test_best_assignment_on_repeated_pairs_against_loop_oracle(monkeypatch, block_vars):
+# kernel splits (low bits, block bits): at (1, 2) and (3, 5) 2-7 variables
+# span many blocks, so ties across blocks meet the lowest-encoding rule
+@pytest.mark.parametrize("split", [(1, 2), (3, 5), (10, 16)], ids=["1-2", "3-5", "10-16"])
+def test_best_assignment_on_repeated_pairs_against_loop_oracle(monkeypatch, split):
     # few variables and many equations, so pairs repeat with both right-hand
-    # sides; small blocks make most variables high ones, fixed per block
-    monkeypatch.setattr(e2lin2, "BLOCK_VARS", block_vars)
+    # sides, and some pairs cancel to a zero weight
+    monkeypatch.setattr(spins, "_LOW_BITS", split[0])
+    monkeypatch.setattr(spins, "_BLOCK_BITS", split[1])
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(2, 8))

@@ -135,7 +135,7 @@ def test_threads_do_not_change_the_result():
     # 18 free vertices span several blocks, so threads > 1 splits the work
     g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
     p = SpinParams(0.3, 0.8, 2.0)
-    assert spins._Problem(g, p, {}, ()).num_blocks > 1
+    assert spins._spin_problem(g, p, {}, ()).num_blocks > 1
     values = [log_partition(g, p, threads=t) for t in (1, 2, 3)]
     assert values[0] == values[1] == values[2]
     terms = [_MajoritySign(((0, 1, 2, 3), (9, 10, 11)), 1),
@@ -248,7 +248,7 @@ def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_t
     terms = [_MajoritySign((vset(), vset()), 3 ** i) for i in range(num_terms)]
     num_buckets = 3 ** num_terms
     ref = ReferenceProblem(g, p, fixed, terms, num_buckets)
-    prob = spins._Problem(g, p, fixed, terms, num_buckets)
+    prob = spins._spin_problem(g, p, fixed, terms, num_buckets)
     assert _same_bits(prob.q_lo, ref.q_lo) and _same_bits(prob.cols, ref.cols)
     # the reference reduces every block over `bins` buckets, the kernel over
     # num_buckets: the same count, so the same floats
