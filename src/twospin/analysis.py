@@ -551,25 +551,28 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
             f"sequence length a*n capped at {MAX_SEQUENCE_LENGTH} (pattern table)")
     rng = np.random.default_rng(seed)
     total = trials * d
-    zsum = np.zeros(total, dtype=np.int64)
-    patterns = np.zeros(total, dtype=np.int64)
+    zsum = np.zeros(total, dtype=np.int8)  # hits so far: MAX_SEQUENCE_LENGTH at most
+    patterns = np.zeros(total, dtype=np.int32)  # one bit per step
     violations = 0
     for i in range(length):
         rho = max(0.0, (bn - i) / n)
         x = rng.random(total) < rho
-        target = (bn - zsum) / (n - i)
-        if np.any(target < -1e-12) or np.any(target > 1 + 1e-12):
+        # the coupling's law depends only on the hit count 0..i: one table
+        # entry per count, checked on the counts that occur
+        occurs = np.bincount(zsum, minlength=i + 1) > 0
+        target = (bn - np.arange(i + 1)) / (n - i)
+        if np.any(target[occurs] < -1e-12) or np.any(target[occurs] > 1 + 1e-12):
             raise RuntimeError("construction invariant violated: target outside [0, 1]")
         if rho >= 1.0:
-            w = np.zeros(total)
+            w = np.zeros(i + 1)
         else:
             w = (target - rho) / (1.0 - rho)
-        if np.any(w < -1e-12) or np.any(w > 1 + 1e-12):
+        if np.any(w[occurs] < -1e-12) or np.any(w[occurs] > 1 + 1e-12):
             raise RuntimeError("construction invariant violated: w outside [0, 1]")
-        z = np.where(x, True, rng.random(total) < np.clip(w, 0.0, 1.0))
+        z = np.where(x, True, rng.random(total) < np.clip(w, 0.0, 1.0)[zsum])
         violations += int(np.count_nonzero(x & ~z))
         zsum += z
-        patterns |= z.astype(np.int64) << i
+        patterns |= z.astype(np.int32) << i
 
     z1_freq = float(np.mean(patterns & 1))
     z1_expected = bn / n

@@ -7,6 +7,10 @@ explicit --seed and echoes it; there are no environment-variable overrides.
 Each subcommand is a row of `COMMANDS` or `CHECKS` (the `verify` checks): a
 function from the parsed arguments to the report dict, a help line and its
 argument specs.  `main` alone prints the report and picks the exit code.
+A command imports only the modules it runs: `analysis`, `e2lin2`,
+`reduction` and `uniqueness` load on first use, and a subcommand's flags
+(some of whose defaults live in those modules) are added only once argparse
+has picked it.
 
 Exit codes: 0 success (and verification passed), 1 verification failure
 (the report has "pass": false or a failed entry in "checks"), 2 usage or
@@ -15,6 +19,7 @@ goes to standard error).
 """
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -22,14 +27,27 @@ import traceback
 
 import numpy as np
 
-from . import analysis, e2lin2, reduction, spins, uniqueness
+from . import spins
 from .errors import ResourceLimitError, UsageError
 from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
                      hypercube_graph, petersen_graph, prism_graph, read_graph,
                      scaled_graph, single_edge, write_graph)
 from .logspace import LOG_ZERO
 from .spins import SpinParams, field_identity_report, log_partition, remove_field
-from .uniqueness import SplitCase
+
+
+class _Lazy:
+    """A submodule imported on its first attribute use."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(f"{__package__}.{self._name}"), attr)
+
+
+analysis, e2lin2, reduction, uniqueness = map(
+    _Lazy, ("analysis", "e2lin2", "reduction", "uniqueness"))
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -171,11 +189,11 @@ def _cmd_theta_star(args):
 def _cmd_decode(args):
     if args.log_c is not None and args.log_d is not None:
         constants = reduction.BoundsConstants(args.log_c, args.log_d,
-                                              SplitCase(args.case))
+                                              uniqueness.SplitCase(args.case))
     elif None not in (args.beta, args.gamma, args.delta, args.delta_prime):
         constants = reduction.bounds_constants(
             SpinParams(args.beta, args.gamma), args.delta, args.delta_prime,
-            SplitCase(args.case))
+            uniqueness.SplitCase(args.case))
     else:
         raise UsageError("pass --log-c/--log-d, or beta/gamma/delta/delta-prime")
     value = reduction.decode_satisfied_estimate(
@@ -393,6 +411,14 @@ def _arg(*flags, **options):
     return flags, options
 
 
+class _Later:
+    """A flag option read from a lazily imported module when its command's
+    parser is built."""
+
+    def __init__(self, read):
+        self.read = read
+
+
 def positive_int(text):
     """argparse type of a count flag: a positive integer."""
     value = int(text)
@@ -428,7 +454,7 @@ COMMANDS = {
         _arg("--gamma-steps", type=positive_int, required=True),
         MU, DEGREE,
         _arg("--region-constant", type=float,
-             default=uniqueness.DEFAULT_REGION_CONSTANT,
+             default=_Later(lambda: uniqueness.DEFAULT_REGION_CONSTANT),
              help="the h in the unit-square region test d >= h/(1-beta*gamma)"),
         _arg("--out", required=True))),
     "reduce": (_cmd_reduce, "build a reduction graph from an instance", (
@@ -438,7 +464,8 @@ COMMANDS = {
     "gadget": (_cmd_gadget, "sample a random matching-union gadget", (
         _arg("--side", type=positive_int, required=True), DELTA, SEED, _arg("--out"))),
     "theta-star": (_cmd_theta_star, "exhaustive optimum of an instance", (
-        INSTANCE, _arg("--max-vars", type=int, default=e2lin2.BEST_ASSIGNMENT_CAP))),
+        INSTANCE,
+        _arg("--max-vars", type=int, default=_Later(lambda: e2lin2.BEST_ASSIGNMENT_CAP)))),
     "decode": (_cmd_decode, "invert a partition estimate into a count", (
         _arg("--log-y", type=float, required=True),
         _arg("--n", type=positive_int, required=True),
@@ -446,8 +473,8 @@ COMMANDS = {
         _arg("--log-c", type=float), _arg("--log-d", type=float),
         _arg("--beta", type=float), _arg("--gamma", type=float),
         _arg("--delta", type=int), _arg("--delta-prime", type=int),
-        _arg("--case", default=SplitCase.BETA_BELOW_HALF.value,
-             choices=[c.value for c in SplitCase]),
+        _arg("--case", default=_Later(lambda: uniqueness.SplitCase.BETA_BELOW_HALF.value),
+             choices=_Later(lambda: [c.value for c in uniqueness.SplitCase])),
         _arg("--eps", type=float, default=1e-4),
         _arg("--slack", type=float, default=0.03))),
     "translate-field": (_cmd_translate_field, "fold the field into the weights",
@@ -462,18 +489,19 @@ CHECKS = {
                         _arg("--trials", type=positive_int, default=20000),
                         SEED, TOLERANCE)),
     "rate-bound": (_verify_rate_bound, "grid maximum of the rate bound", (
-        _arg("--c", type=float, default=analysis.DEFAULT_RATE_C),
+        _arg("--c", type=float, default=_Later(lambda: analysis.DEFAULT_RATE_C)),
         _arg("--lambda", dest="min_fraction", type=float,
-             default=analysis.DEFAULT_MINORITY),
+             default=_Later(lambda: analysis.DEFAULT_MINORITY)),
         _arg("--step", type=float, default=1e-3),
-        _arg("--bound", type=float, default=analysis.RATE_BOUND_CEILING),
+        _arg("--bound", type=float, default=_Later(lambda: analysis.RATE_BOUND_CEILING)),
         _arg("--out", help="optional CSV dump of the exact grid values"))),
     "expander": (_verify_expander, "edge-expansion audit of sampled gadgets", (
         _arg("--side", type=positive_int, default=8),
         _arg("--delta", type=int, default=48),
         _arg("--seeds", type=positive_int, default=20), SEED,
         _arg("--eps", type=float, default=0.25),
-        _arg("--factor", type=float, default=analysis.DEFAULT_EXPANSION_FACTOR))),
+        _arg("--factor", type=float,
+             default=_Later(lambda: analysis.DEFAULT_EXPANSION_FACTOR)))),
     "field": (_verify_field, "field-translation identity on regular graphs", (
         _arg("--pairs", type=positive_int, default=20), SEED, TOLERANCE, THREADS)),
     "sandwich": (_verify_sandwich, "restricted-sum bracketing on toy reductions", (
@@ -486,12 +514,25 @@ CHECKS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it adds its flags, reading any `_Later`
+    option, only when argparse picks the subcommand."""
+
+    def __init__(self, *args, specs=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._specs = specs
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flags, options in self._specs:
+            self.add_argument(*flags, **{key: value.read() if isinstance(value, _Later)
+                                         else value for key, value in options.items()})
+        self._specs = ()
+        return super().parse_known_args(args, namespace)
+
+
 def _add_table(subparsers, table) -> None:
     for name, (func, help_text, specs) in table.items():
-        sp = subparsers.add_parser(name, help=help_text)
-        for flags, options in specs:
-            sp.add_argument(*flags, **options)
-        sp.set_defaults(func=func)
+        subparsers.add_parser(name, help=help_text, specs=specs).set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twospin",
         description="Exact partition sums, uniqueness thresholds and gadget "
                     "reductions for two-state spin systems.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     _add_table(sub, COMMANDS)
     verify = sub.add_parser("verify", help="numerical verification checks")
     _add_table(verify.add_subparsers(dest="check", required=True), CHECKS)

@@ -49,7 +49,7 @@ class GadgetParams:
             raise UsageError("delta, delta_prime and block_size must all be >= 1")
 
 
-def gadget_seed(master_seed: int, index: int) -> np.random.SeedSequence:
+def gadget_seed(master_seed: int, index: int) -> "np.random.SeedSequence":
     """Per-gadget seed derived from the master seed and the gadget index.
 
     The derivation depends only on (master_seed, index), so adding variables

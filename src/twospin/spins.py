@@ -18,7 +18,6 @@ with vertex 0 as the least significant bit.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -348,6 +347,8 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
     nblocks = prob.num_blocks
     workers = min(threads, nblocks)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
+
         groups = [range(nblocks * w // workers, nblocks * (w + 1) // workers)
                   for w in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:

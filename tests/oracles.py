@@ -14,11 +14,13 @@ sums (whose per-configuration weight the caller passes in), per-record loops tha
 check, aggregate, write and audit edge records and build the reduction's,
 a line-by-line reader of graph files, and the enumeration kernel's problem
 construction and block as they stood before its set-up was cut (a frozen
-copy, for bit-for-bit comparison).  Two helpers evaluate through the
+copy, for bit-for-bit comparison).  Three helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
-fixed-point bisection uses, and `profile_sum_mc_all_tuples`, the gadget
+fixed-point bisection uses, `profile_sum_mc_all_tuples`, the gadget
 Monte Carlo as it stood when it computed every matching tuple before it
-drew the sample.
+drew the sample, and `coupling_sim_per_sequence`, the coupling simulation
+as it stood when it held int64 hit counts and patterns and computed its
+coupling probability per sequence.
 """
 
 import decimal
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twospin.analysis import MCEstimate
+from twospin.analysis import CouplingReport, MCEstimate, _sequence_law, chi2_sf
 from twospin.errors import UsageError
 from twospin.graphs import BipartiteGadget
 from twospin.spins import log_profile_sums
@@ -191,6 +193,49 @@ def profile_sum_mc_all_tuples(n_side, delta, delta_prime, p, an, bn, trials, see
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials, seed=seed)
     se = float(sample.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MCEstimate(mean=float(sample.mean()), std_error=se, trials=trials, seed=seed)
+
+
+def coupling_sim_per_sequence(n, b, d, seed, trials, a=1.0, chi2_alpha=1e-3):
+    """`analysis.coupling_sim` on valid parameters, computing the target and
+    coupling probability of every sequence at every step in float64 over
+    int64 hit counts and patterns."""
+    bn, length = round(b * n), round(a * n)
+    rng = np.random.default_rng(seed)
+    total = trials * d
+    zsum = np.zeros(total, dtype=np.int64)
+    patterns = np.zeros(total, dtype=np.int64)
+    violations = 0
+    for i in range(length):
+        rho = max(0.0, (bn - i) / n)
+        x = rng.random(total) < rho
+        target = (bn - zsum) / (n - i)
+        if np.any(target < -1e-12) or np.any(target > 1 + 1e-12):
+            raise RuntimeError("construction invariant violated: target outside [0, 1]")
+        if rho >= 1.0:
+            w = np.zeros(total)
+        else:
+            w = (target - rho) / (1.0 - rho)
+        if np.any(w < -1e-12) or np.any(w > 1 + 1e-12):
+            raise RuntimeError("construction invariant violated: w outside [0, 1]")
+        z = np.where(x, True, rng.random(total) < np.clip(w, 0.0, 1.0))
+        violations += int(np.count_nonzero(x & ~z))
+        zsum += z
+        patterns |= z.astype(np.int64) << i
+    z1_expected = bn / n
+    law = _sequence_law(n, bn, length)
+    observed = np.bincount(patterns, minlength=1 << length).astype(float)
+    expected = law * total
+    support = expected > 0
+    assert not np.any(observed[~support] > 0)
+    stat = float(np.sum((observed[support] - expected[support]) ** 2
+                        / expected[support]))
+    dof = int(np.count_nonzero(support)) - 1
+    return CouplingReport(
+        n=n, b=b, a=a, d=d, trials=trials, seed=seed, sequences=total,
+        domination_violations=violations, z1_frequency=float(np.mean(patterns & 1)),
+        z1_expected=z1_expected, z1_stderr=math.sqrt(z1_expected * (1 - z1_expected) / total),
+        chi2_stat=stat, chi2_dof=dof, chi2_pvalue=chi2_sf(stat, dof) if dof > 0 else 1.0,
+        chi2_alpha=chi2_alpha)
 
 
 def bisect_root(fn, lo, hi, iterations=200):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import (binary_entropy, bracket_max, chi2_survival,
-                     expander_worst_pair, profile_sum_direct,
-                     profile_sum_mc_all_tuples, sequential_indicator_law)
+                     coupling_sim_per_sequence, expander_worst_pair,
+                     profile_sum_direct, profile_sum_mc_all_tuples,
+                     sequential_indicator_law)
 from twospin import analysis, cli
 from twospin.analysis import (chi2_sf, coupling_sim, entropy,
                               enumerate_profile_sums_mean_log, exact_rate,
@@ -456,6 +457,21 @@ def test_chi2_sf_matches_scipy_at_large_dof():
             expected = float(stats.chi2.sf(stat, dof))
             if stat > 0 and expected > 1e-280:
                 assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("n, b, d, seed, trials, a", [
+    (4, 0.5, 3, 2, 20000, 1.0),
+    (8, 0.5, 2, 4, 20000, 0.5),   # a < 1: partial sequences
+    (6, 1.0, 1, 1, 5000, 1.0),    # b = 1: rho >= 1 until the last step
+    (20, 0.5, 2, 7, 5000, 1.0),   # the longest sequence, MAX_SEQUENCE_LENGTH
+    (20, 0.25, 3, 11, 3000, 0.75),
+    (1, 1.0, 1, 0, 1, 1.0),
+])
+def test_coupling_sim_matches_per_sequence_loop(n, b, d, seed, trials, a):
+    # hit counts in int8 and patterns in int32, with one coupling probability
+    # per hit count, leave the random stream and the report unchanged
+    assert coupling_sim(n, b, d, seed, trials, a=a) == \
+        coupling_sim_per_sequence(n, b, d, seed, trials, a=a)
 
 
 def test_coupling_sim_determinism():

@@ -455,3 +455,101 @@ def test_import_leaves_scipy_out():
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _imported_modules(argv, env, cwd):
+    """The modules a fresh `python -m twospin ARGV` imports, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_light_commands_import_only_what_they_run(tmp_path, edge_file, anti3_file):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twospin.__file__)))
+    heavy = {"twospin.analysis", "twospin.reduction", "numpy.random",
+             "concurrent.futures"}
+    runs = {
+        ("uniqueness", "--beta", "0.5", "--gamma", "0.5", "--degree", "4"): set(),
+        ("theta-star", "--instance", anti3_file): {"twospin.uniqueness"},
+        ("z", "--graph", edge_file, "--beta", "1", "--gamma", "1"):
+            {"twospin.uniqueness", "twospin.e2lin2"},
+    }
+    for argv, also_absent in runs.items():
+        modules = _imported_modules(argv, env, tmp_path)
+        assert "twospin.spins" in modules  # the parse really was recorded
+        assert not modules & (heavy | also_absent), argv
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twospin; "
+         "print(sorted(m for m in sys.modules if m.startswith('twospin')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "['twospin']", proc.stderr
+
+
+EXPORTS = """
+    RegimeError ResourceLimitError UsageError BipartiteGadget MultiGraph
+    graph_from_text graph_to_text read_graph write_graph FieldIdentityReport
+    SpinParams field_identity_report log_config_weight log_partition
+    log_partition_histogram log_profile_sum log_profile_sums partition_fraction
+    remove_field CaseParams DegreeScan OutsideSquareDegrees PhaseRegion SplitCase
+    UniquenessReport always_unique_bound case_split classify_phase
+    criticality_roots field_window first_nonunique_degree fixed_point
+    outside_square_degrees phase_grid uniqueness_check E2Lin2Instance
+    best_assignment format_instance normalize occurrence_counts parse_instance
+    random_instance read_instance satisfied_count write_instance BoundsConstants
+    GadgetParams ReductionGraph SandwichReport StructureAudit
+    audit_reduction_graph bounds_constants build_reduction_graph
+    decode_satisfied_estimate log_majority_sums log_polarized_sum_brute
+    log_polarized_sum_closed read_blocks sample_gadget sandwich_check
+    write_blocks CouplingReport ExpanderAudit MCEstimate RateBoundScan
+    coupling_sim entropy exact_rate expander_audit expected_profile_sum_log
+    expected_profile_sum_mc rate_bound rate_bound_scan
+""".split()
+
+
+def test_package_names_resolve_to_their_definitions():
+    assert len(EXPORTS) == 73
+    assert sorted(twospin.__all__) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(twospin))
+    for name in EXPORTS:
+        value = getattr(twospin, name)
+        assert value.__module__.startswith("twospin.")
+        assert value is getattr(sys.modules[value.__module__], name)
+    namespace = {}
+    exec("from twospin import *", namespace)
+    assert all(namespace[name] is getattr(twospin, name) for name in EXPORTS)
+    with pytest.raises(AttributeError):
+        twospin.no_such_name  # noqa: B018
+
+
+def test_lazy_defaults_equal_their_module_constants():
+    from twospin import analysis, e2lin2, uniqueness
+
+    parse = cli.build_parser().parse_args
+    args = parse(["verify", "rate-bound"])
+    assert (args.c, args.min_fraction, args.bound) == (
+        analysis.DEFAULT_RATE_C, analysis.DEFAULT_MINORITY, analysis.RATE_BOUND_CEILING)
+    assert parse(["verify", "expander"]).factor == analysis.DEFAULT_EXPANSION_FACTOR
+    assert parse(["theta-star", "--instance", "x"]).max_vars == e2lin2.BEST_ASSIGNMENT_CAP
+    grid = ["--beta-min", "0", "--beta-max", "1", "--beta-steps", "2", "--gamma-min",
+            "0", "--gamma-max", "1", "--gamma-steps", "2", "--degree", "3", "--out", "x"]
+    assert (parse(["phase-map", *grid]).region_constant
+            == uniqueness.DEFAULT_REGION_CONSTANT)
+    decode = ["decode", "--log-y", "1", "--n", "1", "--m", "1"]
+    assert parse(decode).case == uniqueness.SplitCase.BETA_BELOW_HALF.value
+
+
+def test_decode_case_choices_are_the_split_cases(capsys):
+    from twospin.uniqueness import SplitCase
+
+    decode = ["decode", "--log-y", "1", "--n", "1", "--m", "1", "--case"]
+    values = [c.value for c in SplitCase]
+    for value in values:
+        assert cli.build_parser().parse_args([*decode, value]).case == value
+    assert main([*decode, "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert f"(choose from {', '.join(map(repr, values))})" in err
+    assert main(["decode", "--help"]) == 0
+    assert "--case {" + ",".join(values) + "}" in capsys.readouterr().out
