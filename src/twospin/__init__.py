@@ -2,11 +2,9 @@
 the random-gadget reduction from two-variable parity equations, all at
 desk scale with log-domain arithmetic.
 
-Every public name below resolves on first use, importing only the submodule
-that defines it, so `import twospin` (and each `twospin` command) loads no
-module it does not run."""
-
-import importlib
+Every public name below, and each submodule that defines them, resolves on
+first use, importing only that submodule, so `import twospin` (and each
+`twospin` command) loads no module it does not run."""
 
 _EXPORTS = {
     "errors": ("RegimeError", "ResourceLimitError", "UsageError"),
@@ -42,12 +40,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name not in _MODULE_OF:
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value  # later uses skip this hook
-    return value
+    # the import statement's path binds the submodule here and, unlike
+    # importlib.import_module, shows in `python -X importtime`
+    __import__(f"{__name__}.{module}")
+    if name != module:  # later uses of the name skip this hook
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__():
-    return sorted({*globals(), *_MODULE_OF})
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

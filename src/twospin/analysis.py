@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, check_seed
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
 from .spins import SpinParams, _integral_fraction, log_profile_sums
@@ -32,6 +32,7 @@ DEFAULT_MINORITY = 9e-5           # smallest profile fraction in the rate scan
 DEFAULT_EXPANSION_FACTOR = 0.25   # required fraction of the expected crossing count
 RATE_BOUND_CEILING = 1.21         # verified grid maximum of the rate bound
 MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells)
+RATE_BLOCK_CELLS = 2 ** 13        # rate-bound grid cells evaluated per block of rows
 MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
 MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
@@ -180,14 +181,22 @@ def _scan_grid(min_fraction: float, step: float) -> np.ndarray:
     return grid
 
 
+def _rate_bound_blocks(grid: np.ndarray, c: float):
+    """Yield (first row, values) per block of whole rows of at most RATE_BLOCK_CELLS cells."""
+    rows = max(1, RATE_BLOCK_CELLS // len(grid))
+    for lo in range(0, len(grid), rows):
+        yield lo, _rate_bound_values(grid[lo:lo + rows, None], grid, c)
+
+
 def rate_bound_grid(c: float = DEFAULT_RATE_C,
                     min_fraction: float = DEFAULT_MINORITY,
                     step: float = 1e-3):
     """Yield (a, b, rate_bound(a, b)) rows over the scan grid, row-major."""
     grid = _scan_grid(min_fraction, step)
-    for a in grid.tolist():
-        yield from zip([a] * len(grid), grid.tolist(),
-                       _rate_bound_values(a, grid, c).tolist())
+    bs = grid.tolist()
+    for lo, vals in _rate_bound_blocks(grid, c):
+        for a, row in zip(grid[lo:lo + len(vals)].tolist(), vals.tolist()):
+            yield from zip([a] * len(bs), bs, row)
 
 
 def rate_bound_scan(c: float = DEFAULT_RATE_C,
@@ -195,16 +204,17 @@ def rate_bound_scan(c: float = DEFAULT_RATE_C,
                     step: float = 1e-3) -> RateBoundScan:
     """Maximize rate_bound over the grid a, b in [min_fraction, 1].
 
-    Every grid cell is evaluated one row at a time.  The best cell of each
-    of the 40 best rows is then re-evaluated on an 11 x 11 local grid
-    spanning one step either side, clipped to [min_fraction, 1].
+    Every grid cell is evaluated, in blocks of whole rows of at most
+    RATE_BLOCK_CELLS cells, so memory does not grow with the grid side.  The
+    best cell of each of the 40 best rows is then re-evaluated on an 11 x 11
+    local grid spanning one step either side, clipped to [min_fraction, 1].
     """
     grid = _scan_grid(min_fraction, step)
     row_b, row_max = np.empty_like(grid), np.empty_like(grid)
-    for i, a in enumerate(grid):
-        vals = _rate_bound_values(a, grid, c)
-        j = int(np.argmax(vals))
-        row_b[i], row_max[i] = grid[j], vals[j]
+    for lo, vals in _rate_bound_blocks(grid, c):
+        j = np.argmax(vals, axis=1)  # the first maximum of each row
+        row_b[lo:lo + len(j)] = grid[j]
+        row_max[lo:lo + len(j)] = vals[np.arange(len(j)), j]
     rows = np.argsort(-row_max, kind="stable")[:40]
     offsets = np.linspace(-step, step, 11)
     la = np.clip(grid[rows, None] + offsets, min_fraction, 1.0)[:, :, None]
@@ -304,6 +314,7 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     if n_side > MAX_MC_SIDE:
         raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     count = math.factorial(n_side) ** delta
     enumerated = count <= MAX_MC_ENUMERATED
@@ -403,6 +414,7 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
                 witness_right = tuple(h.right[j] for j in range(n) if wb >> j & 1)
         mean, pairs = 1.0, codes.size ** 2
     elif mode == "sampled":
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         total, witness_left, witness_right = 0.0, (), ()
         for _ in range(trials):
@@ -549,6 +561,7 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
     if length > MAX_SEQUENCE_LENGTH:
         raise ResourceLimitError(
             f"sequence length a*n capped at {MAX_SEQUENCE_LENGTH} (pattern table)")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     total = trials * d
     zsum = np.zeros(total, dtype=np.int8)  # hits so far: MAX_SEQUENCE_LENGTH at most

@@ -427,10 +427,18 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    """argparse type of a seed flag: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 MU = _arg("--mu", type=float, default=1.0)
 SPIN = (_arg("--beta", type=float, required=True),
         _arg("--gamma", type=float, required=True), MU)
-SEED = _arg("--seed", type=int, default=0)
+SEED = _arg("--seed", type=nonnegative_int, default=0)
 TOLERANCE = _arg("--tolerance", type=float, default=1e-9)
 THREADS = _arg("--threads", type=positive_int, default=1)
 DEGREE = _arg("--degree", type=int, required=True)

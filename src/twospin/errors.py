@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed check that
+raises one."""
+
+import numbers
 
 
 class UsageError(ValueError):
@@ -16,3 +19,10 @@ class ResourceLimitError(RuntimeError):
     e2lin2.best_assignment (max_vars) take theirs as an argument, which is
     its one override; every other cap is fixed.
     """
+
+
+def check_seed(seed) -> None:
+    """Refuse a negative integer seed, which numpy's generators would reject
+    with a bare ValueError.  A SeedSequence passes unchecked."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")

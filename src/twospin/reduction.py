@@ -27,7 +27,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
-from .errors import RegimeError, UsageError
+from .errors import RegimeError, UsageError, check_seed
 from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
                      records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
@@ -47,6 +47,7 @@ class GadgetParams:
     def __post_init__(self):
         if self.delta < 1 or self.delta_prime < 1 or self.block_size < 1:
             raise UsageError("delta, delta_prime and block_size must all be >= 1")
+        check_seed(self.seed)
 
 
 def gadget_seed(master_seed: int, index: int) -> "np.random.SeedSequence":
@@ -67,6 +68,7 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
     """
     if n_side < 1 or delta < 1:
         raise UsageError("need n_side >= 1 and delta >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return BipartiteGadget.from_matchings(
         np.array([rng.permutation(n_side) for _ in range(delta)]))

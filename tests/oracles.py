@@ -14,13 +14,15 @@ sums (whose per-configuration weight the caller passes in), per-record loops tha
 check, aggregate, write and audit edge records and build the reduction's,
 a line-by-line reader of graph files, and the enumeration kernel's problem
 construction and block as they stood before its set-up was cut (a frozen
-copy, for bit-for-bit comparison).  Three helpers evaluate through the
+copy, for bit-for-bit comparison).  Five helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
 fixed-point bisection uses, `profile_sum_mc_all_tuples`, the gadget
 Monte Carlo as it stood when it computed every matching tuple before it
-drew the sample, and `coupling_sim_per_sequence`, the coupling simulation
+drew the sample, `coupling_sim_per_sequence`, the coupling simulation
 as it stood when it held int64 hit counts and patterns and computed its
-coupling probability per sequence.
+coupling probability per sequence, and `rate_bound_scan_by_rows` and
+`rate_bound_grid_by_rows`, the rate-bound scan and grid as they stood when
+they evaluated the grid one row at a time.
 """
 
 import decimal
@@ -30,7 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from twospin.analysis import CouplingReport, MCEstimate, _sequence_law, chi2_sf
+from twospin.analysis import (CouplingReport, MCEstimate, RateBoundScan,
+                              _rate_bound_values, _scan_grid, _sequence_law, chi2_sf)
 from twospin.errors import UsageError
 from twospin.graphs import BipartiteGadget
 from twospin.spins import log_profile_sums
@@ -641,6 +644,36 @@ def audit_fields(num_vertices, records, equations, u_blocks, v_blocks, delta,
                            for block in blocks),
         wiring_ok=prescribed == crossing,
     )
+
+
+def rate_bound_grid_by_rows(c, min_fraction, step):
+    """The (a, b, rate_bound(a, b)) rows of the scan grid, one row per call."""
+    grid = _scan_grid(min_fraction, step)
+    for a in grid.tolist():
+        yield from zip([a] * len(grid), grid.tolist(),
+                       _rate_bound_values(a, grid, c).tolist())
+
+
+def rate_bound_scan_by_rows(c, min_fraction, step):
+    """rate_bound_scan with its grid evaluated one row per call."""
+    grid = _scan_grid(min_fraction, step)
+    row_b, row_max = np.empty_like(grid), np.empty_like(grid)
+    for i, a in enumerate(grid):
+        vals = _rate_bound_values(a, grid, c)
+        j = int(np.argmax(vals))
+        row_b[i], row_max[i] = grid[j], vals[j]
+    rows = np.argsort(-row_max, kind="stable")[:40]
+    offsets = np.linspace(-step, step, 11)
+    la = np.clip(grid[rows, None] + offsets, min_fraction, 1.0)[:, :, None]
+    lb = np.clip(row_b[rows, None] + offsets, min_fraction, 1.0)[:, None, :]
+    local = _rate_bound_values(la, lb, c)
+    t, i, j = np.unravel_index(int(np.argmax(local)), local.shape)
+    coarse_max = float(row_max[rows[0]])
+    if local[t, i, j] > coarse_max:
+        best = (float(local[t, i, j]), float(la[t, i, 0]), float(lb[t, 0, j]))
+    else:
+        best = (coarse_max, float(grid[rows[0]]), float(row_b[rows[0]]))
+    return RateBoundScan(*best, coarse_max, step, min_fraction, c)
 
 
 def recursion_value(p, d, x):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (binary_entropy, bracket_max, chi2_survival,
                      coupling_sim_per_sequence, expander_worst_pair,
                      profile_sum_direct, profile_sum_mc_all_tuples,
+                     rate_bound_grid_by_rows, rate_bound_scan_by_rows,
                      sequential_indicator_law)
 from twospin import analysis, cli
 from twospin.analysis import (chi2_sf, coupling_sim, entropy,
@@ -152,6 +153,48 @@ def test_rate_bound_grid_rows():
     a, b, v = rows[-1]
     assert (a, b) == (1.0, 1.0)
     assert v == pytest.approx(-8000.0, rel=1e-6)
+
+
+# (min_fraction, step, c): one grid point, three points, a side of 201 that
+# does not divide RATE_BLOCK_CELLS, and c just above 1
+@pytest.mark.parametrize("min_fraction, step, c", [
+    (1.0, 1e-3, 8000.0), (9e-5, 0.5, 8000.0), (9e-5, 5e-3, 8000.0),
+    (9e-5, 0.05, math.nextafter(1.0, 2.0))])
+def test_rate_bound_blocks_match_the_row_by_row_scan(monkeypatch, min_fraction, step, c):
+    side = len(analysis._scan_grid(min_fraction, step))
+    if step == 5e-3:
+        assert side == 201 and analysis.RATE_BLOCK_CELLS % side
+    scan = rate_bound_scan_by_rows(c, min_fraction, step)
+    rows = list(rate_bound_grid_by_rows(c, min_fraction, step))
+    # the default block, a row a block (from 1 and from the side), and a
+    # short last block of one row after blocks of side - 1 rows
+    for cells in (analysis.RATE_BLOCK_CELLS, 1, side, (side - 1) * side):
+        monkeypatch.setattr(analysis, "RATE_BLOCK_CELLS", cells)
+        assert rate_bound_scan(c, min_fraction, step) == scan
+        assert list(rate_bound_grid(c, min_fraction, step)) == rows
+
+
+def test_rate_bound_scan_ties_go_to_the_first_cell(monkeypatch):
+    # a flat landscape: every row's first cell, and the first row, win
+    monkeypatch.setattr(analysis, "_rate_bound_values",
+                        lambda a, b, c: np.zeros(np.broadcast(a, b).shape))
+    for cells in (1, 2, 9):
+        monkeypatch.setattr(analysis, "RATE_BLOCK_CELLS", cells)
+        assert rate_bound_scan(step=0.5) == analysis.RateBoundScan(
+            0.0, 9e-5, 9e-5, 0.0, 0.5, 9e-5, 8000.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: coupling_sim(4, 0.5, 3, seed, 10),
+    lambda seed: expected_profile_sum_mc(2, 2, 1, SpinParams(0.5, 0.5), 0.5, 0.5, 10, seed),
+    lambda seed: expander_audit(sample_gadget(4, 2, 0), mode="sampled", trials=10,
+                                seed=seed),
+], ids=["coupling_sim", "expected_profile_sum_mc", "expander_audit_sampled"])
+def test_negative_seeds_are_usage_errors(call):
+    call(0)
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            call(seed)
 
 
 def test_exact_rate_corner_and_consistency():

@@ -225,6 +225,23 @@ def test_exit_codes(capsys, edge_file, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    "gadget", "reduce", "verify polarized", "verify gadget-mean", "verify expander",
+    "verify field", "verify sandwich", "verify coupling"])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, anti3_file, command):
+    required = {
+        "gadget": ["--side", "4", "--delta", "2"],
+        "reduce": ["--instance", anti3_file, "--delta", "1", "--delta-prime", "1",
+                   "--block-size", "1", "--out-prefix", str(tmp_path / "out")],
+    }
+    assert main([*command.split(), *required.get(command, []), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be at least 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_graph_contract_exit_codes(capsys, tmp_path):
     # a graph within the contract but past the free-vertex cap: the cap
     # refuses it, and reading it made no per-vertex array
@@ -522,6 +539,18 @@ def test_package_names_resolve_to_their_definitions():
     assert all(namespace[name] is getattr(twospin, name) for name in EXPORTS)
     with pytest.raises(AttributeError):
         twospin.no_such_name  # noqa: B018
+
+
+def test_submodules_resolve_as_package_attributes():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twospin.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twospin; "
+         "print(sorted(m for m in sys.modules if m.startswith('twospin.'))); "
+         "print(twospin.analysis.rate_bound_scan is twospin.rate_bound_scan)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_lazy_defaults_equal_their_module_constants():

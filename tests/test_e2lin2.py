@@ -179,3 +179,8 @@ def test_random_instance_determinism():
         random_instance(5, 2, seed=0)
     with pytest.raises(UsageError):
         random_instance(1, 5, seed=0)
+
+
+def test_random_instance_refuses_a_negative_seed():
+    with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+        random_instance(4, 6, seed=-1)

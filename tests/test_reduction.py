@@ -27,6 +27,15 @@ def test_sample_gadget_single_pair():
     assert h.graph.edges == ((0, 1, 3),)
 
 
+def test_negative_seeds_are_usage_errors():
+    with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+        sample_gadget(3, 2, seed=-1)
+    # the gadget parameters carry the seed of every reduction gadget
+    with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+        GadgetParams(1, 1, 1, seed=-1)
+    assert sample_gadget(3, 2, np.random.SeedSequence(5)).side_size == 3
+
+
 def test_sample_gadget_regularity_and_determinism():
     rng = np.random.default_rng(0)
     for _ in range(10):
