@@ -15,16 +15,18 @@ Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
 The writer emits the canonical records; the reader accepts any order and
-orientation and sums duplicate pairs.  It reads a file on one of two paths.
-The byte path takes a file of at least BYTE_PATH_MIN characters whose header
-is its first line and whose every record line is exactly 'e U V M', single
-spaces and 1 to 18 ASCII digits per field, once blank and '#'-first lines
-are dropped: a few numpy passes over its bytes check that layout and gather
-the fields into int64 columns.  Any other text goes to the line reader,
-which converts the record block PARSE_BLOCK lines at a time through
-Python's int and is the only source of a line's error message; below
-BYTE_PATH_MIN characters it also costs less than numpy's fixed cost.  Both
-feed the same record-count, multiplicity and graph checks.
+orientation and sums duplicate pairs.  Two readers share the work.  The byte
+path, `_byte_fields`, takes a file whose header is its first line and whose
+every record line is exactly 'e U V M', single spaces and 1 to 18 ASCII
+digits per field, once blank and '#'-first lines are dropped: a few numpy
+passes over its bytes check that layout and gather the fields into int64
+columns.  A file it refuses is offered once more with each run of spaces and
+tabs squeezed to one space and none left at a line's ends, which keeps every
+line's tokens.  Any other text, and any file with a fault, is read line by
+line through `read_records`: that reader parses the odd but legal fields
+(signs, '_', 19 or more digits) and alone words an error, the one of the
+first faulty line, then the record count, a multiplicity, and the graph's
+own checks.
 
 `read_records` holds the syntax that this file, the E2LIN2 instance and the
 block map share: ASCII, '#' and blank lines skipped, one integer header
@@ -33,7 +35,6 @@ first.
 
 import numbers
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import islice
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +43,6 @@ from .errors import UsageError
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
-PARSE_BLOCK = 1 << 14  # lines the line reader converts at a time
-BYTE_PATH_MIN = 1 << 10  # characters: a shorter graph file costs less line by line
 RECORD_MARKS = b"e   \n"  # the non-digit bytes of a record line 'e U V M\n', in order
 STEPS = bytes((1, 1, 2, 2, 2))  # the step to each of them from the one before, capped at 2
 
@@ -336,40 +335,6 @@ def graph_to_text(g: MultiGraph) -> str:
             + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist()))
 
 
-def _edge_fields(lines, lo: int):
-    """The fields of the records among lines[lo:lo + PARSE_BLOCK], as a (k, 3)
-    int64 array in file order; a field past int64 is clipped into it, and so
-    stays out of range.  A record is a line of four tokens, the first 'e'.
-    Blank and '#' lines are skipped; the first other line, or an earlier
-    non-integer field, raises the error that reading the lines one by one
-    would raise."""
-    chunk = lines[lo:lo + PARSE_BLOCK]
-    rows, tokens, fault = [], [], None
-    for j, line in enumerate(chunk):
-        words = line.split()
-        if len(words) == 4 and words[0] == "e":
-            rows.append(j)
-            tokens += words[1:]
-        elif words and words[0][0] != "#":
-            fault = j
-            break
-    try:
-        fields = list(map(int, tokens))
-    except ValueError:  # name the first record with a non-integer field
-        for j in rows:
-            int_fields(chunk[j].split()[1:], lo + j + 1, chunk[j])
-    if fault is not None:
-        lineno, line = lo + fault + 1, chunk[fault]
-        if line.split()[0] == "p":
-            raise UsageError(f"line {lineno}: duplicate header")
-        raise UsageError(f"line {lineno}: bad edge record {line!r}")
-    try:
-        return np.array(fields, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        return np.array([min(max(x, -2 ** 63), 2 ** 63 - 1) for x in fields],
-                        dtype=np.int64).reshape(-1, 3)
-
-
 def _byte_fields(text: str):
     """The header ints and the (k, 3) int64 records of a graph file whose
     header is its first line and whose every record line is 'e U V M' with
@@ -426,40 +391,62 @@ def _byte_fields(text: str):
     return header, fields.T
 
 
+def _squeezed(text: str) -> str:
+    """text with each run of spaces and tabs made one space and none left at a
+    line's ends: every line that holds a token keeps its tokens."""
+    text = text.replace("\t", " ")
+    while "  " in text:
+        text = text.replace("  ", " ")
+    for end in "\n\r" if "\r" in text else "\n":
+        text = text.replace(" " + end, end).replace(end + " ", end)
+    return text.strip(" ")
+
+
+def _graph_from_records(text: str) -> MultiGraph:
+    """Read a graph file line by line through `read_records`; a fault raises
+    the error of its first faulty line, then of the record count, of a
+    multiplicity, or of the graph's own checks."""
+    records = read_records(text, "graph", 2)
+    num_vertices, declared = next(records)
+    rows, places = [], []
+    for lineno, line, tokens in records:
+        if len(tokens) != 4 or tokens[0] != "e":
+            raise UsageError(f"line {lineno}: bad edge record {line!r}")
+        rows.append(int_fields(tokens[1:], lineno, line))
+        places.append((lineno, line))
+    if declared != len(rows):
+        raise UsageError(f"header declares {declared} records, found {len(rows)}")
+    for (_, _, m), (lineno, line) in zip(rows, places):
+        if not 0 < m <= MAX_MULTIPLICITY:
+            raise UsageError(f"line {lineno}: multiplicity {m} is outside 1..2**53 in {line!r}")
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # a vertex id past int64: name the first bad pair from the exact ids
+        MultiGraph(num_vertices)  # a bad vertex count comes first
+        sums = {}
+        for u, v, m in rows:
+            pair = (min(u, v), max(u, v))
+            sums[pair] = sums.get(pair, 0) + m
+        (u, v), m = min((p, m) for p, m in sums.items() if p[0] < 0 or p[1] >= num_vertices
+                        or p[0] == p[1] or m > MAX_MULTIPLICITY)
+        raise UsageError(_record_error(num_vertices, u, v, m)) from None
+    return MultiGraph.from_columns(num_vertices, *table.T)
+
+
 def graph_from_text(text: str) -> MultiGraph:
     """Parse a graph file, with the errors of reading it line by line."""
-    parsed = _byte_fields(text) if len(text) >= BYTE_PATH_MIN else None
+    parsed = _byte_fields(text)
+    if parsed is None:  # squeeze only a refused text: its scans would slow a strict one
+        squeezed = _squeezed(text)
+        parsed = _byte_fields(squeezed) if squeezed != text else None
     if parsed is not None:
         (num_vertices, declared), table = parsed
-    else:
-        lines = _lines(text)
-        (num_vertices, declared), start = _header(lines, "graph", 2)
-        blocks = [_edge_fields(lines, lo) for lo in range(start, len(lines), PARSE_BLOCK)]
-        table = np.concatenate(blocks or [np.zeros((0, 3), dtype=np.int64)])
-        del lines, blocks  # as large as the graph: free them before the aggregation
-    if declared != len(table):
-        raise UsageError(f"header declares {declared} records, found {len(table)}")
-    records = islice(read_records(text, "graph", 2), 1, None)  # read again for a message
-    k = _first((table[:, 2] < 1) | (table[:, 2] > MAX_MULTIPLICITY))
-    if k >= 0:
-        lineno, line, tokens = next(islice(records, k, None))
-        raise UsageError(f"line {lineno}: multiplicity {int(tokens[3])} is outside "
-                         f"1..2**53 in {line!r}")
-    try:
-        return MultiGraph.from_columns(num_vertices, *table.T)
-    except UsageError:
-        ids = table[:, :2]
-        if not ids.size or -2 ** 63 < ids.min() and ids.max() < 2 ** 63 - 1:
-            raise
-    # a vertex id was clipped to int64: name the first bad pair from the file's fields
-    MultiGraph(num_vertices)  # a bad vertex count comes first
-    sums = {}
-    for _, _, tokens in records:
-        pair = tuple(sorted(map(int, tokens[1:3])))
-        sums[pair] = sums.get(pair, 0) + int(tokens[3])
-    (u, v), m = min((p, m) for p, m in sums.items() if p[0] < 0 or p[1] >= num_vertices
-                    or p[0] == p[1] or m > MAX_MULTIPLICITY)
-    raise UsageError(_record_error(num_vertices, u, v, m))
+        if declared == len(table):
+            try:
+                return MultiGraph.from_columns(num_vertices, *table.T)
+            except UsageError:
+                pass  # the line reader words the error
+    return _graph_from_records(text)
 
 
 def write_graph(g: MultiGraph, path) -> None:

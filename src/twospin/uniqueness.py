@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RegimeError, UsageError
+from .errors import RegimeError, ResourceLimitError, UsageError
 from .spins import SpinParams, remove_field
 
 BISECT_ITERATIONS = 200
@@ -37,6 +37,7 @@ DEFAULT_CASE_SCALE = 12 * 10**8  # the published L; K = 4L
 HARD_DEGREE_RATIO = 8000         # delta_star >= ratio * delta_prime
 DEFAULT_REGION_CONSTANT = 1000.0  # configurable h in d >= h/(1 - beta*gamma)
 PHASE_BLOCK_CELLS = 1 << 16      # phase_grid cells solved per magnitude_grid call
+MAX_SCAN_DEGREE = 1 << 20        # first_nonunique_degree's d_max: about 5 s and 180 MB at the cap
 
 
 def _log_ratio(beta, gamma):
@@ -186,13 +187,16 @@ class DegreeScan:
 
 
 def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
-    """Smallest d <= d_max failing the uniqueness criterion.
+    """Smallest d <= d_max failing the uniqueness criterion; d_max is capped
+    at MAX_SCAN_DEGREE.
 
     Inside the unit square non-uniqueness is monotone in d, and a found
     threshold is spot-checked at d + 1.
     """
     if d_max < 1:
         raise UsageError("d_max must be >= 1")
+    if d_max > MAX_SCAN_DEGREE:
+        raise ResourceLimitError(f"d_max {d_max} exceeds cap {MAX_SCAN_DEGREE}")
     _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
                              np.arange(1, d_max + 1, dtype=float))
     hits = np.nonzero(mags >= 1.0)[0]

@@ -104,6 +104,15 @@ def test_uniqueness_and_threshold(capsys):
     assert rep["outputs"]["degree"]["value"] == 3
 
 
+@pytest.mark.parametrize("max_degree", [2 ** 62, 2 ** 63 - 1, 2 ** 63])
+def test_threshold_past_its_degree_cap_exits_3(capsys, max_degree):
+    argv = ["threshold", "--beta", "0.99", "--gamma", "0.99", "--max-degree", str(max_degree)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds cap" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_translate_field(capsys):
     code, rep = _run(capsys, ["translate-field", "--beta", "0.5", "--gamma", "2",
                               "--mu", "4", "--degree", "2"])

@@ -3,10 +3,11 @@
 Every parser and file reader either returns a value or raises UsageError,
 whatever text or bytes it is fed; well-formed text, with comments, blank
 lines and extra whitespace mixed in, parses to the value it was written
-from.  The graph parser, which reads a strict file in numpy passes over its
-bytes and any other text a chunk of lines at a time, must also agree with
-`oracles.graph_file`, a line-by-line reader, at several chunk sizes.  Hypothesis runs derandomized with a bounded example
-count, so these tests check the same inputs on every run.
+from.  The graph parser reads every well-formed file in numpy passes over its
+bytes, once runs of spaces and tabs are squeezed if it must, and any other
+text line by line; on either path it must agree with `oracles.graph_file`,
+an independent line-by-line reader.  Hypothesis runs derandomized with a
+bounded example count, so these tests check the same inputs on every run.
 """
 
 from collections import Counter
@@ -185,12 +186,12 @@ def _parsed(text):
     return g.num_vertices, tuple(zip(*g.edge_columns.tolist()))
 
 
-def assert_parses_like_the_line_reader(text, blocks=(1, 3, twospin.graphs.PARSE_BLOCK)):
-    expected = oracles.graph_file(text)
-    for block in blocks:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(twospin.graphs, "PARSE_BLOCK", block)
-            assert _parsed(text) == expected, f"chunks of {block} lines"
+def assert_parses_like_the_line_reader(text):
+    assert _parsed(text) == oracles.graph_file(text)
+
+
+def _line_reader_refused(*args):
+    raise AssertionError("the line reader ran")
 
 
 @FUZZ
@@ -212,63 +213,55 @@ def test_graph_parser_matches_the_line_reader_on_a_large_reduction():
     assert_parses_like_the_line_reader(text.replace("\n", "\r\n"))
 
 
-# lines planted at chunk boundaries: faults, lines that are skipped, and
+# lines planted among the records: faults, lines that are skipped, and
 # fields that int() reads in unusual forms
 PLANTS = ["x 0 1 1", "e 0 1", "e e 0 1 1", "e 0 one 1", "e 0 1 1 1", "e 0 1 0",
           "p graph 9 8", "# e 0 1 1", "#", "", " \t", "e 0 1 \u0663", "e +0 1 1_0",
           "e 0 1 " + "9" * 400, "e 0 \x01 1", "# \x01 \x01\x01 \x00"]
 
 
-@pytest.mark.parametrize("block", [1, 3, twospin.graphs.PARSE_BLOCK])
-def test_graph_parser_faults_at_chunk_boundaries(block):
-    count = block + 3
-    lines = [f"p graph {count + 1} {count}"] + [f"e {i} {i + 1} 1" for i in range(count)]
-    # the first and the last line of the first chunk, and the first of the next
-    places = [1, block, block + 1]
-    plants = PLANTS if block < 100 else PLANTS[:4] + ["p graph 9 8", ""]
-    for place in places:
-        for plant in plants:
+def test_graph_parser_reports_the_first_faulty_line():
+    lines = ["p graph 7 6"] + [f"e {i} {i + 1} 1" for i in range(6)]
+    # in place of, or before, the first record, one inside and the last
+    for place in (1, 3, 6):
+        for plant in PLANTS:
             for edited in (lines[:place] + [plant] + lines[place + 1:],
                            lines[:place] + [plant] + lines[place:]):
-                assert_parses_like_the_line_reader("\n".join(edited) + "\n", (block,))
-    # two faults, in one chunk or across the boundary: the earlier is reported
-    for pair in ([block - 1, block] if block > 1 else [], [block, block + 1]):
-        for first in plants[:4]:
-            for second in plants[:4]:
+                assert_parses_like_the_line_reader("\n".join(edited) + "\n")
+    # two faults, next to each other or apart: the earlier is reported
+    for pair in ([2, 3], [2, 5]):
+        for first in PLANTS[:4]:
+            for second in PLANTS[:4]:
                 edited = list(lines)
                 for place, plant in zip(pair, (first, second)):
                     edited[place] = plant
-                assert_parses_like_the_line_reader("\n".join(edited), (block,))
-
-
-@pytest.fixture
-def small_files_on_the_byte_path(monkeypatch):
-    monkeypatch.setattr(twospin.graphs, "BYTE_PATH_MIN", 0)
+                assert_parses_like_the_line_reader("\n".join(edited))
 
 
 @FUZZ
 @given(st.data())
 def test_byte_path_matches_the_line_reader(data):
+    # a well-formed file never reaches the line reader, however it is spaced
     g = data.draw(st.one_of(graphs(), reductions().map(lambda rg: rg.graph)))
     text = graph_to_text(g)
-    decorated_text = decorated(data.draw, text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(twospin.graphs, "BYTE_PATH_MIN", 0)
-        for sample in (text, decorated_text, mutated(data.draw, text),
-                       mutated(data.draw, decorated_text)):
-            assert_parses_like_the_line_reader(sample, (twospin.graphs.PARSE_BLOCK,))
+        patch.setattr(twospin.graphs, "_graph_from_records", _line_reader_refused)
+        for sample in (text, decorated(data.draw, text)):
+            assert_parses_like_the_line_reader(sample)
 
 
-# near misses of the record line 'e U V M' that the byte path reads: each
-# goes to the line reader, which accepts it or names it
+# near misses of the record line 'e U V M' that the byte path reads: the
+# first four read there once their blanks are squeezed; each other goes to
+# the line reader, which accepts it or names it
 NEAR_MISSES = ["e\t0 1 1", "e  0 1 1", " e 0 1 1", "e 0 1 1 ", "e +0 1 1", "e -0 1 1",
                "e 0 1 1_0", "e 007 1 1", "E 0 1 1", "e 0 1 \u0663", "e 0 1 1\x00",
                "e 0\x001 1", "e 0 1", "e 0 1 1 1", "e 0 1 x"]
 
 
 @pytest.mark.parametrize("plant", NEAR_MISSES)
-def test_byte_path_near_misses_read_as_the_line_reader_reads_them(small_files_on_the_byte_path,
-                                                                  plant):
+def test_byte_path_near_misses_read_as_the_line_reader_reads_them(monkeypatch, plant):
+    if plant in NEAR_MISSES[:4]:
+        monkeypatch.setattr(twospin.graphs, "_graph_from_records", _line_reader_refused)
     lines = ["p graph 4 3", "e 0 1 1", "e 1 2 1", "e 2 3 1"]
     for place in (1, 2, 3):
         edited = lines[:place] + [plant] + lines[place + 1:]
@@ -277,7 +270,7 @@ def test_byte_path_near_misses_read_as_the_line_reader_reads_them(small_files_on
 
 
 @pytest.mark.parametrize("width", [17, 18, 19, 20])
-def test_byte_path_reads_fields_of_up_to_18_digits(small_files_on_the_byte_path, width):
+def test_byte_path_reads_fields_of_up_to_18_digits(width):
     for field in ("0" * (width - 1) + "1", "0" * (width - 2) + "23", "9" * width,
                   "1" + "0" * (width - 1)):
         for at in range(3):
@@ -300,24 +293,21 @@ def test_byte_path_reads_fields_of_up_to_18_digits(small_files_on_the_byte_path,
     "p graph 3 2\ne 0 1 1\n", "p graph 3 1\ne 0 1 1\ne 1 2 1\n",
     "p graph 2 1\ne 0 1 9007199254740993\n", "p graph 9007199254740993 1\ne 0 1 1\n",
 ])
-def test_byte_path_edges_read_as_the_line_reader_reads_them(small_files_on_the_byte_path, text):
+def test_byte_path_edges_read_as_the_line_reader_reads_them(text):
     assert_parses_like_the_line_reader(text)
 
 
 def test_byte_path_reads_the_benchmark_scale_reduction(monkeypatch):
     rg = build_reduction_graph(random_instance(16, 50, 5), GadgetParams(4, 2, 100, 5))
     text = graph_to_text(rg.graph)
-
-    def line_reader(*args):
-        raise AssertionError("the line reader ran")
-
-    monkeypatch.setattr(twospin.graphs, "_edge_fields", line_reader)
-    monkeypatch.setattr(twospin.graphs, "_lines", line_reader)
+    monkeypatch.setattr(twospin.graphs, "_graph_from_records", _line_reader_refused)
+    monkeypatch.setattr(twospin.graphs, "_lines", _line_reader_refused)
     lines = text.splitlines()
     decorated_text = "".join(("# record %d\n\n" % i if i % 1000 == 1 else "") + line + "\n"
                              for i, line in enumerate(lines))
     assert decorated_text.count("#") > 45
     for sample in (text, decorated_text, "\n# a comment first\n" + decorated_text,
-                   text.replace("\n", "\r\n")):
+                   text.replace("\n", "\r\n"), text.replace(" ", "\t"),
+                   text.replace(" ", "  ")):
         assert graph_from_text(sample) == rg.graph
     assert graph_to_text(graph_from_text(text)) == text

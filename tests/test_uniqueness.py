@@ -7,7 +7,7 @@ import pytest
 import oracles
 from oracles import bisect_root, recursion_value
 from twospin import uniqueness
-from twospin.errors import RegimeError, UsageError
+from twospin.errors import RegimeError, ResourceLimitError, UsageError
 from twospin.spins import SpinParams
 from twospin.uniqueness import (PhaseRegion, SplitCase,
                                 always_unique_bound, case_split, classify_phase,
@@ -209,6 +209,14 @@ def test_first_nonunique_degree():
     bound = always_unique_bound(0.999, 0.999)
     found = first_nonunique_degree(SpinParams(0.999, 0.999), 5000)
     assert found.degree >= bound
+
+
+@pytest.mark.parametrize("d_max", [uniqueness.MAX_SCAN_DEGREE + 1, 2 ** 62, 2 ** 63 - 1, 2 ** 63])
+def test_first_nonunique_degree_refuses_a_scan_past_its_cap(d_max):
+    # past int64, numpy's arange of the degrees was empty, and the scan
+    # reported a found threshold as exhausted; at 2**62 it raised ValueError
+    with pytest.raises(ResourceLimitError, match=f"d_max {d_max} exceeds cap"):
+        first_nonunique_degree(SpinParams(0.99, 0.99), d_max)
 
 
 def test_always_unique_bound_values():
