@@ -220,18 +220,25 @@ PLANTS = ["x 0 1 1", "e 0 1", "e e 0 1 1", "e 0 one 1", "e 0 1 1 1", "e 0 1 0",
           "e 0 1 " + "9" * 400, "e 0 \x01 1", "# \x01 \x01\x01 \x00"]
 
 
-def test_graph_parser_reports_the_first_faulty_line():
-    lines = ["p graph 7 6"] + [f"e {i} {i + 1} 1" for i in range(6)]
-    # in place of, or before, the first record, one inside and the last
-    for place in (1, 3, 6):
-        for plant in PLANTS:
+# a fault at the first record, at record `size` and at the one after it, in
+# files from a few records long to one long enough for every numpy pass of
+# the byte path to run on many thousands of rows
+@pytest.mark.parametrize("size", [1, 3, 16384])
+def test_graph_parser_faults_at_chunk_boundaries(size):
+    count = size + 3
+    lines = [f"p graph {count + 1} {count}"] + [f"e {i} {i + 1} 1" for i in range(count)]
+    # in place of, or before, each of those records
+    places = [1, size, size + 1]
+    plants = PLANTS if size < 100 else PLANTS[:4] + ["p graph 9 8", ""]
+    for place in places:
+        for plant in plants:
             for edited in (lines[:place] + [plant] + lines[place + 1:],
                            lines[:place] + [plant] + lines[place:]):
                 assert_parses_like_the_line_reader("\n".join(edited) + "\n")
     # two faults, next to each other or apart: the earlier is reported
-    for pair in ([2, 3], [2, 5]):
-        for first in PLANTS[:4]:
-            for second in PLANTS[:4]:
+    for pair in ([size - 1, size] if size > 1 else [], [size, size + 1], [2, size + 2]):
+        for first in plants[:4]:
+            for second in plants[:4]:
                 edited = list(lines)
                 for place, plant in zip(pair, (first, second)):
                     edited[place] = plant
