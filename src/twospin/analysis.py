@@ -362,6 +362,12 @@ class ExpanderAudit:
         return self.worst_ratio >= self.factor
 
 
+def check_audit_side(n: int) -> None:
+    """Refuse an exhaustive audit of a side above MAX_AUDIT_SIDE."""
+    if n > MAX_AUDIT_SIDE:
+        raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
+
+
 def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
                    factor: float = DEFAULT_EXPANSION_FACTOR,
                    mode: str = "exhaustive", trials: int = 2000,
@@ -376,8 +382,8 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     mode averages `trials` uniform big pairs.
     """
     n = h.side_size
-    if mode == "exhaustive" and n > MAX_AUDIT_SIDE:
-        raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
+    if mode == "exhaustive":
+        check_audit_side(n)
     # the crossing counts, by the positions of the ends in h.left and h.right
     pos = np.empty(2 * n, dtype=np.int64)
     pos[list(h.left + h.right)] = np.arange(2 * n)

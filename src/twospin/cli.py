@@ -7,10 +7,12 @@ explicit --seed and echoes it; there are no environment-variable overrides.
 Each subcommand is a row of `COMMANDS` or `CHECKS` (the `verify` checks): a
 function from the parsed arguments to the report dict, a help line and its
 argument specs.  `main` alone prints the report and picks the exit code.
-A command imports only the modules it runs: `analysis`, `e2lin2`,
-`reduction` and `uniqueness` load on first use, and a subcommand's flags
-(some of whose defaults live in those modules) are added only once argparse
-has picked it.
+A report echoes each flag of its row under its argparse dest unless the
+spec says `echo=False`; handlers pass only the values they compute.  A
+command imports only the modules it runs: `twospin.analysis`, `.e2lin2`,
+`.reduction` and `.uniqueness` resolve through the package on first use, and
+a subcommand's flags (some defaults live in those modules) are added only
+once argparse has picked it.
 
 Exit codes: 0 success (and verification passed), 1 verification failure
 (the report has "pass": false or a failed entry in "checks"), 2 usage or
@@ -19,7 +21,7 @@ goes to standard error).
 """
 
 import argparse
-import importlib
+import itertools
 import json
 import math
 import sys
@@ -27,6 +29,7 @@ import traceback
 
 import numpy as np
 
+import twospin
 from . import spins
 from .errors import ResourceLimitError, UsageError
 from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
@@ -34,20 +37,6 @@ from .graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
                      scaled_graph, single_edge, write_graph)
 from .logspace import LOG_ZERO
 from .spins import SpinParams, field_identity_report, log_partition, remove_field
-
-
-class _Lazy:
-    """A submodule imported on its first attribute use."""
-
-    def __init__(self, name):
-        self._name = name
-
-    def __getattr__(self, attr):
-        return getattr(importlib.import_module(f"{__package__}.{self._name}"), attr)
-
-
-analysis, e2lin2, reduction, uniqueness = map(
-    _Lazy, ("analysis", "e2lin2", "reduction", "uniqueness"))
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,15 +56,27 @@ def _check(name, passed, lhs, rhs, tolerance):
             "tolerance": tolerance}
 
 
-def _report(command, inputs, outputs, checks=()):
-    return {"command": command, "inputs": inputs, "outputs": outputs,
-            "checks": list(checks)}
+def _echo(args, extras):
+    """The flags a report echoes, then the handler's computed values."""
+    return {**{dest: getattr(args, dest) for dest in args.echo}, **extras}
 
 
-def _verify_report(check, params, value, bound, passed, margin, checks=()):
-    return {"command": "verify", "check": check, "params": params,
+def _report(args, outputs, checks=(), **extras):
+    return {"command": args.command, "inputs": _echo(args, extras),
+            "outputs": outputs, "checks": list(checks)}
+
+
+def _verify_report(args, value, bound, passed, margin, checks=(), **extras):
+    return {"command": "verify", "check": args.check, "params": _echo(args, extras),
             "value": value, "bound": bound, "pass": bool(passed),
             "margin": margin, "checks": list(checks)}
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:  # a float's str is its repr
+            fh.write(",".join("" if x is None else str(x) for x in row) + "\n")
 
 
 def _spin_params(args) -> SpinParams:
@@ -90,60 +91,44 @@ def _cmd_z(args):
     g = read_graph(args.graph)
     value = log_partition(g, _spin_params(args), max_vertices=args.max_vertices,
                           threads=args.threads)
-    return _report("z",
-                   {"graph": args.graph, "beta": args.beta, "gamma": args.gamma,
-                    "mu": args.mu, "num_vertices": g.num_vertices,
-                    "num_edges": g.num_edges},
-                   {"log_z": _num(value, "log")})
+    return _report(args, {"log_z": _num(value, "log")},
+                   num_vertices=g.num_vertices, num_edges=g.num_edges)
 
 
 def _cmd_uniqueness(args):
-    rep = uniqueness.uniqueness_check(_spin_params(args), args.degree)
-    return _report("uniqueness",
-                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                    "degree": args.degree},
-                   {"x_hat": _num(rep.x_hat, "linear"),
-                    "derivative_magnitude": _num(rep.derivative_magnitude, "linear"),
-                    "unique": rep.unique})
+    rep = twospin.uniqueness.uniqueness_check(_spin_params(args), args.degree)
+    return _report(args, {"x_hat": _num(rep.x_hat, "linear"),
+                          "derivative_magnitude": _num(rep.derivative_magnitude, "linear"),
+                          "unique": rep.unique})
 
 
 def _cmd_threshold(args):
-    scan = uniqueness.first_nonunique_degree(_spin_params(args), args.max_degree)
-    return _report("threshold",
-                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                    "max_degree": args.max_degree},
-                   {"degree": _num(scan.degree, "count"),
-                    "exhausted": scan.exhausted})
-
-
-def _fmt_csv(x) -> str:
-    return "" if x is None else str(x)  # a float's str is its repr
+    scan = twospin.uniqueness.first_nonunique_degree(_spin_params(args), args.max_degree)
+    return _report(args, {"degree": _num(scan.degree, "count"),
+                          "exhausted": scan.exhausted})
 
 
 def _cmd_phase_map(args):
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+    header = ("beta", "gamma", "mu", "d", "region", "x_hat", "deriv_mag")
     counts = {}
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("beta,gamma,mu,d,region,x_hat,deriv_mag\n")
-        for row in uniqueness.phase_grid(betas.tolist(), gammas.tolist(),
-                                         args.mu, args.degree, args.region_constant):
+
+    def rows():
+        for row in twospin.uniqueness.phase_grid(
+                betas.tolist(), gammas.tolist(), args.mu, args.degree,
+                args.region_constant):
             counts[row["region"]] = counts.get(row["region"], 0) + 1
-            fh.write(",".join(_fmt_csv(row[k]) for k in
-                              ("beta", "gamma", "mu", "d", "region",
-                               "x_hat", "deriv_mag")) + "\n")
-    return _report("phase-map",
-                   {"beta_min": args.beta_min, "beta_max": args.beta_max,
-                    "beta_steps": args.beta_steps, "gamma_min": args.gamma_min,
-                    "gamma_max": args.gamma_max, "gamma_steps": args.gamma_steps,
-                    "mu": args.mu, "degree": args.degree,
-                    "region_constant": args.region_constant, "out": args.out},
-                   {"rows": _num(int(betas.size * gammas.size), "count"),
-                    "regions": {k: counts[k] for k in sorted(counts)}})
+            yield [row[k] for k in header]
+
+    _write_csv(args.out, header, rows())
+    return _report(args, {"rows": _num(int(betas.size * gammas.size), "count"),
+                          "regions": {k: counts[k] for k in sorted(counts)}})
 
 
 def _cmd_reduce(args):
-    inst, _ = e2lin2.normalize(e2lin2.read_instance(args.instance))
+    reduction = twospin.reduction
+    inst, _ = twospin.e2lin2.normalize(twospin.e2lin2.read_instance(args.instance))
     params = reduction.GadgetParams(args.delta, args.delta_prime,
                                     args.block_size, args.seed)
     rg = reduction.build_reduction_graph(inst, params)
@@ -152,70 +137,54 @@ def _cmd_reduce(args):
     blocks_path = args.out_prefix + ".blocks"
     write_graph(rg.graph, graph_path)
     reduction.write_blocks(rg, blocks_path)
-    return _report("reduce",
-                   {"instance": args.instance, "delta": args.delta,
-                    "delta_prime": args.delta_prime, "block_size": args.block_size,
-                    "seed": args.seed,
-                    "block_size_is_num_equations": args.block_size == inst.num_equations},
+    return _report(args,
                    {"graph_file": graph_path, "blocks_file": blocks_path,
                     "num_vertices": _num(rg.graph.num_vertices, "count"),
                     "degree": _num(audit.degree, "count")},
                    [_check("structure-audit", audit.passed,
-                           audit.degree, audit.expected_degree, 0)])
+                           audit.degree, audit.expected_degree, 0)],
+                   block_size_is_num_equations=args.block_size == inst.num_equations)
 
 
 def _cmd_gadget(args):
-    h = reduction.sample_gadget(args.side, args.delta, args.seed)
+    h = twospin.reduction.sample_gadget(args.side, args.delta, args.seed)
     if args.out:
         write_graph(h.graph, args.out)
-    degrees = sorted(set(h.graph.degrees()))
-    return _report("gadget",
-                   {"side": args.side, "delta": args.delta, "seed": args.seed,
-                    "out": args.out},
-                   {"num_vertices": _num(h.graph.num_vertices, "count"),
-                    "distinct_degrees": degrees})
+    return _report(args, {"num_vertices": _num(h.graph.num_vertices, "count"),
+                          "distinct_degrees": sorted(set(h.graph.degrees()))})
 
 
 def _cmd_theta_star(args):
-    inst = e2lin2.read_instance(args.instance)
-    best, witness = e2lin2.best_assignment(inst, max_vars=args.max_vars)
-    return _report("theta-star",
-                   {"instance": args.instance, "num_vars": inst.num_vars,
-                    "num_equations": inst.num_equations},
-                   {"max_satisfied": _num(best, "count"),
-                    "witness": list(witness)})
+    inst = twospin.e2lin2.read_instance(args.instance)
+    best, witness = twospin.e2lin2.best_assignment(inst, max_vars=args.max_vars)
+    return _report(args, {"max_satisfied": _num(best, "count"),
+                          "witness": list(witness)},
+                   num_vars=inst.num_vars, num_equations=inst.num_equations)
 
 
 def _cmd_decode(args):
+    reduction, case = twospin.reduction, twospin.uniqueness.SplitCase(args.case)
     if args.log_c is not None and args.log_d is not None:
-        constants = reduction.BoundsConstants(args.log_c, args.log_d,
-                                              uniqueness.SplitCase(args.case))
+        constants = reduction.BoundsConstants(args.log_c, args.log_d, case)
     elif None not in (args.beta, args.gamma, args.delta, args.delta_prime):
         constants = reduction.bounds_constants(
-            SpinParams(args.beta, args.gamma), args.delta, args.delta_prime,
-            uniqueness.SplitCase(args.case))
+            SpinParams(args.beta, args.gamma), args.delta, args.delta_prime, case)
     else:
         raise UsageError("pass --log-c/--log-d, or beta/gamma/delta/delta-prime")
     value = reduction.decode_satisfied_estimate(
         args.log_y, args.n, args.m, constants,
         relative_error=args.eps, slack=args.slack)
-    return _report("decode",
-                   {"log_y": args.log_y, "n": args.n, "m": args.m,
-                    "log_c": constants.log_c, "log_d": constants.log_d,
-                    "case": constants.case.value, "eps": args.eps,
-                    "slack": args.slack},
-                   {"satisfied_estimate": _num(value, "linear")})
+    return _report(args, {"satisfied_estimate": _num(value, "linear")},
+                   log_c=constants.log_c, log_d=constants.log_d,
+                   case=constants.case.value)
 
 
 def _cmd_translate_field(args):
     p_prime, per_edge = remove_field(_spin_params(args), args.degree)
-    return _report("translate-field",
-                   {"beta": args.beta, "gamma": args.gamma, "mu": args.mu,
-                    "degree": args.degree},
-                   {"beta_prime": _num(p_prime.beta, "linear"),
-                    "gamma_prime": _num(p_prime.gamma, "linear"),
-                    "mu_prime": _num(1.0, "linear"),
-                    "per_edge_log_prefactor": _num(per_edge, "log")})
+    return _report(args, {"beta_prime": _num(p_prime.beta, "linear"),
+                          "gamma_prime": _num(p_prime.gamma, "linear"),
+                          "mu_prime": _num(1.0, "linear"),
+                          "per_edge_log_prefactor": _num(per_edge, "log")})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +192,7 @@ def _cmd_translate_field(args):
 
 
 def _toy_instances():
-    mk = e2lin2.E2Lin2Instance
+    mk = twospin.e2lin2.E2Lin2Instance
     return [
         mk(2, ((0, 1, 1),)),
         mk(2, ((0, 1, 0), (0, 1, 1))),
@@ -233,40 +202,33 @@ def _toy_instances():
 
 
 def _verify_polarized(args):
+    reduction = twospin.reduction
     rng = np.random.default_rng(args.seed)
     pairs = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
              for _ in range(args.pairs)]
     worst = 0.0
     cases = 0
     for inst in _toy_instances():
-        for t in (1, 2):
-            for delta in (1, 2):
-                for delta_prime in (1, 2):
-                    rg = reduction.build_reduction_graph(
-                        inst, reduction.GadgetParams(delta, delta_prime, t,
-                                                     args.seed + cases))
-                    for beta, gamma in pairs:
-                        p = SpinParams(beta, gamma)
-                        for enc in range(1 << inst.num_vars):
-                            bits = tuple((enc >> i) & 1
-                                         for i in range(inst.num_vars))
-                            closed = reduction.log_polarized_sum_closed(rg, bits, p)
-                            brute = reduction.log_polarized_sum_brute(
-                                rg, bits, p, threads=args.threads)
-                            gap = abs(closed - brute) / max(1.0, abs(closed))
-                            worst = max(worst, gap)
-                            cases += 1
-    return _verify_report("polarized",
-                          {"pairs": args.pairs, "seed": args.seed,
-                           "cases": cases, "tolerance": args.tolerance},
-                          worst, args.tolerance, worst <= args.tolerance,
-                          args.tolerance - worst)
+        for t, delta, delta_prime in itertools.product((1, 2), repeat=3):
+            rg = reduction.build_reduction_graph(
+                inst, reduction.GadgetParams(delta, delta_prime, t, args.seed + cases))
+            for beta, gamma in pairs:
+                p = SpinParams(beta, gamma)
+                for enc in range(1 << inst.num_vars):
+                    bits = tuple((enc >> i) & 1 for i in range(inst.num_vars))
+                    closed = reduction.log_polarized_sum_closed(rg, bits, p)
+                    brute = reduction.log_polarized_sum_brute(rg, bits, p,
+                                                              threads=args.threads)
+                    worst = max(worst, abs(closed - brute) / max(1.0, abs(closed)))
+                    cases += 1
+    return _verify_report(args, worst, args.tolerance, worst <= args.tolerance,
+                          args.tolerance - worst, cases=cases)
 
 
 def _verify_gadget_mean(args):
+    analysis = twospin.analysis
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    checks = []
     for n_side, delta in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         beta, gamma = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
         p = SpinParams(beta, gamma)
@@ -280,36 +242,26 @@ def _verify_gadget_mean(args):
                     continue
                 worst = max(worst, abs(exact - enum) / max(1.0, abs(exact)))
     formula_ok = worst <= args.tolerance
-    checks.append(_check("exact-vs-enumeration", formula_ok, worst,
-                         args.tolerance, args.tolerance))
     p = SpinParams(0.4, 0.7)
     est = analysis.expected_profile_sum_mc(3, 2, 1, p, 1 / 3, 1 / 3,
                                            trials=args.trials, seed=args.seed)
     target = math.exp(analysis.expected_profile_sum_log(3, 2, 1, p, 1 / 3, 1 / 3))
     mc_ok = est.within(target, 4.0)
-    checks.append(_check("monte-carlo-4-sigma", mc_ok, est.mean, target,
-                         4.0 * est.std_error))
-    return _verify_report("gadget-mean",
-                          {"trials": args.trials, "seed": args.seed,
-                           "tolerance": args.tolerance},
-                          worst, args.tolerance, formula_ok and mc_ok,
+    checks = [_check("exact-vs-enumeration", formula_ok, worst, args.tolerance,
+                     args.tolerance),
+              _check("monte-carlo-4-sigma", mc_ok, est.mean, target, 4.0 * est.std_error)]
+    return _verify_report(args, worst, args.tolerance, formula_ok and mc_ok,
                           args.tolerance - worst, checks)
 
 
 def _verify_rate_bound(args):
-    scan = analysis.rate_bound_scan(c=args.c, min_fraction=args.min_fraction,
-                                    step=args.step)
+    grid = {"c": args.c, "min_fraction": args.min_fraction, "step": args.step}
+    scan = twospin.analysis.rate_bound_scan(**grid)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("a,b,rate_bound\n")
-            for a, b, v in analysis.rate_bound_grid(
-                    c=args.c, min_fraction=args.min_fraction, step=args.step):
-                fh.write(f"{a!r},{b!r},{v!r}\n")
+        _write_csv(args.out, ("a", "b", "rate_bound"),
+                   twospin.analysis.rate_bound_grid(**grid))
     passed = scan.max_value < args.bound
-    return _verify_report("rate-bound",
-                          {"c": args.c, "min_fraction": args.min_fraction,
-                           "step": args.step, "out": args.out},
-                          scan.max_value, args.bound, passed,
+    return _verify_report(args, scan.max_value, args.bound, passed,
                           args.bound - scan.max_value,
                           [_check("grid-max-below-bound", passed,
                                   scan.max_value, args.bound, 0.0),
@@ -318,17 +270,15 @@ def _verify_rate_bound(args):
 
 
 def _verify_expander(args):
+    analysis = twospin.analysis
+    analysis.check_audit_side(args.side)  # before any gadget is sampled
     worst = math.inf
     for k in range(args.seeds):
-        h = reduction.sample_gadget(args.side, args.delta, args.seed + k)
+        h = twospin.reduction.sample_gadget(args.side, args.delta, args.seed + k)
         audit = analysis.expander_audit(h, eps=args.eps, factor=args.factor)
         worst = min(worst, audit.worst_ratio)
     passed = worst >= args.factor
-    return _verify_report("expander",
-                          {"side": args.side, "delta": args.delta,
-                           "seeds": args.seeds, "seed": args.seed,
-                           "eps": args.eps, "factor": args.factor},
-                          worst, args.factor, passed, worst - args.factor,
+    return _verify_report(args, worst, args.factor, passed, worst - args.factor,
                           [_check("worst-ratio-above-factor",
                                   passed, worst, args.factor, 0.0)])
 
@@ -347,22 +297,19 @@ def _verify_field(args):
                            float(10 ** rng.uniform(-2, 2)))
             rep = field_identity_report(g, p, threads=args.threads)
             worst = max(worst, rep.gap)
-    return _verify_report("field",
-                          {"graphs": len(corpus), "pairs": args.pairs,
-                           "seed": args.seed, "tolerance": args.tolerance},
-                          worst, args.tolerance, worst <= args.tolerance,
-                          args.tolerance - worst)
+    return _verify_report(args, worst, args.tolerance, worst <= args.tolerance,
+                          args.tolerance - worst, graphs=len(corpus))
 
 
 def _verify_sandwich(args):
+    reduction = twospin.reduction
     worst = -math.inf
     audits_ok = True
-    runs = 0
     for k in range(args.seeds):
         rng = np.random.default_rng(args.seed + k)
         n = int(rng.integers(2, 4))
         m = int(rng.integers(max(1, n - 1), 4))
-        inst = e2lin2.random_instance(n, m, int(rng.integers(1 << 31)))
+        inst = twospin.e2lin2.random_instance(n, m, int(rng.integers(1 << 31)))
         params = reduction.GadgetParams(
             int(rng.integers(1, 3)), int(rng.integers(1, 3)), 1,
             int(rng.integers(1 << 31)))
@@ -374,19 +321,16 @@ def _verify_sandwich(args):
         worst = max(worst,
                     rep.log_max_restricted - rep.log_total,
                     rep.log_total - rep.log_sum_restricted)
-        runs += 1
-    return _verify_report("sandwich",
-                          {"seeds": args.seeds, "seed": args.seed,
-                           "runs": runs, "tolerance": args.tolerance},
-                          worst, args.tolerance,
+    return _verify_report(args, worst, args.tolerance,
                           worst <= args.tolerance and audits_ok,
                           args.tolerance - worst,
-                          [_check("structure-audits", audits_ok, runs, runs, 0)])
+                          [_check("structure-audits", audits_ok, args.seeds, args.seeds, 0)],
+                          runs=args.seeds)
 
 
 def _verify_coupling(args):
-    rep = analysis.coupling_sim(args.n, args.b, args.d, args.seed, args.trials,
-                                a=args.a, chi2_alpha=args.alpha)
+    rep = twospin.analysis.coupling_sim(args.n, args.b, args.d, args.seed, args.trials,
+                                        a=args.a, chi2_alpha=args.alpha)
     checks = [
         _check("zero-domination-violations", rep.domination_violations == 0,
                rep.domination_violations, 0, 0),
@@ -395,11 +339,7 @@ def _verify_coupling(args):
         _check("chi-square-accepts", rep.chi2_pvalue > rep.chi2_alpha,
                rep.chi2_pvalue, rep.chi2_alpha, 0.0),
     ]
-    return _verify_report("coupling",
-                          {"n": args.n, "b": args.b, "a": args.a, "d": args.d,
-                           "trials": args.trials, "seed": args.seed,
-                           "alpha": args.alpha},
-                          rep.chi2_pvalue, rep.chi2_alpha, rep.passed,
+    return _verify_report(args, rep.chi2_pvalue, rep.chi2_alpha, rep.passed,
                           rep.chi2_pvalue - rep.chi2_alpha, checks)
 
 
@@ -440,7 +380,7 @@ SPIN = (_arg("--beta", type=float, required=True),
         _arg("--gamma", type=float, required=True), MU)
 SEED = _arg("--seed", type=nonnegative_int, default=0)
 TOLERANCE = _arg("--tolerance", type=float, default=1e-9)
-THREADS = _arg("--threads", type=positive_int, default=1)
+THREADS = _arg("--threads", type=positive_int, default=1, echo=False)
 DEGREE = _arg("--degree", type=int, required=True)
 DELTA = _arg("--delta", type=int, required=True)
 INSTANCE = _arg("--instance", required=True)
@@ -448,7 +388,8 @@ INSTANCE = _arg("--instance", required=True)
 COMMANDS = {
     "z": (_cmd_z, "exact log partition sum of a graph file", (
         _arg("--graph", required=True), *SPIN,
-        _arg("--max-vertices", type=int, default=spins.DEFAULT_MAX_VERTICES), THREADS)),
+        _arg("--max-vertices", type=int, default=spins.DEFAULT_MAX_VERTICES, echo=False),
+        THREADS)),
     "uniqueness": (_cmd_uniqueness, "fixed point and derivative criterion",
                    (*SPIN, DEGREE)),
     "threshold": (_cmd_threshold, "first degree failing uniqueness", (
@@ -462,27 +403,29 @@ COMMANDS = {
         _arg("--gamma-steps", type=positive_int, required=True),
         MU, DEGREE,
         _arg("--region-constant", type=float,
-             default=_Later(lambda: uniqueness.DEFAULT_REGION_CONSTANT),
+             default=_Later(lambda: twospin.uniqueness.DEFAULT_REGION_CONSTANT),
              help="the h in the unit-square region test d >= h/(1-beta*gamma)"),
         _arg("--out", required=True))),
     "reduce": (_cmd_reduce, "build a reduction graph from an instance", (
         INSTANCE, DELTA, _arg("--delta-prime", type=int, required=True),
         _arg("--block-size", type=int, required=True), SEED,
-        _arg("--out-prefix", required=True))),
+        _arg("--out-prefix", required=True, echo=False))),
     "gadget": (_cmd_gadget, "sample a random matching-union gadget", (
         _arg("--side", type=positive_int, required=True), DELTA, SEED, _arg("--out"))),
     "theta-star": (_cmd_theta_star, "exhaustive optimum of an instance", (
         INSTANCE,
-        _arg("--max-vars", type=int, default=_Later(lambda: e2lin2.BEST_ASSIGNMENT_CAP)))),
+        _arg("--max-vars", type=int, echo=False,
+             default=_Later(lambda: twospin.e2lin2.BEST_ASSIGNMENT_CAP)))),
     "decode": (_cmd_decode, "invert a partition estimate into a count", (
         _arg("--log-y", type=float, required=True),
         _arg("--n", type=positive_int, required=True),
         _arg("--m", type=positive_int, required=True),
         _arg("--log-c", type=float), _arg("--log-d", type=float),
-        _arg("--beta", type=float), _arg("--gamma", type=float),
-        _arg("--delta", type=int), _arg("--delta-prime", type=int),
-        _arg("--case", default=_Later(lambda: uniqueness.SplitCase.BETA_BELOW_HALF.value),
-             choices=_Later(lambda: [c.value for c in uniqueness.SplitCase])),
+        _arg("--beta", type=float, echo=False), _arg("--gamma", type=float, echo=False),
+        _arg("--delta", type=int, echo=False), _arg("--delta-prime", type=int, echo=False),
+        _arg("--case",
+             default=_Later(lambda: twospin.uniqueness.SplitCase.BETA_BELOW_HALF.value),
+             choices=_Later(lambda: [c.value for c in twospin.uniqueness.SplitCase])),
         _arg("--eps", type=float, default=1e-4),
         _arg("--slack", type=float, default=0.03))),
     "translate-field": (_cmd_translate_field, "fold the field into the weights",
@@ -497,11 +440,12 @@ CHECKS = {
                         _arg("--trials", type=positive_int, default=20000),
                         SEED, TOLERANCE)),
     "rate-bound": (_verify_rate_bound, "grid maximum of the rate bound", (
-        _arg("--c", type=float, default=_Later(lambda: analysis.DEFAULT_RATE_C)),
+        _arg("--c", type=float, default=_Later(lambda: twospin.analysis.DEFAULT_RATE_C)),
         _arg("--lambda", dest="min_fraction", type=float,
-             default=_Later(lambda: analysis.DEFAULT_MINORITY)),
+             default=_Later(lambda: twospin.analysis.DEFAULT_MINORITY)),
         _arg("--step", type=float, default=1e-3),
-        _arg("--bound", type=float, default=_Later(lambda: analysis.RATE_BOUND_CEILING)),
+        _arg("--bound", type=float, echo=False,
+             default=_Later(lambda: twospin.analysis.RATE_BOUND_CEILING)),
         _arg("--out", help="optional CSV dump of the exact grid values"))),
     "expander": (_verify_expander, "edge-expansion audit of sampled gadgets", (
         _arg("--side", type=positive_int, default=8),
@@ -509,7 +453,7 @@ CHECKS = {
         _arg("--seeds", type=positive_int, default=20), SEED,
         _arg("--eps", type=float, default=0.25),
         _arg("--factor", type=float,
-             default=_Later(lambda: analysis.DEFAULT_EXPANSION_FACTOR)))),
+             default=_Later(lambda: twospin.analysis.DEFAULT_EXPANSION_FACTOR)))),
     "field": (_verify_field, "field-translation identity on regular graphs", (
         _arg("--pairs", type=positive_int, default=20), SEED, TOLERANCE, THREADS)),
     "sandwich": (_verify_sandwich, "restricted-sum bracketing on toy reductions", (
@@ -524,17 +468,25 @@ CHECKS = {
 
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser: it adds its flags, reading any `_Later`
-    option, only when argparse picks the subcommand."""
+    option, only when argparse picks the subcommand, and records the dests
+    of the flags its report echoes as the default `echo`."""
 
     def __init__(self, *args, specs=(), **kwargs):
         super().__init__(*args, **kwargs)
         self._specs = specs
 
     def parse_known_args(self, args=None, namespace=None):
+        echo = []
         for flags, options in self._specs:
-            self.add_argument(*flags, **{key: value.read() if isinstance(value, _Later)
-                                         else value for key, value in options.items()})
-        self._specs = ()
+            options = {key: value.read() if isinstance(value, _Later) else value
+                       for key, value in options.items()}
+            echoed = options.pop("echo", True)
+            action = self.add_argument(*flags, **options)
+            if echoed:
+                echo.append(action.dest)
+        if self._specs:
+            self.set_defaults(echo=tuple(echo))
+            self._specs = ()
         return super().parse_known_args(args, namespace)
 
 

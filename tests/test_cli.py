@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import twospin
-from twospin import cli, spins
+from twospin import cli, reduction, spins
 from twospin.analysis import rate_bound
 from twospin.cli import main
 from twospin.graphs import MultiGraph, cycle_graph, single_edge, write_graph
@@ -300,6 +300,19 @@ def test_verify_coupling_and_expander(capsys):
     assert [c["name"] for c in rep["checks"]] == ["worst-ratio-above-factor"]
 
 
+def test_expander_refuses_its_side_cap_before_sampling(capsys, monkeypatch):
+    def sample_gadget(*args, **kwargs):
+        raise RuntimeError("sampled a gadget")
+
+    monkeypatch.setattr(reduction, "sample_gadget", sample_gadget)
+    assert main(["verify", "expander", "--side", "20", "--seeds", "1"]) == 4
+    assert "RuntimeError: sampled a gadget" in capsys.readouterr().err
+    assert main(["verify", "expander", "--side", "21", "--seeds", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: side 21 exceeds exhaustive audit cap 20\n"
+
+
 def test_verify_polarized_small(capsys):
     code, rep = _run(capsys, ["verify", "polarized", "--pairs", "2"])
     assert code == 0
@@ -424,6 +437,47 @@ def test_degenerate_inputs_never_exit_4(capsys, tmp_path, edge_file, anti3_file)
             assert code != 4, (command, tail, captured.err)
             if code in (0, 1):
                 _strict_json(captured.out)
+
+
+# each row with cheap flags, and the keys its report echoes: every flag's
+# dest except the caps, thread counts, --out-prefix, rate-bound's --bound and
+# decode's weights, plus the values the handler computes
+ECHOED = {
+    "z": ("--graph {edge} --beta 1 --gamma 1 --max-vertices 4 --threads 2",
+          "beta gamma graph mu num_edges num_vertices"),
+    "uniqueness": ("--beta 0.5 --gamma 0.5 --degree 4", "beta degree gamma mu"),
+    "threshold": ("--beta 0.5 --gamma 0.5", "beta gamma max_degree mu"),
+    "phase-map": ("--beta-min 0.2 --beta-max 0.8 --beta-steps 2 --gamma-min 0.2 "
+                  "--gamma-max 0.8 --gamma-steps 2 --degree 5 --out {tmp}/p.csv",
+                  "beta_max beta_min beta_steps degree gamma_max gamma_min gamma_steps "
+                  "mu out region_constant"),
+    "reduce": ("--instance {anti3} --delta 1 --delta-prime 1 --block-size 1 "
+               "--out-prefix {tmp}/r",
+               "block_size block_size_is_num_equations delta delta_prime instance seed"),
+    "gadget": ("--side 2 --delta 1", "delta out seed side"),
+    "theta-star": ("--instance {anti3} --max-vars 5", "instance num_equations num_vars"),
+    "decode": ("--log-y 3 --n 2 --m 2 --beta 0.3 --gamma 0.6 --delta 2 --delta-prime 1",
+               "case eps log_c log_d log_y m n slack"),
+    "translate-field": ("--beta 0.5 --gamma 2 --mu 4 --degree 2", "beta degree gamma mu"),
+    "verify polarized": ("--pairs 1 --threads 2", "cases pairs seed tolerance"),
+    "verify gadget-mean": ("--trials 100", "seed tolerance trials"),
+    "verify rate-bound": ("--step 0.5 --bound 2", "c min_fraction out step"),
+    "verify expander": ("--side 2 --delta 1 --seeds 1", "delta eps factor seed seeds side"),
+    "verify field": ("--pairs 1", "graphs pairs seed tolerance"),
+    "verify sandwich": ("--seeds 1", "runs seed seeds tolerance"),
+    "verify coupling": ("--trials 100", "a alpha b d n seed trials"),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHOED))
+def test_reports_echo_exactly_their_flags(capsys, tmp_path, edge_file, anti3_file,
+                                          command):
+    assert ECHOED.keys() == {*cli.COMMANDS, *("verify " + c for c in cli.CHECKS)}
+    tail, keys = ECHOED[command]
+    tail = tail.format(edge=edge_file, anti3=anti3_file, tmp=tmp_path)
+    code, rep = _run(capsys, [*command.split(), *tail.split()])
+    assert code in (0, 1)
+    assert sorted(rep["params" if command.startswith("verify") else "inputs"]) == keys.split()
 
 
 def test_non_ascii_input_files_exit_2(capsys, tmp_path):
