@@ -38,7 +38,9 @@ AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
 MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
 MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
 MAX_MC_ENUMERATED = 100_000       # the MC draws matching-tuple indices up to this count
+MAX_MC_TRIALS = 10 ** 6           # MC trials: about 25 bytes each, 60 MB at the cap
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
+MAX_COUPLING_SEQUENCES = 1 << 22  # coupling trials * d: about 3 s and 140 MB at the cap
 
 
 def entropy(x: float) -> float:
@@ -216,7 +218,7 @@ def rate_bound_scan(c: float = DEFAULT_RATE_C,
         row_b[lo:lo + len(j)] = grid[j]
         row_max[lo:lo + len(j)] = vals[np.arange(len(j)), j]
     rows = np.argsort(-row_max, kind="stable")[:40]
-    offsets = np.linspace(-step, step, 11)
+    offsets = 2 * np.linspace(-step / 2, step / 2, 11)  # exact; 2 * step may overflow
     la = np.clip(grid[rows, None] + offsets, min_fraction, 1.0)[:, :, None]
     lb = np.clip(row_b[rows, None] + offsets, min_fraction, 1.0)[:, None, :]
     local = _rate_bound_values(la, lb, c)
@@ -311,6 +313,8 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
+    if trials > MAX_MC_TRIALS:
+        raise ResourceLimitError(f"{trials} trials exceed cap {MAX_MC_TRIALS}")
     if n_side > MAX_MC_SIDE:
         raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
@@ -355,7 +359,6 @@ class ExpanderAudit:
     pairs_checked: int
     witness_left: Tuple[int, ...]
     witness_right: Tuple[int, ...]
-    mode: str
 
     @property
     def passed(self) -> bool:
@@ -363,27 +366,28 @@ class ExpanderAudit:
 
 
 def check_audit_side(n: int) -> None:
-    """Refuse an exhaustive audit of a side above MAX_AUDIT_SIDE."""
+    """Refuse an audit of a side above MAX_AUDIT_SIDE."""
     if n > MAX_AUDIT_SIDE:
         raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
 
 
 def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
                    factor: float = DEFAULT_EXPANSION_FACTOR,
-                   mode: str = "exhaustive", trials: int = 2000,
-                   seed: int = 0) -> ExpanderAudit:
+                   mode: str = "exhaustive") -> ExpanderAudit:
     """Audit the crossing-edge counts of a regular bipartite gadget.
 
-    Exhaustive mode covers all big pairs (sizes >= ceil(eps N), N up to
-    MAX_AUDIT_SIDE): over |B| = s, a left set A crosses fewest edges into the
-    s right vertices of smallest row sum e(A, {j}); ties go to the smallest
-    left code, then right code.  Its mean ratio is exactly 1, since each size
-    class averages delta |A| |B| / N crossings in a regular gadget.  Sampled
-    mode averages `trials` uniform big pairs.
+    Covers all big pairs (sizes >= ceil(eps N), N up to MAX_AUDIT_SIDE):
+    over |B| = s, a left set A crosses fewest edges into the s right
+    vertices of smallest row sum e(A, {j}); ties go to the smallest left
+    code, then right code.  The mean ratio is exactly 1, since each size
+    class averages delta |A| |B| / N crossings in a regular gadget.  `mode`
+    accepts only "exhaustive": a minimum over sampled pairs is at least the
+    true worst ratio, so it could pass a gadget that fails.
     """
+    if mode != "exhaustive":
+        raise UsageError(f"mode must be 'exhaustive', got {mode!r}")
     n = h.side_size
-    if mode == "exhaustive":
-        check_audit_side(n)
+    check_audit_side(n)
     # the crossing counts, by the positions of the ends in h.left and h.right
     pos = np.empty(2 * n, dtype=np.int64)
     pos[list(h.left + h.right)] = np.arange(2 * n)
@@ -402,45 +406,24 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     s0 = max(1, math.ceil(eps * n - 1e-9))
 
     worst = math.inf
-    if mode == "exhaustive":
-        codes = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= s0)
-        for start in range(0, codes.size, AUDIT_BLOCK):
-            block = codes[start:start + AUDIT_BLOCK]
-            bits = ((block[:, None] >> np.arange(n)) & 1).astype(float)
-            sz, rows = bits.sum(axis=1), bits @ mat
-            prefix = np.cumsum(np.sort(rows, axis=1), axis=1)[:, s0 - 1:]
-            ratios = prefix * n / (delta * sz[:, None] * np.arange(s0, n + 1))
-            i = int(np.argmin(ratios)) // ratios.shape[1]
-            if ratios[i].min() < worst:
-                worst = float(ratios[i].min())
-                order = np.argsort(rows[i], kind="stable")  # low index first
-                wb = min(sum(1 << int(j) for j in order[:s0 + k])
-                         for k in np.flatnonzero(ratios[i] == worst))
-                witness_left = tuple(h.left[j] for j in range(n) if block[i] >> j & 1)
-                witness_right = tuple(h.right[j] for j in range(n) if wb >> j & 1)
-        mean, pairs = 1.0, codes.size ** 2
-    elif mode == "sampled":
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
-        total, witness_left, witness_right = 0.0, (), ()
-        for _ in range(trials):
-            sa = int(rng.integers(s0, n + 1))
-            sb = int(rng.integers(s0, n + 1))
-            ia = rng.choice(n, size=sa, replace=False)
-            ib = rng.choice(n, size=sb, replace=False)
-            e = float(mat[np.ix_(ia, ib)].sum())
-            ratio = e * n / (delta * sa * sb)
-            total += ratio
-            if ratio < worst:
-                worst = ratio
-                witness_left = tuple(sorted(h.left[i] for i in ia))
-                witness_right = tuple(sorted(h.right[i] for i in ib))
-        mean, pairs = total / trials, trials
-    else:
-        raise UsageError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    return ExpanderAudit(eps=eps, factor=factor, worst_ratio=worst, mean_ratio=mean,
-                         pairs_checked=pairs, witness_left=witness_left,
-                         witness_right=witness_right, mode=mode)
+    codes = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= s0)
+    for start in range(0, codes.size, AUDIT_BLOCK):
+        block = codes[start:start + AUDIT_BLOCK]
+        bits = ((block[:, None] >> np.arange(n)) & 1).astype(float)
+        sz, rows = bits.sum(axis=1), bits @ mat
+        prefix = np.cumsum(np.sort(rows, axis=1), axis=1)[:, s0 - 1:]
+        ratios = prefix * n / (delta * sz[:, None] * np.arange(s0, n + 1))
+        i = int(np.argmin(ratios)) // ratios.shape[1]
+        if ratios[i].min() < worst:
+            worst = float(ratios[i].min())
+            order = np.argsort(rows[i], kind="stable")  # low index first
+            wb = min(sum(1 << int(j) for j in order[:s0 + k])
+                     for k in np.flatnonzero(ratios[i] == worst))
+            witness_left = tuple(h.left[j] for j in range(n) if block[i] >> j & 1)
+            witness_right = tuple(h.right[j] for j in range(n) if wb >> j & 1)
+    return ExpanderAudit(eps=eps, factor=factor, worst_ratio=worst, mean_ratio=1.0,
+                         pairs_checked=codes.size ** 2, witness_left=witness_left,
+                         witness_right=witness_right)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +541,9 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
         raise UsageError("b must lie in (0, 1]")
     if d < 1 or trials < 1:
         raise UsageError("d and trials must be >= 1")
+    if trials * d > MAX_COUPLING_SEQUENCES:
+        raise ResourceLimitError(
+            f"trials * d = {trials * d} sequences exceed cap {MAX_COUPLING_SEQUENCES}")
     bn = _integral_fraction(b, n, "b")
     if bn < 1:
         raise UsageError("b*n must be >= 1")

@@ -43,6 +43,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+MAX_PHASE_CELLS = 1 << 20    # phase-map grid cells: about 13 s at the cap, memory flat
+MAX_POLARIZED_PAIRS = 1000   # verify polarized --pairs: about 0.03 s each, drawn up front
+INT64 = range(-2 ** 63, 2 ** 63)  # the values of an integer flag, unless listed below
+ANY_INT_FLAGS = ("seed", "max_degree", "max_vertices", "max_vars")  # seeded or compared only
 
 
 def _num(value, scale):
@@ -109,6 +113,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_phase_map(args):
+    if (cells := args.beta_steps * args.gamma_steps) > MAX_PHASE_CELLS:
+        raise ResourceLimitError(f"{cells} grid cells exceed cap {MAX_PHASE_CELLS}")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     header = ("beta", "gamma", "mu", "d", "region", "x_hat", "deriv_mag")
@@ -202,6 +208,8 @@ def _toy_instances():
 
 
 def _verify_polarized(args):
+    if args.pairs > MAX_POLARIZED_PAIRS:
+        raise ResourceLimitError(f"{args.pairs} pairs exceed cap {MAX_POLARIZED_PAIRS}")
     reduction = twospin.reduction
     rng = np.random.default_rng(args.seed)
     pairs = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
@@ -511,12 +519,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, value in vars(args).items():  # JSON holds finite numbers only
-            if isinstance(value, float) and not math.isfinite(value):
-                parser.error(f"argument {name}: must be finite, got {value}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        for name, value in vars(args).items():  # JSON holds finite numbers only
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"argument {name}: must be finite, got {value}")
+            if isinstance(value, int) and name not in ANY_INT_FLAGS and value not in INT64:
+                raise UsageError(f"argument {name}: must lie in [-2**63, 2**63 - 1]")
         report = args.func(args)
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     except (UsageError, OSError) as exc:

@@ -27,7 +27,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
-from .errors import RegimeError, UsageError, check_seed
+from .errors import RegimeError, ResourceLimitError, UsageError, check_seed
 from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
                      records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
@@ -35,6 +35,8 @@ from .spins import SpinParams, log_partition, log_partition_histogram
 from .uniqueness import SplitCase
 
 MAX_REDUCTION_VERTICES = 24       # free vertices of every exact reduction sum
+MAX_GADGET_DRAW = 1 << 20         # delta * (N + 4), a draw costing 4 entries: 1.1 s, 380 MB
+MAX_REDUCTION_RECORDS = 1 << 20   # edge records 2 m t (delta + 1): `reduce` 2 s, 240 MB
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,9 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
     """
     if n_side < 1 or delta < 1:
         raise UsageError("need n_side >= 1 and delta >= 1")
+    if delta * (n_side + 4) > MAX_GADGET_DRAW:
+        raise ResourceLimitError(
+            f"delta * (side + 4) = {delta * (n_side + 4)} exceeds cap {MAX_GADGET_DRAW}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return BipartiteGadget.from_matchings(
@@ -122,8 +127,11 @@ def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> Reducti
     """Construct the reduction graph; deterministic for a given seed."""
     if not inst.is_normalized():
         raise UsageError("instance has unused variables; normalize it first")
-    occ = occurrence_counts(inst)
     t = params.block_size
+    records = 2 * inst.num_equations * t * (params.delta + 1)
+    if records > MAX_REDUCTION_RECORDS:
+        raise ResourceLimitError(f"{records} edge records exceed cap {MAX_REDUCTION_RECORDS}")
+    occ = occurrence_counts(inst)
     n = inst.num_vars
 
     u_blocks = []

@@ -77,6 +77,13 @@ def test_rate_bound_scan_stays_below_ceiling():
     assert min(scan.arg_a, scan.arg_b) == pytest.approx(9e-5, abs=1e-6)
 
 
+def test_rate_bound_scan_takes_any_finite_step():
+    # past about 9e307, 2 * step overflows; the local refinement must not
+    # (a RuntimeWarning fails the test)
+    scan = rate_bound_scan(step=1e308)
+    assert scan.max_value == scan.coarse_max == max(v for _, _, v in rate_bound_grid(step=1e308))
+
+
 def _oracle_points():
     rng = np.random.default_rng(2024)
     corners = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
@@ -187,9 +194,7 @@ def test_rate_bound_scan_ties_go_to_the_first_cell(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda seed: coupling_sim(4, 0.5, 3, seed, 10),
     lambda seed: expected_profile_sum_mc(2, 2, 1, SpinParams(0.5, 0.5), 0.5, 0.5, 10, seed),
-    lambda seed: expander_audit(sample_gadget(4, 2, 0), mode="sampled", trials=10,
-                                seed=seed),
-], ids=["coupling_sim", "expected_profile_sum_mc", "expander_audit_sampled"])
+], ids=["coupling_sim", "expected_profile_sum_mc"])
 def test_negative_seeds_are_usage_errors(call):
     call(0)
     for seed in (-1, np.int64(-3)):
@@ -368,8 +373,6 @@ def test_expander_audit_mean_identity():
 def test_expander_audit_sampled_mode_and_witness():
     h = sample_gadget(8, 6, seed=0)
     full = expander_audit(h, eps=0.25)
-    sampled = expander_audit(h, eps=0.25, mode="sampled", trials=500, seed=1)
-    assert sampled.worst_ratio >= full.worst_ratio - 1e-12
     # the witness pair reproduces the reported worst ratio
     mat = {tuple(sorted((u, v))): m for u, v, m in h.graph.edges}
     count = 0
@@ -380,8 +383,10 @@ def test_expander_audit_sampled_mode_and_witness():
     assert ratio == pytest.approx(full.worst_ratio, abs=1e-12)
     with pytest.raises(ResourceLimitError):
         expander_audit(sample_gadget(analysis.MAX_AUDIT_SIDE + 1, 2, 0), eps=0.5)
-    with pytest.raises(UsageError):
-        expander_audit(h, eps=0.25, mode="bogus")
+    # only the exhaustive audit verifies: a sampled minimum overstates the worst ratio
+    for mode in ("sampled", "bogus"):
+        with pytest.raises(UsageError, match="mode must be 'exhaustive'"):
+            expander_audit(h, eps=0.25, mode=mode)
 
 
 @pytest.mark.parametrize("block", [analysis.AUDIT_BLOCK, 7, 1])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twospin
 from twospin import cli, reduction, spins
@@ -478,6 +482,135 @@ def test_reports_echo_exactly_their_flags(capsys, tmp_path, edge_file, anti3_fil
     code, rep = _run(capsys, [*command.split(), *tail.split()])
     assert code in (0, 1)
     assert sorted(rep["params" if command.startswith("verify") else "inputs"]) == keys.split()
+
+
+def _one_error_line(err):
+    """stderr of a refusal: at most argparse's usage block, then one line."""
+    *head, last = err.splitlines() or [""]
+    usage = not head or (head[0].startswith("usage:")
+                         and all(line.startswith(" ") for line in head[1:]))
+    return bool(last) and usage and "Traceback" not in err
+
+
+_TOP = 2 ** 63 - 1
+_HUGE = str(10 ** 400)
+_GRID = ("phase-map --beta-min 0.1 --beta-max 0.9 --beta-steps 3 --gamma-min 0.1 "
+         "--gamma-max 0.9 --gamma-steps 3 --degree 4 --out {tmp}/p.csv")
+_DECODE = "decode --log-y 3 --n 2 --m 2 --beta 0.3 --gamma 0.6 --delta 2 --delta-prime 1"
+_REDUCE = ("reduce --instance {anti3} --delta 1 --delta-prime 1 --block-size 1 "
+           "--out-prefix {tmp}/r")
+
+
+def _swap(argv, flag, value):
+    words = argv.split()
+    words[words.index(flag) + 1] = str(value)
+    return " ".join(words)
+
+
+# invocations that used to exit 0 with a wrong answer, exit 4, or run without
+# end, and the exit code each now gives before any work: 2 for an integer
+# flag past int64, 3 for a size past its cap
+REFUSALS = [
+    (f"gadget --side {_TOP} --delta 1", 3),
+    (f"gadget --side {_TOP - 1} --delta 1", 3),
+    (f"gadget --side {2 ** 62} --delta 1", 3),
+    (f"gadget --side 4 --delta {_TOP}", 3),
+    (f"verify expander --side 8 --delta {_TOP} --seeds 1", 3),
+    (f"uniqueness --beta 0.5 --gamma 0.5 --degree {_HUGE}", 2),
+    (f"uniqueness --beta 0.5 --gamma 0.5 --degree {10 ** 300}", 2),
+    (f"uniqueness --beta 0.5 --gamma 0.5 --degree {2 ** 63}", 2),
+    (f"translate-field --beta 0.5 --gamma 0.5 --degree {_HUGE}", 2),
+    (_swap(_GRID, "--degree", _HUGE), 2),
+    *((_swap(_DECODE, flag, _HUGE), 2) for flag in ("--n", "--m", "--delta", "--delta-prime")),
+    (f"gadget --side {10 ** 300} --delta 1", 2),
+    (_swap(_REDUCE, "--delta-prime", 2 ** 63), 2),
+    (_swap(_REDUCE, "--block-size", _TOP), 3),
+    (_swap(_REDUCE, "--delta", _TOP), 3),
+    (f"verify gadget-mean --trials {_TOP}", 3),
+    ("verify gadget-mean --trials 20000000", 3),
+    (f"verify coupling --trials {_TOP}", 3),
+    (f"verify coupling --d {_TOP}", 3),
+    ("verify coupling --trials 10000000", 3),
+    (_swap(_GRID, "--beta-steps", _TOP), 3),
+    (_swap(_GRID, "--gamma-steps", _TOP), 3),
+    (_swap(_GRID, "--beta-steps", 10 ** 8), 3),
+    ("verify polarized --pairs 100000000", 3),
+]
+
+
+def test_huge_sizes_are_refused_before_any_work(tmp_path, anti3_file):
+    # in a subprocess each, so that a missed cap fails on the timeout instead
+    # of running on; six at a time, since start-up is most of each run
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twospin.__file__)))
+    for start in range(0, len(REFUSALS), 6):
+        runs = [(argv.format(anti3=anti3_file, tmp=tmp_path).split(), code)
+                for argv, code in REFUSALS[start:start + 6]]
+        procs = [subprocess.Popen([sys.executable, "-m", "twospin", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for argv, _ in runs]
+        try:
+            for (argv, code), proc in zip(runs, procs):
+                out, err = proc.communicate(timeout=10)
+                assert (proc.returncode, out) == (code, ""), (argv, err)
+                assert len(err.splitlines()) == 1, (argv, err)
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.communicate()
+    assert [path.name for path in tmp_path.iterdir()] == ["anti3.e2"]
+
+
+def _fuzz_values(options, tmp):
+    """The values drawn for a flag, by its spec.  Never 2**63 - 1: a count
+    that size is admitted, and runs on."""
+    if "choices" in options:
+        return ["beta-above-half", "bogus"]
+    if "type" not in options:
+        return [str(tmp / name) for name in ("empty", "dir", "missing", "café")]
+    if options["type"] is float:
+        return ["nan", "inf", "-0.0", "1e-320", "1e308"]
+    return ["-1", "0", "1", "2", str(2 ** 63), _HUGE]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_flags_keep_the_exit_contract(fuzz_dir, data):
+    # each draw is a row's cheap flags with one flag replaced (or added):
+    # a result prints strict JSON, a refusal one error line and no traceback
+    (fuzz_dir / "dir").mkdir(exist_ok=True)
+    (fuzz_dir / "empty").write_text("")
+    (fuzz_dir / "café").write_bytes("# café\np graph 2 1\ne 0 1 1\n".encode())
+    (fuzz_dir / "missing").unlink(missing_ok=True)
+    edge = fuzz_dir / "edge.g"
+    write_graph(single_edge(), edge)
+    anti3 = fuzz_dir / "anti3.e2"
+    anti3.write_text("p e2lin2 3 3\n1 2 1\n2 3 1\n3 1 1\n")
+    command = data.draw(st.sampled_from(sorted(ECHOED)))
+    *prefix, name = command.split()
+    (flag, *_), options = data.draw(st.sampled_from(
+        (cli.CHECKS if prefix else cli.COMMANDS)[name][2]))
+    value = data.draw(st.sampled_from(_fuzz_values(options, fuzz_dir)))
+    words = [*command.split(), *ECHOED[command][0].format(
+        edge=edge, anti3=anti3, tmp=fuzz_dir).split()]
+    if flag in words:
+        words[words.index(flag) + 1] = value
+    else:
+        words += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(words)
+    assert code in (0, 1, 2, 3), (words, err.getvalue())
+    if code in (0, 1):
+        _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == "" and _one_error_line(err.getvalue()), (words, err.getvalue())
 
 
 def test_non_ascii_input_files_exit_2(capsys, tmp_path):
