@@ -39,6 +39,7 @@ MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_m
 MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
 MAX_MC_ENUMERATED = 100_000       # the MC draws matching-tuple indices up to this count
 MAX_MC_TRIALS = 10 ** 6           # MC trials: about 25 bytes each, 60 MB at the cap
+MAX_MC_WORK = 1 << 21             # MC gadgets * 4^N: (2, 17) 51 s at the cap, (8, 2) 0.15 s
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 MAX_COUPLING_SEQUENCES = 1 << 22  # coupling trials * d: about 3 s and 140 MB at the cap
 
@@ -103,8 +104,8 @@ def _check_fraction(x: float, name: str):
 
 def _rate_bound_values(a, b, c: float):
     """rate_bound elementwise over broadcast arrays a, b in [0, 1]."""
-    if c <= 1:
-        raise UsageError("c must exceed 1")
+    if not 1 < c < math.inf:
+        raise UsageError(f"c must be a finite real above 1, got {c}")
     cm1 = c - 1.0
     return (1.0 / cm1 + (1.0 - a - b) * c / cm1 + _w_entropy(1.0, a)
             + _w_entropy(1.0, b) + cm1 * _max_bracket(a, b, -1.0))
@@ -309,7 +310,8 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
 
     Deterministic for a given seed.  Up to MAX_MC_ENUMERATED matching tuples,
     the trials draw tuple indices, and each distinct tuple drawn is computed
-    once.
+    once; past it, each trial computes one gadget.  Each gadget computed
+    enumerates 4^N configurations, and MAX_MC_WORK caps their total.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -319,9 +321,13 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
         raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
     check_seed(seed)
-    rng = np.random.default_rng(seed)
     count = math.factorial(n_side) ** delta
     enumerated = count <= MAX_MC_ENUMERATED
+    gadgets = min(trials, count) if enumerated else trials
+    if gadgets * 4 ** n_side > MAX_MC_WORK:
+        raise ResourceLimitError(f"{gadgets} gadgets of 4^{n_side} configurations "
+                                 f"exceed cap {MAX_MC_WORK}")
+    rng = np.random.default_rng(seed)
     if enumerated:
         drawn = rng.integers(count, size=trials)
         hit = np.bincount(drawn, minlength=count) > 0

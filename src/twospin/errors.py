@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the seed check that
-raises one."""
+"""Exception types shared across the package, and the seed and degree
+checks that raise one."""
 
 import numbers
 
@@ -26,3 +26,10 @@ def check_seed(seed) -> None:
     with a bare ValueError.  A SeedSequence passes unchecked."""
     if isinstance(seed, numbers.Integral) and seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
+
+
+def check_degree(d) -> None:
+    """Refuse a degree outside [1, 2**63) before any float conversion,
+    which would raise ZeroDivisionError, OverflowError or TypeError."""
+    if not 1 <= d < 1 << 63:
+        raise UsageError(f"degree must be >= 1 and below 2**63, got {d}")

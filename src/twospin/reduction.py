@@ -388,33 +388,32 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-@dataclass(frozen=True)
-class _MajoritySign:
-    """The base-3 digit weight * (1 + sign(zeros(U) - zeros(V))) of one
-    variable: 0, 1, 2 for fewer zeros on U, a tie, fewer zeros on V."""
-
-    sets: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    weight: int
-
-    def digit(self, zeros_u, zeros_v):
-        return self.weight * (np.sign(zeros_u - zeros_v) + 1)
-
-
 def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
                       threads: int = 1) -> Tuple[float, np.ndarray]:
     """log Z(G) and the 2^n majority sums log Z(G,S), from one enumeration.
 
     The enumeration buckets every configuration by its majority signs, one
-    base-3 digit per variable (3^n buckets).  Z(G) is the sum of all
-    buckets; Z(G,S) keeps the digits {-, 0} of variable i where S_i = 0 and
-    {0, +} where S_i = 1, so a tie counts for both.
+    base-3 digit per variable (3^n buckets): 0, 1, 2 for fewer zeros on
+    U_i, a tie, fewer zeros on V_i.  Z(G) is the sum of all buckets; Z(G,S)
+    keeps the digits {-, 0} of variable i where S_i = 0 and {0, +} where
+    S_i = 1, so a tie counts for both.
     Folding each axis of the 3^n histogram into those two halves gives all
     2^n sums, at index sum_i S_i 2^i.
     """
     _require_flat_field(p)
-    n = rg.instance.num_vars
-    signs = [_MajoritySign((rg.u_side(i), rg.v_side(i)), 3 ** i) for i in range(n)]
-    hist = log_partition_histogram(rg.graph, p, signs, 3 ** n,
+    n, nv = rg.instance.num_vars, rg.graph.num_vertices
+    if nv > MAX_REDUCTION_VERTICES:  # before a table of prod_i (|U_i| + |V_i| + 1) entries
+        raise ResourceLimitError(
+            f"{nv} free vertices exceeds cap max_vertices={MAX_REDUCTION_VERTICES}")
+    # variable i's key digit zeros(U_i) + ones(V_i), in radix |U_i| + |V_i| + 1:
+    # less |V_i|, it has the sign of zeros(U_i) - zeros(V_i)
+    keys, table, place = np.zeros((2, nv), dtype=np.intp), np.zeros(1, dtype=np.intp), 1
+    for i in range(n):
+        u, v = rg.u_side(i), rg.v_side(i)
+        keys[0, list(u)] = keys[1, list(v)] = place
+        digit = 3 ** i * (np.sign(np.arange(len(u) + len(v) + 1) - len(v)) + 1)
+        table, place = np.add.outer(digit, table).ravel(), place * len(digit)
+    hist = log_partition_histogram(rg.graph, p, (keys, table), 3 ** n,
                                    max_vertices=MAX_REDUCTION_VERTICES,
                                    threads=threads)
     # axis 0 is variable n - 1, so a C-order ravel indexes by sum_i S_i 2^i;

@@ -8,8 +8,9 @@ configuration sigma is
     mu**#zeros(sigma) * prod_edges entry(sigma_u, sigma_v)**mult
 
 and the partition function is the sum of these weights over all 2**n
-configurations.  A zero-count profile splits that sum into buckets by the
-zero-counts of vertex sets (log_partition_histogram), and pins fix spins.
+configurations.  A zero-count profile splits that sum into buckets by a
+table lookup on a sum of per-spin keys, such as the zero-counts of vertex
+sets (log_partition_histogram), and pins fix spins.
 Everything is computed in the log domain (see logspace): exponents like
 beta**(delta * m**2) make linear floats useless here.
 
@@ -25,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, check_degree
 from .graphs import BipartiteGadget, MultiGraph
 from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
                        log_sum_exp_inplace, pairwise_add, pairwise_root,
@@ -70,23 +71,33 @@ class SpinParams:
 # ---------------------------------------------------------------------------
 # Zero-count profiles
 #
-# A profile sorts configurations into buckets by the zero-counts of vertex
-# sets.  Each of its terms names its vertex sets (`sets`) and maps their
-# zero-counts to an offset (`digit`); a configuration's bucket is the sum of
-# its terms' offsets.  The zero-counts may be ints or integer arrays; the
-# offsets have their shape.  The offsets must be nonnegative, and their
-# largest values must sum below the number of buckets.
+# A profile (keys, table) sorts configurations into buckets.  keys is a
+# nonnegative (2, n) integer array: vertex v adds keys[s, v] to a
+# configuration's key when its spin is s, and the configuration falls in
+# bucket table[key].  A zero-count of a vertex set is a key of 1 at spin 0
+# on the set, so the table decodes any function of zero-counts (in a mixed
+# radix, several of them) into buckets.
 
 
-def _validate_terms(terms, num_vertices):
-    for term in terms:
-        for vset in term.sets:
-            for v in vset:
-                if not 0 <= v < num_vertices:
-                    raise UsageError(
-                        f"{type(term).__name__} references vertex {v} out of range")
-            if len(set(vset)) != len(vset):
-                raise UsageError(f"{type(term).__name__} vertex set has duplicates")
+def _checked_profile(profile, num_vertices: int, num_buckets: int):
+    """keys and table as intp arrays; UsageError unless the keys are
+    nonnegative integers of shape (2, num_vertices), the table is long
+    enough for the largest key sum_v max(keys[:, v]), and its entries are
+    buckets in [0, num_buckets)."""
+    keys, table = (np.asarray(a) for a in profile)
+    if {keys.dtype.kind, table.dtype.kind} - set("iu") or table.ndim != 1:
+        raise UsageError("a profile needs integer keys and a 1-d integer table")
+    if keys.shape != (2, num_vertices):
+        raise UsageError(f"profile keys have shape {keys.shape}, not (2, {num_vertices})")
+    if keys.min(initial=0) < 0:
+        raise UsageError(f"profile keys must be nonnegative, got {keys.min()}")
+    top = int(np.minimum(keys.max(axis=0), len(table)).sum())  # clipped: no overflow
+    if top >= len(table):
+        raise UsageError(f"profile keys reach {top} or more, past the table's "
+                         f"{len(table)} entries")
+    if len(table) and not (table.min() >= 0 and table.max() < num_buckets):
+        raise UsageError(f"profile table entries must lie in [0, {num_buckets})")
+    return keys.astype(np.intp, copy=False), table.astype(np.intp, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +134,13 @@ def log_config_weight(g: MultiGraph, p: SpinParams, bits: Sequence[int]) -> floa
 @lru_cache(maxsize=_LOW_BITS + 1)
 def _low_tables(k: int):
     """Read-only tables of k low bits, shared by every problem and thread
-    (96 KB for all k <= 10): the codes x < 2**k, their bits (row j: bit j of
-    each code) and, row x, the indices j + k * bit_j(x) into (w0, w1)."""
-    codes = np.arange(1 << k, dtype=np.int16)
-    bits = ((codes >> np.arange(k, dtype=np.int16)[:, None]) & 1).astype(np.uint8)
+    (92 KB for all k <= 10): the bits of the codes x < 2**k (row j: bit j
+    of each code) and, row x, the indices j + k * bit_j(x) into (w0, w1)."""
+    bits = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(np.uint8)
     gather = (bits.T * k + np.arange(k)).astype(np.int32, order="C")
-    for table in (codes, bits, gather):
+    for table in (bits, gather):
         table.flags.writeable = False
-    return codes, bits, gather
+    return bits, gather
 
 
 def _pair_logs(bits: np.ndarray, records) -> np.ndarray:
@@ -148,9 +158,10 @@ def _pair_logs(bits: np.ndarray, records) -> np.ndarray:
 
 
 def _spin_problem(g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
-                  terms=(), num_buckets: int = 1) -> "_Problem":
+                  profile=None, num_buckets: int = 1) -> "_Problem":
     """The kernel's front end: the pins substituted into the log factors,
-    and each term's sets as free masks and zero totals (size less pinned ones)."""
+    and the profile's keys cut to the free spins, the pins' keys shifting
+    the table as their factors shift the constant."""
     lb, lg = p.log_entries()
     lmu = math.log(p.mu)
     free = [v for v in range(g.num_vertices) if v not in fixed]
@@ -169,16 +180,16 @@ def _spin_problem(g: MultiGraph, p: SpinParams, fixed: Dict[int, int],
             (w1 if s else w0)[w] += m * (lg if s else lb)
         elif su == sv:
             const += m * (lg if su else lb)
-    free_terms = [(term.digit, [sum(1 << pos[v] for v in s if v not in fixed) for s in term.sets],
-                   [sum(1 for v in s if fixed.get(v, 0) == 0) for s in term.sets])
-                  for term in terms]
-    return _Problem(w0, w1, const, ff, free_terms, num_buckets)
+    if profile is not None:
+        keys, table = profile
+        profile = keys[:, free], table[sum(int(keys[s, v]) for v, s in fixed.items()):]
+    return _Problem(w0, w1, const, ff, profile, num_buckets)
 
 
 class _Problem:
     """The kernel's core, over the free-spin form that _spin_problem builds:
     log factors w0, w1 of each spin at 0 and 1, a constant, pair records
-    (a, b, log00, log11) with a < b, terms (digit, free masks, zero totals).
+    (a, b, log00, log11) with a < b, and a profile (keys, table) or None.
 
     Free spin j is bit j of the configuration code.  The code splits into k
     low bits x and h high bits y, and the log weight is
@@ -191,16 +202,18 @@ class _Problem:
     records with low spins.  A block fixes the top h - b high bits and
     tabulates its 2**b x 2**k log-weights by doubling over the b free high
     bits, so the kernel only adds log factors: no product can meet
-    -inf * 0 or inf - inf.  Set-up gathers q_lo through _low_tables, fills
-    each term's offsets by broadcasting, and takes no per-configuration step.
+    -inf * 0 or inf - inf.  The key splits the same way, into k_lo[x] plus
+    steps @ y: k_lo holds the low spins' keys and every high spin's key at
+    0, steps each high spin's key at 1 less its key at 0.  Set-up gathers
+    q_lo and k_lo through _low_tables and takes no per-configuration step.
     """
 
     def __init__(self, w0: np.ndarray, w1: np.ndarray, const: float, ff,
-                 terms=(), num_buckets: int = 1):
+                 profile=None, num_buckets: int = 1):
         self.k = k = min(len(w0), _LOW_BITS)
         self.h = h = len(w0) - k
         self.b = min(h, _BLOCK_BITS - k)
-        codes, bits, gather = _low_tables(k)
+        bits, gather = _low_tables(k)
         self.q_lo = (const + np.take(np.concatenate((w0[:k], w1[:k])), gather).sum(axis=1)
                      + _pair_logs(bits, [r for r in ff if r[1] < k]))
         self.cols = np.repeat(np.array((w0[k:], w1[k:]))[:, :, None], 1 << k, axis=2)
@@ -209,32 +222,11 @@ class _Problem:
                 self.cols[0, c - k] += np.where(bits[a], 0.0, l00)
                 self.cols[1, c - k] += np.where(bits[a], l11, 0.0)
         self.hi_edges = [(a - k, c - k, l00, l11) for a, c, l00, l11 in ff if a >= k]
-        # A set's zero-count is its zero total, less the popcounts of its free
-        # mask in x and y.  `digits` holds a term's offset per x and per
-        # combination of its sets' high popcounts, in rows that row_weights
-        # finds from a block's high bits.
-        self.num_buckets = num_buckets
-        self.digits, row_weights = [], []
-        top = 0  # the largest bucket a configuration can reach
-        low_counts = iter(np.bitwise_count(codes & np.array(
-            [m & ((1 << k) - 1) for _, ms, _ in terms for m in ms], dtype=np.int16)[:, None]))
-        for digit, ms, most in terms:
-            shape = tuple((m >> k).bit_count() + 1 for m in ms) + (1 << k,)
-            zeros = [np.arange(z, z - n, -1).reshape(-1, *(1,) * (len(shape) - axis - 1))
-                     - next(low_counts) for axis, (z, n) in enumerate(zip(most, shape))]
-            digits = np.empty(shape, dtype=np.intp)
-            digits[...] = digit(*zeros)
-            lo, hi = int(digits.min()), int(digits.max())
-            if lo < 0:
-                raise UsageError(f"profile offsets must be nonnegative, got {lo}")
-            top += hi
-            self.digits.append(digits.reshape(-1, 1 << k))
-            row_weights.append([sum(math.prod(shape[axis + 1:-1]) * (m >> v & 1)
-                                    for axis, m in enumerate(ms)) for v in range(k, k + h)])
-        if top >= num_buckets:
-            raise UsageError(f"profile offsets reach bucket {top}, not below "
-                             f"num_buckets = {num_buckets}")
-        self.row_weights = np.array(row_weights, dtype=np.int64).reshape(len(terms), h)
+        self.num_buckets, self.profile = num_buckets, profile
+        if profile is not None:
+            keys, table = profile
+            k_lo = np.take(keys[:, :k].ravel(), gather).sum(axis=1) + keys[0, k:].sum()
+            self.profile = k_lo, keys[1, k:] - keys[0, k:], table
 
     @property
     def num_blocks(self) -> int:
@@ -242,10 +234,10 @@ class _Problem:
 
     def scratch(self):
         """One worker's arrays for block_histogram: the block's log-weights,
-        and for a profile with terms its buckets, one term's offsets and the
-        buckets' shifts.  Reusing them spares each block fresh pages."""
+        and with a profile its keys, its buckets and the buckets' shifts.
+        Reusing them spares each block fresh pages."""
         shape = (1 << self.b, 1 << self.k)
-        if not self.digits:
+        if self.profile is None:
             return (np.empty(shape),)
         return (np.empty(shape), np.empty(shape, dtype=np.intp),
                 np.empty(shape, dtype=np.intp), np.empty(shape))
@@ -266,17 +258,16 @@ class _Problem:
             table += _pair_logs(high_bits, self.hi_edges)[:, None]
         return high_bits
 
-    def block_histogram(self, index: int, table: np.ndarray, bucket=None,
-                        offsets=None, shifts=None):
+    def block_histogram(self, index: int, table: np.ndarray, key=None,
+                        bucket=None, shifts=None):
         """log of the sum over block `index`, built in scratch()'s arrays
-        (overwritten): a float without terms, else one entry per bucket."""
+        (overwritten): a float without a profile, else one entry per bucket."""
         high_bits = self.block_table(index, table)
-        if not self.digits:  # one bucket holds every configuration
+        if self.profile is None:  # one bucket holds every configuration
             return log_sum_exp_inplace(table)
-        for j, (digits, row) in enumerate(zip(self.digits, self.row_weights @ high_bits)):
-            np.take(digits, row, axis=0, out=offsets if j else bucket, mode="clip")
-            if j:
-                bucket += offsets
+        k_lo, steps, buckets = self.profile
+        np.add((steps @ high_bits)[:, None], k_lo, out=key)
+        np.take(buckets, key, out=bucket, mode="clip")  # "raise" would buffer
         return log_sum_exp_by_bucket(table, bucket, self.num_buckets, shifts)
 
     def best(self) -> Tuple[float, int]:
@@ -302,41 +293,42 @@ def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, i
     return fixed
 
 
-def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: int,
+def log_partition_histogram(g: MultiGraph, p: SpinParams, profile, num_buckets: int,
                             *, fixed: Optional[Dict[int, int]] = None,
                             max_vertices: int = DEFAULT_MAX_VERTICES,
                             threads: int = 1) -> np.ndarray:
     """log of the exact partition sum per bucket of a zero-count profile.
 
-    Entry j is the log-sum over the configurations whose profile terms'
-    offsets sum to j, and -inf (an empty sum) where there are none.  `fixed`
-    pins chosen vertices to given spins; only the remaining vertices are
-    enumerated, and the cap applies to their number.
+    `profile` is (keys, table), as in the comment above, or None, which
+    puts every configuration in bucket 0.  Entry j is the log-sum over the
+    configurations in bucket j, and -inf (an empty sum) where there are
+    none.  `fixed` pins chosen vertices to given spins; only the remaining
+    vertices are enumerated, and the cap applies to their number.
 
     The kernel splits the free spins into up to 10 low and the remaining high
     bits.  It tabulates the low bits' log-weights once, then enumerates the
     high configurations in blocks of fixed size (at most 2**16 log-weights
     each), building every block by doubling: each free high spin doubles the
-    table by adding its spin-0 and spin-1 columns.  A zero-count also splits
-    into a low and a high part, so each term's offsets are a lookup by the
-    high popcounts of a block row.  Each block is reduced per bucket by a
-    log-sum-exp shifted by the bucket's own maximum (a profile without
-    terms skips the bucketing), and the block histograms are merged by a
+    table by adding its spin-0 and spin-1 columns.  A key also splits into
+    a low and a high part, so a block's keys are one broadcast add and its
+    buckets one table lookup.  Each block is reduced per bucket by a
+    log-sum-exp shifted by the bucket's own maximum (without a profile the
+    bucketing is skipped), and the block histograms are merged by a
     fixed pairwise tree as they come, so a worker holds one histogram per
     tree level.  With threads > 1 the blocks are split across workers;
     since block histograms and the tree do not depend on which worker
     produced them, neither does the result.  A call's fixed cost is about
-    25 numpy calls of set-up, one step per edge, about 15 calls per term and
-    15 per block; only the read-only tables of k low bits outlive it, cached
-    once per k for the process (96 KB in all).
+    25 numpy calls of set-up, one step per edge and about 15 calls per
+    block; only the read-only tables of k low bits outlive it, cached once
+    per k for the process (92 KB in all).
     """
     fixed = _checked_pins(g, fixed)
-    terms = tuple(terms)
-    _validate_terms(terms, g.num_vertices)
+    if profile is not None:
+        profile = _checked_profile(profile, g.num_vertices, num_buckets)
     nf = g.num_vertices - len(fixed)
     if nf > max_vertices:
         raise ResourceLimitError(f"{nf} free vertices exceeds cap max_vertices={max_vertices}")
-    prob = _spin_problem(g, p, fixed, terms, num_buckets)
+    prob = _spin_problem(g, p, fixed, profile, num_buckets)
 
     def run(indices):
         scratch, tree = prob.scratch(), []
@@ -358,8 +350,8 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, terms, num_buckets: in
                     pairwise_add(tree, *node)
     else:
         tree = run(range(nblocks))
-    hist = pairwise_root(tree)  # without terms, bucket 0 holds every configuration
-    return hist if terms else np.append(hist, np.full(num_buckets - 1, LOG_ZERO))
+    hist = pairwise_root(tree)  # without a profile, bucket 0 holds every configuration
+    return hist if profile is not None else np.append(hist, np.full(num_buckets - 1, LOG_ZERO))
 
 
 def log_partition(g: MultiGraph, p: SpinParams, *,
@@ -367,10 +359,10 @@ def log_partition(g: MultiGraph, p: SpinParams, *,
                   max_vertices: int = DEFAULT_MAX_VERTICES, threads: int = 1) -> float:
     """log of the exact partition sum over all configurations that agree
     with the pins in `fixed`; -inf (an empty sum) when none has positive
-    weight.  This is the one bucket of log_partition_histogram without
-    profile terms.
+    weight.  This is the one bucket of log_partition_histogram without a
+    profile.
     """
-    return float(log_partition_histogram(g, p, (), 1, fixed=fixed,
+    return float(log_partition_histogram(g, p, None, 1, fixed=fixed,
                                          max_vertices=max_vertices, threads=threads)[0])
 
 
@@ -412,16 +404,6 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, *,
 # Profile-restricted sums over bipartite gadgets
 
 
-@dataclass(frozen=True)
-class _ProfileCounts:
-    """The bucket zeros(left) * (N + 1) + zeros(right) of a gadget side pair."""
-
-    sets: Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-    def digit(self, zeros_left, zeros_right):
-        return zeros_left * (len(self.sets[1]) + 1) + zeros_right
-
-
 def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.ndarray:
     """log of the gadget sum at every zero profile, from one enumeration.
 
@@ -430,7 +412,8 @@ def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.
     factor gamma**(delta_prime * (2N - an - bn)) accounting for delta_prime
     outside edges per vertex whose partners are all in state 1; it is -inf
     where that sum is zero.  The enumeration buckets every configuration by
-    its zero-counts, (N + 1)**2 buckets of log_partition_histogram.
+    its key zeros(left) * (N + 1) + zeros(right), (N + 1)**2 buckets of
+    log_partition_histogram.
 
     The external field plays no role at this level: pass mu == 1 (translate
     a field away first if needed).
@@ -442,8 +425,9 @@ def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.
     n = h.side_size
     if n > MAX_PROFILE_SIDE:
         raise ResourceLimitError(f"side size {n} exceeds cap {MAX_PROFILE_SIDE}")
-    hist = log_partition_histogram(h.graph, p, [_ProfileCounts((h.left, h.right))],
-                                   (n + 1) ** 2)
+    keys = np.zeros((2, h.graph.num_vertices), dtype=np.intp)
+    keys[0, list(h.left)], keys[0, list(h.right)] = n + 1, 1
+    hist = log_partition_histogram(h.graph, p, (keys, np.arange((n + 1) ** 2)), (n + 1) ** 2)
     # by the zero total an + bn; scaled_log keeps gamma = 0 from meeting 0 * -inf
     boundary = np.array([scaled_log(p.gamma, delta_prime * (2 * n - s))
                          for s in range(2 * n + 1)])
@@ -479,8 +463,7 @@ def remove_field(p: SpinParams, d: int) -> Tuple[SpinParams, float]:
     Returns the field-free parameters (beta * mu**(1/d), gamma * mu**(-1/d), 1)
     and the per-edge log prefactor log(mu)/d; the caller multiplies by |E|.
     """
-    if d < 1:
-        raise UsageError("degree must be >= 1")
+    check_degree(d)
     shift = p.mu ** (1.0 / d)
     return SpinParams(p.beta * shift, p.gamma / shift, 1.0), math.log(p.mu) / d
 
@@ -504,8 +487,7 @@ def field_identity_report(g: MultiGraph, p: SpinParams, *,
     observed log-domain gap.
     """
     d = g.regular_degree()
-    if d < 1:
-        raise UsageError("field translation needs degree >= 1")
+    check_degree(d)
     lhs = log_partition(g, p, threads=threads)
     p_prime, per_edge = remove_field(p, d)
     rhs = g.num_edges * per_edge + log_partition(g, p_prime, threads=threads)

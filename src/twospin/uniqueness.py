@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RegimeError, ResourceLimitError, UsageError
+from .errors import RegimeError, ResourceLimitError, UsageError, check_degree
 from .spins import SpinParams, remove_field
 
 BISECT_ITERATIONS = 200
@@ -149,8 +149,7 @@ def fixed_point(p: SpinParams, d: int) -> float:
 
     Every gamma >= 0 goes through the one bisection in _fixed_point_array.
     """
-    if d < 1:
-        raise UsageError("degree must be >= 1")
+    check_degree(d)
     return float(_fixed_point_array(p.beta, p.gamma, p.mu, d))
 
 
@@ -233,6 +232,7 @@ def criticality_roots(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     always-unique bound.  Computed in the cancellation-free form and
     re-verified against the defining equation to 1e-10 relative.
     """
+    check_degree(d)
     if beta <= 0:
         raise RegimeError("closed-form roots need beta > 0 (formula divides by beta)")
     if beta * gamma >= 1:
@@ -267,6 +267,7 @@ def field_window(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     mu > mu2, with mu_i = x_i * ((x_i + gamma)/(beta*x_i + 1))**d at the
     criticality roots x_i.
     """
+    check_degree(d)
     if not (gamma > beta > 0):
         raise RegimeError("field window needs gamma > beta > 0")
     if beta * gamma >= 1:

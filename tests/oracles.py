@@ -14,7 +14,8 @@ sums (whose per-configuration weight the caller passes in), per-record loops tha
 check, aggregate, write and audit edge records and build the reduction's,
 a line-by-line reader of graph files, and the enumeration kernel's problem
 construction and block as they stood before its set-up was cut (a frozen
-copy, for bit-for-bit comparison).  Five helpers evaluate through the
+copy, for bit-for-bit comparison), with the profile terms it took and
+`profile_of`, which turns them into the kernel's (keys, table) profile.  Five helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
 fixed-point bisection uses, `profile_sum_mc_all_tuples`, the gadget
 Monte Carlo as it stood when it computed every matching tuple before it
@@ -25,6 +26,7 @@ coupling probability per sequence, and `rate_bound_scan_by_rows` and
 they evaluated the grid one row at a time.
 """
 
+import dataclasses
 import decimal
 import itertools
 import math
@@ -851,3 +853,57 @@ def reference_histogram(g, p, terms, num_buckets, fixed=None):
     for i in range(1 << (prob.h - prob.b)):
         _reference_pairwise_add(tree, i, 1, prob.block_histogram(i, *scratch))
     return np.atleast_1d(_reference_pairwise_root(tree))
+
+
+@dataclasses.dataclass(frozen=True)
+class ZeroCount:
+    """The reference profile term whose offset is weight * #zeros(vertices)."""
+
+    vertices: tuple
+    weight: int = 1
+
+    @property
+    def sets(self):
+        return (self.vertices,)
+
+    def digit(self, zeros):
+        return self.weight * zeros
+
+
+@dataclasses.dataclass(frozen=True)
+class MajoritySign:
+    """The reference profile term weight * (1 + sign(zeros(a) - zeros(b))),
+    for sets = (a, b): 0, 1, 2 times weight for fewer zeros on a, a tie,
+    fewer zeros on b."""
+
+    sets: tuple
+    weight: int
+
+    def digit(self, zeros_a, zeros_b):
+        return self.weight * (np.sign(zeros_a - zeros_b) + 1)
+
+
+def profile_of(terms, num_vertices):
+    """The kernel's (keys, table) profile whose bucket is the sum of the
+    terms' offsets.  The zero-count terms add their weights into the lowest
+    digit of the key; each majority term (a, b) takes one more digit,
+    zeros(a) + ones(b) in radix |a| + |b| + 1 (linear even where a and b
+    overlap), which less |b| has the sign of zeros(a) - zeros(b).  The table
+    decodes every digit back to its term's offset and sums them.  Without
+    terms there is no profile (None), as the kernel skipped the bucketing
+    for an empty term list."""
+    if not terms:
+        return None
+    keys = np.zeros((2, num_vertices), dtype=np.int64)
+    counts = [t for t in terms if isinstance(t, ZeroCount)]
+    for t in counts:
+        np.add.at(keys[0], list(t.vertices), t.weight)
+    table = np.arange(max(sum(t.weight * len(t.vertices) for t in counts), 0) + 1)
+    for t in terms:
+        if isinstance(t, MajoritySign):
+            a, b = t.sets
+            np.add.at(keys[0], list(a), len(table))
+            np.add.at(keys[1], list(b), len(table))
+            digit = t.weight * (np.sign(np.arange(len(a) + len(b) + 1) - len(b)) + 1)
+            table = np.add.outer(digit, table).ravel()
+    return keys, table

@@ -116,12 +116,19 @@ def test_exact_rate_matches_bracket_oracle(beta, gamma):
 @pytest.mark.parametrize("kwargs", [{"min_fraction": 0.0}, {"min_fraction": -0.5},
                                     {"min_fraction": 2.0}, {"step": 0.0},
                                     {"step": -1e-3}, {"step": math.inf},
-                                    {"c": 1.0}])
+                                    {"c": 1.0}, {"c": math.nan}, {"c": math.inf}])
 def test_rate_bound_scan_and_grid_reject_bad_parameters(kwargs):
     with pytest.raises(UsageError):
         rate_bound_scan(**kwargs)
     with pytest.raises(UsageError):
         next(rate_bound_grid(**kwargs))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, -math.inf, math.nan, math.inf])
+def test_rate_bound_refuses_c_outside_one_to_infinity(c):
+    # nan and inf once gave a nan bound
+    with pytest.raises(UsageError, match="c must be a finite real above 1"):
+        rate_bound(0.5, 0.5, c)
 
 
 def test_rate_bound_grid_side_cap(monkeypatch, capsys):
@@ -335,6 +342,24 @@ def test_mc_computes_only_the_gadgets_it_draws(monkeypatch):
     monkeypatch.setattr(analysis, "log_profile_sums", counted)
     est = expected_profile_sum_mc(4, 3, 1, SpinParams(0.4, 0.7), 0.5, 0.5, trials=50, seed=0)
     assert est.trials == 50 and 1 <= len(calls) <= 50
+
+
+class _Computed(Exception):
+    pass
+
+
+# gadgets computed * 4^N against MAX_MC_WORK = 2^21: every trial on the drawn
+# path (8, 2), at most the 13,824 or 36 matching tuples on the enumerated one
+@pytest.mark.parametrize("shape, trials, admitted", [
+    ((8, 2), 32, True), ((8, 2), 33, False), ((4, 3), 8192, True),
+    ((4, 3), 8193, False), ((4, 3), 10 ** 6, False), ((3, 2), 10 ** 6, True)])
+def test_mc_work_cap_is_checked_before_any_work(monkeypatch, shape, trials, admitted):
+    def computed(*args):
+        raise _Computed
+
+    monkeypatch.setattr(analysis, "log_profile_sums", computed)
+    with pytest.raises(_Computed if admitted else ResourceLimitError):
+        expected_profile_sum_mc(*shape, 1, SpinParams(0.4, 0.7), 0, 0, trials=trials, seed=0)
 
 
 def test_mc_checks_profile_before_weights():

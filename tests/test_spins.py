@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,35 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (ReferenceProblem, cycle_partition, cycle_zero_counts,
-                     fraction_partition, independent_set_count,
-                     linear_log_partition, profile_sum_direct,
+from oracles import (MajoritySign, ReferenceProblem, ZeroCount, cycle_partition,
+                     cycle_zero_counts, fraction_partition, independent_set_count,
+                     linear_log_partition, profile_of, profile_sum_direct,
                      reference_histogram)
 from twospin import spins
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
                             cycle_graph, path_graph, single_edge)
 from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
-from twospin.reduction import _MajoritySign
 from twospin.spins import (SpinParams, field_identity_report, log_config_weight,
                            log_partition, log_partition_histogram,
                            log_profile_sum, log_profile_sums, partition_fraction,
                            remove_field)
 
 
-@dataclasses.dataclass(frozen=True)
-class _ZeroCount:
-    """The profile term whose offset is weight * #zeros(vertices)."""
-
-    vertices: tuple
-    weight: int = 1
-
-    @property
-    def sets(self):
-        return (self.vertices,)
-
-    def digit(self, zeros):
-        return self.weight * zeros
+def _histogram(g, p, terms, num_buckets, **kwargs):
+    """log_partition_histogram over the profile of reference-form terms."""
+    return log_partition_histogram(g, p, profile_of(terms, g.num_vertices), num_buckets,
+                                   **kwargs)
 
 
 def test_spin_params_validation():
@@ -83,7 +72,7 @@ def test_partition_trivial_examples():
     # triangle with at least one zero (buckets 1-3 of its zero-count
     # profile): the 3 singleton sets
     tri = cycle_graph(3)
-    hist = log_partition_histogram(tri, SpinParams(0, 1, 1), [_ZeroCount((0, 1, 2))], 4)
+    hist = _histogram(tri, SpinParams(0, 1, 1), [ZeroCount((0, 1, 2))], 4)
     assert log_sum_exp(hist[1:]) == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -135,12 +124,12 @@ def test_threads_do_not_change_the_result():
     # 18 free vertices span several blocks, so threads > 1 splits the work
     g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
     p = SpinParams(0.3, 0.8, 2.0)
-    assert spins._spin_problem(g, p, {}, ()).num_blocks > 1
+    assert spins._spin_problem(g, p, {}).num_blocks > 1
     values = [log_partition(g, p, threads=t) for t in (1, 2, 3)]
     assert values[0] == values[1] == values[2]
-    terms = [_MajoritySign(((0, 1, 2, 3), (9, 10, 11)), 1),
-             _ZeroCount(tuple(range(0, 18, 2)), 3), _MajoritySign(((4, 5, 6), (12, 13, 14)), 30)]
-    hists = [log_partition_histogram(g, p, terms, 90, fixed={3: 0, 16: 1}, threads=t)
+    terms = [MajoritySign(((0, 1, 2, 3), (9, 10, 11)), 1),
+             ZeroCount(tuple(range(0, 18, 2)), 3), MajoritySign(((4, 5, 6), (12, 13, 14)), 30)]
+    hists = [_histogram(g, p, terms, 90, fixed={3: 0, 16: 1}, threads=t)
              for t in (1, 2, 3)]
     assert _same_bits(hists[0], hists[1]) and _same_bits(hists[0], hists[2])
     # and the multi-block sum is right: the 18-cycle against its transfer matrix
@@ -152,7 +141,7 @@ def test_threads_do_not_change_the_result():
 def test_histogram_buckets_sum_to_the_partition():
     g = cycle_graph(18)  # 18 free vertices span several blocks
     p = SpinParams(1e-150, 0.8, 1.3)
-    profile = [_ZeroCount(tuple(range(18)))]
+    profile = profile_of([ZeroCount(tuple(range(18)))], 18)
     hist = log_partition_histogram(g, p, profile, 20)
     assert hist.shape == (20,)
     assert hist[19] == LOG_ZERO  # no configuration has 19 zeros
@@ -178,9 +167,9 @@ def test_histogram_with_pins_and_constraints_matches_fractions():
     fixed = {2: 0, 5: 1}
     # bucket k + 6 (sign(zeros(0, 1) - zeros(6, 7)) + 1) with k = zeros(counted);
     # bucket 18 lies past the largest offset sum, 17, and stays empty
-    hist = log_partition_histogram(
+    hist = _histogram(
         g, SpinParams(float(beta), float(gamma), float(mu)),
-        [_ZeroCount(counted), _MajoritySign(((0, 1), (6, 7)), 6)], 19, fixed=fixed)
+        [ZeroCount(counted), MajoritySign(((0, 1), (6, 7)), 6)], 19, fixed=fixed)
     for sign in (-1, 0, 1):
         for k in range(6):
             exact = fraction_partition(
@@ -192,23 +181,42 @@ def test_histogram_with_pins_and_constraints_matches_fractions():
         # vertex 2 is pinned to 0 and vertex 5 to 1
         assert hist[6 * (sign + 1)] == hist[6 * (sign + 1) + 5] == LOG_ZERO
     assert hist[18] == LOG_ZERO
-    with pytest.raises(UsageError, match="below num_buckets"):
-        log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted)], 5)
-    with pytest.raises(UsageError, match="must be nonnegative, got -5"):
-        log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount(counted, -1)], 6)
+    with pytest.raises(UsageError, match=r"must lie in \[0, 5\)"):
+        _histogram(g, SpinParams(1, 1), [ZeroCount(counted)], 5)
+    with pytest.raises(UsageError, match="must be nonnegative, got -1"):
+        _histogram(g, SpinParams(1, 1), [ZeroCount(counted, -1)], 6)
+
+
+def test_profile_errors_are_usage_errors():
+    g = path_graph(4)
+    keys, table = np.zeros((2, 4), dtype=int), np.arange(3)
+    keys[0] = (1, 0, 1, 0)  # the largest key is 2: table has 3 entries
+    assert log_partition_histogram(g, SpinParams(1, 1), (keys, table), 3).shape == (3,)
+    for profile, message in (
+            ((keys - 1, table), "must be nonnegative, got -1"),
+            ((keys + 0.5, table), "integer keys"),
+            ((keys, table + 0.0), "integer table"),
+            ((keys[:, :3], table), r"shape \(2, 3\), not \(2, 4\)"),
+            ((keys.T, table), r"shape \(4, 2\)"),
+            ((keys, table[:2]), "keys reach 2 or more, past the table's 2 entries"),
+            ((keys * 2**62, table), "keys reach 6 or more"),
+            ((keys, table - 1), r"must lie in \[0, 3\)"),
+            ((keys, table + 1), r"must lie in \[0, 3\)")):
+        with pytest.raises(UsageError, match=message):
+            log_partition_histogram(g, SpinParams(1, 1), profile, 3)
 
 
 def test_histogram_without_terms_has_every_bucket():
-    # every configuration's offset is 0: bucket 0 holds the sum, the rest
-    # are empty, as with a term whose offset is always 0
+    # every configuration is in bucket 0: it holds the sum, the rest are
+    # empty, as with a profile whose keys are all 0
     for g in (path_graph(3), cycle_graph(18)):  # one block, several blocks
         p = SpinParams(0.5, 1.5, 0.8)
         for threads in (1, 2):
-            hist = log_partition_histogram(g, p, (), 5, threads=threads)
+            hist = log_partition_histogram(g, p, None, 5, threads=threads)
             assert hist.shape == (5,)
             assert hist[0] == log_partition(g, p)
             assert (hist[1:] == LOG_ZERO).all()
-            always = log_partition_histogram(g, p, [_ZeroCount(())], 5)
+            always = _histogram(g, p, [ZeroCount(())], 5)
             assert (always[1:] == LOG_ZERO).all()
             assert always[0] == pytest.approx(hist[0], rel=1e-14)
 
@@ -245,18 +253,15 @@ def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_t
                                                  replace=False))
 
     # majority digits 0..2 in base 3
-    terms = [_MajoritySign((vset(), vset()), 3 ** i) for i in range(num_terms)]
+    terms = [MajoritySign((vset(), vset()), 3 ** i) for i in range(num_terms)]
     num_buckets = 3 ** num_terms
     ref = ReferenceProblem(g, p, fixed, terms, num_buckets)
-    prob = spins._spin_problem(g, p, fixed, terms, num_buckets)
+    prob = spins._spin_problem(g, p, fixed, profile_of(terms, n), num_buckets)
     assert _same_bits(prob.q_lo, ref.q_lo) and _same_bits(prob.cols, ref.cols)
     # the reference reduces every block over `bins` buckets, the kernel over
     # num_buckets: the same count, so the same floats
     assert prob.hi_edges == ref.hi_edges and prob.num_buckets == ref.bins
-    assert len(prob.digits) == len(ref.digits)
-    for digits, (_, _, ref_digits) in zip(prob.digits, ref.digits):
-        assert _same_bits(digits, ref_digits)
-    hist = log_partition_histogram(g, p, terms, num_buckets, fixed=fixed, threads=threads)
+    hist = _histogram(g, p, terms, num_buckets, fixed=fixed, threads=threads)
     assert _same_bits(hist, reference_histogram(g, p, terms, num_buckets, fixed))
 
 
@@ -312,9 +317,9 @@ def _random_term(rng, n, weight):
         return tuple(int(v) for v in rng.choice(n, size=size, replace=False))
     if rng.integers(2):
         s = vset()
-        return _ZeroCount(s, weight), len(s) + 1, lambda bits: weight * _zeros(bits, s)
+        return ZeroCount(s, weight), len(s) + 1, lambda bits: weight * _zeros(bits, s)
     a, b = vset(), vset()
-    return (_MajoritySign((a, b), weight), 3,
+    return (MajoritySign((a, b), weight), 3,
             lambda bits: weight * (np.sign(_zeros(bits, a) - _zeros(bits, b)) + 1))
 
 
@@ -353,9 +358,9 @@ def test_kernel_matches_exact_oracles(monkeypatch, split):
                 got = log_partition(g, p, **kwargs)
                 assert got == pytest.approx(_log_fraction(expect), abs=1e-12)
                 assert partition_fraction(g, beta, gamma, mu, **kwargs) == expect
-            hist = log_partition_histogram(g, p, terms, num_buckets, fixed=fixed)
-            assert _same_bits(hist, log_partition_histogram(g, p, terms, num_buckets,
-                                                            fixed=fixed, threads=2))
+            hist = _histogram(g, p, terms, num_buckets, fixed=fixed)
+            assert _same_bits(hist, _histogram(g, p, terms, num_buckets, fixed=fixed,
+                                               threads=2))
             for j in range(num_buckets):
                 expect = fraction_partition(
                     n, g.edges, beta, gamma, mu,
@@ -369,10 +374,9 @@ def test_kernel_exact_zeros_and_degenerate_cases():
     assert log_partition(g, SpinParams(0, 1.5), fixed={0: 0, 1: 0}) == LOG_ZERO
     assert log_partition(g, SpinParams(1.5, 0), fixed={2: 1, 3: 1}) == LOG_ZERO
     # a bucket that a pin rules out, and buckets that no two offsets sum to
-    hist = log_partition_histogram(g, SpinParams(1, 1), [_ZeroCount((0,))], 2, fixed={0: 1})
+    hist = _histogram(g, SpinParams(1, 1), [ZeroCount((0,))], 2, fixed={0: 1})
     assert hist[0] == pytest.approx(math.log(8), abs=1e-15) and hist[1] == LOG_ZERO
-    hist = log_partition_histogram(g, SpinParams(1, 1),
-                                   [_ZeroCount((0, 1)), _ZeroCount((0, 1), 3)], 9)
+    hist = _histogram(g, SpinParams(1, 1), [ZeroCount((0, 1)), ZeroCount((0, 1), 3)], 9)
     assert (hist[[1, 2, 3, 5, 6, 7]] == LOG_ZERO).all()
     assert hist[[0, 4, 8]] == pytest.approx(np.log([4, 8, 4]), abs=1e-15)
     # zero free vertices: the sum is the one pinned configuration's weight
@@ -464,6 +468,76 @@ def test_profile_sum_validation():
     for bad in (SpinParams(1, 1, 2.0), 1), (SpinParams(1, 1), -1):
         with pytest.raises(UsageError):
             log_profile_sums(h, *bad)
+
+
+# float.hex of every entry, as computed before profiles became (keys, table):
+# gadgets (N, delta, seed), (beta, gamma), delta_prime, then the table in C order
+_PINNED_PROFILE_SUMS = [
+    ((3, 3, 11), (0.37, 1.21), 2,
+     '0x1.00319a78f8e72p+2 0x1.0981a5b496426p+2 0x1.99040e0aff22ep+1 '
+     '0x1.24caf9aed3514p+0 0x1.0981a5b496426p+2 0x1.e3eb9dfb375d5p+1 '
+     '0x1.0f64381202fd9p+1 -0x1.1f254ffd42824p+0 0x1.99040e0aff22ep+1 '
+     '0x1.0f64381202fd9p+1 -0x1.12ac6039a41acp-1 -0x1.1f1510550a21ap+2 '
+     '0x1.24caf9aed3514p+0 -0x1.1f254ffd42824p+0 -0x1.1f1510550a21ap+2 '
+     '-0x1.1e583b4abbd77p+3'),
+    ((4, 2, 12), (0.0, 0.83), 1,
+     '-0x1.7d9a5ca4e127ep+1 -0x1.0936a69c4a41dp+0 -0x1.250342b7771b0p-4 '
+     '0x1.4fd1edf5e9c10p-4 -0x1.7d9a5ca4e127ep-1 -0x1.0936a69c4a41ep+0 '
+     '0x1.c1d50ea244c3cp-2 0x1.8cde6dae60d6ep-1 -0x1.ab62cb53d88f0p-5 -inf '
+     '-0x1.250342b7771b0p-4 0x1.8cde6dae60d6ep-1 -0x1.ab62cb53d88f0p-5 -inf -inf '
+     '0x1.4fd1edf5e9c10p-4 -0x1.ab62cb53d88f0p-5 -inf -inf -inf -0x1.7d9a5ca4e127ep-1 '
+     '-inf -inf -inf -inf'),
+    ((5, 4, 13), (1.7, 0.0), 0,
+     '-inf -inf -inf -inf -inf 0x0.0p+0 -inf -inf -inf -inf -inf 0x1.ddb09150b702ap+1 '
+     '-inf -inf -inf -inf 0x1.68678d8d3380dp+1 0x1.a30c0f6ef541cp+2 -inf -inf -inf '
+     '0x1.68678d8d3380dp+1 0x1.9c4dd566b2b16p+2 0x1.1571a81bcd472p+3 -inf -inf '
+     '0x1.68678d8d3380dp+1 0x1.9c4dd566b2b16p+2 0x1.1b473c20466ccp+3 '
+     '0x1.432f058125b37p+3 0x0.0p+0 0x1.ddb09150b702ap+1 0x1.a30c0f6ef541cp+2 '
+     '0x1.1571a81bcd472p+3 0x1.432f058125b37p+3 0x1.539a21f59d3f5p+3'),
+]
+# reductions (n, m, instance seed), (delta, delta_prime, t, gadget seed),
+# (beta, gamma), then log Z(G) and the 2^n majority sums
+_PINNED_MAJORITY_SUMS = [
+    ((3, 3, 5), (2, 1, 1, 4), (0.41, 1.3),
+     '0x1.12430e02f5904p+3 0x1.e04b9fe36729cp+2 0x1.e46bdf5bc5958p+2 '
+     '0x1.e044923efb74fp+2 0x1.e04b9fe36729cp+2 0x1.e04b9fe36729cp+2 '
+     '0x1.e044923efb74fp+2 0x1.e46bdf5bc5958p+2 0x1.e04b9fe36729cp+2'),
+    ((3, 4, 6), (1, 2, 1, 7), (0.0, 0.9),
+     '0x1.ab22e298c084ap+2 0x1.5410ec8955c97p+2 0x1.5733ac63037e9p+2 '
+     '0x1.4b96d7cea3350p+2 0x1.6087998ee5304p+2 0x1.6087998ee5304p+2 '
+     '0x1.4b96d7cea3350p+2 0x1.5733ac63037e9p+2 0x1.5410ec8955c97p+2'),
+    ((2, 2, 8), (2, 1, 2, 9), (1.2, 0.0),
+     '0x1.3160fb7700e8cp+3 0x1.1424efc072a2dp+3 0x1.1376e80175f5cp+3 '
+     '0x1.1376e80175f5cp+3 0x1.146239a0b2ee4p+3'),
+]
+# the last reduction's 3^n majority-sign histogram under pins and a field
+_PINNED_MAJORITY_HISTOGRAM = (
+    '0x1.4c86f0e04b665p+3 0x1.6fc8ac0bcbfd2p+3 0x1.8eecc15871352p+3 '
+    '0x1.556a109113e4dp+3 0x1.78c586842cc64p+3 0x1.982392176163ap+3 '
+    '0x1.5b9dbe562ee54p+3 0x1.7eb85e3827762p+3 0x1.9e22c28487a0ep+3')
+
+
+def _hex(values):
+    return " ".join(float.hex(float(x)) for x in np.ravel(values))
+
+
+def test_profile_and_majority_sums_are_pinned_bit_for_bit():
+    from twospin.e2lin2 import random_instance
+    from twospin.reduction import (GadgetParams, build_reduction_graph, log_majority_sums,
+                                   sample_gadget)
+    for (n_side, delta, seed), weights, delta_prime, want in _PINNED_PROFILE_SUMS:
+        got = log_profile_sums(sample_gadget(n_side, delta, seed), SpinParams(*weights),
+                               delta_prime)
+        assert _hex(got) == want
+    for instance, params, weights, want in _PINNED_MAJORITY_SUMS:
+        rg = build_reduction_graph(random_instance(*instance), GadgetParams(*params))
+        log_total, sums = log_majority_sums(rg, SpinParams(*weights))
+        assert _hex([log_total, *sums]) == want
+    n = rg.instance.num_vars  # the last reduction: t = 2, 16 vertices
+    terms = [MajoritySign((rg.u_side(i), rg.v_side(i)), 3 ** i) for i in range(n)]
+    fixed = {rg.u_side(0)[0]: 0, rg.v_side(1)[1]: 1, rg.v_side(0)[2]: 1}
+    hist = _histogram(rg.graph, SpinParams(0.7, 1.6, 1.4), terms, 3 ** n, fixed=fixed)
+    assert _hex(hist) == _PINNED_MAJORITY_HISTOGRAM
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import oracles
 from oracles import bisect_root, recursion_value
 from twospin import uniqueness
 from twospin.errors import RegimeError, ResourceLimitError, UsageError
-from twospin.spins import SpinParams
+from twospin.spins import SpinParams, remove_field
 from twospin.uniqueness import (PhaseRegion, SplitCase,
                                 always_unique_bound, case_split, classify_phase,
                                 classify_phase_detail, criticality_roots,
@@ -262,6 +262,21 @@ def test_field_window_flip():
         field_window(0.5, 0.4, 10)  # needs gamma > beta
     with pytest.raises(RegimeError):
         field_window(0.4, 0.5, 2)   # below the degree floor
+
+
+# degrees below 1 or past int64 once raised ZeroDivisionError (field_window
+# at -1), OverflowError (10**400) or TypeError (uniqueness_check at 10**300)
+@pytest.mark.parametrize("d", [0, -1, 0.5, math.nan, 2 ** 63, 10 ** 300, 10 ** 400],
+                         ids=["0", "-1", "0.5", "nan", "2**63", "10**300", "10**400"])
+@pytest.mark.parametrize("call", [
+    lambda d: uniqueness_check(SpinParams(0.5, 0.5), d),
+    lambda d: remove_field(SpinParams(0.5, 0.5, 2.0), d),
+    lambda d: criticality_roots(0.5, 0.5, d),
+    lambda d: field_window(0.2, 0.5, d)],
+    ids=["uniqueness_check", "remove_field", "criticality_roots", "field_window"])
+def test_degree_out_of_range_is_a_usage_error(call, d):
+    with pytest.raises(UsageError, match="degree must be"):
+        call(d)
 
 
 def test_field_window_interior_and_exterior():
