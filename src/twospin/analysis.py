@@ -12,7 +12,6 @@ Contents:
   * small closed-form evaluations used by reports.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +34,9 @@ MAX_SCAN_SIDE = 4096              # rate-bound grid points per axis (16.8M cells
 RATE_BLOCK_CELLS = 2 ** 13        # rate-bound grid cells evaluated per block of rows
 MAX_AUDIT_SIDE = 20               # exhaustive expander audit: 2^20 left sets
 AUDIT_BLOCK = 1 << 14             # big left sets per block of that audit
-MAX_MATCHING_TUPLES = 200_000     # gadgets averaged by enumerate_profile_sums_mean_log
-MAX_MC_SIDE = 8                   # gadget side of expected_profile_sum_mc
-MAX_MC_ENUMERATED = 100_000       # the MC draws matching-tuple indices up to this count
-MAX_MC_TRIALS = 10 ** 6           # MC trials: about 25 bytes each, 60 MB at the cap
-MAX_MC_WORK = 1 << 21             # MC gadgets * 4^N: (2, 17) 51 s at the cap, (8, 2) 0.15 s
+MAX_MC_SIDE = 8                   # gadget side of the enumerated mean and the MC
+MAX_MC_TRIALS = 10 ** 6           # MC trials: about 50 bytes each, 85 MB at the cap
+MAX_MC_WORK = 1 << 21             # gadgets computed * 4^N: 24-28 s and 110 MB at most
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 MAX_COUPLING_SEQUENCES = 1 << 22  # coupling trials * d: about 3 s and 140 MB at the cap
 
@@ -141,8 +138,8 @@ def exact_rate(a: float, b: float, delta: int, delta_prime: int,
     _check_fraction(b, "b")
     if beta <= 0 or gamma <= 0:
         raise UsageError("exact rate needs beta, gamma > 0")
-    if delta < 0 or delta_prime < 0:
-        raise UsageError("degrees must be nonnegative")
+    if not (0 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
+        raise UsageError(f"degrees must lie in [0, 2**63), got {delta} and {delta_prime}")
     lg = math.log(gamma)
     outer = (delta_prime * lg + (1.0 - a - b) * (delta + delta_prime) * lg
              + entropy(a) + entropy(b))
@@ -251,8 +248,8 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
     """
     if p.mu != 1.0:
         raise UsageError("profile sums are defined for mu == 1")
-    if n_side < 1 or delta < 1 or delta_prime < 0:
-        raise UsageError("need N >= 1, delta >= 1, delta_prime >= 0")
+    if not (n_side >= 1 and 1 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
+        raise UsageError("need N >= 1, delta in [1, 2**63) and delta_prime in [0, 2**63)")
     an = _integral_fraction(a, n_side, "a")
     bn = _integral_fraction(b, n_side, "b")
     terms = []
@@ -270,11 +267,31 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
             + delta * inner)
 
 
-def _matching_tuples(n_side: int, delta: int, indices):
-    """The matching tuples of N + N vertices at `indices` into all (N!)**delta
-    of them, in C order over their permutation ranks, as (delta, N) arrays."""
-    perms = np.array(list(itertools.permutations(range(n_side))), dtype=np.int64)
-    return (perms[list(ranks)] for ranks in zip(*np.unravel_index(indices, (len(perms),) * delta)))
+def _tuple_count(n_side: int, delta: int, gadgets: int) -> int:
+    """(N!)**delta, the matching tuples of H(N, delta), once their indices fit
+    int64 and numpy's 64 axes (delta is tested first, so no huge power is
+    formed) and min(gadgets, (N!)**delta) times 4^N fits MAX_MC_WORK."""
+    if n_side < 1 or delta < 1:
+        raise UsageError("need N >= 1 and delta >= 1")
+    if n_side > MAX_MC_SIDE:
+        raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
+    if delta > 62 or (count := math.factorial(n_side) ** delta) >= 1 << 63:
+        raise ResourceLimitError(f"(N!)**delta matching tuples of side {n_side} pass int64")
+    if (gadgets := min(gadgets, count)) * 4 ** n_side > MAX_MC_WORK:
+        raise ResourceLimitError(f"{gadgets} gadgets of 4^{n_side} configurations "
+                                 f"exceed cap {MAX_MC_WORK}")
+    return count
+
+
+def _profile_tables(n_side: int, delta: int, delta_prime: int, p: SpinParams, indices):
+    """log_profile_sums of the matching tuples at `indices` into all (N!)**delta,
+    in C order over their delta matchings, each ranked lexicographically."""
+    orders = np.zeros((1, 0), dtype=np.int64)  # lexicographic orders of range(k):
+    for k in range(1, n_side + 1):  # each i, then those of range(k - 1) skipping i
+        orders = np.vstack([np.insert(orders + (orders >= i), 0, i, axis=1) for i in range(k)])
+    ranks = np.unravel_index(indices, (len(orders),) * delta)
+    return (log_profile_sums(BipartiteGadget.from_matchings(orders[list(r)]), p, delta_prime)
+            for r in zip(*ranks))
 
 
 def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
@@ -282,12 +299,8 @@ def enumerate_profile_sums_mean_log(n_side: int, delta: int, delta_prime: int,
     """log of the exact gadget-average of every profile sum, by enumerating
     all (N!)**delta matching tuples: entry [an, bn] averages entry [an, bn]
     of log_profile_sums."""
-    count = math.factorial(n_side) ** delta
-    if count > MAX_MATCHING_TUPLES:
-        raise ResourceLimitError(
-            f"{count} matching tuples exceed cap {MAX_MATCHING_TUPLES}")
-    logs = np.array([log_profile_sums(BipartiteGadget.from_matchings(m), p, delta_prime)
-                     for m in _matching_tuples(n_side, delta, np.arange(count))])
+    count = _tuple_count(n_side, delta, math.inf)
+    logs = np.array(list(_profile_tables(n_side, delta, delta_prime, p, np.arange(count))))
     return np.array([log_sum_exp(column) for column in logs.reshape(count, -1).T]
                     ).reshape(n_side + 1, n_side + 1) - math.log(count)
 
@@ -308,36 +321,20 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
                             trials: int, seed: int) -> MCEstimate:
     """Monte Carlo mean (linear domain) of the profile sum over H(N, delta).
 
-    Deterministic for a given seed.  Up to MAX_MC_ENUMERATED matching tuples,
-    the trials draw tuple indices, and each distinct tuple drawn is computed
-    once; past it, each trial computes one gadget.  Each gadget computed
-    enumerates 4^N configurations, and MAX_MC_WORK caps their total.
+    Deterministic for a given seed: the trials draw matching-tuple indices,
+    and each distinct one drawn is computed once.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if trials > MAX_MC_TRIALS:
         raise ResourceLimitError(f"{trials} trials exceed cap {MAX_MC_TRIALS}")
-    if n_side > MAX_MC_SIDE:
-        raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
     check_seed(seed)
-    count = math.factorial(n_side) ** delta
-    enumerated = count <= MAX_MC_ENUMERATED
-    gadgets = min(trials, count) if enumerated else trials
-    if gadgets * 4 ** n_side > MAX_MC_WORK:
-        raise ResourceLimitError(f"{gadgets} gadgets of 4^{n_side} configurations "
-                                 f"exceed cap {MAX_MC_WORK}")
-    rng = np.random.default_rng(seed)
-    if enumerated:
-        drawn = rng.integers(count, size=trials)
-        hit = np.bincount(drawn, minlength=count) > 0
-        tuples = _matching_tuples(n_side, delta, np.flatnonzero(hit))
-    else:  # delta fresh permutations per trial, drawn as the values are computed
-        tuples = (np.array([rng.permutation(n_side) for _ in range(delta)])
-                  for _ in range(trials))
-    values = np.array([math.exp(log_profile_sums(BipartiteGadget.from_matchings(m), p,
-                                                 delta_prime)[an, bn]) for m in tuples])
-    sample = values[np.cumsum(hit)[drawn] - 1] if enumerated else values
+    count = _tuple_count(n_side, delta, trials)
+    drawn, inverse = np.unique(np.random.default_rng(seed).integers(count, size=trials),
+                               return_inverse=True)
+    tables = _profile_tables(n_side, delta, delta_prime, p, drawn)
+    sample = np.array([math.exp(t[an, bn]) for t in tables])[inverse]
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials,
                           seed=seed)

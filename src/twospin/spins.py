@@ -420,8 +420,8 @@ def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.
     """
     if p.mu != 1.0:
         raise UsageError("profile sums are defined for mu == 1; translate the field first")
-    if delta_prime < 0:
-        raise UsageError("delta_prime must be nonnegative")
+    if not 0 <= delta_prime < 1 << 63:
+        raise UsageError("delta_prime must lie in [0, 2**63)")
     n = h.side_size
     if n > MAX_PROFILE_SIDE:
         raise ResourceLimitError(f"side size {n} exceeds cap {MAX_PROFILE_SIDE}")

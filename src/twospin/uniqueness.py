@@ -169,10 +169,10 @@ def uniqueness_check(p: SpinParams, d: int) -> UniquenessReport:
 
 def magnitude_grid(beta, gamma, mu, d) -> Tuple[np.ndarray, np.ndarray]:
     """(x_hat, |f'|) over broadcast arrays of parameters; beta*gamma < 1 only."""
+    for extreme in (np.min(d), np.max(d)):  # either is NaN if any degree is
+        check_degree(extreme)
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
-    if np.any(d < 1):
-        raise UsageError("degree must be >= 1")
     x = _fixed_point_array(beta, gamma, mu, d)
     return x, _magnitude_from_x(beta, gamma, d, x)
 
@@ -192,8 +192,8 @@ def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
     Inside the unit square non-uniqueness is monotone in d, and a found
     threshold is spot-checked at d + 1.
     """
-    if d_max < 1:
-        raise UsageError("d_max must be >= 1")
+    if not d_max >= 1:  # NaN too
+        raise UsageError(f"d_max must be >= 1, got {d_max}")
     if d_max > MAX_SCAN_DEGREE:
         raise ResourceLimitError(f"d_max {d_max} exceeds cap {MAX_SCAN_DEGREE}")
     _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
@@ -440,6 +440,7 @@ def classify_phase_detail(p: SpinParams, d: int,
     come from _solved_report.  The constant h is configuration, not
     derivation: every report echoes it.
     """
+    check_degree(d)
     bg = p.beta * p.gamma
     if bg > 1:
         return PhaseReport(PhaseRegion.FERROMAGNETIC, None, None, h)
@@ -467,6 +468,7 @@ def phase_grid(betas, gammas, mu: float, d: int,
     Every row equals classify_phase_detail on its cell; an error raised for
     a block comes before any of its rows.
     """
+    check_degree(d)
     gammas = list(gammas)
     cells = ((beta, gamma) for beta in betas for gamma in gammas)
     while block := list(itertools.islice(cells, PHASE_BLOCK_CELLS)):

@@ -15,12 +15,13 @@ check, aggregate, write and audit edge records and build the reduction's,
 a line-by-line reader of graph files, and the enumeration kernel's problem
 construction and block as they stood before its set-up was cut (a frozen
 copy, for bit-for-bit comparison), with the profile terms it took and
-`profile_of`, which turns them into the kernel's (keys, table) profile.  Five helpers evaluate through the
+`profile_of`, which turns them into the kernel's (keys, table) profile.  Six helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
 fixed-point bisection uses, `profile_sum_mc_all_tuples`, the gadget
 Monte Carlo as it stood when it computed every matching tuple before it
-drew the sample, `coupling_sim_per_sequence`, the coupling simulation
-as it stood when it held int64 hit counts and patterns and computed its
+drew the sample, `profile_sum_mc_drawn_tuples`, the same Monte Carlo
+computing each drawn tuple, decoded from its index by divmod,
+`coupling_sim_per_sequence`, the coupling simulation as it stood when it held int64 hit counts and patterns and computed its
 coupling probability per sequence, and `rate_bound_scan_by_rows` and
 `rate_bound_grid_by_rows`, the rate-bound scan and grid as they stood when
 they evaluated the grid one row at a time.
@@ -194,6 +195,28 @@ def profile_sum_mc_all_tuples(n_side, delta, delta_prime, p, an, bn, trials, see
                                   delta_prime)[an, bn])
         for ranks in itertools.product(range(len(perms)), repeat=delta)])
     sample = values[np.random.default_rng(seed).integers(len(values), size=trials)]
+    return _mc_estimate(sample, trials, seed)
+
+
+def profile_sum_mc_drawn_tuples(n_side, delta, delta_prime, p, an, bn, trials, seed):
+    """The gadget Monte Carlo computing only the drawn matching tuples, one per
+    trial: each of the `trials` indices drawn from the seed is split into
+    delta permutation ranks, the last rank varying fastest, by Python divmod."""
+    perms = list(itertools.permutations(range(n_side)))
+    draws = np.random.default_rng(seed).integers(len(perms) ** delta, size=trials)
+    values = []
+    for index in draws.tolist():
+        ranks = []
+        for _ in range(delta):
+            index, rank = divmod(index, len(perms))
+            ranks.append(rank)
+        matchings = np.array([perms[r] for r in reversed(ranks)], dtype=np.int64)
+        values.append(math.exp(log_profile_sums(BipartiteGadget.from_matchings(matchings),
+                                                p, delta_prime)[an, bn]))
+    return _mc_estimate(np.array(values), trials, seed)
+
+
+def _mc_estimate(sample, trials, seed):
     if np.all(sample == sample[0]):
         return MCEstimate(mean=float(sample[0]), std_error=0.0, trials=trials, seed=seed)
     se = float(sample.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -8,6 +8,7 @@ import pytest
 from oracles import (binary_entropy, bracket_max, chi2_survival,
                      coupling_sim_per_sequence, expander_worst_pair,
                      profile_sum_direct, profile_sum_mc_all_tuples,
+                     profile_sum_mc_drawn_tuples,
                      rate_bound_grid_by_rows, rate_bound_scan_by_rows,
                      sequential_indicator_law)
 from twospin import analysis, cli
@@ -282,9 +283,9 @@ def test_expected_profile_sum_matches_enumeration():
                             lhs = expected_profile_sum_log(
                                 n_side, delta, delta_prime, p, a, b)
                             assert lhs == pytest.approx(table[an, bn], abs=1e-9)
-    assert math.factorial(9) > analysis.MAX_MATCHING_TUPLES
-    with pytest.raises(ResourceLimitError):
-        enumerate_profile_sums_mean_log(9, 1, 1, SpinParams(0.5, 0.5))
+    # all 720 gadgets of side 6 times their 4^6 configurations pass MAX_MC_WORK
+    with pytest.raises(ResourceLimitError, match="720 gadgets of 4\\^6 configurations"):
+        enumerate_profile_sums_mean_log(6, 1, 1, SpinParams(0.5, 0.5))
 
 
 def test_expected_profile_sum_against_direct_oracle():
@@ -318,17 +319,21 @@ def test_mc_estimate_behaviour():
         expected_profile_sum_mc(9, 1, 1, p, 0, 0, trials=10, seed=0)
 
 
-# (N, delta), trials, zero counts (an, bn) and seed: enumerated shapes of 1
-# to 576 matching tuples, with trials below and above the tuple count
+# (N, delta), trials, zero counts (an, bn) and seed: shapes of 1 to 576
+# matching tuples, with trials below and above the tuple count, computed in
+# full; then shapes of 8!^2, 2^20 and 6^24 tuples, with only the drawn ones
 @pytest.mark.parametrize("shape, trials, counts, seed", [
     ((3, 2), 20000, (1, 1), 5), ((3, 2), 300, (1, 2), 1), ((4, 2), 2000, (2, 1), 2),
-    ((5, 1), 500, (2, 3), 3), ((2, 3), 1000, (1, 1), 4), ((1, 1), 10, (1, 1), 0)])
+    ((5, 1), 500, (2, 3), 3), ((2, 3), 1000, (1, 1), 4), ((1, 1), 10, (1, 1), 0),
+    ((8, 2), 32, (4, 3), 6), ((2, 20), 200, (1, 1), 7), ((3, 24), 100, (1, 2), 8)])
 def test_mc_matches_computing_every_tuple(shape, trials, counts, seed):
     (n_side, delta), (an, bn) = shape, counts
     p = SpinParams(0.4, 0.7)
     got = expected_profile_sum_mc(n_side, delta, 1, p, an / n_side, bn / n_side,
                                   trials=trials, seed=seed)
-    assert got == profile_sum_mc_all_tuples(n_side, delta, 1, p, an, bn, trials, seed)
+    assert got == profile_sum_mc_drawn_tuples(n_side, delta, 1, p, an, bn, trials, seed)
+    if math.factorial(n_side) ** delta <= 576:
+        assert got == profile_sum_mc_all_tuples(n_side, delta, 1, p, an, bn, trials, seed)
 
 
 def test_mc_computes_only_the_gadgets_it_draws(monkeypatch):
@@ -348,18 +353,53 @@ class _Computed(Exception):
     pass
 
 
-# gadgets computed * 4^N against MAX_MC_WORK = 2^21: every trial on the drawn
-# path (8, 2), at most the 13,824 or 36 matching tuples on the enumerated one
+# gadgets computed * 4^N against MAX_MC_WORK = 2^21: the Monte Carlo computes
+# at most min(trials, (N!)^delta) of them, the enumeration (trials None) all
+# (N!)^delta; then matching-tuple indices that pass int64 or numpy's 64 axes,
+# refused with delta tested first (2^(10^9) is never formed, and no message
+# prints a delta of 5,001 digits)
 @pytest.mark.parametrize("shape, trials, admitted", [
     ((8, 2), 32, True), ((8, 2), 33, False), ((4, 3), 8192, True),
-    ((4, 3), 8193, False), ((4, 3), 10 ** 6, False), ((3, 2), 10 ** 6, True)])
+    ((4, 3), 8193, False), ((4, 3), 10 ** 6, False), ((3, 2), 10 ** 6, True),
+    ((2, 17), 10 ** 6, True), ((2, 18), 131072, True), ((2, 18), 131073, False),
+    ((5, 1), None, True), ((6, 1), None, False), ((8, 1), None, False),
+    ((4, 2), None, True), ((4, 3), None, False), ((5, 2), None, False),
+    ((2, 17), None, True), ((2, 18), None, False),
+    ((1, 62), 10, True), ((1, 63), 10, False), ((1, 65), 10, False),
+    ((2, 62), 10, True), ((2, 63), 10, False), ((2, 10 ** 9), 10, False),
+    ((2, 10 ** 5000), 10, False),
+    ((3, 24), 10, True), ((3, 25), 10, False), ((8, 4), 10, True), ((8, 5), 10, False),
+    ((1, 62), None, True), ((1, 63), None, False), ((1, 65), None, False)])
 def test_mc_work_cap_is_checked_before_any_work(monkeypatch, shape, trials, admitted):
     def computed(*args):
         raise _Computed
 
     monkeypatch.setattr(analysis, "log_profile_sums", computed)
+    p = SpinParams(0.4, 0.7)
     with pytest.raises(_Computed if admitted else ResourceLimitError):
-        expected_profile_sum_mc(*shape, 1, SpinParams(0.4, 0.7), 0, 0, trials=trials, seed=0)
+        if trials is None:
+            enumerate_profile_sums_mean_log(*shape, 1, p)
+        else:
+            expected_profile_sum_mc(*shape, 1, p, 0, 0, trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("d", [-1, math.nan, 2 ** 63, 10 ** 400],
+                         ids=["-1", "nan", "2**63", "10**400"])
+@pytest.mark.parametrize("call", [
+    lambda d: expected_profile_sum_log(2, d, 1, SpinParams(0.4, 0.7), 0.5, 0.5),
+    lambda d: expected_profile_sum_log(2, 1, d, SpinParams(0.4, 0.7), 0.5, 0.5),
+    lambda d: exact_rate(0.5, 0.5, d, 1, 0.4, 0.7),
+    lambda d: exact_rate(0.5, 0.5, 1, d, 0.4, 0.7),
+    lambda d: enumerate_profile_sums_mean_log(2, 1, d, SpinParams(0.4, 0.7)),
+    lambda d: expected_profile_sum_mc(2, 1, d, SpinParams(0.4, 0.7), 0.5, 0.5, 10, 0)],
+    ids=["expected_profile_sum_log-delta", "expected_profile_sum_log-delta_prime",
+         "exact_rate-delta", "exact_rate-delta_prime",
+         "enumerate_profile_sums_mean_log-delta_prime",
+         "expected_profile_sum_mc-delta_prime"])
+def test_degrees_outside_int64_are_usage_errors(call, d):
+    # 10**400 raised OverflowError converting to float
+    with pytest.raises(UsageError, match="2\\*\\*63"):
+        call(d)
 
 
 def test_mc_checks_profile_before_weights():

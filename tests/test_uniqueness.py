@@ -265,18 +265,31 @@ def test_field_window_flip():
 
 
 # degrees below 1 or past int64 once raised ZeroDivisionError (field_window
-# at -1), OverflowError (10**400) or TypeError (uniqueness_check at 10**300)
+# at -1), OverflowError (10**400) or TypeError (uniqueness_check at 10**300);
+# with every cell at beta*gamma > 1 the phase classifiers never looked at
+# the degree, and magnitude_grid returned NaN at a NaN degree
 @pytest.mark.parametrize("d", [0, -1, 0.5, math.nan, 2 ** 63, 10 ** 300, 10 ** 400],
                          ids=["0", "-1", "0.5", "nan", "2**63", "10**300", "10**400"])
 @pytest.mark.parametrize("call", [
     lambda d: uniqueness_check(SpinParams(0.5, 0.5), d),
     lambda d: remove_field(SpinParams(0.5, 0.5, 2.0), d),
     lambda d: criticality_roots(0.5, 0.5, d),
-    lambda d: field_window(0.2, 0.5, d)],
-    ids=["uniqueness_check", "remove_field", "criticality_roots", "field_window"])
+    lambda d: field_window(0.2, 0.5, d),
+    lambda d: classify_phase_detail(SpinParams(2, 2), d),
+    lambda d: list(phase_grid([2, 3], [2, 3], 1.0, d)),
+    lambda d: magnitude_grid(0.5, 0.5, 1.0, d),
+    lambda d: magnitude_grid(0.5, 0.5, 1.0, [4, d])],
+    ids=["uniqueness_check", "remove_field", "criticality_roots", "field_window",
+         "classify_phase_detail", "phase_grid", "magnitude_grid", "magnitude_grid_array"])
 def test_degree_out_of_range_is_a_usage_error(call, d):
     with pytest.raises(UsageError, match="degree must be"):
         call(d)
+
+
+def test_first_nonunique_degree_refuses_a_nan_cap():
+    # numpy's arange raised ValueError on a NaN length
+    with pytest.raises(UsageError, match="d_max must be >= 1, got nan"):
+        first_nonunique_degree(SpinParams(0.5, 0.5), math.nan)
 
 
 def test_field_window_interior_and_exterior():
