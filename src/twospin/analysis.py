@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_seed
+from .errors import ResourceLimitError, UsageError, check_seed, shown
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
 from .spins import SpinParams, _integral_fraction, log_profile_sums
@@ -139,7 +139,8 @@ def exact_rate(a: float, b: float, delta: int, delta_prime: int,
     if beta <= 0 or gamma <= 0:
         raise UsageError("exact rate needs beta, gamma > 0")
     if not (0 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
-        raise UsageError(f"degrees must lie in [0, 2**63), got {delta} and {delta_prime}")
+        raise UsageError(f"degrees must lie in [0, 2**63), "
+                         f"got {shown(delta)} and {shown(delta_prime)}")
     lg = math.log(gamma)
     outer = (delta_prime * lg + (1.0 - a - b) * (delta + delta_prime) * lg
              + entropy(a) + entropy(b))
@@ -327,7 +328,7 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if trials > MAX_MC_TRIALS:
-        raise ResourceLimitError(f"{trials} trials exceed cap {MAX_MC_TRIALS}")
+        raise ResourceLimitError(f"{shown(trials)} trials exceed cap {MAX_MC_TRIALS}")
     an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
     check_seed(seed)
     count = _tuple_count(n_side, delta, trials)
@@ -371,7 +372,7 @@ class ExpanderAudit:
 def check_audit_side(n: int) -> None:
     """Refuse an audit of a side above MAX_AUDIT_SIDE."""
     if n > MAX_AUDIT_SIDE:
-        raise ResourceLimitError(f"side {n} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
+        raise ResourceLimitError(f"side {shown(n)} exceeds exhaustive audit cap {MAX_AUDIT_SIDE}")
 
 
 def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
@@ -546,7 +547,7 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
         raise UsageError("d and trials must be >= 1")
     if trials * d > MAX_COUPLING_SEQUENCES:
         raise ResourceLimitError(
-            f"trials * d = {trials * d} sequences exceed cap {MAX_COUPLING_SEQUENCES}")
+            f"trials * d = {shown(trials * d)} sequences exceed cap {MAX_COUPLING_SEQUENCES}")
     bn = _integral_fraction(b, n, "b")
     if bn < 1:
         raise UsageError("b*n must be >= 1")

@@ -77,9 +77,12 @@ def _verify_report(args, value, bound, passed, margin, checks=(), **extras):
 
 
 def _write_csv(path, header, rows):
+    """Open `path` only once the first row exists: a refusal raised before it
+    creates no file and truncates none."""
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:  # a float's str is its repr
+        for row in itertools.chain([header], first, rows):  # a float's str is its repr
             fh.write(",".join("" if x is None else str(x) for x in row) + "\n")
 
 

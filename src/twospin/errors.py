@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the seed and degree
-checks that raise one."""
+"""Exception types shared across the package, the seed and degree checks
+that raise one, and the renderer their messages print values with."""
 
 import numbers
+
+MAX_SHOWN_BITS = 256  # a message prints a longer integer as its bit length
 
 
 class UsageError(ValueError):
@@ -21,15 +23,23 @@ class ResourceLimitError(RuntimeError):
     """
 
 
+def shown(value) -> str:
+    """`value` as an f-string prints it, except an int past MAX_SHOWN_BITS
+    bits (str() refuses one past 4,300 digits): its sign and bit length."""
+    if isinstance(value, int) and value.bit_length() > MAX_SHOWN_BITS:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return format(value)
+
+
 def check_seed(seed) -> None:
     """Refuse a negative integer seed, which numpy's generators would reject
     with a bare ValueError.  A SeedSequence passes unchecked."""
     if isinstance(seed, numbers.Integral) and seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+        raise UsageError(f"seed must be a non-negative integer, got {shown(seed)}")
 
 
 def check_degree(d) -> None:
     """Refuse a degree outside [1, 2**63) before any float conversion,
     which would raise ZeroDivisionError, OverflowError or TypeError."""
     if not 1 <= d < 1 << 63:
-        raise UsageError(f"degree must be >= 1 and below 2**63, got {d}")
+        raise UsageError(f"degree must be >= 1 and below 2**63, got {shown(d)}")

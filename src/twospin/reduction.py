@@ -27,7 +27,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
-from .errors import RegimeError, ResourceLimitError, UsageError, check_seed
+from .errors import RegimeError, ResourceLimitError, UsageError, check_seed, shown
 from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
                      records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
@@ -72,7 +72,7 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
         raise UsageError("need n_side >= 1 and delta >= 1")
     if delta * (n_side + 4) > MAX_GADGET_DRAW:
         raise ResourceLimitError(
-            f"delta * (side + 4) = {delta * (n_side + 4)} exceeds cap {MAX_GADGET_DRAW}")
+            f"delta * (side + 4) = {shown(delta * (n_side + 4))} exceeds cap {MAX_GADGET_DRAW}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return BipartiteGadget.from_matchings(
@@ -130,7 +130,8 @@ def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> Reducti
     t = params.block_size
     records = 2 * inst.num_equations * t * (params.delta + 1)
     if records > MAX_REDUCTION_RECORDS:
-        raise ResourceLimitError(f"{records} edge records exceed cap {MAX_REDUCTION_RECORDS}")
+        raise ResourceLimitError(
+            f"{shown(records)} edge records exceed cap {MAX_REDUCTION_RECORDS}")
     occ = occurrence_counts(inst)
     n = inst.num_vars
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RegimeError, ResourceLimitError, UsageError, check_degree
+from .errors import RegimeError, ResourceLimitError, UsageError, check_degree, shown
 from .spins import SpinParams, remove_field
 
 BISECT_ITERATIONS = 200
@@ -136,21 +136,10 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
     return out
 
 
-def _magnitude_from_x(beta, gamma, d, x):
-    """|f'| at the fixed point via the closed form, overflow-safe."""
-    with np.errstate(divide="ignore"):
-        logmag = (np.log(d) + np.log1p(-(np.asarray(beta, dtype=float) * gamma))
-                  + np.log(x) - np.log1p(beta * x) - np.log(x + gamma))
-    return np.exp(logmag)
-
-
 def fixed_point(p: SpinParams, d: int) -> float:
-    """The positive fixed point of the tree recursion, for beta*gamma < 1.
-
-    Every gamma >= 0 goes through the one bisection in _fixed_point_array.
-    """
-    check_degree(d)
-    return float(_fixed_point_array(p.beta, p.gamma, p.mu, d))
+    """The positive fixed point of the tree recursion, for beta*gamma < 1."""
+    x_hat, _ = magnitude_grid(p.beta, p.gamma, p.mu, d)
+    return float(x_hat)
 
 
 @dataclass(frozen=True)
@@ -162,19 +151,23 @@ class UniquenessReport:
 
 def uniqueness_check(p: SpinParams, d: int) -> UniquenessReport:
     """Fixed point plus the derivative criterion |f'(x_hat)| < 1."""
-    x = fixed_point(p, d)
-    mag = float(_magnitude_from_x(p.beta, p.gamma, d, x))
-    return UniquenessReport(x_hat=x, derivative_magnitude=mag, unique=mag < 1.0)
+    x_hat, mag = (float(v) for v in magnitude_grid(p.beta, p.gamma, p.mu, d))
+    return UniquenessReport(x_hat=x_hat, derivative_magnitude=mag, unique=mag < 1.0)
 
 
 def magnitude_grid(beta, gamma, mu, d) -> Tuple[np.ndarray, np.ndarray]:
-    """(x_hat, |f'|) over broadcast arrays of parameters; beta*gamma < 1 only."""
+    """(x_hat, |f'|) over broadcast arrays of parameters; beta*gamma < 1 only.
+
+    The module's one solver entry; |f'| is the closed form, taken in logs."""
     for extreme in (np.min(d), np.max(d)):  # either is NaN if any degree is
         check_degree(extreme)
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
     x = _fixed_point_array(beta, gamma, mu, d)
-    return x, _magnitude_from_x(beta, gamma, d, x)
+    with np.errstate(divide="ignore"):
+        logmag = (np.log(d) + np.log1p(-(beta * gamma)) + np.log(x)
+                  - np.log1p(beta * x) - np.log(x + gamma))
+    return x, np.exp(logmag)
 
 
 @dataclass(frozen=True)
@@ -193,9 +186,9 @@ def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
     threshold is spot-checked at d + 1.
     """
     if not d_max >= 1:  # NaN too
-        raise UsageError(f"d_max must be >= 1, got {d_max}")
+        raise UsageError(f"d_max must be >= 1, got {shown(d_max)}")
     if d_max > MAX_SCAN_DEGREE:
-        raise ResourceLimitError(f"d_max {d_max} exceeds cap {MAX_SCAN_DEGREE}")
+        raise ResourceLimitError(f"d_max {shown(d_max)} exceeds cap {MAX_SCAN_DEGREE}")
     _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
                              np.arange(1, d_max + 1, dtype=float))
     hits = np.nonzero(mags >= 1.0)[0]
@@ -406,49 +399,57 @@ class PhaseReport:
     region_constant: float  # the h used for the unit-square region test
 
 
-def _solved_report(p: SpinParams, d: int, h: float, x_hat: float,
-                   mag: float) -> PhaseReport:
-    """Report for a cell with beta*gamma < 1, given its x_hat and |f'|.
+def _classify_block(params, d: int, h: float):
+    """The PhaseReports of the cells `params` at degree d, in order.
 
-    Non-unique cells are tagged on the field-free translated parameters
+    Cells with beta*gamma < 1 are solved by one magnitude_grid call;
+    beta*gamma > 1 is ferromagnetic, and beta*gamma = 1 (a constant
+    recursion, outside the solver's regime) is trivially unique.  Non-unique
+    cells are tagged on the field-free translated parameters
     (beta*mu**(1/d), gamma*mu**(-1/d)); their product beta*gamma is
     translation-invariant.
     """
-    if mag < 1.0:
-        return PhaseReport(PhaseRegion.UNIQUENESS, x_hat, mag, h)
-    eff, _ = remove_field(p, d)
-    region = PhaseRegion.NONUNIQUE_UNCLASSIFIED
-    if (0 <= eff.beta <= 1 and 0 <= eff.gamma <= 1
-            and (eff.beta, eff.gamma) not in ((0.0, 0.0), (1.0, 1.0))
-            and d >= h / (1.0 - p.beta * p.gamma)):
-        region = PhaseRegion.NONUNIQUE_UNIT_SQUARE
-    else:
-        for lo, hi in ((eff.beta, eff.gamma), (eff.gamma, eff.beta)):
-            if 0 < lo < 1 < hi:
-                plan = outside_square_degrees(lo, hi)
-                if plan.in_hard_region and d == plan.delta_star:
-                    region = PhaseRegion.NONUNIQUE_OUTSIDE_SQUARE
-                break
-    return PhaseReport(region, x_hat, mag, h)
+    beta, gamma, mu = np.array([(p.beta, p.gamma, p.mu) for p in params], dtype=float).T
+    bg = beta * gamma
+    solve = bg < 1
+    x_hat, mag = np.empty_like(bg), np.empty_like(bg)
+    if np.any(solve):
+        x_hat[solve], mag[solve] = magnitude_grid(beta[solve], gamma[solve], mu[solve], d)
+    reports = []
+    for p, prod, x, m in zip(params, bg.tolist(), x_hat.tolist(), mag.tolist()):
+        if prod > 1:
+            region, x, m = PhaseRegion.FERROMAGNETIC, None, None
+        elif prod == 1:
+            region, x, m = PhaseRegion.UNIQUENESS, None, 0.0
+        elif m < 1.0:
+            region = PhaseRegion.UNIQUENESS
+        else:
+            eff, _ = remove_field(p, d)
+            region = PhaseRegion.NONUNIQUE_UNCLASSIFIED
+            if (0 <= eff.beta <= 1 and 0 <= eff.gamma <= 1
+                    and (eff.beta, eff.gamma) not in ((0.0, 0.0), (1.0, 1.0))
+                    and d >= h / (1.0 - prod)):
+                region = PhaseRegion.NONUNIQUE_UNIT_SQUARE
+            for lo, hi in ((eff.beta, eff.gamma), (eff.gamma, eff.beta)):
+                if 0 < lo < 1 < hi:  # so not in the unit square
+                    plan = outside_square_degrees(lo, hi)
+                    if plan.in_hard_region and d == plan.delta_star:
+                        region = PhaseRegion.NONUNIQUE_OUTSIDE_SQUARE
+                    break
+        reports.append(PhaseReport(region, x, m, h))
+    return reports
 
 
 def classify_phase_detail(p: SpinParams, d: int,
                           h: float = DEFAULT_REGION_CONSTANT) -> PhaseReport:
     """Classify (beta, gamma, mu, d) into a phase/hardness region.
 
-    Non-uniqueness labels are consistent with uniqueness_check; region tags
-    come from _solved_report.  The constant h is configuration, not
-    derivation: every report echoes it.
+    The label is uniqueness iff uniqueness_check finds |f'| < 1, for
+    beta*gamma < 1.  The constant h is configuration, not derivation: every
+    report echoes it.
     """
     check_degree(d)
-    bg = p.beta * p.gamma
-    if bg > 1:
-        return PhaseReport(PhaseRegion.FERROMAGNETIC, None, None, h)
-    if bg == 1:
-        # constant recursion: trivially unique, outside the solver's regime
-        return PhaseReport(PhaseRegion.UNIQUENESS, None, 0.0, h)
-    rep = uniqueness_check(p, d)
-    return _solved_report(p, d, h, rep.x_hat, rep.derivative_magnitude)
+    return _classify_block([p], d, h)[0]
 
 
 def classify_phase(p: SpinParams, d: int,
@@ -463,26 +464,16 @@ def phase_grid(betas, gammas, mu: float, d: int,
     Yields dicts with keys beta, gamma, mu, d, region, x_hat, deriv_mag
     (the last two are None in regions where the solver does not apply),
     row-major with beta outermost.  Cells are taken lazily in blocks of at
-    most PHASE_BLOCK_CELLS; the cells of a block with beta*gamma < 1 are
-    solved by one magnitude_grid call, the rest by classify_phase_detail.
-    Every row equals classify_phase_detail on its cell; an error raised for
-    a block comes before any of its rows.
+    most PHASE_BLOCK_CELLS, each classified as classify_phase_detail
+    classifies one cell; an error raised for a block comes before any of
+    its rows.
     """
     check_degree(d)
     gammas = list(gammas)
     cells = ((beta, gamma) for beta in betas for gamma in gammas)
     while block := list(itertools.islice(cells, PHASE_BLOCK_CELLS)):
         params = [SpinParams(beta, gamma, mu) for beta, gamma in block]
-        beta_arr, gamma_arr = np.array(block, dtype=float).T
-        solve = beta_arr * gamma_arr < 1
-        x_hat, mag = np.empty_like(beta_arr), np.empty_like(beta_arr)
-        if np.any(solve):
-            x_hat[solve], mag[solve] = magnitude_grid(
-                beta_arr[solve], gamma_arr[solve], mu, d)
-        for p, solved, x, m in zip(params, solve.tolist(), x_hat.tolist(),
-                                   mag.tolist()):
-            rep = (_solved_report(p, d, h, x, m) if solved
-                   else classify_phase_detail(p, d, h))
+        for p, rep in zip(params, _classify_block(params, d, h)):
             yield {
                 "beta": p.beta, "gamma": p.gamma, "mu": mu, "d": d,
                 "region": rep.region.value,

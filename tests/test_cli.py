@@ -169,6 +169,41 @@ def test_phase_map(capsys, tmp_path):
     assert all("non-uniqueness" in ln for ln in lines[1:])
 
 
+# the CSV was opened, and its header written, before the first block was
+# classified, so each of these left a one-line file behind
+@pytest.mark.parametrize("grid", [
+    ["--beta-min", "2", "--beta-max", "3", "--beta-steps", "2", "--gamma-min", "2",
+     "--gamma-max", "3", "--gamma-steps", "2", "--degree", "0"],
+    ["--beta-min", "-1", "--beta-max", "0.5", "--beta-steps", "3", "--gamma-min",
+     "0.1", "--gamma-max", "0.5", "--gamma-steps", "3", "--degree", "4"],
+    ["--beta-min", "0.1", "--beta-max", "0.5", "--beta-steps", "3", "--gamma-min",
+     "0.1", "--gamma-max", "0.5", "--gamma-steps", "3", "--degree", "4", "--mu", "0"]],
+    ids=["degree-0", "beta-min-1", "mu-0"])
+def test_phase_map_refused_by_its_first_block_leaves_no_file(capsys, tmp_path, grid):
+    out = tmp_path / "grid.csv"
+    code, _ = _run(capsys, ["phase-map", *grid, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    out.write_text("kept\n")  # nor does it truncate one
+    assert _run(capsys, ["phase-map", *grid, "--out", str(out)])[0] == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_phase_map_refused_by_a_later_block_keeps_the_rows_before(capsys, tmp_path,
+                                                                  monkeypatch):
+    # at d = 6000 the fixed point of (2.5, 0), the third cell, overflows a double
+    monkeypatch.setattr(twospin.uniqueness, "PHASE_BLOCK_CELLS", 1)
+    out = tmp_path / "grid.csv"
+    code, _ = _run(capsys, ["phase-map", "--beta-min", "0", "--beta-max", "2.5",
+                            "--beta-steps", "2", "--gamma-min", "0", "--gamma-max",
+                            "2.5", "--gamma-steps", "2", "--degree", "6000",
+                            "--out", str(out)])
+    assert code == 2
+    lines = out.read_text().splitlines()
+    assert [ln.split(",")[:2] for ln in lines] == [["beta", "gamma"], ["0.0", "0.0"],
+                                                   ["0.0", "2.5"]]
+
+
 COUNT_FLAGS = [
     ("z", "--threads"), ("phase-map", "--beta-steps"),
     ("phase-map", "--gamma-steps"), ("gadget", "--side"), ("decode", "--n"),

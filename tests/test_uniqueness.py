@@ -406,13 +406,18 @@ def test_unit_square_monotonicity():
         assert not np.any(nonunique[:-1] & ~nonunique[1:])
 
 
-def test_phase_grid_matches_per_cell_classification(monkeypatch):
+def _phase_grids():
+    """(betas, gammas, mu, d, h) grids that between them reach every region."""
     plan = outside_square_degrees(0.3, 1.0001)
     axis = np.linspace(0.0, 2.5, 11).tolist()  # has 0, and 0.5 * 2.0 == 1
-    grids = [(axis, axis, 1.0, 40, 10.0),        # unit-square region
-             (axis, axis, 0.37, 40, 1000.0),     # unclassified non-uniqueness
-             ([0.0, 0.25, 0.3, 2.0], [1.0001, 4.0], 1.0,
-              plan.delta_star, 1e12)]            # outside-square region
+    return [(axis, axis, 1.0, 40, 10.0),        # unit-square region
+            (axis, axis, 0.37, 40, 1000.0),     # unclassified non-uniqueness
+            ([0.0, 0.25, 0.3, 2.0], [1.0001, 4.0], 1.0,
+             plan.delta_star, 1e12)]            # outside-square region
+
+
+def test_phase_grid_matches_per_cell_classification(monkeypatch):
+    grids = _phase_grids()
     expected = []
     for betas, gammas, mu, d, h in grids:
         for beta in betas:
@@ -438,6 +443,44 @@ def test_phase_grid_matches_per_cell_classification(monkeypatch):
             assert row["region"] == rep.region.value
             assert row["x_hat"] == rep.x_hat
             assert row["deriv_mag"] == rep.derivative_magnitude
+
+
+def _log_add(a, b):
+    """log(e**a + e**b) in plain math; -inf stands for log 0."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _oracle_magnitude(beta, gamma, mu, d):
+    """|f'(x_hat)| in plain math, with log x_hat from bisect_root on
+    y -> log f(e**y) - y, which decreases when beta*gamma < 1."""
+    log_beta, log_gamma = (math.log(v) if v > 0 else -math.inf for v in (beta, gamma))
+
+    def log_terms(y):  # log(beta*x + 1) + log(x + gamma) at x = e**y
+        return _log_add(log_beta + y, 0.0), _log_add(y, log_gamma)
+
+    def g(y):
+        up, down = log_terms(y)
+        return math.log(mu) + d * (up - down) - y
+
+    y = bisect_root(g, -1e6, 1e6)
+    return math.exp(math.log(d) + math.log1p(-beta * gamma) + y - sum(log_terms(y)))
+
+
+def test_phase_labels_agree_with_an_independent_magnitude():
+    # the block classifier labels every cell, so the rows are checked against
+    # |f'| from a plain-math fixed point rather than against the library
+    labels = set()
+    for betas, gammas, mu, d, h in _phase_grids():
+        for row in phase_grid(betas, gammas, mu, d, h):
+            if row["x_hat"] is None:
+                continue
+            mag = _oracle_magnitude(row["beta"], row["gamma"], mu, d)
+            if abs(mag - 1.0) >= 1e-9:
+                unique = row["region"] == PhaseRegion.UNIQUENESS.value
+                assert unique == (mag < 1.0), row
+                labels.add(unique)
+    assert labels == {True, False}
 
 
 def test_phase_grid_rows():
