@@ -35,16 +35,20 @@ first.
 
 import numbers
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, shown
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
 RECORD_MARKS = b"e   \n"  # the non-digit bytes of a record line 'e U V M\n', in order
 STEPS = bytes((1, 1, 2, 2, 2))  # the step to each of them from the one before, capped at 2
+KEY_SORT_MIN = 1024  # pairs; np.lexsort sorts fewer faster than the key's few extra calls
+WRITE_MIN = 128  # records; '%' writes fewer faster than numpy's fixed cost of about 20 us
+WRITE_BLOCK = 1 << 14  # records per numpy pass of the writer, bounding its temporaries
 
 
 def _record_error(num_vertices: int, u: int, v: int, m: int) -> str:
@@ -56,15 +60,20 @@ def _record_error(num_vertices: int, u: int, v: int, m: int) -> str:
     return f"edge ({u},{v}) multiplicity {m} is outside 1..2**53"
 
 
-def _in_pair_order(u, v) -> bool:
-    """Whether the pairs (u[i], v[i]) are ordered by u, then v."""
-    u0, u1 = u[:-1], u[1:]
-    return not (np.count_nonzero(u1 < u0) or np.count_nonzero((u1 == u0) & (v[1:] < v[:-1])))
-
-
 def _first(mask):
     """Index of the first True in mask, or -1."""
     return int(mask.argmax()) if np.count_nonzero(mask) else -1
+
+
+def pair_order(lo, hi, num_vertices: int):
+    """The stable order of the int64 pairs (lo, hi), lo <= hi: an argsort of the
+    key lo * n + hi from KEY_SORT_MIN pairs when it cannot wrap, else np.lexsort."""
+    if (lo.size >= KEY_SORT_MIN and num_vertices <= 1 << 31
+            and lo.min() >= 0 and hi.max() < num_vertices):
+        key = lo * num_vertices
+        key += hi  # in place: a second temporary raises the peak RSS
+        return np.argsort(key, kind="stable")
+    return np.lexsort((hi, lo))
 
 
 def _canonical(num_vertices: int, u, v, mult):
@@ -73,16 +82,15 @@ def _canonical(num_vertices: int, u, v, mult):
     if num_vertices < 0:
         raise UsageError("num_vertices must be nonnegative")
     if num_vertices > MAX_MULTIPLICITY:
-        raise UsageError(f"num_vertices {num_vertices} exceeds 2**53")
+        raise UsageError(f"num_vertices {shown(num_vertices)} exceeds 2**53")
     # on a small graph's few records, argmin and argmax cost less than min and max
     if mult.size and (mult[mult.argmin()] < 1 or mult[mult.argmax()] > MAX_MULTIPLICITY):
         i = _first((mult < 1) | (mult > MAX_MULTIPLICITY))
         raise UsageError(f"edge ({u[i]},{v[i]}) has a record of multiplicity "
                          f"{mult[i]}, outside 1..2**53")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if not _in_pair_order(lo, hi):
-        order = np.lexsort((hi, lo))
-        lo, hi, mult = lo[order], hi[order], mult[order]
+    order = pair_order(lo, hi, num_vertices)
+    lo, hi, mult = lo[order], hi[order], mult[order]
     new_pair = np.empty(mult.size, dtype=bool)
     new_pair[:1] = True
     new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -281,8 +289,9 @@ def _header(lines, kind: str, num_fields: int):
     raise UsageError(f"missing 'p {kind}' header")
 
 
-def read_records(text: str, kind: str, num_fields: int):
-    """Yield the `p <kind>` header's ints, then (lineno, line, tokens) per record.
+def read_records(text: str, kind: str, num_fields: int, maxsplit: int = -1):
+    """Yield the `p <kind>` header's ints, then (lineno, line, tokens) per record,
+    a record's tokens split at whitespace at most `maxsplit` times.
 
     Blank and '#' lines are skipped.  A malformed, missing or repeated header,
     or a record before it, raises UsageError naming the line.  Lines end at
@@ -294,7 +303,7 @@ def read_records(text: str, kind: str, num_fields: int):
     header, start = _header(lines, kind, num_fields)
     yield header
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        tokens = line.split()
+        tokens = line.split(None, maxsplit)
         if not tokens or tokens[0][0] == "#":
             continue
         if tokens[0] == "p":
@@ -329,10 +338,45 @@ def records_to_text(kind: str, header, records) -> str:
     return "\n".join([" ".join(["p", kind, *map(str, header)]), *records]) + "\n"
 
 
+@lru_cache(maxsize=None)
+def _digit_words():
+    """4-byte ASCII words as uint32: 0..9999 zero-padded; with leading zeros NUL
+    (0 as '0'); the same with 0 all NUL; then 'e ', ' ' and '\n', NUL-padded."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    lead = digits.cumsum(axis=1) > 0
+    words = np.concatenate((digits + 48, np.where(lead | [0, 0, 0, 1], digits + 48, 0),
+                            np.where(lead, digits + 48, 0), [[101, 32, 0, 0], [32, 0, 0, 0],
+                                                             [10, 0, 0, 0]]))
+    return words.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _record_lines(table) -> str:
+    """The lines of a (3, k) block of canonical records: per row, the words of
+    each field's 4-digit groups, right-aligned, then every NUL dropped."""
+    words = _digit_words()
+    widths = [(len(str(top)) + 3) // 4 for top in table.max(axis=1).tolist()]
+    out = np.empty((table.shape[1], 4 + sum(widths)), dtype=np.uint32)
+    end = 0
+    for x, width, mark in zip(table, widths, (30000, 30001, 30001)):
+        out[:, end] = words[mark]
+        end += width + 1
+        for j in range(width):  # the groups from the ones up
+            q = x // 10000
+            out[:, end - 1 - j] = words[x - q * 10000 + (20000 if j else 10000) * (q == 0)]
+            x = q
+    out[:, end] = words[30002]
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def graph_to_text(g: MultiGraph) -> str:
+    """The graph file of g's canonical records; numpy writes a graph of
+    WRITE_MIN records or more, WRITE_BLOCK records at a time."""
     table = g.edge_columns
-    return (records_to_text("graph", (g.num_vertices, table.shape[1]), ())
-            + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist()))
+    head = records_to_text("graph", (g.num_vertices, table.shape[1]), ())
+    if table.shape[1] < WRITE_MIN:
+        return head + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist())
+    return "".join([head, *(_record_lines(table[:, i:i + WRITE_BLOCK])
+                            for i in range(0, table.shape[1], WRITE_BLOCK))])
 
 
 def _byte_fields(text: str):

@@ -21,22 +21,23 @@ field translate it away first (remove_field).
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, ResourceLimitError, UsageError, check_seed, shown
-from .graphs import (BipartiteGadget, MultiGraph, int_fields, read_ascii, read_records,
-                     records_to_text, write_ascii)
+from .graphs import (BipartiteGadget, MultiGraph, int_fields, pair_order, read_ascii,
+                     read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
 from .spins import SpinParams, log_partition, log_partition_histogram
 from .uniqueness import SplitCase
 
 MAX_REDUCTION_VERTICES = 24       # free vertices of every exact reduction sum
 MAX_GADGET_DRAW = 1 << 20         # delta * (N + 4), a draw costing 4 entries: 1.1 s, 380 MB
-MAX_REDUCTION_RECORDS = 1 << 20   # edge records 2 m t (delta + 1): `reduce` 2 s, 240 MB
+MAX_REDUCTION_RECORDS = 1 << 20   # edge records 2 m t (delta + 1): `reduce` 0.8 s, 180 MB
+BULK_IDS_MIN = 256  # vertices; the line reader reads fewer ids faster than numpy's fixed ~30 us
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
     found = table[:, cross.nonzero()[0]]
     ends, partners = _inter_gadget_wiring(inst, rg.u_blocks, rg.v_blocks)
     prescribed = np.array((np.minimum(ends, partners), np.maximum(ends, partners)))
-    prescribed = prescribed[:, np.lexsort(prescribed[::-1])]
+    prescribed = prescribed[:, pair_order(*prescribed, n)]
     wiring_ok = found.shape[1] == prescribed.shape[1] and not (
         np.count_nonzero(found[:2] != prescribed)
         or np.count_nonzero(found[2] != params.delta_prime))
@@ -466,21 +467,33 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
 
     Malformed text, and a block map inconsistent with its own header or
     with the graph (its structure, or equations that prescribe other
-    inter-gadget edges than the graph has), raise UsageError.
+    inter-gadget edges than the graph has), raise UsageError.  From
+    BULK_IDS_MIN vertices on, the vertex ids are read in one numpy pass;
+    ids of other text than plain digit runs, and any fault, send the map
+    to the line-by-line reader, which alone words the errors.
     """
-    records = read_records(text, "blocks", 6)
+    if graph.num_vertices >= BULK_IDS_MIN:
+        try:
+            return _blocks_from_text(text, graph, bulk=True)
+        except UsageError:
+            pass
+    return _blocks_from_text(text, graph, bulk=False)
+
+
+def _blocks_from_text(text: str, graph: MultiGraph, bulk: bool) -> ReductionGraph:
+    records = read_records(text, "blocks", 6, 4 if bulk else -1)
     n, m, t, delta, delta_prime, seed = next(records)
     equations = []
-    blocks: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
+    blocks = {}  # (side, var, occ) -> the vertex ids, as text when bulk
     for lineno, line, tokens in records:
         if tokens[0] == "e" and len(tokens) == 4:
             i, j, b = int_fields(tokens[1:], lineno, line)
             equations.append((i - 1, j - 1, b))
         elif tokens[0] == "block" and len(tokens) >= 5 and tokens[1] in ("U", "V"):
-            i, k, *vertices = int_fields(tokens[2:], lineno, line)
+            i, k, *vertices = int_fields(tokens[2:4 if bulk else None], lineno, line)
             if (tokens[1], i, k) in blocks:
                 raise UsageError(f"line {lineno}: duplicate block record {line!r}")
-            blocks[(tokens[1], i, k)] = tuple(vertices)
+            blocks[(tokens[1], i, k)] = tokens[4] if bulk else tuple(vertices)
         else:
             raise UsageError(f"line {lineno}: bad record {line!r}")
     if len(equations) != m:
@@ -493,8 +506,23 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
     if blocks.keys() != {(side, i, k) for side in "UV"
                          for i in range(n) for k in range(occ[i])}:
         raise UsageError("block records do not match the variables' occurrences")
-    covered = [v for block in blocks.values() for v in block]
-    if len(covered) != graph.num_vertices or set(covered) != set(range(graph.num_vertices)):
+    size = graph.num_vertices
+    if bulk:  # every id at once: runs of 1 to 18 ASCII digits, one space between
+        text = " ".join(blocks.values())
+        b = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        runs = np.diff(np.flatnonzero(b == 32), prepend=-1, append=b.size)  # widths plus one
+        if not b.size or runs.min() < 2 or runs.max() > 19 or np.count_nonzero(
+                (b - 48 > 9) & (b != 32)):
+            raise UsageError("vertex ids are not plain digit runs")
+        covered = np.fromstring(text, dtype=np.int64, sep=" ")
+        flat = iter(covered.tolist())
+        blocks = {key: tuple(islice(flat, ids.count(" ") + 1)) for key, ids in blocks.items()}
+        partition = covered.size == size and covered.max() < size and (
+            np.count_nonzero(np.bincount(covered, minlength=size)) == size)
+    else:
+        covered = [v for block in blocks.values() for v in block]
+        partition = len(covered) == size and set(covered) == set(range(size))
+    if not partition:
         raise UsageError("block records do not partition the graph's vertices")
     u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))
     v_blocks = tuple(tuple(blocks[("V", i, k)] for k in range(occ[i])) for i in range(n))

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 import oracles
+from twospin import graphs
 from twospin.e2lin2 import random_instance
 from twospin.errors import UsageError
-from twospin.graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph,
-                            graph_from_text, graph_to_text, scaled_graph)
+from twospin.graphs import (KEY_SORT_MIN, MAX_MULTIPLICITY, WRITE_BLOCK, WRITE_MIN,
+                            BipartiteGadget, MultiGraph, graph_from_text, graph_to_text,
+                            pair_order, scaled_graph)
 from twospin.reduction import (GadgetParams, audit_reduction_graph,
                                blocks_to_text, build_reduction_graph)
 
@@ -257,6 +259,92 @@ def test_a_graph_of_2_53_vertices_costs_its_records():
         assert g.edges == records
         assert graph_to_text(g) == oracles.graph_text(n, records)
     assert built[0] != MultiGraph(n - 1, records[:2]) != MultiGraph(n, records[:2])
+
+
+def _of_width(rng, width, low, top):
+    """A random int of `width` decimal digits in [low, top)."""
+    return int(rng.integers(max(low, 10 ** (width - 1) if width > 1 else 0),
+                            min(10 ** width, top)))
+
+
+def _wide_records(rng, count):
+    """`count` sorted records on 2**53 vertices whose fields have 1 to 16
+    digits, with 2**53 itself as one multiplicity and every degree within 2**53."""
+    n = MAX_MULTIPLICITY
+    records = {(n - 2, n - 1): n} if count else {}
+    degree = {n - 2: n, n - 1: n}
+    while len(records) < count:
+        u, v = sorted(_of_width(rng, int(rng.integers(1, 17)), 0, n) for _ in range(2))
+        room = n - max(degree.get(u, 0), degree.get(v, 0))
+        m = min(_of_width(rng, int(rng.integers(1, 17)), 1, n + 1), room)
+        if u == v or (u, v) in records or m < 1:
+            continue
+        records[(u, v)] = m
+        degree[u] = degree.get(u, 0) + m
+        degree[v] = degree.get(v, 0) + m
+    return sorted((u, v, m) for (u, v), m in records.items())
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, WRITE_MIN, WRITE_BLOCK - 1, WRITE_BLOCK,
+                                   WRITE_BLOCK + 1])
+def test_graph_writer_matches_the_oracle(count):
+    # both writers, the '%' format and the numpy table, at every count; fields
+    # of 1 to 16 digits, up to 2**53 vertices and multiplicities
+    records = _wide_records(np.random.default_rng(count), count)
+    g = MultiGraph.from_columns(MAX_MULTIPLICITY, *np.array(records, dtype=np.int64)
+                                .reshape(-1, 3).T)
+    expected = oracles.graph_text(MAX_MULTIPLICITY, records)
+    with pytest.MonkeyPatch.context() as patch:
+        for write_min, block in ((WRITE_MIN, WRITE_BLOCK), (0, WRITE_BLOCK), (0, 7),
+                                 (count + 1, WRITE_BLOCK)):
+            patch.setattr(graphs, "WRITE_MIN", write_min)
+            patch.setattr(graphs, "WRITE_BLOCK", block)
+            assert graph_to_text(g) == expected, (write_min, block)
+    assert graph_from_text(expected) == g
+
+
+def _sorted_outcome(n, u, v, m):
+    """from_columns' canonical table, or the message of its refusal."""
+    try:
+        return MultiGraph.from_columns(n, u, v, m).edge_columns.tolist()
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [3000, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
+def test_key_sort_matches_lexsort(n):
+    # the key sort runs for n <= 2**31; out-of-range ids, and every n past
+    # 2**31, keep np.lexsort: both must give the same table or message
+    rng = np.random.default_rng(n % 9973)
+    ids = np.concatenate((np.arange(1500), n - 1 - np.arange(1500)))
+    for trial in range(24):
+        k = int(rng.integers(KEY_SORT_MIN, 3 * KEY_SORT_MIN))
+        first, second = rng.integers(ids.size, size=(2, k))
+        u, v = ids[first], ids[np.where(first == second, (first + 1) % ids.size, second)]
+        m = rng.integers(1, 4, k)
+        heavy = rng.integers(k, size=2)  # a pair in the same or the other orientation
+        u[heavy[1]], v[heavy[1]] = (v, u)[trial % 2][heavy[0]], (u, v)[trial % 2][heavy[0]]
+        m[heavy] = MAX_MULTIPLICITY // 2 + 1 if trial % 6 == 5 else MAX_MULTIPLICITY // 4
+        at = int(rng.integers(k))
+        fault = trial % 6
+        if fault == 1:
+            v[at] = u[at]  # a self-loop
+        elif fault == 2:
+            u[at] = -int(rng.integers(1, 3))
+        elif fault == 3:
+            v[at] = n + int(rng.integers(0, 2))
+        elif fault == 4:
+            m[at] = MAX_MULTIPLICITY  # a pair sum or degree past 2**53
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if fault in (0, 1, 4, 5):
+            assert np.array_equal(pair_order(lo, hi, n), np.lexsort((hi, lo)))
+        keyed = _sorted_outcome(n, u, v, m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "KEY_SORT_MIN", 10 ** 9)
+            assert _sorted_outcome(n, u, v, m) == keyed, (trial, fault)
+        expected = oracles.aggregated_records(n, list(zip(u.tolist(), v.tolist(), m.tolist())))
+        assert keyed == (expected if isinstance(expected, str)
+                         else [list(column) for column in zip(*expected)]), (trial, fault)
 
 
 def test_num_edges_is_exact_past_int64():

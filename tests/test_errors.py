@@ -4,6 +4,7 @@ from twospin.analysis import (check_audit_side, coupling_sim, exact_rate,
                               expected_profile_sum_mc)
 from twospin.e2lin2 import E2Lin2Instance
 from twospin.errors import ResourceLimitError, UsageError, check_seed, shown
+from twospin.graphs import MultiGraph
 from twospin.reduction import GadgetParams, build_reduction_graph, sample_gadget
 from twospin.spins import SpinParams, remove_field
 from twospin.uniqueness import first_nonunique_degree, uniqueness_check
@@ -32,11 +33,12 @@ def test_shown_bounds_only_long_integers():
     (lambda: GadgetParams(2, 1, 1, -HUGE), UsageError),
     (lambda: exact_rate(0.5, 0.5, HUGE, 1, 0.5, 0.5), UsageError),
     (lambda: build_reduction_graph(E2Lin2Instance(2, ((0, 1, 1),)),
-                                   GadgetParams(1, 1, HUGE, 0)), ResourceLimitError)],
+                                   GadgetParams(1, 1, HUGE, 0)), ResourceLimitError),
+    (lambda: MultiGraph(HUGE, []), UsageError)],
     ids=["uniqueness_check", "first_nonunique_degree", "remove_field",
          "expected_profile_sum_mc", "coupling_sim", "check_audit_side",
          "sample_gadget", "check_seed", "GadgetParams", "exact_rate",
-         "build_reduction_graph"])
+         "build_reduction_graph", "MultiGraph"])
 def test_refusals_print_huge_integers_bounded(call, error):
     with pytest.raises(error, match="-bit integer>"):
         call()

@@ -361,11 +361,30 @@ def _mutants(text, rng, count):
             yield "".join(lines[:i] + [" ".join(words) + "\n"] + lines[i + 1:])
 
 
+# 24 vertices, read line by line; 480 vertices, four blocks of 20 per variable
+# and side, whose ids the bulk pass reads
+MUTANT_SHAPES = [(((0, 1, 1), (1, 2, 0), (0, 2, 1)), 2),
+                 (((0, 1, 1), (1, 2, 0), (0, 2, 1), (0, 1, 0), (1, 2, 1), (0, 2, 0)), 20)]
+
+
+def _small_and_bulk_reduction(shape):
+    equations, t = shape
+    return build_reduction_graph(E2Lin2Instance(3, equations), GadgetParams(2, 1, t, seed=11))
+
+
 def test_blocks_from_text_rejects_or_round_trips_mutants():
+    _rejects_or_round_trips_mutants(MUTANT_SHAPES[0])
+
+
+def test_blocks_from_text_rejects_or_round_trips_mutants_in_bulk():
+    _rejects_or_round_trips_mutants(MUTANT_SHAPES[1])
+
+
+def _rejects_or_round_trips_mutants(shape):
     rng = np.random.default_rng(41)
-    inst = E2Lin2Instance(3, ((0, 1, 1), (1, 2, 0), (0, 2, 1)))
-    rg = build_reduction_graph(inst, GadgetParams(2, 1, 2, seed=11))
+    rg = _small_and_bulk_reduction(shape)
     text = blocks_to_text(rg)
+    assert (rg.graph.num_vertices >= reduction.BULK_IDS_MIN) == (shape[1] == 20)
     outcomes = Counter()
     for mutant in _mutants(text, rng, 600):
         try:
@@ -389,6 +408,66 @@ def test_blocks_from_text_rejects_or_round_trips_mutants():
                 text.replace("e 1 2 1\n", "e 1 2 0\n")):       # wiring
         with pytest.raises(UsageError):
             blocks_from_text(bad, rg.graph)
+
+
+def _read_blocks(text, graph, bulk=None):
+    """The block map read by blocks_from_text, or by one of its two paths,
+    or the message of the UsageError it raised."""
+    try:
+        if bulk is None:
+            return blocks_from_text(text, graph)
+        return reduction._blocks_from_text(text, graph, bulk)
+    except UsageError as exc:
+        return str(exc)
+
+
+def _fullwidth(token):
+    return "".join(chr(0xFF10 + int(c)) for c in token)
+
+
+# each takes a block line's tokens and the index of one vertex id in it
+ID_PLANTS = {
+    "plus": lambda w, i: w[:i] + ["+" + w[i]] + w[i + 1:],
+    "underscore": lambda w, i: w[:i] + ["0_" + w[i]] + w[i + 1:],
+    "fullwidth": lambda w, i: w[:i] + [_fullwidth(w[i])] + w[i + 1:],
+    "leading-zeros": lambda w, i: w[:i] + ["00" + w[i]] + w[i + 1:],
+    "19-digits": lambda w, i: w[:i] + [w[i].zfill(19)] + w[i + 1:],
+    "tab": lambda w, i: w[:i - 1] + [w[i - 1] + "\t" + w[i]] + w[i + 1:],
+    "two-spaces": lambda w, i: w[:i] + ["", w[i]] + w[i + 1:],
+    "trailing-space": lambda w, i: w + [""],
+    "negative": lambda w, i: w[:i] + ["-" + w[i]] + w[i + 1:],
+    "duplicated": lambda w, i: w[:i] + [w[4 if i > 4 else 5]] + w[i + 1:],
+    "missing": lambda w, i: w[:i] + w[i + 1:],
+}
+SAME_VALUE = {"plus", "underscore", "fullwidth", "leading-zeros", "19-digits", "tab",
+              "two-spaces", "trailing-space"}
+
+
+@pytest.mark.parametrize("plant", sorted(ID_PLANTS))
+def test_block_ids_read_as_the_line_reader_reads_them(plant, monkeypatch):
+    # a planted id that is not a plain digit run sends the whole map to the
+    # line reader: its message, or the map itself when the id keeps its value
+    rg = _small_and_bulk_reduction(MUTANT_SHAPES[1])
+    text = blocks_to_text(rg)
+    lines = text.splitlines(keepends=True)
+    paths, read = [], reduction._blocks_from_text
+    monkeypatch.setattr(reduction, "_blocks_from_text",
+                        lambda text, graph, bulk: paths.append(bulk) or read(text, graph, bulk))
+    assert blocks_from_text(text, rg.graph) == rg and paths == [True]
+    small = _small_and_bulk_reduction(MUTANT_SHAPES[0])
+    assert blocks_from_text(blocks_to_text(small), small.graph) == small and paths[1:] == [False]
+    block_lines = [i for i, line in enumerate(lines) if line.startswith("block")]
+    for row in (block_lines[0], block_lines[len(block_lines) // 2], block_lines[-1]):
+        words = lines[row].split()
+        for at in (4, 4 + len(words[4:]) // 2, len(words) - 1):
+            planted = " ".join(ID_PLANTS[plant](words, at)) + "\n"
+            mutant = "".join(lines[:row] + [planted] + lines[row + 1:])
+            got = _read_blocks(mutant, rg.graph)
+            assert got == _read_blocks(mutant, rg.graph, bulk=False), (row, at)
+            if plant in SAME_VALUE or (plant == "negative" and words[at] == "0"):
+                assert blocks_to_text(got) == text
+            else:
+                assert isinstance(got, str), (row, at)
 
 
 def test_end_to_end_decode_report():
