@@ -136,8 +136,9 @@ def exact_rate(a: float, b: float, delta: int, delta_prime: int,
     """
     _check_fraction(a, "a")
     _check_fraction(b, "b")
-    if beta <= 0 or gamma <= 0:
-        raise UsageError("exact rate needs beta, gamma > 0")
+    if not (0 < beta < math.inf and 0 < gamma < math.inf):  # NaN too
+        raise UsageError(f"exact rate needs finite beta, gamma > 0, "
+                         f"got {shown(beta)}, {shown(gamma)}")
     if not (0 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
         raise UsageError(f"degrees must lie in [0, 2**63), "
                          f"got {shown(delta)} and {shown(delta_prime)}")

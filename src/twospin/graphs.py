@@ -15,18 +15,18 @@ Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
 The writer emits the canonical records; the reader accepts any order and
-orientation and sums duplicate pairs.  Two readers share the work.  The byte
-path, `_byte_fields`, takes a file whose header is its first line and whose
-every record line is exactly 'e U V M', single spaces and 1 to 18 ASCII
-digits per field, once blank and '#'-first lines are dropped: a few numpy
-passes over its bytes check that layout and gather the fields into int64
+orientation and sums duplicate pairs.  One of two readers parses a file,
+once.  The byte path, `_byte_fields`, takes a file whose header is its
+first line and whose every record line is exactly 'e U V M', single spaces
+and 1 to 18 ASCII digits per field, once blank and '#'-first lines are
+dropped: a few numpy passes over its bytes gather the fields into int64
 columns.  A file it refuses is offered once more with each run of spaces and
-tabs squeezed to one space and none left at a line's ends, which keeps every
-line's tokens.  Any other text, and any file with a fault, is read line by
-line through `read_records`: that reader parses the odd but legal fields
-(signs, '_', 19 or more digits) and alone words an error, the one of the
-first faulty line, then the record count, a multiplicity, and the graph's
-own checks.
+tabs squeezed to one space and none left at a line's ends.  Any other text
+is read line by line through `read_records`, which parses the odd but legal
+fields (signs, '_', 19 or more digits).  Either reader raises the error of
+the first faulty line, then of the record count, of a multiplicity (whose
+line the byte path finds by walking `read_records`), and of the graph's own
+checks.
 
 `read_records` holds the syntax that this file, the E2LIN2 instance and the
 block map share: ASCII, '#' and blank lines skipped, one integer header
@@ -36,6 +36,7 @@ first.
 import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -483,14 +484,17 @@ def graph_from_text(text: str) -> MultiGraph:
     if parsed is None:  # squeeze only a refused text: its scans would slow a strict one
         squeezed = _squeezed(text)
         parsed = _byte_fields(squeezed) if squeezed != text else None
-    if parsed is not None:
-        (num_vertices, declared), table = parsed
-        if declared == len(table):
-            try:
-                return MultiGraph.from_columns(num_vertices, *table.T)
-            except UsageError:
-                pass  # the line reader words the error
-    return _graph_from_records(text)
+    if parsed is None:
+        return _graph_from_records(text)
+    (num_vertices, declared), table = parsed
+    if declared != len(table):
+        raise UsageError(f"header declares {declared} records, found {len(table)}")
+    mult = table[:, 2]
+    i = _first((mult < 1) | (mult > MAX_MULTIPLICITY))
+    if i >= 0:  # its line is the i-th record line that read_records yields
+        lineno, line, _ = next(islice(read_records(text, "graph", 2), i + 1, None))
+        raise UsageError(f"line {lineno}: multiplicity {mult[i]} is outside 1..2**53 in {line!r}")
+    return MultiGraph.from_columns(num_vertices, *table.T)
 
 
 def write_graph(g: MultiGraph, path) -> None:

@@ -19,6 +19,7 @@ field translate it away first (remove_field).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
@@ -37,7 +38,6 @@ from .uniqueness import SplitCase
 MAX_REDUCTION_VERTICES = 24       # free vertices of every exact reduction sum
 MAX_GADGET_DRAW = 1 << 20         # delta * (N + 4), a draw costing 4 entries: 1.1 s, 380 MB
 MAX_REDUCTION_RECORDS = 1 << 20   # edge records 2 m t (delta + 1): `reduce` 0.8 s, 180 MB
-BULK_IDS_MIN = 256  # vertices; the line reader reads fewer ids faster than numpy's fixed ~30 us
 
 
 @dataclass(frozen=True)
@@ -463,37 +463,34 @@ def blocks_to_text(rg: ReductionGraph) -> str:
 
 
 def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
-    """Parse a block-map sidecar against its graph.
+    """Parse a block-map sidecar against its graph, in one pass over its lines.
 
     Malformed text, and a block map inconsistent with its own header or
     with the graph (its structure, or equations that prescribe other
-    inter-gadget edges than the graph has), raise UsageError.  From
-    BULK_IDS_MIN vertices on, the vertex ids are read in one numpy pass;
-    ids of other text than plain digit runs, and any fault, send the map
-    to the line-by-line reader, which alone words the errors.
+    inter-gadget edges than the graph has), raise UsageError naming the
+    first fault.  A block line's ids that are ASCII digits and spaces are
+    kept as text, and one numpy call converts all of them after the loop;
+    any other line's ids are read by int() at that line.
     """
-    if graph.num_vertices >= BULK_IDS_MIN:
-        try:
-            return _blocks_from_text(text, graph, bulk=True)
-        except UsageError:
-            pass
-    return _blocks_from_text(text, graph, bulk=False)
-
-
-def _blocks_from_text(text: str, graph: MultiGraph, bulk: bool) -> ReductionGraph:
-    records = read_records(text, "blocks", 6, 4 if bulk else -1)
+    records = read_records(text, "blocks", 6, 4)
     n, m, t, delta, delta_prime, seed = next(records)
+    int_digits = sys.get_int_max_str_digits() or math.inf
     equations = []
-    blocks = {}  # (side, var, occ) -> the vertex ids, as text when bulk
+    blocks = {}  # (side, var, occ) -> the vertex ids as ASCII digits and spaces
     for lineno, line, tokens in records:
         if tokens[0] == "e" and len(tokens) == 4:
             i, j, b = int_fields(tokens[1:], lineno, line)
             equations.append((i - 1, j - 1, b))
         elif tokens[0] == "block" and len(tokens) >= 5 and tokens[1] in ("U", "V"):
-            i, k, *vertices = int_fields(tokens[2:4 if bulk else None], lineno, line)
+            i, k = int_fields(tokens[2:4], lineno, line)
+            ids = tokens[4]
+            plain = not ids.encode("ascii", "replace").translate(None, b" 0123456789")
+            if not plain or len(ids) > int_digits and max(map(len, ids.split())) > int_digits:
+                # int() reads other text, and refuses a run past its digit limit
+                ids = " ".join(map(str, int_fields(ids.split(), lineno, line)))
             if (tokens[1], i, k) in blocks:
                 raise UsageError(f"line {lineno}: duplicate block record {line!r}")
-            blocks[(tokens[1], i, k)] = tokens[4] if bulk else tuple(vertices)
+            blocks[(tokens[1], i, k)] = ids
         else:
             raise UsageError(f"line {lineno}: bad record {line!r}")
     if len(equations) != m:
@@ -507,21 +504,16 @@ def _blocks_from_text(text: str, graph: MultiGraph, bulk: bool) -> ReductionGrap
                          for i in range(n) for k in range(occ[i])}:
         raise UsageError("block records do not match the variables' occurrences")
     size = graph.num_vertices
-    if bulk:  # every id at once: runs of 1 to 18 ASCII digits, one space between
-        text = " ".join(blocks.values())
-        b = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-        runs = np.diff(np.flatnonzero(b == 32), prepend=-1, append=b.size)  # widths plus one
-        if not b.size or runs.min() < 2 or runs.max() > 19 or np.count_nonzero(
-                (b - 48 > 9) & (b != 32)):
-            raise UsageError("vertex ids are not plain digit runs")
-        covered = np.fromstring(text, dtype=np.int64, sep=" ")
-        flat = iter(covered.tolist())
-        blocks = {key: tuple(islice(flat, ids.count(" ") + 1)) for key, ids in blocks.items()}
-        partition = covered.size == size and covered.max() < size and (
-            np.count_nonzero(np.bincount(covered, minlength=size)) == size)
-    else:
-        covered = [v for block in blocks.values() for v in block]
-        partition = len(covered) == size and set(covered) == set(range(size))
+    # every id at once; one past int64 reads as its largest value, which is out of range
+    joined = " ".join(blocks.values())
+    covered = np.fromstring(joined, dtype=np.int64, sep=" ")
+    if joined.count(" ") >= covered.size:  # some ids are apart by more than one space
+        blocks = {key: " ".join(ids.split()) for key, ids in blocks.items()}
+    flat = iter(covered.tolist())
+    blocks = {key: tuple(islice(flat, ids.count(" ") + 1)) for key, ids in blocks.items()}
+    # as uint64 a negative id lies past every size
+    partition = covered.size == size and covered.view(np.uint64).max() < size and (
+        np.count_nonzero(np.bincount(covered)) == size)
     if not partition:
         raise UsageError("block records do not partition the graph's vertices")
     u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))

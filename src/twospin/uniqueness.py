@@ -187,6 +187,8 @@ def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
     """
     if not d_max >= 1:  # NaN too
         raise UsageError(f"d_max must be >= 1, got {shown(d_max)}")
+    if d_max % 1:  # infinity too
+        raise UsageError(f"d_max must be an integer, got {shown(d_max)}")
     if d_max > MAX_SCAN_DEGREE:
         raise ResourceLimitError(f"d_max {shown(d_max)} exceeds cap {MAX_SCAN_DEGREE}")
     _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
@@ -358,8 +360,8 @@ def case_split(beta: float, gamma: float, delta_star: int,
         scale = DEFAULT_CASE_SCALE
         toy = False
     else:
-        if L < 1:
-            raise UsageError("L must be >= 1")
+        if not L >= 1 or L % 1:  # NaN and infinity too
+            raise UsageError(f"L must be an integer >= 1, got {shown(L)}")
         scale = int(L)
         toy = scale != DEFAULT_CASE_SCALE
     # beta <= gamma**L, in logs (gamma**L underflows for any gamma < 1)

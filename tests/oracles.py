@@ -12,8 +12,8 @@ survival function, a scan over every big pair of a gadget's subsets,
 every configuration, as numpy integer codes, for the reduction's majority
 sums (whose per-configuration weight the caller passes in), per-record loops that
 check, aggregate, write and audit edge records and build the reduction's,
-a line-by-line reader of graph files, and the enumeration kernel's problem
-construction and block as they stood before its set-up was cut (a frozen
+line-by-line readers of graph files and of block maps, and the enumeration
+kernel's problem construction and block as they stood before its set-up was cut (a frozen
 copy, for bit-for-bit comparison), with the profile terms it took and
 `profile_of`, which turns them into the kernel's (keys, table) profile.  Six helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
@@ -31,13 +31,14 @@ import dataclasses
 import decimal
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from twospin.analysis import (CouplingReport, MCEstimate, RateBoundScan,
                               _rate_bound_values, _scan_grid, _sequence_law, chi2_sf)
-from twospin.errors import UsageError
+from twospin.errors import UsageError, shown
 from twospin.graphs import BipartiteGadget
 from twospin.spins import log_profile_sums
 from twospin.uniqueness import _log_ratio
@@ -669,6 +670,83 @@ def audit_fields(num_vertices, records, equations, u_blocks, v_blocks, delta,
                            for block in blocks),
         wiring_ok=prescribed == crossing,
     )
+
+
+def blocks_file(text, graph):
+    """A block map read line by line against its graph: its (header, equations,
+    u_blocks, v_blocks), 0-based and as tuples, or the message of the first
+    error in the order the reader reports them: a line's fault, the equation
+    count, the instance's checks, an unused variable, the gadget parameters'
+    checks, the block records' keys, the partition of the vertices, the
+    wiring, then the rest of the structure audit."""
+    header, equations, blocks = None, [], {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "p":
+            if header is not None:
+                return f"line {lineno}: duplicate header"
+            if len(tokens) != 8 or tokens[1] != "blocks":
+                return f"line {lineno}: bad header {line!r}"
+        elif header is None:
+            return f"line {lineno}: record before the 'p blocks' header"
+        elif not ((tokens[0] == "e" and len(tokens) == 4) or (
+                tokens[0] == "block" and len(tokens) >= 5 and tokens[1] in ("U", "V"))):
+            return f"line {lineno}: bad record {line!r}"
+        try:
+            fields = [int(token) for token in tokens[1 if tokens[0] == "e" else 2:]]
+        except ValueError:
+            return f"line {lineno}: non-integer field in {line!r}"
+        if header is None:
+            header = tuple(fields)
+        elif tokens[0] == "e":
+            equations.append((fields[0] - 1, fields[1] - 1, fields[2]))
+        elif (tokens[1], fields[0], fields[1]) in blocks:
+            return f"line {lineno}: duplicate block record {line!r}"
+        else:
+            blocks[(tokens[1], fields[0], fields[1])] = tuple(fields[2:])
+    if header is None:
+        return "missing 'p blocks' header"
+    n, m, t, delta, delta_prime, seed = header
+    if len(equations) != m:
+        return f"header declares {m} equations, found {len(equations)}"
+    if n < 1:
+        return "instance needs at least one variable"
+    if not equations:
+        return "instance needs at least one equation"
+    for i, j, b in equations:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"equation ({i},{j},{b}) references a missing variable"
+        if i == j:
+            return f"equation ({i},{j},{b}) repeats a variable"
+        if b not in (0, 1):
+            return f"equation ({i},{j},{b}) has b outside {{0,1}}"
+    occ = Counter(i for i, j, _ in equations) + Counter(j for i, j, _ in equations)
+    if len(occ) != n:
+        return "block map instance has unused variables"
+    if delta < 1 or delta_prime < 1 or t < 1:
+        return "delta, delta_prime and block_size must all be >= 1"
+    if seed < 0:
+        return f"seed must be a non-negative integer, got {shown(seed)}"
+    if set(blocks) != {(side, i, k) for side in "UV" for i in range(n) for k in range(occ[i])}:
+        return "block records do not match the variables' occurrences"
+    covered = [v for block in blocks.values() for v in block]
+    if sorted(covered) != list(range(graph.num_vertices)):
+        return "block records do not partition the graph's vertices"
+    u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))
+    v_blocks = tuple(tuple(blocks[("V", i, k)] for k in range(occ[i])) for i in range(n))
+    audit = audit_fields(graph.num_vertices, graph.edges, equations, u_blocks, v_blocks,
+                         delta, delta_prime, t)
+    if not audit["wiring_ok"]:
+        return "block map equations do not match the graph's wiring"
+    if not (audit["regular"] and audit["degree"] == audit["expected_degree"]
+            and audit["vertex_count"] == audit["expected_vertex_count"]
+            and audit["intra_multiplicities_ok"] and audit["inter_multiplicities_ok"]
+            and audit["block_sizes_ok"]):
+        return "graph and block map are inconsistent"
+    return header, tuple(equations), u_blocks, v_blocks
 
 
 def rate_bound_grid_by_rows(c, min_fraction, step):

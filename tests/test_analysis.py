@@ -220,6 +220,14 @@ def test_exact_rate_corner_and_consistency():
         exact_rate(0.5, 0.5, 3, 1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("beta, gamma", [(math.nan, 0.5), (0.5, math.nan),
+                                         (math.inf, 0.5), (0.5, math.inf)])
+def test_exact_rate_refuses_non_finite_weights(beta, gamma):
+    # a NaN or infinite weight gave a NaN rate
+    with pytest.raises(UsageError, match="exact rate needs finite beta, gamma > 0"):
+        exact_rate(0.5, 0.5, 1, 1, beta, gamma)
+
+
 def test_exact_rate_is_the_large_n_limit():
     beta, gamma, delta, delta_prime = 0.3, 1.0001, 40, 1
     a, b = 0.25, 0.5

@@ -245,6 +245,40 @@ def test_graph_parser_faults_at_chunk_boundaries(size):
                 assert_parses_like_the_line_reader("\n".join(edited))
 
 
+def _layouts(lines):
+    """The file of these lines as written, with a comment first and a '#'
+    line and a blank line every 1,000 lines, with '\\r\\n' line ends, and
+    with tabs for spaces: four layouts that the byte path reads."""
+    text = "\n".join(lines) + "\n"
+    commented = "".join(line + ("\n# line %d\n\n" % i if i % 1000 == 0 else "\n")
+                        for i, line in enumerate(lines))
+    return [text, "# a graph\n" + commented, text.replace("\n", "\r\n"), text.replace(" ", "\t")]
+
+
+# each fault as the line that replaces line i of a file of n records
+BYTE_PATH_FAULTS = {
+    "zero": lambda n, i: f"e {i - 1} {i} 0",
+    "past-2**53": lambda n, i: f"e {i - 1} {i} {MAX_MULTIPLICITY + 1}",
+    "count-short": lambda n, i: f"p graph {n + 1} {n - 1}",
+    "count-long": lambda n, i: f"p graph {n + 1} {n + 1}",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BYTE_PATH_FAULTS))
+def test_byte_path_words_the_faults_of_its_own_columns(monkeypatch, fault):
+    # a file whose layout the byte path reads is parsed once: the record
+    # count and a multiplicity are worded from its columns, never by the
+    # line reader; a multiplicity at the first record, the middle and the last
+    count = 16384
+    lines = [f"p graph {count + 1} {count}"] + [f"e {i} {i + 1} 1" for i in range(count)]
+    monkeypatch.setattr(twospin.graphs, "_graph_from_records", _line_reader_refused)
+    for place in ((0,) if fault.startswith("count") else (1, count // 2, count)):
+        edited = lines[:place] + [BYTE_PATH_FAULTS[fault](count, place)] + lines[place + 1:]
+        for text in _layouts(edited):
+            expected = oracles.graph_file(text)
+            assert isinstance(expected, str) and _parsed(text) == expected
+
+
 @FUZZ
 @given(st.data())
 def test_byte_path_matches_the_line_reader(data):

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import fraction_partition, linear_log_partition, majority_keep, sandwich_brute
 from twospin import reduction
 from twospin.e2lin2 import E2Lin2Instance, random_instance
@@ -361,13 +363,12 @@ def _mutants(text, rng, count):
             yield "".join(lines[:i] + [" ".join(words) + "\n"] + lines[i + 1:])
 
 
-# 24 vertices, read line by line; 480 vertices, four blocks of 20 per variable
-# and side, whose ids the bulk pass reads
+# 24 vertices; 480 vertices, four blocks of 20 per variable and side
 MUTANT_SHAPES = [(((0, 1, 1), (1, 2, 0), (0, 2, 1)), 2),
                  (((0, 1, 1), (1, 2, 0), (0, 2, 1), (0, 1, 0), (1, 2, 1), (0, 2, 0)), 20)]
 
 
-def _small_and_bulk_reduction(shape):
+def _mutant_reduction(shape):
     equations, t = shape
     return build_reduction_graph(E2Lin2Instance(3, equations), GadgetParams(2, 1, t, seed=11))
 
@@ -382,9 +383,8 @@ def test_blocks_from_text_rejects_or_round_trips_mutants_in_bulk():
 
 def _rejects_or_round_trips_mutants(shape):
     rng = np.random.default_rng(41)
-    rg = _small_and_bulk_reduction(shape)
+    rg = _mutant_reduction(shape)
     text = blocks_to_text(rg)
-    assert (rg.graph.num_vertices >= reduction.BULK_IDS_MIN) == (shape[1] == 20)
     outcomes = Counter()
     for mutant in _mutants(text, rng, 600):
         try:
@@ -410,15 +410,16 @@ def _rejects_or_round_trips_mutants(shape):
             blocks_from_text(bad, rg.graph)
 
 
-def _read_blocks(text, graph, bulk=None):
-    """The block map read by blocks_from_text, or by one of its two paths,
-    or the message of the UsageError it raised."""
+def _read_blocks(text, graph):
+    """The block map that blocks_from_text reads, in the form that
+    `oracles.blocks_file` gives, or the message of the UsageError it raised."""
     try:
-        if bulk is None:
-            return blocks_from_text(text, graph)
-        return reduction._blocks_from_text(text, graph, bulk)
+        rg = blocks_from_text(text, graph)
     except UsageError as exc:
         return str(exc)
+    inst, par = rg.instance, rg.params
+    return ((inst.num_vars, inst.num_equations, par.block_size, par.delta, par.delta_prime,
+             par.seed), inst.equations, rg.u_blocks, rg.v_blocks)
 
 
 def _fullwidth(token):
@@ -438,36 +439,73 @@ ID_PLANTS = {
     "negative": lambda w, i: w[:i] + ["-" + w[i]] + w[i + 1:],
     "duplicated": lambda w, i: w[:i] + [w[4 if i > 4 else 5]] + w[i + 1:],
     "missing": lambda w, i: w[:i] + w[i + 1:],
+    "surrogate": lambda w, i: w[:i] + [w[i] + "\ud800"] + w[i + 1:],
+    # past int64, with and without a sign, and past the digits that int() reads
+    "past-int64": lambda w, i: w[:i] + ["9" * 19 + w[i]] + w[i + 1:],
+    "signed-past-int64": lambda w, i: w[:i] + ["-9" + "0" * 19 + w[i]] + w[i + 1:],
+    "past-int-digits": lambda w, i: w[:i] + ["0" * sys.get_int_max_str_digits() + w[i]]
+    + w[i + 1:],
 }
 SAME_VALUE = {"plus", "underscore", "fullwidth", "leading-zeros", "19-digits", "tab",
               "two-spaces", "trailing-space"}
 
 
 @pytest.mark.parametrize("plant", sorted(ID_PLANTS))
-def test_block_ids_read_as_the_line_reader_reads_them(plant, monkeypatch):
-    # a planted id that is not a plain digit run sends the whole map to the
-    # line reader: its message, or the map itself when the id keeps its value
-    rg = _small_and_bulk_reduction(MUTANT_SHAPES[1])
+def test_block_ids_read_as_the_line_reader_reads_them(plant):
+    # ids that are not plain digit runs are read by int() at their line, the
+    # others by one numpy call after the loop: either way the outcome is the
+    # line reader's, its message or the map itself when the id keeps its value
+    for rg in map(_mutant_reduction, MUTANT_SHAPES):
+        text = blocks_to_text(rg)
+        lines = text.splitlines(keepends=True)
+        assert _read_blocks(text, rg.graph) == oracles.blocks_file(text, rg.graph)
+        block_lines = [i for i, line in enumerate(lines) if line.startswith("block")]
+        for row in (block_lines[0], block_lines[len(block_lines) // 2], block_lines[-1]):
+            words = lines[row].split()
+            for at in (4, 4 + len(words[4:]) // 2, len(words) - 1):
+                planted = " ".join(ID_PLANTS[plant](words, at)) + "\n"
+                mutant = "".join(lines[:row] + [planted] + lines[row + 1:])
+                got = _read_blocks(mutant, rg.graph)
+                assert got == oracles.blocks_file(mutant, rg.graph), (row, at)
+                if plant in SAME_VALUE or (plant == "negative" and words[at] == "0"):
+                    assert got == _read_blocks(text, rg.graph)
+                else:
+                    assert isinstance(got, str), (row, at)
+
+
+def _counted(monkeypatch, calls, name):
+    """Append `name` to calls on each call that `reduction` makes to it."""
+    function = getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda *a: calls.append(name) or function(*a))
+
+
+def test_a_faulty_block_map_is_parsed_and_audited_once(monkeypatch):
+    # the benchmark-scale map: about 20k vertices in 200 block lines
+    rg = build_reduction_graph(random_instance(16, 50, 7), GadgetParams(4, 2, 100, 5))
     text = blocks_to_text(rg)
     lines = text.splitlines(keepends=True)
-    paths, read = [], reduction._blocks_from_text
-    monkeypatch.setattr(reduction, "_blocks_from_text",
-                        lambda text, graph, bulk: paths.append(bulk) or read(text, graph, bulk))
-    assert blocks_from_text(text, rg.graph) == rg and paths == [True]
-    small = _small_and_bulk_reduction(MUTANT_SHAPES[0])
-    assert blocks_from_text(blocks_to_text(small), small.graph) == small and paths[1:] == [False]
-    block_lines = [i for i, line in enumerate(lines) if line.startswith("block")]
-    for row in (block_lines[0], block_lines[len(block_lines) // 2], block_lines[-1]):
-        words = lines[row].split()
-        for at in (4, 4 + len(words[4:]) // 2, len(words) - 1):
-            planted = " ".join(ID_PLANTS[plant](words, at)) + "\n"
-            mutant = "".join(lines[:row] + [planted] + lines[row + 1:])
-            got = _read_blocks(mutant, rg.graph)
-            assert got == _read_blocks(mutant, rg.graph, bulk=False), (row, at)
-            if plant in SAME_VALUE or (plant == "negative" and words[at] == "0"):
-                assert blocks_to_text(got) == text
-            else:
-                assert isinstance(got, str), (row, at)
+    row = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    i, j, b = lines[row].split()[1:]
+    block = lines.index(next(line for line in lines if line.startswith("block V 3")))
+    words = lines[block].split()
+    flipped = lines[:row] + [f"e {i} {j} {1 - int(b)}\n"] + lines[row + 1:]
+    plus = lines[:block] + [" ".join(words[:5] + ["+" + words[5]] + words[6:]) + "\n"]
+    duplicated = lines[:block] + [" ".join(words[:5] + [words[4]] + words[6:]) + "\n"]
+    for mutant, audits, message in (
+            (flipped, 1, "block map equations do not match the graph's wiring"),
+            (plus + lines[block + 1:], 1, None),
+            (duplicated + lines[block + 1:], 0,
+             "block records do not partition the graph's vertices")):
+        mutant = "".join(mutant)
+        expected = oracles.blocks_file(mutant, rg.graph)
+        assert expected == message or (message is None and expected == _read_blocks(text, rg.graph))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = []
+            _counted(patch, calls, "read_records")
+            _counted(patch, calls, "audit_reduction_graph")
+            assert _read_blocks(mutant, rg.graph) == expected
+        assert calls.count("read_records") == 1
+        assert calls.count("audit_reduction_graph") == audits
 
 
 def test_end_to_end_decode_report():

@@ -292,6 +292,13 @@ def test_first_nonunique_degree_refuses_a_nan_cap():
         first_nonunique_degree(SpinParams(0.5, 0.5), math.nan)
 
 
+@pytest.mark.parametrize("d_max", [1.5, math.inf])
+def test_first_nonunique_degree_refuses_a_non_integer_cap(d_max):
+    # a cap of 1.5 scanned degrees 1 and 2 and reported degree 2, past it
+    with pytest.raises(UsageError, match="d_max must be an integer"):
+        first_nonunique_degree(SpinParams(0.1, 0.1), d_max)
+
+
 def test_field_window_interior_and_exterior():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -365,6 +372,13 @@ def test_case_split():
         case_split(1.0, 1.0, 5)
     with pytest.raises(UsageError):
         case_split(0.9, 0.5, 5)
+
+
+@pytest.mark.parametrize("L", [2.7, 0.5, math.nan, math.inf])
+def test_case_split_refuses_a_non_integer_scale(L):
+    # L = 2.7 ran silently at scale 2
+    with pytest.raises(UsageError, match="L must be an integer >= 1"):
+        case_split(0.3, 0.6, 10, L=L)
 
 
 def test_classify_phase():
