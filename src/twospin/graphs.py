@@ -342,28 +342,34 @@ def records_to_text(kind: str, header, records) -> str:
 @lru_cache(maxsize=None)
 def _digit_words():
     """4-byte ASCII words as uint32: 0..9999 zero-padded; with leading zeros NUL
-    (0 as '0'); the same with 0 all NUL; then 'e ', ' ' and '\n', NUL-padded."""
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    lead = digits.cumsum(axis=1) > 0
-    words = np.concatenate((digits + 48, np.where(lead | [0, 0, 0, 1], digits + 48, 0),
-                            np.where(lead, digits + 48, 0), [[101, 32, 0, 0], [32, 0, 0, 0],
-                                                             [10, 0, 0, 0]]))
-    return words.astype(np.uint8).view(np.uint32).ravel()
+    (0 as '0'); the same with 0 all NUL; then 'e ', ' ' and '\n', NUL-padded.
+    Built in uint8 and uint16, so no temporary passes glibc's 128 KB mmap threshold."""
+    digits = (np.arange(10000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+    lead = np.maximum.accumulate(digits, axis=1) > 0
+    words = np.concatenate((digits + 48, np.where(lead | (np.arange(4) == 3), digits + 48, 0),
+                            np.where(lead, digits + 48, 0), np.array(
+                                [[101, 32, 0, 0], [32, 0, 0, 0], [10, 0, 0, 0]], np.uint8)))
+    return words.view(np.uint32).ravel()
 
 
-def _record_lines(table) -> str:
-    """The lines of a (3, k) block of canonical records: per row, the words of
-    each field's 4-digit groups, right-aligned, then every NUL dropped."""
+def digit_lines(fields, marks) -> str:
+    """Lines from fields, (k, c) arrays of nonnegative int64, one row per line: each
+    int after its field's mark, 'e ' or ' ', as the words of its 4-digit groups,
+    right-aligned; '\n' ends each line, and every NUL is dropped."""
     words = _digit_words()
-    widths = [(len(str(top)) + 3) // 4 for top in table.max(axis=1).tolist()]
-    out = np.empty((table.shape[1], 4 + sum(widths)), dtype=np.uint32)
+    widths = [(len(str(x.max())) + 3) // 4 for x in fields]
+    k = fields[0].shape[0]
+    out = np.empty((k, sum(x.shape[1] * (w + 1) for x, w in zip(fields, widths)) + 1),
+                   dtype=np.uint32)
     end = 0
-    for x, width, mark in zip(table, widths, (30000, 30001, 30001)):
-        out[:, end] = words[mark]
-        end += width + 1
+    for x, width, mark in zip(fields, widths, marks):
+        cells = out[:, end:end + x.shape[1] * (width + 1)].reshape(k, -1, width + 1)
+        end += x.shape[1] * (width + 1)
+        cells[..., 0] = words[30000 if mark == "e " else 30001]
         for j in range(width):  # the groups from the ones up
             q = x // 10000
-            out[:, end - 1 - j] = words[x - q * 10000 + (20000 if j else 10000) * (q == 0)]
+            cells[..., width - j] = words[x - q * 10000 + (20000 if j else 10000) * (q == 0)]
             x = q
     out[:, end] = words[30002]
     return out.tobytes().translate(None, b"\0").decode("ascii")
@@ -376,7 +382,7 @@ def graph_to_text(g: MultiGraph) -> str:
     head = records_to_text("graph", (g.num_vertices, table.shape[1]), ())
     if table.shape[1] < WRITE_MIN:
         return head + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist())
-    return "".join([head, *(_record_lines(table[:, i:i + WRITE_BLOCK])
+    return "".join([head, *(digit_lines(table[:, i:i + WRITE_BLOCK, None], ("e ", " ", " "))
                             for i in range(0, table.shape[1], WRITE_BLOCK))])
 
 

@@ -19,17 +19,18 @@ field translate it away first (remove_field).
 """
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, islice
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
 from .errors import RegimeError, ResourceLimitError, UsageError, check_seed, shown
-from .graphs import (BipartiteGadget, MultiGraph, int_fields, pair_order, read_ascii,
+from .graphs import (BipartiteGadget, MultiGraph, digit_lines, int_fields, read_ascii,
                      read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
 from .spins import SpinParams, log_partition, log_partition_histogram
@@ -50,6 +51,9 @@ class GadgetParams:
     def __post_init__(self):
         if self.delta < 1 or self.delta_prime < 1 or self.block_size < 1:
             raise UsageError("delta, delta_prime and block_size must all be >= 1")
+        for x in (self.delta, self.delta_prime, self.block_size):
+            if not isinstance(x, numbers.Integral):  # NaN and infinity too
+                raise UsageError(f"delta, delta_prime and block_size must be integers, got {x!r}")
         check_seed(self.seed)
 
 
@@ -82,46 +86,68 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
 
 @dataclass(frozen=True)
 class ReductionGraph:
-    """The constructed graph plus the block bookkeeping that ties it back."""
+    """The constructed graph plus the block bookkeeping that ties it back: `blocks`,
+    a read-only (4m, t) int64 array of one block's ids per row, by (variable, side,
+    occurrence); `u_blocks` and `v_blocks` give it as tuples, built on first use."""
 
     graph: MultiGraph
-    u_blocks: Tuple[Tuple[Tuple[int, ...], ...], ...]  # [variable][occurrence] -> vertices
-    v_blocks: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    blocks: np.ndarray = field(compare=False)  # compared by __eq__, not hashed
     params: GadgetParams
     instance: E2Lin2Instance
 
+    def __post_init__(self):
+        self.blocks.setflags(write=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph == other.graph and self.params == other.params
+                and self.instance == other.instance and np.array_equal(self.blocks, other.blocks))
+
+    @cached_property
+    def _views(self):
+        rows = self.blocks.tolist()
+        return tuple(tuple(tuple(map(tuple, rows[side])) for side in sides)
+                     for sides in zip(*_side_rows(occurrence_counts(self.instance))))
+
+    u_blocks = property(lambda self: self._views[0])
+    v_blocks = property(lambda self: self._views[1])
+
     def u_side(self, i: int) -> Tuple[int, ...]:
-        return tuple(chain.from_iterable(self.u_blocks[i]))
+        return sum(self.u_blocks[i], ())
 
     def v_side(self, i: int) -> Tuple[int, ...]:
-        return tuple(chain.from_iterable(self.v_blocks[i]))
+        return sum(self.v_blocks[i], ())
 
     @property
     def block_size(self) -> int:
         return self.params.block_size
 
 
-def _inter_gadget_wiring(inst: E2Lin2Instance, u_blocks, v_blocks) -> np.ndarray:
+def _side_rows(occ):
+    """Per variable, the row slices of its U and V blocks, from the occurrence counts."""
+    return [(slice(2 * c, 2 * c + d), slice(2 * c + d, 2 * (c + d)))
+            for d, c in zip(occ, accumulate(occ, initial=0))]
+
+
+def _inter_gadget_wiring(inst: E2Lin2Instance, blocks) -> np.ndarray:
     """The records that the equations prescribe, each of multiplicity
     delta_prime, as a (2, k) array of their endpoints.
 
     Equation s joins the next unused occurrence block of each of its two
     variables, componentwise: U to V' and V to U' when b = 0, U to U' and V
-    to V' when b = 1.
+    to V' when b = 1.  The -1s that pad a short block's row are paired as ids.
     """
-    seen = [0] * inst.num_vars
-    ends, partners = [], []
+    occ = occurrence_counts(inst)
+    first = [u.start for u, _ in _side_rows(occ)]  # each variable's next unused U row
+    rows = [[], []]
     for i, j, b in inst.equations:
-        k, ell = seen[i], seen[j]
-        seen[i] += 1
-        seen[j] += 1
-        u_jl, v_jl = u_blocks[j][ell], v_blocks[j][ell]
-        u_partner, v_partner = (v_jl, u_jl) if b == 0 else (u_jl, v_jl)
-        for block, partner in ((u_blocks[i][k], u_partner), (v_blocks[i][k], v_partner)):
-            size = min(len(block), len(partner))
-            ends += block[:size]
-            partners += partner[:size]
-    return np.array((ends, partners), dtype=np.int64)
+        k, ell = first[i], first[j]
+        first[i] += 1
+        first[j] += 1
+        rows[0] += (k, k + occ[i])
+        rows[1] += (ell + occ[j], ell) if b == 0 else (ell, ell + occ[j])
+    return blocks[rows].reshape(2, -1)
 
 
 def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> ReductionGraph:
@@ -133,37 +159,21 @@ def build_reduction_graph(inst: E2Lin2Instance, params: GadgetParams) -> Reducti
     if records > MAX_REDUCTION_RECORDS:
         raise ResourceLimitError(
             f"{shown(records)} edge records exceed cap {MAX_REDUCTION_RECORDS}")
-    occ = occurrence_counts(inst)
-    n = inst.num_vars
-
-    u_blocks = []
-    v_blocks = []
-    base = 0
-    for i in range(n):
-        u_blocks.append(tuple(
-            tuple(range(base + k * t, base + (k + 1) * t)) for k in range(occ[i])))
-        v_start = base + occ[i] * t
-        v_blocks.append(tuple(
-            tuple(range(v_start + k * t, v_start + (k + 1) * t)) for k in range(occ[i])))
-        base += 2 * occ[i] * t
-    num_vertices = base  # = 4*m*t since sum(occ) = 2m
-
-    wiring = _inter_gadget_wiring(inst, u_blocks, v_blocks)
+    num_vertices = 4 * inst.num_equations * t
+    blocks = np.arange(num_vertices).reshape(-1, t)
+    wiring = _inter_gadget_wiring(inst, blocks)
     lefts, rights = [wiring[0]], [wiring[1]]
-    base = 0
-    for i in range(n):
-        side = occ[i] * t
+    for i, (u, v) in enumerate(_side_rows(occurrence_counts(inst))):
         rng = np.random.default_rng(gadget_seed(params.seed, i))
-        u_side = np.arange(base, base + side)
+        u_side, v_side = blocks[u].ravel(), blocks[v].ravel()
         for _ in range(params.delta):
             lefts.append(u_side)
-            rights.append(rng.permutation(side) + (base + side))
-        base += 2 * side
+            rights.append(v_side[rng.permutation(v_side.size)])
     mults = np.ones(num_vertices * params.delta // 2 + wiring.shape[1], dtype=np.int64)
     mults[:wiring.shape[1]] = params.delta_prime
     graph = MultiGraph.from_columns(num_vertices, np.concatenate(lefts),
                                     np.concatenate(rights), mults)
-    return ReductionGraph(graph, tuple(u_blocks), tuple(v_blocks), params, inst)
+    return ReductionGraph(graph, blocks, params, inst)
 
 
 @dataclass(frozen=True)
@@ -194,9 +204,11 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
     m = inst.num_equations
     t = params.block_size
     n = g.num_vertices
-    owner = np.full(n, -1)
-    for i in range(inst.num_vars):
-        owner[list(chain.from_iterable(rg.u_blocks[i] + rg.v_blocks[i]))] = i
+    blocks = rg.blocks
+    # one slot past the vertices takes the writes of the -1s that pad a short block
+    owner = np.full(n + 1, -1)
+    owner[blocks] = np.repeat(np.arange(inst.num_vars),
+                              [2 * d for d in occurrence_counts(inst)])[:, None]
     table = g.edge_columns
     u, v, mult = table
     cross = owner[u] != owner[v]
@@ -205,20 +217,17 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
     sums = np.bincount((table[:2] + n * cross).ravel(), np.concatenate((mult, mult)), 2 * n)
     intra, inter = sums[:n], sums[n:]
     degrees = intra + inter
-    # the graph's inter-gadget records, in order, against the prescribed
-    # ones, canonical and sorted; no aggregation is needed, because every
-    # vertex lies in one block and every block is wired once
-    found = table[:, cross.nonzero()[0]]
-    ends, partners = _inter_gadget_wiring(inst, rg.u_blocks, rg.v_blocks)
-    prescribed = np.array((np.minimum(ends, partners), np.maximum(ends, partners)))
-    prescribed = prescribed[:, pair_order(*prescribed, n)]
-    wiring_ok = found.shape[1] == prescribed.shape[1] and not (
-        np.count_nonzero(found[:2] != prescribed)
-        or np.count_nonzero(found[2] != params.delta_prime))
-    blocks_ok = all(
-        len(block) == t
-        for blocks in (rg.u_blocks, rg.v_blocks)
-        for per_var in blocks for block in per_var)
+    # every vertex lies in one block and every block is wired once, so the
+    # prescribed records are those of a partner map, -1 where a pair is
+    # padded; the graph's inter-gadget records must be all of them
+    ends, partners = _inter_gadget_wiring(inst, blocks)
+    partner = np.full(n + 1, -1)
+    partner[ends] = partners
+    partner[partners] = ends
+    paired = int(np.count_nonzero(partner[:n] >= 0))
+    fu, fv, fm = table[:, cross.nonzero()[0]]
+    wiring_ok = 2 * fu.size == paired and not (
+        np.count_nonzero(partner[fu] != fv) or np.count_nonzero(fm != params.delta_prime))
     return StructureAudit(
         regular=n > 0 and not np.count_nonzero(degrees != degrees[0]),
         degree=int(degrees[0]) if n else 0,
@@ -227,7 +236,7 @@ def audit_reduction_graph(rg: ReductionGraph) -> StructureAudit:
         expected_vertex_count=4 * m * t,
         intra_multiplicities_ok=not np.count_nonzero(intra != params.delta),
         inter_multiplicities_ok=not np.count_nonzero(inter != params.delta_prime),
-        block_sizes_ok=blocks_ok,
+        block_sizes_ok=blocks.shape[1] == t and paired == 2 * ends.size,
         wiring_ok=wiring_ok,
     )
 
@@ -328,12 +337,9 @@ def log_polarized_sum_closed(rg: ReductionGraph, bits: Sequence[int],
 def polarized_fixed_spins(rg: ReductionGraph, bits: Sequence[int]) -> Dict[int, int]:
     """Spins forced by full polarization: the S-side of each gadget is all 1."""
     _check_assignment(rg, bits)
-    fixed = {}
-    for i, b in enumerate(bits):
-        side = rg.u_side(i) if b == 0 else rg.v_side(i)
-        for v in side:
-            fixed[v] = 1
-    return fixed
+    sides = _side_rows(occurrence_counts(rg.instance))
+    ids = np.concatenate([rg.blocks[side[b]] for b, side in zip(bits, sides)])
+    return dict.fromkeys(ids.ravel().tolist(), 1)
 
 
 def log_polarized_sum_brute(rg: ReductionGraph, bits: Sequence[int], p: SpinParams,
@@ -410,10 +416,10 @@ def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
     # variable i's key digit zeros(U_i) + ones(V_i), in radix |U_i| + |V_i| + 1:
     # less |V_i|, it has the sign of zeros(U_i) - zeros(V_i)
     keys, table, place = np.zeros((2, nv), dtype=np.intp), np.zeros(1, dtype=np.intp), 1
-    for i in range(n):
-        u, v = rg.u_side(i), rg.v_side(i)
-        keys[0, list(u)] = keys[1, list(v)] = place
-        digit = 3 ** i * (np.sign(np.arange(len(u) + len(v) + 1) - len(v)) + 1)
+    for i, (u, v) in enumerate(_side_rows(occurrence_counts(rg.instance))):
+        u, v = rg.blocks[u], rg.blocks[v]
+        keys[0, u] = keys[1, v] = place
+        digit = 3 ** i * (np.sign(np.arange(u.size + v.size + 1) - v.size) + 1)
         table, place = np.add.outer(digit, table).ravel(), place * len(digit)
     hist = log_partition_histogram(rg.graph, p, (keys, table), 3 ** n,
                                    max_vertices=MAX_REDUCTION_VERTICES,
@@ -449,17 +455,16 @@ def blocks_to_text(rg: ReductionGraph) -> str:
 
     Header `p blocks n m t delta delta_prime seed`, the instance's equations
     as `e i j b` lines (1-based), then one `block U|V <var> <occ> <v...>`
-    line per block (0-based vertex ids).
+    line per block (0-based vertex ids), in the order of `rg.blocks`.
     """
     inst, par = rg.instance, rg.params
     equations = [f"e {i + 1} {j + 1} {b}" for i, j, b in inst.equations]
-    blocks = [f"block {side} {i} {k} " + " ".join(map(str, block))
-              for i in range(inst.num_vars)
-              for side, per_var in (("U", rg.u_blocks[i]), ("V", rg.v_blocks[i]))
-              for k, block in enumerate(per_var)]
+    heads = [f"block {side} {i} {k}" for i, d in enumerate(occurrence_counts(inst))
+             for side in "UV" for k in range(d)]
+    ids = digit_lines([rg.blocks], (" ",)).split("\n")
     return records_to_text("blocks", (inst.num_vars, inst.num_equations, par.block_size,
                                       par.delta, par.delta_prime, par.seed),
-                           equations + blocks)
+                           equations + list(map(str.__add__, heads, ids)))
 
 
 def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
@@ -500,25 +505,30 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
         raise UsageError("block map instance has unused variables")
     params = GadgetParams(delta, delta_prime, t, seed)
     occ = occurrence_counts(inst)
-    if blocks.keys() != {(side, i, k) for side in "UV"
-                         for i in range(n) for k in range(occ[i])}:
+    keys = [(side, i, k) for i, d in enumerate(occ) for side in "UV" for k in range(d)]
+    if blocks.keys() != set(keys):
         raise UsageError("block records do not match the variables' occurrences")
     size = graph.num_vertices
-    # every id at once; one past int64 reads as its largest value, which is out of range
-    joined = " ".join(blocks.values())
+    # every id at once, in row order; one past int64 reads as its largest
+    # value, which is out of range
+    texts = [blocks[key] for key in keys]
+    joined = " ".join(texts)
     covered = np.fromstring(joined, dtype=np.int64, sep=" ")
     if joined.count(" ") >= covered.size:  # some ids are apart by more than one space
-        blocks = {key: " ".join(ids.split()) for key, ids in blocks.items()}
-    flat = iter(covered.tolist())
-    blocks = {key: tuple(islice(flat, ids.count(" ") + 1)) for key, ids in blocks.items()}
+        texts = [" ".join(ids.split()) for ids in texts]
     # as uint64 a negative id lies past every size
     partition = covered.size == size and covered.view(np.uint64).max() < size and (
         np.count_nonzero(np.bincount(covered)) == size)
     if not partition:
         raise UsageError("block records do not partition the graph's vertices")
-    u_blocks = tuple(tuple(blocks[("U", i, k)] for k in range(occ[i])) for i in range(n))
-    v_blocks = tuple(tuple(blocks[("V", i, k)] for k in range(occ[i])) for i in range(n))
-    rg = ReductionGraph(graph, u_blocks, v_blocks, params, inst)
+    counts = [ids.count(" ") + 1 for ids in texts]
+    width = max(counts)
+    if covered.size == width * len(keys):
+        ids = covered.reshape(-1, width)
+    else:  # blocks of unequal length, each padded with -1s to the longest for the audit
+        ids = np.full((len(keys), width), -1)
+        ids[np.arange(width) < np.array(counts)[:, None]] = covered
+    rg = ReductionGraph(graph, ids, params, inst)
     audit = audit_reduction_graph(rg)
     if not audit.wiring_ok:
         raise UsageError("block map equations do not match the graph's wiring")

@@ -216,6 +216,8 @@ def always_unique_bound(beta: float, gamma: float) -> float:
         raise UsageError("need beta, gamma >= 0")
     if beta * gamma >= 1:
         raise UsageError("bound defined for beta*gamma < 1 only")
+    if not (beta < math.inf and gamma < math.inf):  # NaN too
+        raise UsageError(f"need finite beta, gamma, got {shown(beta)}, {shown(gamma)}")
     r = math.sqrt(beta * gamma)
     return (1 + r) / (1 - r)
 
@@ -356,6 +358,8 @@ def case_split(beta: float, gamma: float, delta_star: int,
         raise UsageError("(beta, gamma) = (1, 1) is excluded")
     if delta_star < 1:
         raise UsageError("delta_star must be >= 1")
+    if not delta_star >= 1 or delta_star % 1:  # NaN and infinity too
+        raise UsageError(f"delta_star must be an integer >= 1, got {shown(delta_star)}")
     if L is None:
         scale = DEFAULT_CASE_SCALE
         toy = False

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twospin import graphs
 from twospin.errors import UsageError
 from twospin.graphs import (MAX_MULTIPLICITY, BipartiteGadget, MultiGraph,
                             complete_graph, cycle_graph, graph_from_text,
@@ -129,3 +130,22 @@ def test_bipartite_gadget_validation():
         BipartiteGadget(bad, (0, 1), (2, 3))
     with pytest.raises(UsageError):
         BipartiteGadget(g, (0, 1), (2,))
+
+
+def test_digit_words_match_the_int64_construction():
+    # the writers' word table, built as it was before in int64, byte for byte
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    lead = digits.cumsum(axis=1) > 0
+    words = np.concatenate((digits + 48, np.where(lead | [0, 0, 0, 1], digits + 48, 0),
+                            np.where(lead, digits + 48, 0),
+                            [[101, 32, 0, 0], [32, 0, 0, 0], [10, 0, 0, 0]]))
+    expected = words.astype(np.uint8).view(np.uint32).ravel()
+    got = graphs._digit_words()
+    assert got.dtype == np.uint32 and got.tobytes() == expected.tobytes()
+
+
+def test_digit_lines_write_each_row_as_a_line():
+    ids = np.array([[0, 9, 10], [9999, 10000, 10 ** 12 + 7]])
+    assert graphs.digit_lines([ids], (" ",)) == " 0 9 10\n 9999 10000 1000000000007\n"
+    assert graphs.digit_lines([ids[:, :1], ids[:, 1:]], ("e ", " ")) == \
+        "e 0 9 10\ne 9999 10000 1000000000007\n"

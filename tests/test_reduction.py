@@ -38,6 +38,13 @@ def test_negative_seeds_are_usage_errors():
     assert sample_gadget(3, 2, np.random.SeedSequence(5)).side_size == 3
 
 
+@pytest.mark.parametrize("sizes", [(1.5, 1, 2), (1, 2.0, 2), (1, 1, math.nan), (1, 1, math.inf)])
+def test_gadget_params_refuse_non_integer_sizes(sizes):
+    # GadgetParams(1.5, 1, 2, 3) once reached the build and raised a bare TypeError
+    with pytest.raises(UsageError, match="delta, delta_prime and block_size must be integers"):
+        build_reduction_graph(E2Lin2Instance(2, ((0, 1, 1),)), GadgetParams(*sizes, 3))
+
+
 def test_sample_gadget_regularity_and_determinism():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -471,6 +478,62 @@ def test_block_ids_read_as_the_line_reader_reads_them(plant):
                     assert got == _read_blocks(text, rg.graph)
                 else:
                     assert isinstance(got, str), (row, at)
+
+
+@pytest.mark.parametrize("shape", MUTANT_SHAPES)
+def test_block_views_are_the_reference_layout(shape):
+    rg = _mutant_reduction(shape)
+    equations, t = shape
+    u_blocks, v_blocks, _ = oracles.reduction_layout(3, equations, t)
+    as_tuples = tuple(tuple(map(tuple, blocks)) for blocks in u_blocks), \
+        tuple(tuple(map(tuple, blocks)) for blocks in v_blocks)
+    back = blocks_from_text(blocks_to_text(rg), rg.graph)
+    assert back == rg and hash(back) == hash(rg)
+    for got in (rg, back):
+        assert (got.u_blocks, got.v_blocks) == as_tuples
+        for i in range(3):
+            assert got.u_side(i) == sum(as_tuples[0][i], ())
+            assert got.v_side(i) == sum(as_tuples[1][i], ())
+        assert got.blocks.dtype == np.int64 and got.blocks.shape == (4 * len(equations), t)
+        with pytest.raises(ValueError, match="read-only"):
+            got.blocks[0, 0] = 1
+    assert dataclasses.replace(rg, blocks=rg.blocks[::-1]) != rg
+
+
+def _ids_moved(text, *moves):
+    """text with the last id of each (source, target) block line moved to
+    the end of the target line, which both name by their first four words."""
+    lines = text.splitlines()
+    for source, target in moves:
+        i, j = (next(k for k, line in enumerate(lines) if line.startswith(head + " "))
+                for head in (source, target))
+        lines[i], last = lines[i].rsplit(" ", 1)
+        lines[j] += " " + last
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", MUTANT_SHAPES)
+def test_ragged_block_maps_are_refused_as_the_line_reader_refuses_them(shape):
+    # the ids still partition the vertices, but one block holds t + 1 ids
+    # and another t - 1: the audit pairs each block with its partner up to
+    # the shorter one's end, as the line reader does
+    rg = _mutant_reduction(shape)
+    text = blocks_to_text(rg)
+    heads = [" ".join(line.split()[:4]) for line in text.splitlines()
+             if line.startswith("block")]
+    for source in (heads[0], heads[len(heads) // 2], heads[-1]):
+        for target in (heads[1], heads[len(heads) // 2 + 1], heads[-2]):
+            mutant = _ids_moved(text, (source, target))
+            got = _read_blocks(mutant, rg.graph)
+            assert got == oracles.blocks_file(mutant, rg.graph), (source, target)
+            assert got == "block map equations do not match the graph's wiring"
+    if shape is MUTANT_SHAPES[1]:
+        # the first and fourth equations join variables 0 and 1; moving the last pair of
+        # the one onto the other's blocks keeps every prescribed record
+        mutant = _ids_moved(text, ("block U 0 2", "block U 0 0"), ("block V 1 2", "block U 1 0"))
+        got = _read_blocks(mutant, rg.graph)
+        assert got == oracles.blocks_file(mutant, rg.graph)
+        assert got == "graph and block map are inconsistent"
 
 
 def _counted(monkeypatch, calls, name):

@@ -381,6 +381,22 @@ def test_case_split_refuses_a_non_integer_scale(L):
         case_split(0.3, 0.6, 10, L=L)
 
 
+@pytest.mark.parametrize("delta_star", [10.5, math.nan, math.inf])
+def test_case_split_refuses_a_non_integer_total_degree(delta_star):
+    # 10.5 returned delta = 10.5, delta_prime = 0.0; NaN and infinity raised
+    # a bare RuntimeError
+    with pytest.raises(UsageError, match="delta_star must be an integer >= 1"):
+        case_split(0.3, 0.6, delta_star)
+
+
+@pytest.mark.parametrize("beta, gamma", [(math.nan, 0.5), (0.5, math.nan),
+                                         (math.inf, 0.0), (0.0, math.inf)])
+def test_always_unique_bound_refuses_non_finite_weights(beta, gamma):
+    # each returned NaN
+    with pytest.raises(UsageError, match="need finite beta, gamma"):
+        always_unique_bound(beta, gamma)
+
+
 def test_classify_phase():
     assert classify_phase(SpinParams(2, 2), 3) is PhaseRegion.FERROMAGNETIC
     assert classify_phase(SpinParams(0.5, 0.5), 2) is PhaseRegion.UNIQUENESS
