@@ -13,13 +13,14 @@ Contents:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_seed, shown
+from .errors import ResourceLimitError, UsageError, check_integers, check_seed, shown
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
 from .spins import SpinParams, _integral_fraction, log_profile_sums
@@ -487,18 +488,27 @@ def chi2_sf(stat: float, dof: int) -> float:
     Q = front * (series or continued fraction), front = x^a e^-x / Gamma(a).
     For a >= 10 the log of the front is taken as a (log1p(t) - t) with
     t = (x-a)/a, plus the Stirling series of log Gamma(a): its rounding
-    error then scales with |x - a|, not with a log x.  x < a + 1 uses the
+    error then scales with |x - a|, not with a log x; log(x/a) stands in for
+    log1p(t) where x/a is so small that t rounds to -1.  x < a + 1 uses the
     series for P = 1 - Q, otherwise Q is a continued fraction evaluated by
-    the modified Lentz method.
+    the modified Lentz method.  A NaN stat, or a dof that is not an integer
+    >= 1, raises UsageError; stat = +inf gives 0.
     """
+    if not (isinstance(dof, numbers.Integral) and dof >= 1):
+        raise UsageError(f"dof must be an integer >= 1, got {shown(dof)}")
+    if math.isnan(stat):
+        raise UsageError("stat must be a number, got nan")
     a, x = 0.5 * dof, 0.5 * stat
     if x <= 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if a < 10.0:
         log_front = a * math.log(x) - x - math.lgamma(a)
     else:
         t = (x - a) / a
-        log_front = (a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi))
+        log1p_t = math.log1p(t) if t > -1.0 else math.log(x / a)
+        log_front = (a * (log1p_t - t) + 0.5 * math.log(a / (2.0 * math.pi))
                      - sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING)))
     front = math.exp(log_front)
     eps, tiny = 2.0 ** -53, 1e-300
@@ -546,6 +556,7 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
         raise UsageError("b must lie in (0, 1]")
     if d < 1 or trials < 1:
         raise UsageError("d and trials must be >= 1")
+    check_integers("n, d and trials", n, d, trials)
     if trials * d > MAX_COUPLING_SEQUENCES:
         raise ResourceLimitError(
             f"trials * d = {shown(trials * d)} sequences exceed cap {MAX_COUPLING_SEQUENCES}")
@@ -618,8 +629,10 @@ def polarized_branch_rate_bound(degree_ratio: int = HARD_DEGREE_RATIO) -> float:
         e/(1+e) * ln(1+e) + 1/(1+e) * (r-1)/r       (~ 1.22899 at r = 8000),
 
     which dominates the 1.22 ceiling of the conditioned tail.  Reported by
-    demos; not an acceptance target.
+    demos; not an acceptance target.  A degree_ratio below 1 raises UsageError.
     """
+    if not degree_ratio >= 1:
+        raise UsageError(f"degree_ratio must be >= 1, got {shown(degree_ratio)}")
     q = math.e / (1.0 + math.e)
     return q * math.log1p(math.e) + (1.0 - q) * (degree_ratio - 1.0) / degree_ratio
 

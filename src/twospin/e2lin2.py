@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_seed
+from .errors import ResourceLimitError, UsageError, check_integers, check_seed
 from .graphs import (int_fields, read_ascii, read_records, records_to_text,
                      write_ascii)
 from .spins import _Problem
@@ -159,6 +159,7 @@ def random_instance(n: int, m: int, seed: int) -> E2Lin2Instance:
         raise UsageError("need n >= 2")
     if 2 * m < n:
         raise UsageError("need m >= n/2 so every variable can appear")
+    check_integers("n and m", n, m)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     eqs = []

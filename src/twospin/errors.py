@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the seed and degree checks
-that raise one, and the renderer their messages print values with."""
+"""Exception types shared across the package, the seed, count and degree
+checks that raise one, and the renderer their messages print values with."""
 
 import numbers
 
@@ -36,6 +36,14 @@ def check_seed(seed) -> None:
     with a bare ValueError.  A SeedSequence passes unchecked."""
     if isinstance(seed, numbers.Integral) and seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {shown(seed)}")
+
+
+def check_integers(names: str, *counts) -> None:
+    """Refuse a count that is not an integer (a float, NaN or infinity), which
+    numpy would reject with a bare TypeError or AxisError, or truncate."""
+    for x in counts:
+        if not isinstance(x, numbers.Integral):
+            raise UsageError(f"{names} must be integers, got {x!r}")
 
 
 def check_degree(d) -> None:

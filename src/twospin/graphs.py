@@ -9,24 +9,25 @@ of O(records): every field fits int64; 0 <= num_vertices <= 2**53; each
 record's multiplicity, each pair's sum and each vertex degree lie within
 2**53, so that the doubles the kernels read are exact.  A breach raises
 UsageError naming the first offending record, line or vertex.  A graph holds
-one canonical form: int64 columns sorted by (u, v), u < v, one record per pair.
+one canonical form: int64 columns sorted by (u, v), u < v, one record per pair,
+ordered by `pair_order`, which takes np.lexsort only where its int64 key wraps.
 
 Graph file format (text):
     p graph <num_vertices> <num_edge_records>
     e <u> <v> <mult>        # one line per record, 0-based endpoints
-The writer emits the canonical records; the reader accepts any order and
-orientation and sums duplicate pairs.  One of two readers parses a file,
-once.  The byte path, `_byte_fields`, takes a file whose header is its
-first line and whose every record line is exactly 'e U V M', single spaces
-and 1 to 18 ASCII digits per field, once blank and '#'-first lines are
-dropped: a few numpy passes over its bytes gather the fields into int64
-columns.  A file it refuses is offered once more with each run of spaces and
-tabs squeezed to one space and none left at a line's ends.  Any other text
-is read line by line through `read_records`, which parses the odd but legal
-fields (signs, '_', 19 or more digits).  Either reader raises the error of
-the first faulty line, then of the record count, of a multiplicity (whose
-line the byte path finds by walking `read_records`), and of the graph's own
-checks.
+The writer emits the canonical records, every graph through the numpy digit
+table of `digit_lines`; the reader accepts any order and orientation and
+sums duplicate pairs.  One of two readers parses a file, once.  The byte
+path, `_byte_fields`, takes a file whose header is its first line and whose
+every record line is exactly 'e U V M', single spaces and 1 to 18 ASCII
+digits per field, once blank and '#'-first lines are dropped: a few numpy
+passes over its bytes gather the fields into int64 columns.  A file it
+refuses is offered once more with each run of spaces and tabs squeezed to
+one space and none left at a line's ends.  Any other text is read line by
+line through `read_records`, which parses the odd but legal fields (signs,
+'_', 19 or more digits).  Either reader raises the error of the first faulty
+line, then of the record count, of a multiplicity (whose line the byte path
+finds by walking `read_records`), and of the graph's own checks.
 
 `read_records` holds the syntax that this file, the E2LIN2 instance and the
 block map share: ASCII, '#' and blank lines skipped, one integer header
@@ -47,8 +48,6 @@ EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
 RECORD_MARKS = b"e   \n"  # the non-digit bytes of a record line 'e U V M\n', in order
 STEPS = bytes((1, 1, 2, 2, 2))  # the step to each of them from the one before, capped at 2
-KEY_SORT_MIN = 1024  # pairs; np.lexsort sorts fewer faster than the key's few extra calls
-WRITE_MIN = 128  # records; '%' writes fewer faster than numpy's fixed cost of about 20 us
 WRITE_BLOCK = 1 << 14  # records per numpy pass of the writer, bounding its temporaries
 
 
@@ -68,9 +67,9 @@ def _first(mask):
 
 def pair_order(lo, hi, num_vertices: int):
     """The stable order of the int64 pairs (lo, hi), lo <= hi: an argsort of the
-    key lo * n + hi from KEY_SORT_MIN pairs when it cannot wrap, else np.lexsort."""
-    if (lo.size >= KEY_SORT_MIN and num_vertices <= 1 << 31
-            and lo.min() >= 0 and hi.max() < num_vertices):
+    key lo * n + hi whenever it cannot wrap (n <= 2**31, every id in [0, n)),
+    else np.lexsort.  No pairs sort as the key's empty argsort."""
+    if num_vertices <= 1 << 31 and lo.min(initial=0) >= 0 and hi.max(initial=-1) < num_vertices:
         key = lo * num_vertices
         key += hi  # in place: a second temporary raises the peak RSS
         return np.argsort(key, kind="stable")
@@ -376,12 +375,10 @@ def digit_lines(fields, marks) -> str:
 
 
 def graph_to_text(g: MultiGraph) -> str:
-    """The graph file of g's canonical records; numpy writes a graph of
-    WRITE_MIN records or more, WRITE_BLOCK records at a time."""
+    """The graph file of g's canonical records, written by `digit_lines`
+    WRITE_BLOCK records at a time; a graph with no records is its header."""
     table = g.edge_columns
     head = records_to_text("graph", (g.num_vertices, table.shape[1]), ())
-    if table.shape[1] < WRITE_MIN:
-        return head + "e %d %d %d\n" * table.shape[1] % tuple(table.T.ravel().tolist())
     return "".join([head, *(digit_lines(table[:, i:i + WRITE_BLOCK, None], ("e ", " ", " "))
                             for i in range(0, table.shape[1], WRITE_BLOCK))])
 

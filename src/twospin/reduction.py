@@ -19,7 +19,6 @@ field translate it away first (remove_field).
 """
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -29,7 +28,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
-from .errors import RegimeError, ResourceLimitError, UsageError, check_seed, shown
+from .errors import RegimeError, ResourceLimitError, UsageError, check_integers, check_seed, shown
 from .graphs import (BipartiteGadget, MultiGraph, digit_lines, int_fields, read_ascii,
                      read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
@@ -51,9 +50,8 @@ class GadgetParams:
     def __post_init__(self):
         if self.delta < 1 or self.delta_prime < 1 or self.block_size < 1:
             raise UsageError("delta, delta_prime and block_size must all be >= 1")
-        for x in (self.delta, self.delta_prime, self.block_size):
-            if not isinstance(x, numbers.Integral):  # NaN and infinity too
-                raise UsageError(f"delta, delta_prime and block_size must be integers, got {x!r}")
+        check_integers("delta, delta_prime and block_size",
+                       self.delta, self.delta_prime, self.block_size)
         check_seed(self.seed)
 
 
@@ -75,6 +73,7 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
     """
     if n_side < 1 or delta < 1:
         raise UsageError("need n_side >= 1 and delta >= 1")
+    check_integers("n_side and delta", n_side, delta)
     if delta * (n_side + 4) > MAX_GADGET_DRAW:
         raise ResourceLimitError(
             f"delta * (side + 4) = {shown(delta * (n_side + 4))} exceeds cap {MAX_GADGET_DRAW}")

@@ -19,6 +19,7 @@ with vertex 0 as the least significant bit.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_degree
+from .errors import ResourceLimitError, UsageError, check_degree, shown
 from .graphs import BipartiteGadget, MultiGraph
 from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
                        log_sum_exp_inplace, pairwise_add, pairwise_root,
@@ -48,12 +49,14 @@ class SpinParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not (self.beta >= 0 and math.isfinite(self.beta)):
-            raise UsageError(f"beta must be a finite nonnegative real, got {self.beta}")
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise UsageError(f"gamma must be a finite nonnegative real, got {self.gamma}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise UsageError(f"mu must be a finite positive real, got {self.mu}")
+        # a finite real lies within the doubles' range: NaN, infinity and an
+        # int past it fail the comparison, where math.isfinite would overflow
+        if not 0 <= self.beta <= sys.float_info.max:
+            raise UsageError(f"beta must be a finite nonnegative real, got {shown(self.beta)}")
+        if not 0 <= self.gamma <= sys.float_info.max:
+            raise UsageError(f"gamma must be a finite nonnegative real, got {shown(self.gamma)}")
+        if not 0 < self.mu <= sys.float_info.max:
+            raise UsageError(f"mu must be a finite positive real, got {shown(self.mu)}")
 
     @property
     def is_ferromagnetic(self) -> bool:

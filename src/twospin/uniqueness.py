@@ -232,6 +232,8 @@ def criticality_roots(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     check_degree(d)
     if beta <= 0:
         raise RegimeError("closed-form roots need beta > 0 (formula divides by beta)")
+    if gamma <= 0:
+        raise RegimeError("closed-form roots need gamma > 0 (root x1 = 0 is not positive)")
     if beta * gamma >= 1:
         raise RegimeError("closed-form roots need beta*gamma < 1")
     bg = beta * gamma

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -568,6 +569,29 @@ def test_chi2_sf_matches_closed_forms():
     assert chi2_sf(0.0, 3) == 1.0
 
 
+def _hung(signum, frame):
+    raise TimeoutError("chi2_sf did not return")
+
+
+def test_chi2_sf_ends_and_refusals():
+    # chi2_sf(inf, 4) once looped forever: the alarm makes that a failure
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(3)
+    try:
+        assert chi2_sf(math.inf, 4) == chi2_sf(math.inf, 101) == 0.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert chi2_sf(0.0, 4) == chi2_sf(-1.0, 4) == chi2_sf(-math.inf, 101) == 1.0
+    # a stat so far below dof that (x - a) / a rounds to -1 raised a bare ValueError
+    assert chi2_sf(1e-15, 20) == chi2_sf(1e-300, 100) == chi2_sf(3.0, 2 ** 60) == 1.0
+    with pytest.raises(UsageError, match="stat must be a number, got nan"):
+        chi2_sf(math.nan, 4)
+    for dof in (0, -3, 2.5, 4.0, math.nan):
+        with pytest.raises(UsageError, match="dof must be an integer >= 1"):
+            chi2_sf(3.0, dof)
+
+
 def test_chi2_sf_matches_scipy_at_large_dof():
     stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(19)
@@ -604,3 +628,6 @@ def test_coupling_sim_determinism():
 def test_polarized_branch_rate_bound():
     assert polarized_branch_rate_bound() >= 1.22897
     assert polarized_branch_rate_bound() == pytest.approx(1.22898, abs=1e-4)
+    for ratio in (0, 0.5, -2, math.nan):  # a ratio of 0 divided by zero
+        with pytest.raises(UsageError, match="degree_ratio must be >= 1, got"):
+            polarized_branch_rate_bound(ratio)

@@ -20,9 +20,8 @@ import oracles
 from twospin import graphs
 from twospin.e2lin2 import random_instance
 from twospin.errors import UsageError
-from twospin.graphs import (KEY_SORT_MIN, MAX_MULTIPLICITY, WRITE_BLOCK, WRITE_MIN,
-                            BipartiteGadget, MultiGraph, graph_from_text, graph_to_text,
-                            pair_order, scaled_graph)
+from twospin.graphs import (MAX_MULTIPLICITY, WRITE_BLOCK, BipartiteGadget, MultiGraph,
+                            graph_from_text, graph_to_text, pair_order, scaled_graph)
 from twospin.reduction import (GadgetParams, audit_reduction_graph,
                                blocks_to_text, build_reduction_graph)
 
@@ -285,21 +284,18 @@ def _wide_records(rng, count):
     return sorted((u, v, m) for (u, v), m in records.items())
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, WRITE_MIN, WRITE_BLOCK - 1, WRITE_BLOCK,
-                                   WRITE_BLOCK + 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 128, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1])
 def test_graph_writer_matches_the_oracle(count):
-    # both writers, the '%' format and the numpy table, at every count; fields
-    # of 1 to 16 digits, up to 2**53 vertices and multiplicities
+    # the numpy writer at every count, in its own blocks and in blocks of 7;
+    # fields of 1 to 16 digits, up to 2**53 vertices and multiplicities
     records = _wide_records(np.random.default_rng(count), count)
     g = MultiGraph.from_columns(MAX_MULTIPLICITY, *np.array(records, dtype=np.int64)
                                 .reshape(-1, 3).T)
     expected = oracles.graph_text(MAX_MULTIPLICITY, records)
     with pytest.MonkeyPatch.context() as patch:
-        for write_min, block in ((WRITE_MIN, WRITE_BLOCK), (0, WRITE_BLOCK), (0, 7),
-                                 (count + 1, WRITE_BLOCK)):
-            patch.setattr(graphs, "WRITE_MIN", write_min)
+        for block in (WRITE_BLOCK, 7):
             patch.setattr(graphs, "WRITE_BLOCK", block)
-            assert graph_to_text(g) == expected, (write_min, block)
+            assert graph_to_text(g) == expected, block
     assert graph_from_text(expected) == g
 
 
@@ -313,12 +309,13 @@ def _sorted_outcome(n, u, v, m):
 
 @pytest.mark.parametrize("n", [3000, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
 def test_key_sort_matches_lexsort(n):
-    # the key sort runs for n <= 2**31; out-of-range ids, and every n past
-    # 2**31, keep np.lexsort: both must give the same table or message
+    # the key sort runs for n <= 2**31 at every size; out-of-range ids, and
+    # every n past 2**31, keep np.lexsort: both must give the oracle's table
+    # or message
     rng = np.random.default_rng(n % 9973)
     ids = np.concatenate((np.arange(1500), n - 1 - np.arange(1500)))
     for trial in range(24):
-        k = int(rng.integers(KEY_SORT_MIN, 3 * KEY_SORT_MIN))
+        k = int(rng.integers(1, 3072))
         first, second = rng.integers(ids.size, size=(2, k))
         u, v = ids[first], ids[np.where(first == second, (first + 1) % ids.size, second)]
         m = rng.integers(1, 4, k)
@@ -339,9 +336,6 @@ def test_key_sort_matches_lexsort(n):
         if fault in (0, 1, 4, 5):
             assert np.array_equal(pair_order(lo, hi, n), np.lexsort((hi, lo)))
         keyed = _sorted_outcome(n, u, v, m)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "KEY_SORT_MIN", 10 ** 9)
-            assert _sorted_outcome(n, u, v, m) == keyed, (trial, fault)
         expected = oracles.aggregated_records(n, list(zip(u.tolist(), v.tolist(), m.tolist())))
         assert keyed == (expected if isinstance(expected, str)
                          else [list(column) for column in zip(*expected)]), (trial, fault)

@@ -247,6 +247,9 @@ def test_criticality_roots():
         assert x1 + x2 == pytest.approx(b_coef / beta, rel=1e-10)
     with pytest.raises(RegimeError):
         criticality_roots(0.0, 1.0, 10)
+    for gamma in (0.0, -0.5):  # at gamma = 0 the root x1 is 0: the residual divided by it
+        with pytest.raises(RegimeError, match="closed-form roots need gamma > 0"):
+            criticality_roots(0.3, gamma, 10)
     with pytest.raises(RegimeError):
         criticality_roots(0.5, 0.5, 2)  # below the degree floor
 
