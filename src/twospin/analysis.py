@@ -40,6 +40,7 @@ MAX_MC_TRIALS = 10 ** 6           # MC trials: about 50 bytes each, 85 MB at the
 MAX_MC_WORK = 1 << 21             # gadgets computed * 4^N: 24-28 s and 110 MB at most
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 MAX_COUPLING_SEQUENCES = 1 << 22  # coupling trials * d: about 3 s and 140 MB at the cap
+MAX_CHI2_DOF = 1 << 32            # chi2_sf's dof: about 35 ms at the cap, at stat = dof
 
 
 def entropy(x: float) -> float:
@@ -491,11 +492,15 @@ def chi2_sf(stat: float, dof: int) -> float:
     error then scales with |x - a|, not with a log x; log(x/a) stands in for
     log1p(t) where x/a is so small that t rounds to -1.  x < a + 1 uses the
     series for P = 1 - Q, otherwise Q is a continued fraction evaluated by
-    the modified Lentz method.  A NaN stat, or a dof that is not an integer
-    >= 1, raises UsageError; stat = +inf gives 0.
+    the modified Lentz method.  Either takes about sqrt(a) steps near
+    x = a, so a dof past MAX_CHI2_DOF raises ResourceLimitError.  A NaN
+    stat, or a dof that is not an integer >= 1, raises UsageError; stat =
+    +inf gives 0.
     """
     if not (isinstance(dof, numbers.Integral) and dof >= 1):
         raise UsageError(f"dof must be an integer >= 1, got {shown(dof)}")
+    if dof > MAX_CHI2_DOF:
+        raise ResourceLimitError(f"dof {shown(dof)} exceeds cap {MAX_CHI2_DOF}")
     if math.isnan(stat):
         raise UsageError("stat must be a number, got nan")
     a, x = 0.5 * dof, 0.5 * stat

@@ -10,11 +10,12 @@ trees iff
 
     |f'(x_hat)| = d * (1 - beta*gamma) * x_hat / ((beta*x_hat + 1) * (x_hat + gamma)) < 1.
 
-This module computes fixed points (one vectorized bisection for every
-gamma >= 0: unconditional convergence, no derivative pathologies near
-beta = 0; it stops once a halving leaves the bracket unchanged, which gives
-the same bits as running all BISECT_ITERATIONS = 200 halvings, its cap),
-the derivative criterion, threshold degrees, the closed-form criticality
+This module computes fixed points (one vectorized solver for every
+gamma >= 0: safeguarded Newton steps in log x inside the bracket [0, f(0)],
+then a bisection of a bracket a few ulps wide, about 17 evaluations of the
+ratio in all; the result is a sign change of the floating-point
+log f(x) - log x, as a bisection of the whole bracket gives), the
+derivative criterion, threshold degrees, the closed-form criticality
 roots and field windows, the degree plan for the regime 0 < beta < 1 < gamma,
 the three-way case split used by the gadget reduction, and a phase
 classifier for parameter grids.
@@ -37,7 +38,7 @@ DEFAULT_CASE_SCALE = 12 * 10**8  # the published L; K = 4L
 HARD_DEGREE_RATIO = 8000         # delta_star >= ratio * delta_prime
 DEFAULT_REGION_CONSTANT = 1000.0  # configurable h in d >= h/(1 - beta*gamma)
 PHASE_BLOCK_CELLS = 1 << 16      # phase_grid cells solved per magnitude_grid call
-MAX_SCAN_DEGREE = 1 << 20        # first_nonunique_degree's d_max: about 5 s and 180 MB at the cap
+MAX_SCAN_DEGREE = 1 << 20        # first_nonunique_degree's d_max: about 0.7 s and 220 MB at the cap
 
 
 def _log_ratio(beta, gamma):
@@ -85,17 +86,47 @@ def _bisect(lo, hi, g):
     return 0.5 * (lo + hi)
 
 
+def _newton_bracket(lo, hi, v, g, slope, in_logs):
+    """Narrow the sign bracket [lo, hi] of a decreasing g, in place, by
+    Newton steps g/slope(x) in y = log x from v, which is x, or y in_logs.
+
+    A step that moves v but not strictly into the bracket halves it.  A cell
+    stops at its first step within 2**-50 of its scale (x, or max(|y|, 1)),
+    so that its result does not depend on the other cells.  Where g changes
+    sign across 2**-48 of scale about v, that is the bracket returned.
+    """
+    scale = (lambda v: np.maximum(np.abs(v), 1.0)) if in_logs else (lambda v: v)
+    moving = np.ones(np.shape(v), dtype=bool)
+    for _ in range(BISECT_ITERATIONS):
+        step = g(v)
+        np.copyto(lo, v, where=step >= 0)
+        np.copyto(hi, v, where=step <= 0)
+        step /= slope(np.exp(v) if in_logs else v)
+        step = step + v if in_logs else v * np.exp(step)
+        np.copyto(step, 0.5 * (lo + hi), where=~((lo < step) & (step < hi) | (step == v)))
+        np.copyto(step, v, where=~moving)
+        moving &= np.abs(step - v) > 2.0 ** -50 * scale(v)
+        v = step
+        if not moving.any():
+            break
+    width = 2.0 ** -48 * scale(v)
+    sure = (g(v - width) >= 0) & (g(v + width) <= 0)
+    np.copyto(lo, v - width, where=sure)
+    np.copyto(hi, v + width, where=sure)
+    return lo, hi
+
+
 def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
-    """Vectorized bisection for the fixed point, for beta*gamma < 1 and gamma >= 0.
+    """Vectorized fixed point, for beta*gamma < 1 and gamma >= 0.
 
     f is decreasing, so the fixed point lies below f(0) = mu/gamma**d.  Where
     gamma = 0 makes f(0) infinite, x_hat = f(x_hat) bounds it instead: with
     L = log(mu) + d*log1p(beta), x_hat <= e**L if x_hat >= 1, and
-    x_hat**(d+1) <= e**L if x_hat < 1.  Brackets up to 1e15 bisect linearly;
-    wider ones bisect in log space.  _bisect stops once the bracket stops
-    moving, 64-104 halvings into the cap of BISECT_ITERATIONS on phase-grid
-    rows; a halving that changes nothing is a fixed point of the loop, so
-    the result is that of every halving, bit for bit.
+    x_hat**(d+1) <= e**L if x_hat < 1.  Brackets up to 1e15 are solved for
+    x, wider ones for log x, as the sign change of the floating-point
+    g = log f(x) - log x: Newton steps in log x, whose slope is minus the
+    closed form 1 + |f'(x)|, then _bisect on a bracket a few ulps wide.  A
+    phase-grid row takes about 17 evaluations of the ratio, not 72-104.
     """
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
@@ -103,7 +134,7 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
         raise RegimeError(
             "fixed-point bisection requires beta*gamma < 1 (f strictly decreasing)")
     logmu = np.log(mu)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # f(0) in plain arithmetic where it is finite (so that clean brackets
         # like [0, 16] bisect onto exact fixed points), else in logs
         hi = mu / np.power(gamma, d)
@@ -113,6 +144,7 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
                           log_hi)
         hi = np.where(np.isfinite(hi), hi, np.exp(np.minimum(log_hi, 700.0)))
         hi = np.maximum(hi, 1e-300)
+        del log_hi, bound
         # the cap only matters if the fixed point itself overflows a double;
         # allow float noise when the bracket top essentially equals the fixed
         # point (gamma > 1 with f(0) tiny), where the excess can be +O(d*eps)
@@ -124,15 +156,23 @@ def _fixed_point_array(beta, gamma, mu, d) -> np.ndarray:
         for sel, in_logs in ((~wide, False), (wide, True)):
             if not np.any(sel):
                 continue
+            if sel.ndim and sel.all():  # views: no copies of broadcast parameters
+                sel = ...
             log_ratio = _log_ratio(beta[sel], gamma[sel])
-            lm, ds = logmu[sel], d[sel]
-            if in_logs:  # -737 lies below the log of any normal double
-                out[sel] = np.exp(_bisect(
-                    np.full(np.count_nonzero(sel), -737.0), np.log(hi[sel]),
-                    lambda y: lm + ds * log_ratio(np.exp(y)) - y))
-            else:  # mid reaches 0 when the fixed point underflows
-                out[sel] = _bisect(np.zeros(np.count_nonzero(sel)), hi[sel],
-                                   lambda x: lm + ds * log_ratio(x) - np.log(x))
+            lm, ds, bs, gs = logmu[sel], d[sel], beta[sel], gamma[sel]
+            cs = ds * (1.0 - bs * gs)
+            x_of, log_of = (np.exp, lambda y: y) if in_logs else (lambda x: x, np.log)
+            g = lambda v: lm + ds * log_ratio(x_of(v)) - log_of(v)
+            slope = lambda x: 1.0 + cs / ((bs * x + 1.0) * (1.0 + gs / x))  # 1 + |f'(x)|
+            # -737 lies below the log of any normal double; the linear lo
+            # reaches 0 when the fixed point underflows
+            lo = np.full_like(lm, -737.0 if in_logs else 0.0)
+            top = np.log(hi[sel]) if in_logs else hi[sel]
+            # start at g's root with log(ratio) cut to its pieces -log(gamma),
+            # -log(x), log(beta), so that no step jumps between g's flat ends
+            y = np.clip(lm / (ds + 1.0), lm + ds * np.log(bs), lm - ds * np.log(gs))
+            start = np.clip(y if in_logs else np.exp(y), lo, top)
+            out[sel] = x_of(_bisect(*_newton_bracket(lo, top, start, g, slope, in_logs), g))
     return out
 
 

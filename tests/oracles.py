@@ -6,7 +6,8 @@ partition sums (optionally restricted by a predicate, such as the majority
 sides of an assignment), the cycle transfer matrix and its split by number
 of zeros, per-equation satisfaction loops, hypergeometric sequential
 laws, a plain bisection root finder, the vectorized fixed-point bisection
-run for every one of its halvings, a grid-plus-golden-section maximum
+run for every one of its halvings, a 50-digit mpmath fixed point in log x,
+a grid-plus-golden-section maximum
 of the rate-bound bracket, the finite closed forms of the chi-square
 survival function, a scan over every big pair of a gadget's subsets,
 every configuration, as numpy integer codes, for the reduction's majority
@@ -15,9 +16,10 @@ check, aggregate, write and audit edge records and build the reduction's,
 line-by-line readers of graph files and of block maps, and the enumeration
 kernel's problem construction and block as they stood before its set-up was cut (a frozen
 copy, for bit-for-bit comparison), with the profile terms it took and
-`profile_of`, which turns them into the kernel's (keys, table) profile.  Six helpers evaluate through the
+`profile_of`, which turns them into the kernel's (keys, table) profile.  Seven helpers evaluate through the
 library: `recursion_value`, the tree recursion with the log ratio that the
-fixed-point bisection uses, `profile_sum_mc_all_tuples`, the gadget
+fixed-point solver uses, `fixed_point_by_halvings`, that solver as it stood
+when it bisected its whole bracket, `profile_sum_mc_all_tuples`, the gadget
 Monte Carlo as it stood when it computed every matching tuple before it
 drew the sample, `profile_sum_mc_drawn_tuples`, the same Monte Carlo
 computing each drawn tuple, decoded from its index by divmod,
@@ -34,6 +36,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from twospin.analysis import (CouplingReport, MCEstimate, RateBoundScan,
@@ -289,6 +292,67 @@ def bisect_every_halving(lo, hi, g, iterations=200):
         lo = np.where(v >= 0, mid, lo)
         hi = np.where(v <= 0, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def fixed_point_by_halvings(beta, gamma, mu, d):
+    """The fixed points of `uniqueness._fixed_point_array` as it stood when it
+    bisected its whole bracket: the same brackets (`[0, f(0)]`, in log x past
+    1e15), every one of 200 halvings.  NaN marks a cell that the library
+    refuses because its fixed point overflows a double."""
+    beta, gamma, mu, d = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
+    logmu = np.log(mu)
+    out = np.full(beta.shape, math.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = mu / np.power(gamma, d)
+        log_hi = logmu - d * np.log(gamma)
+        bound = logmu + d * np.log1p(beta)
+        log_hi = np.where(np.isposinf(log_hi), np.maximum(bound, bound / (d + 1)),
+                          log_hi)
+        hi = np.where(np.isfinite(hi), hi, np.exp(np.minimum(log_hi, 700.0)))
+        hi = np.maximum(hi, 1e-300)
+        fits = logmu + d * _log_ratio(beta, gamma)(hi) - np.log(hi) <= 1e-6
+        for sel in (fits & (hi <= 1e15), fits & (hi > 1e15)):
+            if not sel.any():
+                continue
+            log_ratio = _log_ratio(beta[sel], gamma[sel])
+            lm, ds = logmu[sel], d[sel]
+            if hi[sel][0] > 1e15:
+                out[sel] = np.exp(bisect_every_halving(
+                    np.full(lm.size, -737.0), np.log(hi[sel]),
+                    lambda y: lm + ds * log_ratio(np.exp(y)) - y))
+            else:
+                out[sel] = bisect_every_halving(
+                    np.zeros(lm.size), hi[sel], lambda x: lm + ds * log_ratio(x) - np.log(x))
+    return out
+
+
+def fixed_point_mp(beta, gamma, mu, d, x0, digits=50):
+    """The fixed point to `digits` digits, as the root in y = log x of
+    log mu + d log((beta e^y + 1)/(e^y + gamma)) - y, which decreases when
+    beta*gamma < 1: mpmath's Anderson-Bjorck method on a bracket about
+    log x0 (x0 > 0), widened until its ends differ in sign.  Returns x and
+    the bound 4 eps (|log mu| + d |log ratio| + |log x|) / (1 + |f'(x)|) on
+    how far a sign change of the ratio's floating-point logs can lie from
+    it, relative to x, as floats."""
+    with mpmath.workdps(digits):
+        b, g, m = (mpmath.mpf(float(v)) for v in (beta, gamma, mu))
+
+        def log_ratio(y):
+            return mpmath.log(b * mpmath.exp(y) + 1) - mpmath.log(mpmath.exp(y) + g)
+
+        def excess(y):
+            return mpmath.log(m) + d * log_ratio(y) - y
+
+        y0 = mpmath.log(mpmath.mpf(float(x0)))
+        width = mpmath.mpf(2) ** -20 * max(1, abs(y0))
+        while not excess(y0 - width) > 0 > excess(y0 + width):
+            width *= 16
+        y = mpmath.findroot(excess, (y0 - width, y0 + width), solver="anderson")
+        x = mpmath.exp(y)
+        slope = d * (1 - b * g) * x / ((b * x + 1) * (x + g))
+        terms = abs(mpmath.log(m)) + d * abs(log_ratio(y)) + abs(y)
+        return float(x), float(4 * mpmath.mpf(2) ** -52 * terms / (1 + slope))
 
 
 def profile_sum_direct(n_side, matchings, delta_prime, beta, gamma, a_count,
@@ -782,7 +846,7 @@ def rate_bound_scan_by_rows(c, min_fraction, step):
 def recursion_value(p, d, x):
     """f(x) = mu * ((beta*x + 1)/(x + gamma))**d, evaluated in log space
     through the library's own log ratio: the residual check of a fixed
-    point that the bisection found."""
+    point that the solver found."""
     if x < 0:
         raise UsageError("x must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):

@@ -584,12 +584,28 @@ def test_chi2_sf_ends_and_refusals():
         signal.signal(signal.SIGALRM, previous)
     assert chi2_sf(0.0, 4) == chi2_sf(-1.0, 4) == chi2_sf(-math.inf, 101) == 1.0
     # a stat so far below dof that (x - a) / a rounds to -1 raised a bare ValueError
-    assert chi2_sf(1e-15, 20) == chi2_sf(1e-300, 100) == chi2_sf(3.0, 2 ** 60) == 1.0
+    assert chi2_sf(1e-15, 20) == chi2_sf(1e-300, 100) == chi2_sf(3.0, analysis.MAX_CHI2_DOF) == 1.0
     with pytest.raises(UsageError, match="stat must be a number, got nan"):
         chi2_sf(math.nan, 4)
     for dof in (0, -3, 2.5, 4.0, math.nan):
         with pytest.raises(UsageError, match="dof must be an integer >= 1"):
             chi2_sf(3.0, dof)
+
+
+@pytest.mark.parametrize("dof", [analysis.MAX_CHI2_DOF + 1, 2 ** 40, 2 ** 60])
+def test_chi2_sf_refuses_a_dof_past_its_cap(dof):
+    # both branches take about sqrt(dof) steps near stat = dof: 0.6 s at 2**40
+    with pytest.raises(ResourceLimitError, match=f"dof {dof} exceeds cap"):
+        chi2_sf(float(dof), dof)
+
+
+def test_chi2_sf_at_its_cap():
+    # the slowest admitted calls, on either side of the series/fraction split
+    stats = pytest.importorskip("scipy.stats")
+    dof = analysis.MAX_CHI2_DOF
+    for stat in (math.nextafter(dof + 2.0, 0.0), float(dof + 2)):
+        expected = float(stats.chi2.sf(stat, dof))
+        assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-8, abs=0)
 
 
 def test_chi2_sf_matches_scipy_at_large_dof():

@@ -197,6 +197,123 @@ def test_bisection_stops_once_its_bracket_is_stationary():
     assert np.isnan(reference[3]) and not np.isnan(np.delete(reference, 3)).any()
 
 
+def _ratio_evaluations(monkeypatch):
+    """A one-entry list that counts every evaluation of the ratio's log."""
+    count = [0]
+    real = uniqueness._log_ratio
+
+    def counting(beta, gamma):
+        log_ratio = real(beta, gamma)
+
+        def evaluate(x):
+            count[0] += 1
+            return log_ratio(x)
+        return evaluate
+
+    monkeypatch.setattr(uniqueness, "_log_ratio", counting)
+    return count
+
+
+def test_a_phase_row_takes_a_few_ratio_evaluations(monkeypatch):
+    # bisecting each cell's whole bracket [0, f(0)] took 72 evaluations here;
+    # Newton's steps leave _bisect a bracket a few ulps wide
+    count = _ratio_evaluations(monkeypatch)
+    beta, gammas, mu, d = 0.5, np.linspace(0.1, 0.9, 33), 1.2, 5
+    x, _ = magnitude_grid(beta, gammas, mu, d)
+    assert count[0] <= 24
+    assert x.tobytes() == oracles.fixed_point_by_halvings(beta, gammas, mu, d).tobytes()
+    # at a small beta, Newton steps from the bracket top went back and forth
+    # between g's flat ends, where its slope is -1 (88 evaluations)
+    count[0] = 0
+    magnitude_grid(0.1, np.linspace(0.05, 0.95, 33), 0.8, 9)
+    assert count[0] <= 24
+    # near this cell's root g moves in steps of 2**-30, and Newton steps went
+    # back and forth between the two ends of the bracket until the cap
+    count[0] = 0
+    uniqueness._fixed_point_array(2.0 ** -20, 0.0, 4.641736432706163e214, 8.0)
+    assert count[0] <= 40
+
+
+def _small_beta(beta):
+    """Cells whose ratio takes its log1p form with a beta far below 1, where
+    that form loses about eps*x of the ratio's precision at large x."""
+    return (beta >= uniqueness.TINY_BETA) & (beta < 2.0 ** -10)
+
+
+def test_newton_matches_bisecting_the_whole_bracket():
+    cells = _bisection_sweep_cells(np.random.default_rng(13), 3000)
+    blocks = [[c[i:i + 512] for c in cells] for i in range(0, cells[0].size, 512)]
+    got = np.concatenate([
+        np.frombuffer(o, dtype=float) if isinstance(o, bytes) else [math.nan]
+        for block in blocks for o in _fixed_point_outcomes(*block)])
+    reference = oracles.fixed_point_by_halvings(*cells)
+    # the same cells are refused, because the brackets did not change
+    assert np.array_equal(np.isnan(got), np.isnan(reference))
+    assert np.isnan(reference).sum() > 0
+    # every knife-edge cell still lands on its exact fixed point
+    assert got[-35:].tolist() == [1.0] * 35
+    solved = ~np.isnan(reference)
+    assert np.array_equal(got[solved] == 0, reference[solved] == 0)
+    both = solved & (reference > 0)
+    rel = np.abs(got[both] - reference[both]) / reference[both]
+    assert (rel > 0).sum() > 100  # the two pick different sign changes of g
+    small = _small_beta(cells[0][both])
+    assert rel[~small].max() <= 1e-12
+    assert rel[small].max() <= 1e-8  # g itself is that coarse there
+
+
+def test_newton_is_as_accurate_as_bisecting_the_whole_bracket():
+    # both solvers return a sign change of the floating-point g; against a
+    # 50-digit root, Newton's is as close as the reference's, up to how far
+    # g's rounding lets a sign change lie from the root
+    cells = [c[::5] for c in _bisection_sweep_cells(np.random.default_rng(13), 3000)]
+    reference = oracles.fixed_point_by_halvings(*cells)
+    got = np.empty_like(reference)
+    for i in range(reference.size):
+        if not np.isnan(reference[i]):
+            got[i] = uniqueness._fixed_point_array(*(c[i] for c in cells))
+    keep = (reference > 0) & ~(_small_beta(cells[0]) & (reference > 2.0 ** 20))
+    assert keep.sum() > 500
+    errors, closer = [], [0, 0]
+    for i in np.nonzero(keep)[0]:
+        exact, band = oracles.fixed_point_mp(*(c[i] for c in cells), reference[i])
+        new, old = (abs(float(v) - exact) / exact for v in (got[i], reference[i]))
+        assert new <= old + band + 4 * 2.0 ** -1074 / exact, i
+        errors.append((new, old))
+        if new != old:
+            closer[new > old] += 1
+    new_median, old_median = np.median(errors, axis=0)
+    assert new_median <= old_median
+    assert closer[0] > 2 * closer[1]
+
+
+def _magnitudes(beta, gamma, mu, d, x):
+    """|f'(x)| in magnitude_grid's closed form."""
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(d) + np.log1p(-(beta * gamma)) + np.log(x)
+                      - np.log1p(beta * x) - np.log(x + gamma))
+
+
+def test_labels_and_thresholds_match_bisecting_the_whole_bracket():
+    axis = np.linspace(0.0, 2.5, 26)
+    for d in (1, 2, 3, 7, 40, 299):
+        rows = list(phase_grid(axis.tolist(), axis.tolist(), 1.0, d, 10.0))
+        beta, gamma = np.array([(r["beta"], r["gamma"]) for r in rows]).T
+        solved = beta * gamma < 1
+        x = oracles.fixed_point_by_halvings(beta[solved], gamma[solved], 1.0, d)
+        unique = _magnitudes(beta[solved], gamma[solved], 1.0, d, x) < 1.0
+        labels = np.array([r["region"] == PhaseRegion.UNIQUENESS.value for r in rows])
+        assert np.array_equal(labels[solved], unique)
+    side = np.linspace(0.05, 0.95, 10)
+    beta, gamma = (v.ravel() for v in np.meshgrid(side, side, indexing="ij"))
+    ds = np.arange(1, 513, dtype=float)
+    x = oracles.fixed_point_by_halvings(beta[:, None], gamma[:, None], 1.0, ds)
+    failing = _magnitudes(beta[:, None], gamma[:, None], 1.0, ds, x) >= 1.0
+    for b, g, row in zip(beta.tolist(), gamma.tolist(), failing):
+        expected = int(np.argmax(row)) + 1 if row.any() else None
+        assert first_nonunique_degree(SpinParams(b, g), 512).degree == expected
+
+
 def test_first_nonunique_degree():
     assert first_nonunique_degree(SpinParams(0.5, 0.5), 20).degree == 3
     # hardcore at mu = 1: oracle is the smallest d with d**d/(d-1)**(d+1) < 1
