@@ -13,14 +13,14 @@ Contents:
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_integers, check_seed, shown
+from .errors import (FLOAT_MAX, INT64_MAX, POSITIVE, ResourceLimitError, UsageError,
+                     check_int, check_real, shown)
 from .graphs import BipartiteGadget
 from .logspace import LOG_ZERO, log_binomial, log_sum_exp, scaled_log
 from .spins import SpinParams, _integral_fraction, log_profile_sums
@@ -41,12 +41,12 @@ MAX_MC_WORK = 1 << 21             # gadgets computed * 4^N: 24-28 s and 110 MB a
 MAX_SEQUENCE_LENGTH = 20          # coupling sequence length a*n (2^20-entry pattern table)
 MAX_COUPLING_SEQUENCES = 1 << 22  # coupling trials * d: about 3 s and 140 MB at the cap
 MAX_CHI2_DOF = 1 << 32            # chi2_sf's dof: about 35 ms at the cap, at stat = dof
+MAX_FORMULA_SIDE = 1 << 16        # expected_profile_sum_log's N: one term per k, 0.1 s at the cap
 
 
 def entropy(x: float) -> float:
     """Binary entropy -x ln x - (1-x) ln(1-x), with H(0) = H(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise UsageError(f"entropy argument must lie in [0, 1], got {x}")
+    check_real("x", x, 0, 1)
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log(x) - (1.0 - x) * math.log1p(-x)
@@ -96,15 +96,9 @@ def _max_bracket(a, b, lam):
     return np.fmax(*vals) - _w_entropy(1.0, a)
 
 
-def _check_fraction(x: float, name: str):
-    if not 0.0 <= x <= 1.0:
-        raise UsageError(f"{name} must lie in [0, 1], got {x}")
-
-
 def _rate_bound_values(a, b, c: float):
     """rate_bound elementwise over broadcast arrays a, b in [0, 1]."""
-    if not 1 < c < math.inf:
-        raise UsageError(f"c must be a finite real above 1, got {c}")
+    check_real("c", c, math.nextafter(1.0, 2.0), FLOAT_MAX)
     cm1 = c - 1.0
     return (1.0 / cm1 + (1.0 - a - b) * c / cm1 + _w_entropy(1.0, a)
             + _w_entropy(1.0, b) + cm1 * _max_bracket(a, b, -1.0))
@@ -121,8 +115,8 @@ def rate_bound(a: float, b: float, c: float = DEFAULT_RATE_C) -> float:
     The bracket is concave in k and its maximizer is the root of a
     quadratic, so the maximum is evaluated in closed form (_max_bracket).
     """
-    _check_fraction(a, "a")
-    _check_fraction(b, "b")
+    check_real("a", a, 0, 1)
+    check_real("b", b, 0, 1)
     return float(_rate_bound_values(a, b, c))
 
 
@@ -136,14 +130,12 @@ def exact_rate(a: float, b: float, delta: int, delta_prime: int,
         + H(a) + H(b)
         + delta (k ln(beta gamma) + b H(k/b) + (1-b) H((a-k)/(1-b)) - H(a)).
     """
-    _check_fraction(a, "a")
-    _check_fraction(b, "b")
-    if not (0 < beta < math.inf and 0 < gamma < math.inf):  # NaN too
-        raise UsageError(f"exact rate needs finite beta, gamma > 0, "
-                         f"got {shown(beta)}, {shown(gamma)}")
-    if not (0 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
-        raise UsageError(f"degrees must lie in [0, 2**63), "
-                         f"got {shown(delta)} and {shown(delta_prime)}")
+    check_real("a", a, 0, 1)
+    check_real("b", b, 0, 1)
+    check_int("delta", delta, 0, INT64_MAX, floats=True)
+    check_int("delta_prime", delta_prime, 0, INT64_MAX, floats=True)
+    check_real("beta", beta, POSITIVE, FLOAT_MAX)
+    check_real("gamma", gamma, POSITIVE, FLOAT_MAX)
     lg = math.log(gamma)
     outer = (delta_prime * lg + (1.0 - a - b) * (delta + delta_prime) * lg
              + entropy(a) + entropy(b))
@@ -169,10 +161,8 @@ class RateBoundScan:
 
 def _scan_grid(min_fraction: float, step: float) -> np.ndarray:
     """Steps from min_fraction, clipped, closed at 1; at most MAX_SCAN_SIDE."""
-    if not 0.0 < min_fraction <= 1.0:
-        raise UsageError(f"min_fraction must lie in (0, 1], got {min_fraction}")
-    if not 0.0 < step < math.inf:
-        raise UsageError(f"step must be positive and finite, got {step}")
+    check_real("min_fraction", min_fraction, POSITIVE, 1)
+    check_real("step", step, POSITIVE, FLOAT_MAX)
     # arange gives at most q + 1 points for q = (1 - min_fraction) / step,
     # and closing the grid at 1 may add one more
     if (1.0 - min_fraction) / step + 2.0 > MAX_SCAN_SIDE:
@@ -248,14 +238,15 @@ def expected_profile_sum_log(n_side: int, delta: int, delta_prime: int,
                       C(bN, kN) C((1-b)N, (a-k)N) / C(N, aN) )**delta
 
     with kN ranging over integers in [max(0, (a+b-1)N), min(a, b) N].
-    Binomials go through lgamma, so N may be large.
+    Binomials go through lgamma; a term per k is why N has a cap, MAX_FORMULA_SIDE.
     """
     if p.mu != 1.0:
         raise UsageError("profile sums are defined for mu == 1")
-    if not (n_side >= 1 and 1 <= delta < 1 << 63 and 0 <= delta_prime < 1 << 63):
-        raise UsageError("need N >= 1, delta in [1, 2**63) and delta_prime in [0, 2**63)")
-    an = _integral_fraction(a, n_side, "a")
-    bn = _integral_fraction(b, n_side, "b")
+    if check_int("n_side", n_side, 1, math.inf) > MAX_FORMULA_SIDE:
+        raise ResourceLimitError(f"side size {shown(n_side)} exceeds cap {MAX_FORMULA_SIDE}")
+    check_int("delta", delta, 1, INT64_MAX, floats=True)
+    check_int("delta_prime", delta_prime, 0, INT64_MAX, floats=True)
+    an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
     terms = []
     for kn in range(max(0, an + bn - n_side), min(an, bn) + 1):
         terms.append(scaled_log(p.beta, kn)
@@ -275,8 +266,7 @@ def _tuple_count(n_side: int, delta: int, gadgets: int) -> int:
     """(N!)**delta, the matching tuples of H(N, delta), once their indices fit
     int64 and numpy's 64 axes (delta is tested first, so no huge power is
     formed) and min(gadgets, (N!)**delta) times 4^N fits MAX_MC_WORK."""
-    if n_side < 1 or delta < 1:
-        raise UsageError("need N >= 1 and delta >= 1")
+    n_side, delta = check_int("n_side", n_side, 1, math.inf), check_int("delta", delta, 1, math.inf)
     if n_side > MAX_MC_SIDE:
         raise ResourceLimitError(f"side size {n_side} exceeds cap {MAX_MC_SIDE}")
     if delta > 62 or (count := math.factorial(n_side) ** delta) >= 1 << 63:
@@ -328,15 +318,13 @@ def expected_profile_sum_mc(n_side: int, delta: int, delta_prime: int,
     Deterministic for a given seed: the trials draw matching-tuple indices,
     and each distinct one drawn is computed once.
     """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if trials > MAX_MC_TRIALS:
+    if check_int("trials", trials, 1, math.inf) > MAX_MC_TRIALS:
         raise ResourceLimitError(f"{shown(trials)} trials exceed cap {MAX_MC_TRIALS}")
-    an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
-    check_seed(seed)
     count = _tuple_count(n_side, delta, trials)
-    drawn, inverse = np.unique(np.random.default_rng(seed).integers(count, size=trials),
-                               return_inverse=True)
+    an, bn = _integral_fraction(a, n_side, "a"), _integral_fraction(b, n_side, "b")
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
+                                else check_int("seed", seed, 0, math.inf))
+    drawn, inverse = np.unique(rng.integers(count, size=trials), return_inverse=True)
     tables = _profile_tables(n_side, delta, delta_prime, p, drawn)
     sample = np.array([math.exp(t[an, bn]) for t in tables])[inverse]
     if np.all(sample == sample[0]):  # degenerate draw: exactly zero variance
@@ -393,6 +381,8 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     """
     if mode != "exhaustive":
         raise UsageError(f"mode must be 'exhaustive', got {mode!r}")
+    check_real("eps", eps, POSITIVE, 1)
+    check_real("factor", factor, -FLOAT_MAX, FLOAT_MAX)
     n = h.side_size
     check_audit_side(n)
     # the crossing counts, by the positions of the ends in h.left and h.right
@@ -408,8 +398,6 @@ def expander_audit(h: BipartiteGadget, *, eps: float = DEFAULT_BIGNESS,
     delta = ld.pop()
     if delta == 0:
         raise UsageError("gadget has no edges")
-    if not 0 < eps <= 1:
-        raise UsageError("eps must lie in (0, 1]")
     s0 = max(1, math.ceil(eps * n - 1e-9))
 
     worst = math.inf
@@ -497,17 +485,14 @@ def chi2_sf(stat: float, dof: int) -> float:
     stat, or a dof that is not an integer >= 1, raises UsageError; stat =
     +inf gives 0.
     """
-    if not (isinstance(dof, numbers.Integral) and dof >= 1):
-        raise UsageError(f"dof must be an integer >= 1, got {shown(dof)}")
-    if dof > MAX_CHI2_DOF:
+    if check_int("dof", dof, 1, math.inf) > MAX_CHI2_DOF:
         raise ResourceLimitError(f"dof {shown(dof)} exceeds cap {MAX_CHI2_DOF}")
-    if math.isnan(stat):
-        raise UsageError("stat must be a number, got nan")
-    a, x = 0.5 * dof, 0.5 * stat
-    if x <= 0.0:
+    check_real("stat", stat, -math.inf, math.inf)
+    if stat <= 0:
         return 1.0
-    if x == math.inf:
+    if stat > FLOAT_MAX:  # an infinity, or an int past the doubles
         return 0.0
+    a, x = 0.5 * dof, 0.5 * stat
     if a < 10.0:
         log_front = a * math.log(x) - x - math.lgamma(a)
     else:
@@ -555,13 +540,9 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
     frequency against b, and chi-squares the empirical joint law against the
     exact one.
     """
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if not 0 < b <= 1:
-        raise UsageError("b must lie in (0, 1]")
-    if d < 1 or trials < 1:
-        raise UsageError("d and trials must be >= 1")
-    check_integers("n, d and trials", n, d, trials)
+    n, d = check_int("n", n, 1, INT64_MAX), check_int("d", d, 1, math.inf)
+    trials = check_int("trials", trials, 1, math.inf)
+    check_real("chi2_alpha", chi2_alpha, -FLOAT_MAX, FLOAT_MAX)
     if trials * d > MAX_COUPLING_SEQUENCES:
         raise ResourceLimitError(
             f"trials * d = {shown(trials * d)} sequences exceed cap {MAX_COUPLING_SEQUENCES}")
@@ -574,8 +555,8 @@ def coupling_sim(n: int, b: float, d: int, seed: int, trials: int,
     if length > MAX_SEQUENCE_LENGTH:
         raise ResourceLimitError(
             f"sequence length a*n capped at {MAX_SEQUENCE_LENGTH} (pattern table)")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
+                                else check_int("seed", seed, 0, math.inf))
     total = trials * d
     zsum = np.zeros(total, dtype=np.int8)  # hits so far: MAX_SEQUENCE_LENGTH at most
     patterns = np.zeros(total, dtype=np.int32)  # one bit per step
@@ -636,8 +617,7 @@ def polarized_branch_rate_bound(degree_ratio: int = HARD_DEGREE_RATIO) -> float:
     which dominates the 1.22 ceiling of the conditioned tail.  Reported by
     demos; not an acceptance target.  A degree_ratio below 1 raises UsageError.
     """
-    if not degree_ratio >= 1:
-        raise UsageError(f"degree_ratio must be >= 1, got {shown(degree_ratio)}")
+    check_real("degree_ratio", degree_ratio, 1, FLOAT_MAX)
     q = math.e / (1.0 + math.e)
     return q * math.log1p(math.e) + (1.0 - q) * (degree_ratio - 1.0) / degree_ratio
 

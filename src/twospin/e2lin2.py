@@ -10,18 +10,20 @@ over all assignments is an exhaustive search by the one enumeration kernel,
 reduced by max over the equations summed per pair; capped at 24 variables.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_integers, check_seed
+from .errors import ResourceLimitError, UsageError, check_int, shown
 from .graphs import (int_fields, read_ascii, read_records, records_to_text,
                      write_ascii)
 from .spins import _Problem
 
 BEST_ASSIGNMENT_CAP = 24  # default variable cap (max_vars) of best_assignment
+MAX_RANDOM_EQUATIONS = 1 << 18  # random_instance's m: 1.5 s and 120 MB at the cap
 
 Equation = Tuple[int, int, int]  # (i, j, b) with i != j, b in {0, 1}
 
@@ -32,7 +34,7 @@ class E2Lin2Instance:
     equations: Tuple[Equation, ...]
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        if check_int("num_vars", self.num_vars, -math.inf, math.inf) < 1:
             raise UsageError("instance needs at least one variable")
         if len(self.equations) < 1:
             raise UsageError("instance needs at least one equation")
@@ -73,7 +75,7 @@ def best_assignment(inst: E2Lin2Instance, *,
     is an integer of magnitude at most m, so float64 is exact.
     """
     n = inst.num_vars
-    if n > max_vars:
+    if n > check_int("max_vars", max_vars, -math.inf, math.inf):
         raise ResourceLimitError(f"{n} variables exceeds cap max_vars={max_vars}")
     pairs = Counter()
     for i, j, b in inst.equations:
@@ -155,13 +157,11 @@ def random_instance(n: int, m: int, seed: int) -> E2Lin2Instance:
     deterministic for a given seed.  Normalization may shrink the variable
     count when some variable happens not to appear.
     """
-    if n < 2:
-        raise UsageError("need n >= 2")
-    if 2 * m < n:
-        raise UsageError("need m >= n/2 so every variable can appear")
-    check_integers("n and m", n, m)
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    if check_int("m", m, 1, math.inf) > MAX_RANDOM_EQUATIONS:
+        raise ResourceLimitError(f"{shown(m)} equations exceed cap {MAX_RANDOM_EQUATIONS}")
+    n = check_int("n", n, 2, 2 * m)  # so that every variable can appear
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
+                                else check_int("seed", seed, 0, math.inf))
     eqs = []
     for _ in range(m):
         i = int(rng.integers(n))

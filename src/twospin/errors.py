@@ -1,9 +1,23 @@
-"""Exception types shared across the package, the seed, count and degree
-checks that raise one, and the renderer their messages print values with."""
+"""Exception types, the argument contract, and how messages print values.
 
+Every public entry point checks each scalar argument, before any work, with
+`check_real` (a real: an int, float, Fraction or numpy scalar, not a bool) or
+`check_int` (an integer; with floats=True an integral float or an array of
+them too, as for a degree).  Bounds are inclusive, and no value is converted
+to a float to be compared, so NaN, an infinity and an int past the doubles
+each fail lo <= v <= hi.  Each refusal is a UsageError.
+"""
+
+import math
 import numbers
 
+import numpy as np
+
+FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest double: a finite real's bound
+POSITIVE = math.ulp(0.0)  # the least positive double: a positive real's bound
+INT64_MAX = 2 ** 63 - 1   # the bound of a degree or count that numpy reads
 MAX_SHOWN_BITS = 256  # a message prints a longer integer as its bit length
+_PLAIN = (float, int)
 
 
 class UsageError(ValueError):
@@ -15,12 +29,8 @@ class RegimeError(UsageError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed its size cap; raised before any work starts.
-
-    Each cap is one named constant.  Only log_partition (max_vertices) and
-    e2lin2.best_assignment (max_vars) take theirs as an argument, which is
-    its one override; every other cap is fixed.
-    """
+    """An operation would pass its size cap, one named constant, which only
+    log_partition and best_assignment take as an argument; raised before any work."""
 
 
 def shown(value) -> str:
@@ -31,23 +41,48 @@ def shown(value) -> str:
     return format(value)
 
 
-def check_seed(seed) -> None:
-    """Refuse a negative integer seed, which numpy's generators would reject
-    with a bare ValueError.  A SeedSequence passes unchecked."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {shown(seed)}")
+def _refusal(name: str, kind: str, v, lo, hi) -> UsageError:
+    """v refused as a `kind` in [lo, hi]: a lower end one double above an integer reads
+    as that integer, excluded; with no upper end, 0 and POSITIVE read as words."""
+    below = math.nextafter(lo, -math.inf)
+    opened = isinstance(lo, float) and below.is_integer() and not lo.is_integer()
+    low = format(below, "g") if opened else shown(lo)
+    *words, noun = kind.split()
+    if hi < FLOAT_MAX:
+        noun += f" in {'[('[opened]}{low}, {shown(hi)}]"
+    elif lo in (0, POSITIVE):
+        words.append("non-negative" if lo == 0 else "positive")
+    elif lo > -FLOAT_MAX:
+        noun += f" {'>' if opened else '>='} {low}"
+    phrase = " ".join(words + [noun])
+    got = shown(v) if isinstance(v, numbers.Number) else type(v).__name__
+    return UsageError(f"{name} must be a{'n' * (phrase[0] in 'aeiou')} {phrase}, got {got}")
 
 
-def check_integers(names: str, *counts) -> None:
-    """Refuse a count that is not an integer (a float, NaN or infinity), which
-    numpy would reject with a bare TypeError or AxisError, or truncate."""
-    for x in counts:
-        if not isinstance(x, numbers.Integral):
-            raise UsageError(f"{names} must be integers, got {x!r}")
+def check_real(name: str, v, lo, hi) -> None:
+    """Refuse v unless it is a real number in [lo, hi]."""
+    if type(v) in _PLAIN and lo <= v <= hi:
+        return
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not lo <= v <= hi:
+        raise _refusal(name, "number" if hi == math.inf else "finite real", v, lo, hi)
 
 
-def check_degree(d) -> None:
-    """Refuse a degree outside [1, 2**63) before any float conversion,
-    which would raise ZeroDivisionError, OverflowError or TypeError."""
-    if not 1 <= d < 1 << 63:
-        raise UsageError(f"degree must be >= 1 and below 2**63, got {shown(d)}")
+def check_int(name: str, v, lo, hi, *, floats: bool = False):
+    """v as an int, unless it is not an integer in [lo, hi].  With floats an
+    integral float passes too, and an array or list is checked as a whole."""
+    if type(v) is int and lo <= v <= hi:
+        return v
+    if isinstance(v, np.generic):
+        v = v.item()  # compared as a Python number: no numpy overflow or warning
+    if floats and isinstance(v, (np.ndarray, list, tuple)):
+        values = np.asarray(v)
+        if values.dtype.kind not in "iuf":
+            raise UsageError(f"{name} must be integers, got an array of {values.dtype}")
+        fraction = values[np.floor(values) != values][:1]  # its first, if any
+        for x in (values.min(initial=lo), values.max(initial=lo), *fraction):
+            check_int(name, x, lo, hi, floats=True)  # compared exactly, as scalars
+        return values
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real if floats else numbers.Integral)
+            or not (lo <= v <= hi and v % 1 == 0)):  # an infinity's remainder is NaN
+        raise _refusal(name, "integer", v, lo, hi)
+    return int(v)

@@ -34,6 +34,7 @@ block map share: ASCII, '#' and blank lines skipped, one integer header
 first.
 """
 
+import math
 import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UsageError, shown
+from .errors import UsageError, check_int, shown
 
 EdgeRecord = Tuple[int, int, int]  # (u, v, mult) with u < v
 MAX_MULTIPLICITY = 2 ** 53  # every integer up to it is exact as a double
@@ -79,7 +80,7 @@ def pair_order(lo, hi, num_vertices: int):
 def _canonical(num_vertices: int, u, v, mult):
     """The graph contract: the canonical (3, k) int64 table of the int64 columns
     u, v, mult in any order and orientation, each pair's records summed."""
-    if num_vertices < 0:
+    if check_int("num_vertices", num_vertices, -math.inf, math.inf) < 0:
         raise UsageError("num_vertices must be nonnegative")
     if num_vertices > MAX_MULTIPLICITY:
         raise UsageError(f"num_vertices {shown(num_vertices)} exceeds 2**53")

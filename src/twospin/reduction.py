@@ -28,7 +28,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .e2lin2 import E2Lin2Instance, occurrence_counts, satisfied_count
-from .errors import RegimeError, ResourceLimitError, UsageError, check_integers, check_seed, shown
+from .errors import (FLOAT_MAX, INT64_MAX, RegimeError, ResourceLimitError, UsageError,
+                     check_int, check_real, shown)
 from .graphs import (BipartiteGadget, MultiGraph, digit_lines, int_fields, read_ascii,
                      read_records, records_to_text, write_ascii)
 from .logspace import LOG_ZERO, log_add, log_sum_exp, scaled_log
@@ -47,12 +48,9 @@ class GadgetParams:
     block_size: int    # t; the published construction has t = m
     seed: int
 
-    def __post_init__(self):
-        if self.delta < 1 or self.delta_prime < 1 or self.block_size < 1:
-            raise UsageError("delta, delta_prime and block_size must all be >= 1")
-        check_integers("delta, delta_prime and block_size",
-                       self.delta, self.delta_prime, self.block_size)
-        check_seed(self.seed)
+    def __post_init__(self):  # kept as Python ints, whose products cannot wrap
+        for name, lo in (("delta", 1), ("delta_prime", 1), ("block_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo, math.inf))
 
 
 def gadget_seed(master_seed: int, index: int) -> "np.random.SeedSequence":
@@ -71,14 +69,12 @@ def sample_gadget(n_side: int, delta: int, seed) -> BipartiteGadget:
     aggregate into edge multiplicities.  `seed` may be an int or a
     numpy SeedSequence.
     """
-    if n_side < 1 or delta < 1:
-        raise UsageError("need n_side >= 1 and delta >= 1")
-    check_integers("n_side and delta", n_side, delta)
+    n_side, delta = check_int("n_side", n_side, 1, math.inf), check_int("delta", delta, 1, math.inf)
     if delta * (n_side + 4) > MAX_GADGET_DRAW:
         raise ResourceLimitError(
             f"delta * (side + 4) = {shown(delta * (n_side + 4))} exceeds cap {MAX_GADGET_DRAW}")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
+                                else check_int("seed", seed, 0, math.inf))
     return BipartiteGadget.from_matchings(
         np.array([rng.permutation(n_side) for _ in range(delta)]))
 
@@ -279,8 +275,8 @@ def bounds_constants(p: SpinParams, delta: int, delta_prime: int,
     """
     if p.beta * p.gamma >= 1:
         raise RegimeError("bound constants need beta*gamma < 1")
-    if delta < 1 or delta_prime < 1:
-        raise UsageError("need delta >= 1 and delta_prime >= 1")
+    check_int("delta", delta, 1, INT64_MAX, floats=True)
+    check_int("delta_prime", delta_prime, 1, INT64_MAX, floats=True)
     case = SplitCase(case)
     if case is SplitCase.BETA_ABOVE_GAMMA_POWER:
         if p.beta <= 0 or p.gamma <= 0:
@@ -309,8 +305,7 @@ def _check_assignment(rg: ReductionGraph, bits: Sequence[int]):
     if len(bits) != rg.instance.num_vars:
         raise UsageError("assignment length does not match the instance")
     for b in bits:
-        if b not in (0, 1):
-            raise UsageError("assignment entries must be 0 or 1")
+        check_int("assignment entry", b, 0, 1)
 
 
 def log_polarized_sum_closed(rg: ReductionGraph, bits: Sequence[int],
@@ -363,8 +358,11 @@ def decode_satisfied_estimate(log_estimate: float, n: int, m: int,
     Computes (log Y - log(1+eps) - n log 2 - m^2 log C - slack m^2 log D)
     / (m log D); strictly increasing in log Y since log D > 0.
     """
-    if n < 1 or m < 1:
-        raise UsageError(f"need n, m >= 1, got n={n}, m={m}")
+    check_real("log_estimate", log_estimate, -FLOAT_MAX, FLOAT_MAX)
+    check_int("n", n, 1, INT64_MAX)
+    check_int("m", m, 1, INT64_MAX)
+    check_real("relative_error", relative_error, math.nextafter(-1.0, 0.0), FLOAT_MAX)
+    check_real("slack", slack, -FLOAT_MAX, FLOAT_MAX)
     if constants.log_d <= 0:
         raise UsageError("decoder needs log D > 0")
     num = (log_estimate - math.log1p(relative_error) - n * math.log(2)
@@ -436,6 +434,7 @@ def sandwich_check(rg: ReductionGraph, p: SpinParams, *, tolerance: float = 1e-9
                    threads: int = 1) -> SandwichReport:
     """Verify max_S Z(G,S) <= Z(G) <= sum_S Z(G,S) over all 2^n assignments,
     all from the one enumeration of log_majority_sums."""
+    check_real("tolerance", tolerance, -FLOAT_MAX, FLOAT_MAX)
     log_total, parts = log_majority_sums(rg, p, threads=threads)
     return SandwichReport(
         log_total=log_total,
@@ -502,6 +501,8 @@ def blocks_from_text(text: str, graph: MultiGraph) -> ReductionGraph:
     inst = E2Lin2Instance(n, tuple(equations))
     if not inst.is_normalized():
         raise UsageError("block map instance has unused variables")
+    if min(delta, delta_prime, t) < 1:
+        raise UsageError("delta, delta_prime and block_size must all be >= 1")
     params = GadgetParams(delta, delta_prime, t, seed)
     occ = occurrence_counts(inst)
     keys = [(side, i, k) for i, d in enumerate(occ) for side in "UV" for k in range(d)]

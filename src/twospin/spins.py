@@ -19,7 +19,6 @@ with vertex 0 as the least significant bit.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, check_degree, shown
+from .errors import (FLOAT_MAX, INT64_MAX, POSITIVE, ResourceLimitError, UsageError,
+                     check_int, check_real, shown)
 from .graphs import BipartiteGadget, MultiGraph
 from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
                        log_sum_exp_inplace, pairwise_add, pairwise_root,
@@ -36,6 +36,7 @@ from .logspace import (LOG_ZERO, log_sum_exp_by_bucket,
 DEFAULT_MAX_VERTICES = 28   # default free-vertex cap (max_vertices) of log_partition
 MAX_FRACTION_VERTICES = 20  # free vertices of the exact rational oracle
 MAX_PROFILE_SIDE = 12       # gadget side of the profile-restricted sum
+MAX_BUCKETS = 1 << 20       # histogram buckets: 4 s and 120 MB at the cap on 24 free vertices
 _LOW_BITS = 10    # free spins tabulated along the columns of a block table
 _BLOCK_BITS = 16  # a block table holds at most 2**_BLOCK_BITS log-weights
 
@@ -49,14 +50,9 @@ class SpinParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        # a finite real lies within the doubles' range: NaN, infinity and an
-        # int past it fail the comparison, where math.isfinite would overflow
-        if not 0 <= self.beta <= sys.float_info.max:
-            raise UsageError(f"beta must be a finite nonnegative real, got {shown(self.beta)}")
-        if not 0 <= self.gamma <= sys.float_info.max:
-            raise UsageError(f"gamma must be a finite nonnegative real, got {shown(self.gamma)}")
-        if not 0 < self.mu <= sys.float_info.max:
-            raise UsageError(f"mu must be a finite positive real, got {shown(self.mu)}")
+        check_real("beta", self.beta, 0, FLOAT_MAX)
+        check_real("gamma", self.gamma, 0, FLOAT_MAX)
+        check_real("mu", self.mu, POSITIVE, FLOAT_MAX)
 
     @property
     def is_ferromagnetic(self) -> bool:
@@ -113,8 +109,7 @@ def log_config_weight(g: MultiGraph, p: SpinParams, bits: Sequence[int]) -> floa
         raise UsageError(
             f"configuration length {len(bits)} != num_vertices {g.num_vertices}")
     for b in bits:
-        if b not in (0, 1):
-            raise UsageError(f"configuration entries must be 0 or 1, got {b!r}")
+        check_int("configuration entry", b, 0, 1)
     lb, lg = p.log_entries()
     total = math.log(p.mu) * sum(1 for b in bits if b == 0)
     for u, v, m in g.edges:
@@ -289,10 +284,8 @@ def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, i
     1 raises UsageError."""
     fixed = dict(fixed or {})
     for v, s in fixed.items():
-        if not 0 <= v < g.num_vertices:
-            raise UsageError(f"fixed vertex {v} out of range")
-        if s not in (0, 1):
-            raise UsageError(f"fixed spin must be 0 or 1, got {s!r}")
+        check_int("fixed vertex", v, 0, g.num_vertices - 1)
+        check_int("fixed spin", s, 0, 1)
     return fixed
 
 
@@ -325,11 +318,13 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, profile, num_buckets: 
     block; only the read-only tables of k low bits outlive it, cached once
     per k for the process (92 KB in all).
     """
+    if check_int("num_buckets", num_buckets, 1, math.inf) > MAX_BUCKETS:
+        raise ResourceLimitError(f"{shown(num_buckets)} buckets exceed cap {MAX_BUCKETS}")
     fixed = _checked_pins(g, fixed)
     if profile is not None:
         profile = _checked_profile(profile, g.num_vertices, num_buckets)
     nf = g.num_vertices - len(fixed)
-    if nf > max_vertices:
+    if nf > check_int("max_vertices", max_vertices, -math.inf, math.inf):
         raise ResourceLimitError(f"{nf} free vertices exceeds cap max_vertices={max_vertices}")
     prob = _spin_problem(g, p, fixed, profile, num_buckets)
 
@@ -376,9 +371,8 @@ def partition_fraction(g: MultiGraph, beta, gamma, mu=1, *,
 
     Arbitrary-precision oracle for the log-domain path; no tolerances.
     """
+    SpinParams(beta, gamma, mu)  # the weights' contract; kept exact below
     beta, gamma, mu = Fraction(beta), Fraction(gamma), Fraction(mu)
-    if beta < 0 or gamma < 0 or mu <= 0:
-        raise UsageError("need beta, gamma >= 0 and mu > 0")
     fixed = _checked_pins(g, fixed)
     free = [v for v in range(g.num_vertices) if v not in fixed]
     nf = len(free)
@@ -423,8 +417,7 @@ def log_profile_sums(h: BipartiteGadget, p: SpinParams, delta_prime: int) -> np.
     """
     if p.mu != 1.0:
         raise UsageError("profile sums are defined for mu == 1; translate the field first")
-    if not 0 <= delta_prime < 1 << 63:
-        raise UsageError("delta_prime must lie in [0, 2**63)")
+    check_int("delta_prime", delta_prime, 0, INT64_MAX, floats=True)
     n = h.side_size
     if n > MAX_PROFILE_SIDE:
         raise ResourceLimitError(f"side size {n} exceeds cap {MAX_PROFILE_SIDE}")
@@ -441,14 +434,12 @@ def log_profile_sum(h: BipartiteGadget, p: SpinParams, delta_prime: int,
                     a: float, b: float) -> float:
     """log of the gadget sum over assignments with zero fractions a on the
     left and b on the right: entry [a*N, b*N] of log_profile_sums."""
-    an = _integral_fraction(a, h.side_size, "a")
-    bn = _integral_fraction(b, h.side_size, "b")
+    an, bn = _integral_fraction(a, h.side_size, "a"), _integral_fraction(b, h.side_size, "b")
     return float(log_profile_sums(h, p, delta_prime)[an, bn])
 
 
 def _integral_fraction(x: float, n: int, name: str) -> int:
-    if not 0 <= x <= 1:
-        raise UsageError(f"{name} must lie in [0, 1], got {x}")
+    check_real(name, x, 0, 1)
     count = x * n
     rounded = round(count)
     if abs(count - rounded) > 1e-9:
@@ -466,7 +457,7 @@ def remove_field(p: SpinParams, d: int) -> Tuple[SpinParams, float]:
     Returns the field-free parameters (beta * mu**(1/d), gamma * mu**(-1/d), 1)
     and the per-edge log prefactor log(mu)/d; the caller multiplies by |E|.
     """
-    check_degree(d)
+    check_int("degree", d, 1, INT64_MAX, floats=True)
     shift = p.mu ** (1.0 / d)
     return SpinParams(p.beta * shift, p.gamma / shift, 1.0), math.log(p.mu) / d
 
@@ -489,10 +480,8 @@ def field_identity_report(g: MultiGraph, p: SpinParams, *,
     On a d-regular graph the two sides agree exactly; the report carries the
     observed log-domain gap.
     """
-    d = g.regular_degree()
-    check_degree(d)
+    p_prime, per_edge = remove_field(p, g.regular_degree())
     lhs = log_partition(g, p, threads=threads)
-    p_prime, per_edge = remove_field(p, d)
     rhs = g.num_edges * per_edge + log_partition(g, p_prime, threads=threads)
     gap = abs(lhs - rhs) / max(1.0, abs(lhs))
     return FieldIdentityReport(lhs, rhs, gap)

@@ -29,7 +29,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RegimeError, ResourceLimitError, UsageError, check_degree, shown
+from .errors import (FLOAT_MAX, INT64_MAX, RegimeError, ResourceLimitError, UsageError,
+                     check_int, check_real, shown)
 from .spins import SpinParams, remove_field
 
 BISECT_ITERATIONS = 200
@@ -199,8 +200,7 @@ def magnitude_grid(beta, gamma, mu, d) -> Tuple[np.ndarray, np.ndarray]:
     """(x_hat, |f'|) over broadcast arrays of parameters; beta*gamma < 1 only.
 
     The module's one solver entry; |f'| is the closed form, taken in logs."""
-    for extreme in (np.min(d), np.max(d)):  # either is NaN if any degree is
-        check_degree(extreme)
+    check_int("degree", d, 1, INT64_MAX, floats=True)
     beta, gamma, mu, d = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (beta, gamma, mu, d)))
     x = _fixed_point_array(beta, gamma, mu, d)
@@ -225,11 +225,7 @@ def first_nonunique_degree(p: SpinParams, d_max: int) -> DegreeScan:
     Inside the unit square non-uniqueness is monotone in d, and a found
     threshold is spot-checked at d + 1.
     """
-    if not d_max >= 1:  # NaN too
-        raise UsageError(f"d_max must be >= 1, got {shown(d_max)}")
-    if d_max % 1:  # infinity too
-        raise UsageError(f"d_max must be an integer, got {shown(d_max)}")
-    if d_max > MAX_SCAN_DEGREE:
+    if (d_max := check_int("d_max", d_max, 1, math.inf, floats=True)) > MAX_SCAN_DEGREE:
         raise ResourceLimitError(f"d_max {shown(d_max)} exceeds cap {MAX_SCAN_DEGREE}")
     _, mags = magnitude_grid(p.beta, p.gamma, p.mu,
                              np.arange(1, d_max + 1, dtype=float))
@@ -252,12 +248,10 @@ def always_unique_bound(beta: float, gamma: float) -> float:
     Returns (1 + sqrt(beta*gamma)) / (1 - sqrt(beta*gamma)); any integer
     degree strictly below it satisfies the uniqueness criterion for all mu.
     """
-    if beta < 0 or gamma < 0:
-        raise UsageError("need beta, gamma >= 0")
+    check_real("beta", beta, 0, FLOAT_MAX)
+    check_real("gamma", gamma, 0, FLOAT_MAX)
     if beta * gamma >= 1:
         raise UsageError("bound defined for beta*gamma < 1 only")
-    if not (beta < math.inf and gamma < math.inf):  # NaN too
-        raise UsageError(f"need finite beta, gamma, got {shown(beta)}, {shown(gamma)}")
     r = math.sqrt(beta * gamma)
     return (1 + r) / (1 - r)
 
@@ -269,7 +263,9 @@ def criticality_roots(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     always-unique bound.  Computed in the cancellation-free form and
     re-verified against the defining equation to 1e-10 relative.
     """
-    check_degree(d)
+    check_real("beta", beta, -FLOAT_MAX, FLOAT_MAX)
+    check_real("gamma", gamma, -FLOAT_MAX, FLOAT_MAX)
+    check_int("degree", d, 1, INT64_MAX, floats=True)
     if beta <= 0:
         raise RegimeError("closed-form roots need beta > 0 (formula divides by beta)")
     if gamma <= 0:
@@ -306,7 +302,8 @@ def field_window(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     mu > mu2, with mu_i = x_i * ((x_i + gamma)/(beta*x_i + 1))**d at the
     criticality roots x_i.
     """
-    check_degree(d)
+    check_real("gamma", gamma, -FLOAT_MAX, FLOAT_MAX)  # and beta by gamma > beta > 0
+    check_int("degree", d, 1, INT64_MAX, floats=True)
     if not (gamma > beta > 0):
         raise RegimeError("field window needs gamma > beta > 0")
     if beta * gamma >= 1:
@@ -344,6 +341,7 @@ class OutsideSquareDegrees:
 
 
 def outside_square_degrees(beta: float, gamma: float) -> OutsideSquareDegrees:
+    check_real("gamma", gamma, 0, FLOAT_MAX)
     if not (0 < beta < 1 < gamma):
         raise UsageError("need 0 < beta < 1 < gamma")
     if beta * gamma >= 1:
@@ -398,18 +396,9 @@ def case_split(beta: float, gamma: float, delta_star: int,
         raise UsageError("case split needs 0 < beta <= gamma <= 1")
     if beta == 1 and gamma == 1:
         raise UsageError("(beta, gamma) = (1, 1) is excluded")
-    if delta_star < 1:
-        raise UsageError("delta_star must be >= 1")
-    if not delta_star >= 1 or delta_star % 1:  # NaN and infinity too
-        raise UsageError(f"delta_star must be an integer >= 1, got {shown(delta_star)}")
-    if L is None:
-        scale = DEFAULT_CASE_SCALE
-        toy = False
-    else:
-        if not L >= 1 or L % 1:  # NaN and infinity too
-            raise UsageError(f"L must be an integer >= 1, got {shown(L)}")
-        scale = int(L)
-        toy = scale != DEFAULT_CASE_SCALE
+    check_int("delta_star", delta_star, 1, math.inf, floats=True)
+    scale = DEFAULT_CASE_SCALE if L is None else check_int("L", L, 1, INT64_MAX, floats=True)
+    toy = scale != DEFAULT_CASE_SCALE
     # beta <= gamma**L, in logs (gamma**L underflows for any gamma < 1)
     below_power = math.log(beta) <= scale * math.log(gamma)
     if below_power:
@@ -496,7 +485,8 @@ def classify_phase_detail(p: SpinParams, d: int,
     beta*gamma < 1.  The constant h is configuration, not derivation: every
     report echoes it.
     """
-    check_degree(d)
+    check_int("degree", d, 1, INT64_MAX, floats=True)
+    check_real("h", h, -FLOAT_MAX, FLOAT_MAX)
     return _classify_block([p], d, h)[0]
 
 
@@ -516,7 +506,8 @@ def phase_grid(betas, gammas, mu: float, d: int,
     classifies one cell; an error raised for a block comes before any of
     its rows.
     """
-    check_degree(d)
+    check_int("degree", d, 1, INT64_MAX, floats=True)
+    check_real("h", h, -FLOAT_MAX, FLOAT_MAX)
     gammas = list(gammas)
     cells = ((beta, gamma) for beta in betas for gamma in gammas)
     while block := list(itertools.islice(cells, PHASE_BLOCK_CELLS)):

@@ -129,7 +129,7 @@ def test_rate_bound_scan_and_grid_reject_bad_parameters(kwargs):
 @pytest.mark.parametrize("c", [1.0, 0.5, -math.inf, math.nan, math.inf])
 def test_rate_bound_refuses_c_outside_one_to_infinity(c):
     # nan and inf once gave a nan bound
-    with pytest.raises(UsageError, match="c must be a finite real above 1"):
+    with pytest.raises(UsageError, match="c must be a finite real > 1"):
         rate_bound(0.5, 0.5, c)
 
 
@@ -225,7 +225,7 @@ def test_exact_rate_corner_and_consistency():
                                          (math.inf, 0.5), (0.5, math.inf)])
 def test_exact_rate_refuses_non_finite_weights(beta, gamma):
     # a NaN or infinite weight gave a NaN rate
-    with pytest.raises(UsageError, match="exact rate needs finite beta, gamma > 0"):
+    with pytest.raises(UsageError, match="(beta|gamma) must be a finite positive real"):
         exact_rate(0.5, 0.5, 1, 1, beta, gamma)
 
 
@@ -407,13 +407,13 @@ def test_mc_work_cap_is_checked_before_any_work(monkeypatch, shape, trials, admi
          "expected_profile_sum_mc-delta_prime"])
 def test_degrees_outside_int64_are_usage_errors(call, d):
     # 10**400 raised OverflowError converting to float
-    with pytest.raises(UsageError, match="2\\*\\*63"):
+    with pytest.raises(UsageError, match=r"must be an integer in \[[01], 9223372036854775807\]"):
         call(d)
 
 
 def test_mc_checks_profile_before_weights():
     fielded = SpinParams(0.4, 0.7, 2.0)
-    with pytest.raises(UsageError, match="a must lie in"):
+    with pytest.raises(UsageError, match=r"a must be a finite real in \[0, 1\]"):
         expected_profile_sum_mc(3, 1, -1, fielded, 1.5, 0, trials=10, seed=0)
     with pytest.raises(UsageError, match="b \\* N"):
         expected_profile_sum_mc(3, 1, -1, fielded, 0, 0.5, trials=10, seed=0)
@@ -645,5 +645,5 @@ def test_polarized_branch_rate_bound():
     assert polarized_branch_rate_bound() >= 1.22897
     assert polarized_branch_rate_bound() == pytest.approx(1.22898, abs=1e-4)
     for ratio in (0, 0.5, -2, math.nan):  # a ratio of 0 divided by zero
-        with pytest.raises(UsageError, match="degree_ratio must be >= 1, got"):
+        with pytest.raises(UsageError, match="degree_ratio must be a finite real >= 1, got"):
             polarized_branch_rate_bound(ratio)

@@ -112,8 +112,8 @@ def test_fixed_vertices_split_the_sum():
 
 def test_partition_fraction_checks_pins_like_log_partition():
     g = path_graph(3)
-    for fixed, message in (({0: 2}, "fixed spin must be 0 or 1, got 2"),
-                           ({7: 0}, "fixed vertex 7 out of range")):
+    for fixed, message in (({0: 2}, r"fixed spin must be an integer in \[0, 1\], got 2"),
+                           ({7: 0}, r"fixed vertex must be an integer in \[0, 2\], got 7")):
         with pytest.raises(UsageError, match=message):
             log_partition(g, SpinParams(2, 3), fixed=fixed)
         with pytest.raises(UsageError, match=message):
