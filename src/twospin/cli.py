@@ -96,8 +96,7 @@ def _spin_params(args) -> SpinParams:
 
 def _cmd_z(args):
     g = read_graph(args.graph)
-    value = log_partition(g, _spin_params(args), max_vertices=args.max_vertices,
-                          threads=args.threads)
+    value = log_partition(g, _spin_params(args), max_vertices=args.max_vertices)
     return _report(args, {"log_z": _num(value, "log")},
                    num_vertices=g.num_vertices, num_edges=g.num_edges)
 
@@ -228,8 +227,7 @@ def _verify_polarized(args):
                 for enc in range(1 << inst.num_vars):
                     bits = tuple((enc >> i) & 1 for i in range(inst.num_vars))
                     closed = reduction.log_polarized_sum_closed(rg, bits, p)
-                    brute = reduction.log_polarized_sum_brute(rg, bits, p,
-                                                              threads=args.threads)
+                    brute = reduction.log_polarized_sum_brute(rg, bits, p)
                     worst = max(worst, abs(closed - brute) / max(1.0, abs(closed)))
                     cases += 1
     return _verify_report(args, worst, args.tolerance, worst <= args.tolerance,
@@ -306,7 +304,7 @@ def _verify_field(args):
             p = SpinParams(float(rng.uniform(0.0, 1.5)),
                            float(rng.uniform(0.05, 1.5)),
                            float(10 ** rng.uniform(-2, 2)))
-            rep = field_identity_report(g, p, threads=args.threads)
+            rep = field_identity_report(g, p)
             worst = max(worst, rep.gap)
     return _verify_report(args, worst, args.tolerance, worst <= args.tolerance,
                           args.tolerance - worst, graphs=len(corpus))
@@ -327,8 +325,7 @@ def _verify_sandwich(args):
         rg = reduction.build_reduction_graph(inst, params)
         audits_ok = audits_ok and reduction.audit_reduction_graph(rg).passed
         p = SpinParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
-        rep = reduction.sandwich_check(rg, p, tolerance=args.tolerance,
-                                       threads=args.threads)
+        rep = reduction.sandwich_check(rg, p, tolerance=args.tolerance)
         worst = max(worst,
                     rep.log_max_restricted - rep.log_total,
                     rep.log_total - rep.log_sum_restricted)
@@ -391,7 +388,7 @@ SPIN = (_arg("--beta", type=float, required=True),
         _arg("--gamma", type=float, required=True), MU)
 SEED = _arg("--seed", type=nonnegative_int, default=0)
 TOLERANCE = _arg("--tolerance", type=float, default=1e-9)
-THREADS = _arg("--threads", type=positive_int, default=1, echo=False)
+THREADS = _arg("--threads", type=positive_int, default=1, echo=False)  # accepted, unused
 DEGREE = _arg("--degree", type=int, required=True)
 DELTA = _arg("--delta", type=int, required=True)
 INSTANCE = _arg("--instance", required=True)

@@ -39,6 +39,8 @@ class E2Lin2Instance:
         if len(self.equations) < 1:
             raise UsageError("instance needs at least one equation")
         for i, j, b in self.equations:
+            if not type(i) is type(j) is type(b) is int:  # plain ints need no call
+                i, j, b = (check_int("equation entry", x, -math.inf, math.inf) for x in (i, j, b))
             if not (0 <= i < self.num_vars and 0 <= j < self.num_vars):
                 raise UsageError(f"equation ({i},{j},{b}) references a missing variable")
             if i == j:

@@ -76,20 +76,19 @@ def log_sum_exp_by_bucket(values: np.ndarray, buckets: np.ndarray, size: int,
         return np.log(sums) + top
 
 
-def pairwise_add(tree, start, size, value):
-    """Add the node of `size` parts from part `start` on to `tree`, a list
-    of (start, size, log-sum) nodes in part order, and merge sibling nodes
-    as soon as both are there.
+def pairwise_add(tree, start, value):
+    """Add part `start`, the next in order, to `tree`, a list of (start,
+    size, log-sum) nodes in part order, and merge sibling nodes as soon as
+    both are there.
 
     This merges partial log-sums (floats, or equal-shape arrays combined
     elementwise) by a fixed pairwise tree, the one that pairs parts level
     by level; its shape depends only on the number of parts.  A node that
     starts at a multiple of twice its size is a left child; the others
-    merge with the node of their size just before them.  So a range of
-    parts keeps at most one node per level, and adding one range's nodes in
-    order to the tree of the parts before them continues the same tree: the
-    result does not depend on how the parts were split among workers.
+    merge with the node of their size just before them, so the tree keeps
+    at most one node per level.
     """
+    size = 1
     while tree and start % (2 * size) == size and tree[-1][1] == size:
         start, _, left = tree.pop()
         size, value = 2 * size, log_add(left, value)

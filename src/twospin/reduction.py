@@ -336,13 +336,11 @@ def polarized_fixed_spins(rg: ReductionGraph, bits: Sequence[int]) -> Dict[int, 
     return dict.fromkeys(ids.ravel().tolist(), 1)
 
 
-def log_polarized_sum_brute(rg: ReductionGraph, bits: Sequence[int], p: SpinParams,
-                            *, threads: int = 1) -> float:
+def log_polarized_sum_brute(rg: ReductionGraph, bits: Sequence[int], p: SpinParams) -> float:
     """Brute-force mate of log_polarized_sum_closed: enumerate the free half."""
     _require_flat_field(p)
     fixed = polarized_fixed_spins(rg, bits)
-    return log_partition(rg.graph, p, fixed=fixed,
-                         max_vertices=MAX_REDUCTION_VERTICES, threads=threads)
+    return log_partition(rg.graph, p, fixed=fixed, max_vertices=MAX_REDUCTION_VERTICES)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +391,7 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
-                      threads: int = 1) -> Tuple[float, np.ndarray]:
+def log_majority_sums(rg: ReductionGraph, p: SpinParams) -> Tuple[float, np.ndarray]:
     """log Z(G) and the 2^n majority sums log Z(G,S), from one enumeration.
 
     The enumeration buckets every configuration by its majority signs, one
@@ -419,8 +416,7 @@ def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
         digit = 3 ** i * (np.sign(np.arange(u.size + v.size + 1) - v.size) + 1)
         table, place = np.add.outer(digit, table).ravel(), place * len(digit)
     hist = log_partition_histogram(rg.graph, p, (keys, table), 3 ** n,
-                                   max_vertices=MAX_REDUCTION_VERTICES,
-                                   threads=threads)
+                                   max_vertices=MAX_REDUCTION_VERTICES)
     # axis 0 is variable n - 1, so a C-order ravel indexes by sum_i S_i 2^i;
     # along each axis, (fewer, tie) plus (tie, more) gives the halves S_i = 0, 1
     sums = hist.reshape((3,) * n)
@@ -433,9 +429,11 @@ def log_majority_sums(rg: ReductionGraph, p: SpinParams, *,
 def sandwich_check(rg: ReductionGraph, p: SpinParams, *, tolerance: float = 1e-9,
                    threads: int = 1) -> SandwichReport:
     """Verify max_S Z(G,S) <= Z(G) <= sum_S Z(G,S) over all 2^n assignments,
-    all from the one enumeration of log_majority_sums."""
+    all from the one enumeration of log_majority_sums.  `threads`, an integer
+    of at least 1, is accepted and unused."""
     check_real("tolerance", tolerance, -FLOAT_MAX, FLOAT_MAX)
-    log_total, parts = log_majority_sums(rg, p, threads=threads)
+    check_int("threads", threads, 1, math.inf)
+    log_total, parts = log_majority_sums(rg, p)
     return SandwichReport(
         log_total=log_total,
         log_max_restricted=float(parts.max()),

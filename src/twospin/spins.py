@@ -131,7 +131,7 @@ def log_config_weight(g: MultiGraph, p: SpinParams, bits: Sequence[int]) -> floa
 
 @lru_cache(maxsize=_LOW_BITS + 1)
 def _low_tables(k: int):
-    """Read-only tables of k low bits, shared by every problem and thread
+    """Read-only tables of k low bits, shared by every problem
     (92 KB for all k <= 10): the bits of the codes x < 2**k (row j: bit j
     of each code) and, row x, the indices j + k * bit_j(x) into (w0, w1)."""
     bits = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(np.uint8)
@@ -231,7 +231,7 @@ class _Problem:
         return 1 << (self.h - self.b)
 
     def scratch(self):
-        """One worker's arrays for block_histogram: the block's log-weights,
+        """The arrays for block_histogram: the block's log-weights,
         and with a profile its keys, its buckets and the buckets' shifts.
         Reusing them spares each block fresh pages."""
         shape = (1 << self.b, 1 << self.k)
@@ -291,8 +291,7 @@ def _checked_pins(g: MultiGraph, fixed: Optional[Dict[int, int]]) -> Dict[int, i
 
 def log_partition_histogram(g: MultiGraph, p: SpinParams, profile, num_buckets: int,
                             *, fixed: Optional[Dict[int, int]] = None,
-                            max_vertices: int = DEFAULT_MAX_VERTICES,
-                            threads: int = 1) -> np.ndarray:
+                            max_vertices: int = DEFAULT_MAX_VERTICES) -> np.ndarray:
     """log of the exact partition sum per bucket of a zero-count profile.
 
     `profile` is (keys, table), as in the comment above, or None, which
@@ -310,13 +309,11 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, profile, num_buckets: 
     buckets one table lookup.  Each block is reduced per bucket by a
     log-sum-exp shifted by the bucket's own maximum (without a profile the
     bucketing is skipped), and the block histograms are merged by a
-    fixed pairwise tree as they come, so a worker holds one histogram per
-    tree level.  With threads > 1 the blocks are split across workers;
-    since block histograms and the tree do not depend on which worker
-    produced them, neither does the result.  A call's fixed cost is about
-    25 numpy calls of set-up, one step per edge and about 15 calls per
-    block; only the read-only tables of k low bits outlive it, cached once
-    per k for the process (92 KB in all).
+    fixed pairwise tree as they come, so the loop holds one histogram per
+    tree level.  A call's fixed cost is about 25 numpy calls of set-up, one
+    step per edge and about 15 calls per block; only the read-only tables
+    of k low bits outlive it, cached once per k for the process (92 KB in
+    all).
     """
     if check_int("num_buckets", num_buckets, 1, math.inf) > MAX_BUCKETS:
         raise ResourceLimitError(f"{shown(num_buckets)} buckets exceed cap {MAX_BUCKETS}")
@@ -328,26 +325,9 @@ def log_partition_histogram(g: MultiGraph, p: SpinParams, profile, num_buckets: 
         raise ResourceLimitError(f"{nf} free vertices exceeds cap max_vertices={max_vertices}")
     prob = _spin_problem(g, p, fixed, profile, num_buckets)
 
-    def run(indices):
-        scratch, tree = prob.scratch(), []
-        for i in indices:
-            pairwise_add(tree, i, 1, prob.block_histogram(i, *scratch))
-        return tree
-
-    nblocks = prob.num_blocks
-    workers = min(threads, nblocks)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
-
-        groups = [range(nblocks * w // workers, nblocks * (w + 1) // workers)
-                  for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tree = []
-            for nodes in pool.map(run, groups):
-                for node in nodes:
-                    pairwise_add(tree, *node)
-    else:
-        tree = run(range(nblocks))
+    scratch, tree = prob.scratch(), []
+    for i in range(prob.num_blocks):
+        pairwise_add(tree, i, prob.block_histogram(i, *scratch))
     hist = pairwise_root(tree)  # without a profile, bucket 0 holds every configuration
     return hist if profile is not None else np.append(hist, np.full(num_buckets - 1, LOG_ZERO))
 
@@ -358,10 +338,11 @@ def log_partition(g: MultiGraph, p: SpinParams, *,
     """log of the exact partition sum over all configurations that agree
     with the pins in `fixed`; -inf (an empty sum) when none has positive
     weight.  This is the one bucket of log_partition_histogram without a
-    profile.
+    profile.  `threads`, an integer of at least 1, is accepted and unused.
     """
+    check_int("threads", threads, 1, math.inf)
     return float(log_partition_histogram(g, p, None, 1, fixed=fixed,
-                                         max_vertices=max_vertices, threads=threads)[0])
+                                         max_vertices=max_vertices)[0])
 
 
 def partition_fraction(g: MultiGraph, beta, gamma, mu=1, *,
@@ -473,15 +454,14 @@ class FieldIdentityReport:
         return self.gap <= 1e-9
 
 
-def field_identity_report(g: MultiGraph, p: SpinParams, *,
-                          threads: int = 1) -> FieldIdentityReport:
+def field_identity_report(g: MultiGraph, p: SpinParams) -> FieldIdentityReport:
     """Compare the fielded partition sum against its field-free translation.
 
     On a d-regular graph the two sides agree exactly; the report carries the
     observed log-domain gap.
     """
     p_prime, per_edge = remove_field(p, g.regular_degree())
-    lhs = log_partition(g, p, threads=threads)
-    rhs = g.num_edges * per_edge + log_partition(g, p_prime, threads=threads)
+    lhs = log_partition(g, p)
+    rhs = g.num_edges * per_edge + log_partition(g, p_prime)
     gap = abs(lhs - rhs) / max(1.0, abs(lhs))
     return FieldIdentityReport(lhs, rhs, gap)

@@ -289,8 +289,9 @@ def criticality_roots(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     x1 = 2.0 * gamma / (b_coef + s)
     for x in (x1, x2):
         resid = abs(d * (1.0 - bg) * x / ((beta * x + 1.0) * (x + gamma)) - 1.0)
-        if resid > 1e-10:
-            raise RuntimeError(f"root {x} fails the defining equation, residual {resid}")
+        if not resid <= 1e-10:  # NaN too: a root that passes the doubles
+            raise RegimeError(f"root {x} fails the defining equation, residual {resid}: "
+                              "beta or gamma is past the doubles' range or resolution")
     return x1, x2
 
 
@@ -315,6 +316,8 @@ def field_window(beta: float, gamma: float, d: int) -> Tuple[float, float]:
     mus = []
     for x in (x1, x2):
         log_mu = math.log(x) + d * (math.log(x + gamma) - math.log1p(beta * x))
+        if log_mu > math.log(FLOAT_MAX):  # exp would overflow
+            raise RegimeError(f"window end mu = exp({log_mu:.6g}) passes the doubles")
         mus.append(math.exp(log_mu))
     mu1, mu2 = mus
     if mu1 > mu2:

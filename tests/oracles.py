@@ -1010,9 +1010,8 @@ class ReferenceProblem:
 
 
 def reference_histogram(g, p, terms, num_buckets, fixed=None):
-    """The kernel's histogram, its blocks in order through one worker (the
-    kernel's result does not depend on its thread count); without terms
-    it has one entry."""
+    """The kernel's histogram, its blocks in order; without terms it has
+    one entry."""
     prob = ReferenceProblem(g, p, dict(fixed or {}), tuple(terms), num_buckets)
     scratch, tree = prob.scratch(), []
     for i in range(1 << (prob.h - prob.b)):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import twospin
-from twospin import cli, reduction, spins
+from twospin import cli, reduction
 from twospin.analysis import rate_bound
 from twospin.cli import main
 from twospin.graphs import MultiGraph, cycle_graph, single_edge, write_graph
@@ -364,25 +364,6 @@ def test_verify_field_and_sandwich(capsys):
     assert code == 0 and rep["pass"] is True
     code, rep = _run(capsys, ["verify", "sandwich", "--seeds", "4"])
     assert code == 0 and rep["pass"] is True
-
-
-def test_verify_field_passes_threads(capsys, monkeypatch):
-    seen = []
-    original = spins.log_partition
-
-    def recording(*args, threads=1, **kwargs):
-        seen.append(threads)
-        return original(*args, threads=threads, **kwargs)
-
-    monkeypatch.setattr(spins, "log_partition", recording)
-    outputs = []
-    for threads in (1, 2):
-        seen.clear()
-        assert main(["verify", "field", "--pairs", "1",
-                     "--threads", str(threads)]) == 0
-        assert seen and set(seen) == {threads}
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 # one bound per check that a correct program cannot meet

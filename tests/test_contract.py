@@ -5,8 +5,7 @@ the submodules, has one small base call below.  Each of its scalar
 arguments in turn takes each hostile value, under a time limit per call, and
 the call must either return a result with no NaN anywhere in it or raise
 UsageError or ResourceLimitError (RegimeError is a UsageError): never a bare
-exception, a NaN or a hang.  `threads` is left out: a huge value must never
-be able to start threads.
+exception, a NaN or a hang.
 """
 
 import dataclasses
@@ -110,7 +109,8 @@ BASE = {
     "graph_to_text": (graph_to_text, dict(g=G)),
     "log_config_weight": (log_config_weight, dict(g=G, p=P, bits=(0, 1, 0, 1))),
     "log_majority_sums": (log_majority_sums, dict(rg=RG, p=P)),
-    "log_partition": (log_partition, dict(g=G, p=FIELDED, fixed={0: 1}, max_vertices=28)),
+    "log_partition": (log_partition, dict(
+        g=G, p=FIELDED, fixed={0: 1}, max_vertices=28, threads=1)),
     "log_partition_histogram": (log_partition_histogram, dict(
         g=G, p=P, profile=None, num_buckets=3, max_vertices=28)),
     "log_polarized_sum_brute": (log_polarized_sum_brute, dict(rg=RG, bits=(1, 0), p=P)),
@@ -129,7 +129,7 @@ BASE = {
     "rate_bound_scan": (rate_bound_scan, dict(c=8000.0, min_fraction=0.1, step=0.25)),
     "remove_field": (remove_field, dict(p=FIELDED, d=3)),
     "sample_gadget": (sample_gadget, dict(n_side=3, delta=2, seed=0)),
-    "sandwich_check": (sandwich_check, dict(rg=RG, p=P, tolerance=1e-9)),
+    "sandwich_check": (sandwich_check, dict(rg=RG, p=P, tolerance=1e-9, threads=1)),
     "satisfied_count": (satisfied_count, dict(inst=INST, bits=(0, 1))),
     "uniqueness_check": (uniqueness_check, dict(p=P, d=4)),
 }

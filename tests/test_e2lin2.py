@@ -22,6 +22,17 @@ def test_instance_validation():
         E2Lin2Instance(2, ((0, 1, 2),))
     with pytest.raises(UsageError):
         E2Lin2Instance(2, ())
+    # every entry is an int: a float index would break occurrence_counts'
+    # list indexing, and True would read as 1; the range checks keep their
+    # messages
+    for equations, got in ((((0.5, 1, 1), (1, 2, 0), (0, 2, 1)), "0.5"),
+                           (((0, 1, True),), "True")):
+        with pytest.raises(UsageError, match=f"equation entry must be an integer, got {got}"):
+            E2Lin2Instance(3, equations)
+    with pytest.raises(UsageError, match="references a missing variable"):
+        E2Lin2Instance(3, ((0, 3, 1),))
+    with pytest.raises(UsageError, match="has b outside"):
+        E2Lin2Instance(3, ((0, 1, 2),))
 
 
 def test_satisfied_count_examples():

@@ -34,7 +34,7 @@ def test_pairwise_matches_direct():
     vals[3] = LOG_ZERO
     tree = []
     for i, v in enumerate(vals):
-        pairwise_add(tree, i, 1, v)
+        pairwise_add(tree, i, v)
     assert pairwise_root(tree) == pytest.approx(log_sum_exp(vals), abs=1e-11)
     assert pairwise_root([]) == LOG_ZERO
     # the tree that pairs the parts level by level, to the last bit
@@ -43,16 +43,6 @@ def test_pairwise_matches_direct():
         level = [log_add(*level[i:i + 2]) if i + 1 < len(level) else level[i]
                  for i in range(0, len(level), 2)]
     assert pairwise_root(tree) == level[0]
-    # the nodes of contiguous ranges, added in order, continue the same tree
-    for workers in (2, 3, 5):
-        merged = []
-        for w in range(workers):
-            part = []
-            for i in range(37 * w // workers, 37 * (w + 1) // workers):
-                pairwise_add(part, i, 1, vals[i])
-            for node in part:
-                pairwise_add(merged, *node)
-        assert pairwise_root(merged) == level[0]
 
 
 def test_log_binomial_matches_comb():

@@ -268,7 +268,7 @@ def _normalized_instance(n, m, seed):
 
 
 # (n, m, t, delta, delta_prime) for 4 m t = 12, 16 and 20 vertices; the
-# 20-vertex graph spans 16 enumeration blocks, so two threads split it
+# 20-vertex graph spans 16 enumeration blocks; `threads` is accepted and unused
 @pytest.mark.parametrize("shape", [(3, 3, 1, 2, 1), (2, 2, 2, 2, 1), (4, 5, 1, 1, 2)])
 def test_sandwich_matches_brute_force(shape):
     n, m, t, delta, delta_prime = shape

@@ -11,10 +11,12 @@ from oracles import (MajoritySign, ReferenceProblem, ZeroCount, cycle_partition,
                      linear_log_partition, profile_of, profile_sum_direct,
                      reference_histogram)
 from twospin import spins
+from twospin.e2lin2 import E2Lin2Instance
 from twospin.errors import ResourceLimitError, UsageError
 from twospin.graphs import (BipartiteGadget, MultiGraph, complete_graph,
                             cycle_graph, path_graph, single_edge)
 from twospin.logspace import LOG_ZERO, log_add, log_sum_exp
+from twospin.reduction import GadgetParams, build_reduction_graph, sandwich_check
 from twospin.spins import (SpinParams, field_identity_report, log_config_weight,
                            log_partition, log_partition_histogram,
                            log_profile_sum, log_profile_sums, partition_fraction,
@@ -121,20 +123,32 @@ def test_partition_fraction_checks_pins_like_log_partition():
 
 
 def test_threads_do_not_change_the_result():
-    # 18 free vertices span several blocks, so threads > 1 splits the work
+    # `threads` is accepted and unused: the same bits for 1, 2 and 3, and a
+    # refusal for anything but an integer of at least 1
     g = MultiGraph.from_edges(18, [(i, (i + d) % 18) for i in range(18) for d in (1, 4)])
     p = SpinParams(0.3, 0.8, 2.0)
     assert spins._spin_problem(g, p, {}).num_blocks > 1
     values = [log_partition(g, p, threads=t) for t in (1, 2, 3)]
-    assert values[0] == values[1] == values[2]
+    assert _same_bits(values[0], values[1]) and _same_bits(values[0], values[2])
+    rg = build_reduction_graph(E2Lin2Instance(3, ((0, 1, 1), (1, 2, 0), (0, 2, 1))),
+                               GadgetParams(1, 1, 1, 5))
+    flat = SpinParams(0.3, 0.8)  # reduction sums take no field
+    reports = [sandwich_check(rg, flat, threads=t) for t in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    for bad in (0, -1, 1.5, math.nan, True):
+        with pytest.raises(UsageError, match="threads must be"):
+            log_partition(g, p, threads=bad)
+        with pytest.raises(UsageError, match="threads must be"):
+            sandwich_check(rg, flat, threads=bad)
+    # the multi-block histogram with pins is the reference's, bit for bit
     terms = [MajoritySign(((0, 1, 2, 3), (9, 10, 11)), 1),
              ZeroCount(tuple(range(0, 18, 2)), 3), MajoritySign(((4, 5, 6), (12, 13, 14)), 30)]
-    hists = [_histogram(g, p, terms, 90, fixed={3: 0, 16: 1}, threads=t)
-             for t in (1, 2, 3)]
-    assert _same_bits(hists[0], hists[1]) and _same_bits(hists[0], hists[2])
+    fixed = {3: 0, 16: 1}
+    assert _same_bits(_histogram(g, p, terms, 90, fixed=fixed),
+                      reference_histogram(g, p, terms, 90, fixed))
     # and the multi-block sum is right: the 18-cycle against its transfer matrix
     exact = cycle_partition(18, Fraction(3, 10), Fraction(4, 5), 2)
-    assert log_partition(cycle_graph(18), p, threads=2) == pytest.approx(
+    assert log_partition(cycle_graph(18), p) == pytest.approx(
         math.log(exact.numerator) - math.log(exact.denominator), abs=1e-12)
 
 
@@ -154,9 +168,6 @@ def test_histogram_buckets_sum_to_the_partition():
     # the all-zero configuration, thousands of nats below the other buckets,
     # keeps its bucket: each bucket is shifted by its own maximum
     assert hist[18] == pytest.approx(18 * math.log(1e-150 * 1.3), rel=1e-14)
-    for threads in (2, 3):
-        assert np.array_equal(log_partition_histogram(g, p, profile, 20, threads=threads),
-                              hist)
 
 
 def test_histogram_with_pins_and_constraints_matches_fractions():
@@ -211,14 +222,13 @@ def test_histogram_without_terms_has_every_bucket():
     # empty, as with a profile whose keys are all 0
     for g in (path_graph(3), cycle_graph(18)):  # one block, several blocks
         p = SpinParams(0.5, 1.5, 0.8)
-        for threads in (1, 2):
-            hist = log_partition_histogram(g, p, None, 5, threads=threads)
-            assert hist.shape == (5,)
-            assert hist[0] == log_partition(g, p)
-            assert (hist[1:] == LOG_ZERO).all()
-            always = _histogram(g, p, [ZeroCount(())], 5)
-            assert (always[1:] == LOG_ZERO).all()
-            assert always[0] == pytest.approx(hist[0], rel=1e-14)
+        hist = log_partition_histogram(g, p, None, 5)
+        assert hist.shape == (5,)
+        assert hist[0] == log_partition(g, p)
+        assert (hist[1:] == LOG_ZERO).all()
+        always = _histogram(g, p, [ZeroCount(())], 5)
+        assert (always[1:] == LOG_ZERO).all()
+        assert always[0] == pytest.approx(hist[0], rel=1e-14)
 
 
 def _same_bits(a, b):
@@ -233,14 +243,12 @@ _KERNEL_WEIGHTS = ((0.0, 1.5, 1.0), (1.25, 0.0, 0.7), (0.4, 0.9, 2.0), (1.0, 1.0
 # and in several blocks (17-20); the examples pin one of each
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(nf=st.sampled_from(range(1, 21)), pins=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
-       weights=st.sampled_from(_KERNEL_WEIGHTS), num_terms=st.integers(0, 3),
-       threads=st.sampled_from((1, 2)))
-@example(nf=20, pins=2, seed=1, weights=_KERNEL_WEIGHTS[0], num_terms=3, threads=2)
-@example(nf=6, pins=3, seed=2, weights=_KERNEL_WEIGHTS[1], num_terms=2, threads=1)
-@example(nf=13, pins=0, seed=3, weights=_KERNEL_WEIGHTS[2], num_terms=1, threads=2)
-@example(nf=18, pins=1, seed=4, weights=_KERNEL_WEIGHTS[3], num_terms=0, threads=2)
-def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_terms,
-                                                  threads):
+       weights=st.sampled_from(_KERNEL_WEIGHTS), num_terms=st.integers(0, 3))
+@example(nf=20, pins=2, seed=1, weights=_KERNEL_WEIGHTS[0], num_terms=3)
+@example(nf=6, pins=3, seed=2, weights=_KERNEL_WEIGHTS[1], num_terms=2)
+@example(nf=13, pins=0, seed=3, weights=_KERNEL_WEIGHTS[2], num_terms=1)
+@example(nf=18, pins=1, seed=4, weights=_KERNEL_WEIGHTS[3], num_terms=0)
+def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_terms):
     rng = np.random.default_rng(seed)
     n = nf + pins
     g = MultiGraph.from_edges(n, [(u, v, int(rng.integers(1, 4))) for u in range(n)
@@ -261,7 +269,7 @@ def test_kernel_is_bit_identical_to_the_reference(nf, pins, seed, weights, num_t
     # the reference reduces every block over `bins` buckets, the kernel over
     # num_buckets: the same count, so the same floats
     assert prob.hi_edges == ref.hi_edges and prob.num_buckets == ref.bins
-    hist = _histogram(g, p, terms, num_buckets, fixed=fixed, threads=threads)
+    hist = _histogram(g, p, terms, num_buckets, fixed=fixed)
     assert _same_bits(hist, reference_histogram(g, p, terms, num_buckets, fixed))
 
 
@@ -359,8 +367,6 @@ def test_kernel_matches_exact_oracles(monkeypatch, split):
                 assert got == pytest.approx(_log_fraction(expect), abs=1e-12)
                 assert partition_fraction(g, beta, gamma, mu, **kwargs) == expect
             hist = _histogram(g, p, terms, num_buckets, fixed=fixed)
-            assert _same_bits(hist, _histogram(g, p, terms, num_buckets, fixed=fixed,
-                                               threads=2))
             for j in range(num_buckets):
                 expect = fraction_partition(
                     n, g.edges, beta, gamma, mu,

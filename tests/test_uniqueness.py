@@ -369,6 +369,11 @@ def test_criticality_roots():
             criticality_roots(0.3, gamma, 10)
     with pytest.raises(RegimeError):
         criticality_roots(0.5, 0.5, 2)  # below the degree floor
+    # x2 = (b + s)/(2 beta) past the doubles gives a NaN residual; a subnormal
+    # gamma rounds x1 to 0 or to a few bits: each is refused
+    for beta, gamma in ((5e-324, 0.5), (1e-310, 0.5), (5e-324, 1e-323), (5e-324, 1e-320)):
+        with pytest.raises(RegimeError, match="fails the defining equation"):
+            criticality_roots(beta, gamma, 10)
 
 
 def test_field_window_flip():
@@ -436,6 +441,11 @@ def test_field_window_interior_and_exterior():
             assert not uniqueness_check(SpinParams(beta, gamma, mu), d).unique
         for mu in (mu1 * 0.5, mu1 * 0.95, mu2 * 1.05, mu2 * 2.0):
             assert uniqueness_check(SpinParams(beta, gamma, mu), d).unique
+    # an end past the doubles is refused, not a NaN or an OverflowError
+    for beta, d in ((5e-324, 10), (1e-30, 10), (1e-300, 3)):
+        with pytest.raises(RegimeError):
+            field_window(beta, 0.5, d)
+    assert math.isfinite(field_window(1e-20, 0.5, 10)[1])
 
 
 def test_outside_square_degrees_examples():
